@@ -26,17 +26,10 @@ from .fileio import (
     save_result,
     save_timeseries,
 )
-from .infotheory import MirKind, mir_coherence, mir_idtf, mir_ipdc
-from .measures import (
-    MeasureKind,
-    coherence,
-    dtf_family,
-    idtf,
-    ipdc,
-    pdc_family,
-)
+from .infotheory import MirKind, rates_from_spectra
+from .measures import MeasureKind, measures_from_spectra
 from .oracles import run_verification
-from .spectral import FrequencyGrid, evaluate_spectra, partialize
+from .spectral import FrequencyGrid, evaluate_spectra
 from .var_model import estimate, select_order, simulate, validate
 
 EXIT_OK = 0
@@ -164,20 +157,7 @@ def _cmd_measure(args) -> int:
         )
     grid = FrequencyGrid.default(args.nfreq)
     spectra = evaluate_spectra(model, grid)
-    partial = partialize(spectra, model) if MeasureKind.IDTF.value in kinds else None
-    results = {}
-    for kind in kinds:
-        measure = MeasureKind(kind)
-        if measure is MeasureKind.COHERENCE:
-            results[kind] = coherence(spectra)
-        elif measure in (MeasureKind.PDC, MeasureKind.GPDC):
-            results[kind] = pdc_family(spectra, model, measure)
-        elif measure is MeasureKind.IPDC:
-            results[kind] = ipdc(spectra, model)
-        elif measure in (MeasureKind.DTF, MeasureKind.DC):
-            results[kind] = dtf_family(spectra, model, measure)
-        else:
-            results[kind] = idtf(spectra, partial)
+    results = {result.kind: result for result in measures_from_spectra(spectra, model, kinds)}
     document = build_result_document(
         grid, measures=results, include_mag_sq=args.mag_sq, sample_rate_hz=args.fs
     )
@@ -193,12 +173,7 @@ def _cmd_mir(args) -> int:
             f"model is unstable (spectral radius {report.spectral_radius:.6g}); rates are undefined"
         )
     grid = FrequencyGrid.default(args.nfreq)
-    builders = {
-        MirKind.IPDC.value: mir_ipdc,
-        MirKind.IDTF.value: mir_idtf,
-        MirKind.COHERENCE.value: mir_coherence,
-    }
-    mirs = {kind: builders[kind](model, grid) for kind in kinds}
+    mirs = rates_from_spectra(evaluate_spectra(model, grid), model, kinds)
     units = "nats_per_sample" if args.units == "nats" else "bits_per_sample"
     document = build_result_document(grid, mirs=mirs, units=units)
     return _emit(document, args.out)

@@ -27,8 +27,8 @@ except ImportError:  # numpy < 2
 
 from ._util import as_readonly
 from .errors import DimensionError, DomainError
-from .measures import MeasureKind, MeasureResult, coherence, idtf, ipdc
-from .spectral import FrequencyGrid, evaluate_spectra, partialize
+from .measures import MeasureKind, MeasureResult, coherence, idtf, ipdc, measures_from_spectra
+from .spectral import FrequencyGrid, SpectralSet, evaluate_spectra, partialize
 from .var_model import VarModel
 
 #: Squared coherences are clipped to at most 1 - EPS_CLIP before the log.
@@ -86,14 +86,6 @@ class InfoDensity:
         object.__setattr__(self, "values", as_readonly(self.values))
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Outcome of :func:`mir_symmetry_check`."""
-
-    passed: bool
-    max_deviation: float
-
-
 def clip_squared_coherence(coh_sq) -> tuple[np.ndarray, int]:
     """Clamp squared coherences into [0, 1 - EPS_CLIP].
 
@@ -128,40 +120,43 @@ def info_density(measure: MeasureResult) -> InfoDensity:
     For ordinary coherence the diagonal is zeroed, matching the
     :func:`mir_coherence` convention for the divergent self-pairs.
     """
-    kind = _mir_kind_for(measure.kind)
-    squared = np.abs(measure.values) ** 2
-    if kind is MirKind.COHERENCE:
-        squared = squared.copy()
-        diag = np.arange(measure.K)
-        squared[:, diag, diag] = 0.0
-    clipped, n_clipped = clip_squared_coherence(squared)
-    values = -np.log1p(-clipped) / (2.0 * np.pi)
-    return InfoDensity(kind, measure.grid, values, n_clipped)
+    kind, integrand, n_clipped = _log_integrand(measure)
+    return InfoDensity(kind, measure.grid, integrand / (2.0 * np.pi), n_clipped)
 
 
-def _integrate(measure: MeasureResult, kind: MirKind, zero_diagonal: bool = False) -> MirMatrix:
-    squared = np.abs(measure.values) ** 2
-    if zero_diagonal:
-        squared = squared.copy()
-        diag = np.arange(measure.K)
-        squared[:, diag, diag] = 0.0
-    clipped, n_clipped = clip_squared_coherence(squared)
-    integrand = -np.log1p(-clipped)
+def _integrate(measure: MeasureResult) -> MirMatrix:
+    kind, integrand, n_clipped = _log_integrand(measure)
     values = _trapezoid(integrand, measure.grid.points, axis=0) / (2.0 * np.pi)
     return MirMatrix(kind, measure.grid, values, n_clipped)
 
 
+def _log_integrand(measure: MeasureResult) -> tuple[MirKind, np.ndarray, int]:
+    """-log(1 - |measure|^2) after clipping, with the coherence diagonal zeroed."""
+    kind = _mir_kind_for(measure.kind)
+    squared = np.abs(measure.values) ** 2
+    if kind is MirKind.COHERENCE:
+        diag = np.arange(measure.K)
+        squared[:, diag, diag] = 0.0
+    clipped, n_clipped = clip_squared_coherence(squared)
+    return kind, -np.log1p(-clipped), n_clipped
+
+
+def rates_from_spectra(spectra: SpectralSet, model: VarModel, kinds) -> dict[MirKind, MirMatrix]:
+    """Rate matrices of the requested kinds, in request order, from one spectral set."""
+    measures = measures_from_spectra(spectra, model, [MirKind(kind).value for kind in kinds])
+    return {rate.kind: rate for rate in map(_integrate, measures)}
+
+
 def mir_ipdc(model: VarModel, grid: FrequencyGrid) -> MirMatrix:
     """Rates between each target innovation and each partialized process."""
-    spectra = evaluate_spectra(model, grid)
-    return _integrate(ipdc(spectra, model), MirKind.IPDC)
+    return _integrate(ipdc(evaluate_spectra(model, grid), model))
 
 
 def mir_idtf(model: VarModel, grid: FrequencyGrid) -> MirMatrix:
     """Rates between each signal and each partialized innovation."""
     spectra = evaluate_spectra(model, grid)
     partial = partialize(spectra, model)
-    return _integrate(idtf(spectra, partial), MirKind.IDTF)
+    return _integrate(idtf(spectra, partial))
 
 
 def mir_coherence(model: VarModel, grid: FrequencyGrid) -> MirMatrix:
@@ -170,8 +165,7 @@ def mir_coherence(model: VarModel, grid: FrequencyGrid) -> MirMatrix:
     The diagonal is set to 0 by convention: a channel's coherence with
     itself is identically 1, where the integral diverges.
     """
-    spectra = evaluate_spectra(model, grid)
-    return _integrate(coherence(spectra), MirKind.COHERENCE, zero_diagonal=True)
+    return _integrate(coherence(evaluate_spectra(model, grid)))
 
 
 def geweke_hosoya_bridge(measure_sq) -> tuple[np.ndarray, int]:
@@ -184,22 +178,6 @@ def geweke_hosoya_bridge(measure_sq) -> tuple[np.ndarray, int]:
     """
     clipped, n_clipped = clip_squared_coherence(measure_sq)
     return -np.log1p(-clipped), n_clipped
-
-
-def mir_symmetry_check(model: VarModel, grid: FrequencyGrid, i: int, j: int, tol: float = 1e-14) -> SymmetryReport:
-    """Verify the integrand for pair (i, j) is conjugation-invariant.
-
-    The rate only depends on |C|^2, which is even in frequency, so the
-    integrand built from the measure must match the one built from its
-    complex conjugate pointwise. A failure would mean the reduction of the
-    full-circle integral to [0, pi] is unsound for this model.
-    """
-    spectra = evaluate_spectra(model, grid)
-    values = ipdc(spectra, model).values[:, i, j]
-    direct = np.abs(values) ** 2
-    conjugated = np.abs(values.conj()) ** 2
-    max_deviation = float(np.max(np.abs(direct - conjugated))) if direct.size else 0.0
-    return SymmetryReport(passed=bool(max_deviation <= tol), max_deviation=max_deviation)
 
 
 def _mir_kind_for(kind: MeasureKind) -> MirKind:

@@ -19,6 +19,7 @@ partialized innovation of channel j. With identity innovation covariance
 each family collapses to its classical member.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -76,14 +77,14 @@ def ipdc(spectra: SpectralSet, model: VarModel) -> MeasureResult:
     """Information PDC.
 
     Entry (i, j) is A_bar_ij / (sigma_ii^1/2 sqrt(a_j^H sigma^-1 a_j)) with
-    a_j the j-th column of A_bar. It equals the coherence between the
+    a_j the j-th column of A_bar, whose quadratic form is exactly the
+    diagonal entry [S^-1]_jj. It equals the coherence between the
     innovation of target i and the partialized process of source j, so its
     squared magnitude never exceeds 1 and integrates to a mutual
     information rate.
     """
     _check_channels(spectra, model)
-    sigma_inv = np.linalg.inv(model.sigma)
-    quad = np.einsum("fij,il,flj->fj", spectra.a_bar.conj(), sigma_inv, spectra.a_bar).real
+    quad = np.diagonal(spectra.s_inv, axis1=1, axis2=2).real
     if np.any(quad <= 0):
         raise NumericalError("non-positive column quadratic form: iPDC undefined")
     row_weight = 1.0 / np.sqrt(np.diag(model.sigma))
@@ -124,11 +125,10 @@ def idtf(spectra: SpectralSet, partial: PartializationSet) -> MeasureResult:
     """
     if spectra.K != partial.K:
         raise DimensionError(f"spectra have {spectra.K} channels but partialization has {partial.K}")
-    h_bar = spectra.h_bar
-    quad = np.einsum("fik,kl,fil->fi", h_bar.conj(), partial.sigma, h_bar).real
+    quad = np.diagonal(spectra.s, axis1=1, axis2=2).real
     if np.any(quad <= 0):
         raise NumericalError("non-positive row quadratic form: iDTF undefined")
-    values = h_bar * np.sqrt(partial.rho)[None, None, :] / np.sqrt(quad)[:, :, None]
+    values = spectra.h_bar * np.sqrt(partial.rho)[None, None, :] / np.sqrt(quad)[:, :, None]
     return MeasureResult(MeasureKind.IDTF, spectra.grid, values)
 
 
@@ -153,19 +153,33 @@ def dtf_family(spectra: SpectralSet, model: VarModel, kind: MeasureKind = Measur
     return MeasureResult(kind, spectra.grid, values)
 
 
+#: Every measure as fn(spectra, model); iDTF partializes the spectra itself.
+_MEASURES = {
+    MeasureKind.COHERENCE: lambda spectra, model: coherence(spectra),
+    MeasureKind.PDC: lambda spectra, model: pdc_family(spectra, model, MeasureKind.PDC),
+    MeasureKind.GPDC: lambda spectra, model: pdc_family(spectra, model, MeasureKind.GPDC),
+    MeasureKind.IPDC: lambda spectra, model: ipdc(spectra, model),
+    MeasureKind.DTF: lambda spectra, model: dtf_family(spectra, model, MeasureKind.DTF),
+    MeasureKind.DC: lambda spectra, model: dtf_family(spectra, model, MeasureKind.DC),
+    MeasureKind.IDTF: lambda spectra, model: idtf(spectra, partialize(spectra, model)),
+}
+
+
+def measures_from_spectra(spectra: SpectralSet, model: VarModel, kinds) -> Iterator[MeasureResult]:
+    """Yield each requested measure once, in request order, from one spectral set.
+
+    A result is computed when it is drawn, so a caller that reduces one
+    before drawing the next holds a single (n_points, K, K) result at a
+    time. Only iDTF partializes the spectra.
+    """
+    for kind in dict.fromkeys(map(MeasureKind, kinds)):
+        yield _MEASURES[kind](spectra, model)
+
+
 def all_measures(model: VarModel, grid: FrequencyGrid) -> dict[MeasureKind, MeasureResult]:
     """Evaluate every measure from a single spectral evaluation."""
     spectra = evaluate_spectra(model, grid)
-    partial = partialize(spectra, model)
-    return {
-        MeasureKind.COHERENCE: coherence(spectra),
-        MeasureKind.PDC: pdc_family(spectra, model, MeasureKind.PDC),
-        MeasureKind.GPDC: pdc_family(spectra, model, MeasureKind.GPDC),
-        MeasureKind.IPDC: ipdc(spectra, model),
-        MeasureKind.DTF: dtf_family(spectra, model, MeasureKind.DTF),
-        MeasureKind.DC: dtf_family(spectra, model, MeasureKind.DC),
-        MeasureKind.IDTF: idtf(spectra, partial),
-    }
+    return {result.kind: result for result in measures_from_spectra(spectra, model, MeasureKind)}
 
 
 def _check_channels(spectra: SpectralSet, model: VarModel) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .measures import idtf, ipdc
-from .spectral import FrequencyGrid, SpectralSet, evaluate_spectra, partial_spectrum_via_lemma, partialize
+from .spectral import FrequencyGrid, SpectralSet, evaluate_spectra, partialize
 from .var_model import VarModel, validate
 
 
@@ -116,13 +116,14 @@ def random_stable_model(rng, k: int, p: int | None = None, max_radius: float = 0
     return VarModel(coeffs, sigma)
 
 
-def _partialized_cross_spectra(spectra: SpectralSet, j: int) -> np.ndarray:
+def partialized_cross_spectra(spectra: SpectralSet, j: int) -> np.ndarray:
     """Cross-spectra between every channel and the partialized process of j.
 
     Column j of S minus the projection through the complement block. Entry
-    j is the partial spectrum; every other entry vanishes in exact
-    arithmetic because the deduction removes precisely the part of x_j
-    predictable from the other channels.
+    j is the partial spectrum as a Schur complement of S, the route
+    independent of the pipeline's 1 / [S^-1]_jj; every other entry
+    vanishes in exact arithmetic because the deduction removes precisely
+    the part of x_j predictable from the other channels.
     """
     s = spectra.s
     k = spectra.K
@@ -145,7 +146,7 @@ def partialized_process_coherence(model: VarModel, grid: FrequencyGrid, i: int, 
     """
     if spectra is None:
         spectra = evaluate_spectra(model, grid)
-    cross = _partialized_cross_spectra(spectra, j)
+    cross = partialized_cross_spectra(spectra, j)
     numerator = np.einsum("fl,fl->f", spectra.a_bar[:, i, :], cross)
     partial_spectrum = cross[:, j].real
     return numerator / np.sqrt(model.sigma[i, i] * partial_spectrum)
@@ -182,19 +183,23 @@ def transfer_function_deviation(model: VarModel, grid: FrequencyGrid, i: int, j:
     """
     if spectra is None:
         spectra = evaluate_spectra(model, grid)
-    cross = _partialized_cross_spectra(spectra, j)
+    cross = partialized_cross_spectra(spectra, j)
     numerator = np.einsum("fl,fl->f", spectra.a_bar[:, i, :], cross)
     ratio = numerator / cross[:, j].real
     return float(np.max(np.abs(spectra.a_bar[:, i, j] - ratio)))
 
 
-def orthogonality_residual(model: VarModel, grid: FrequencyGrid, j: int, spectra: SpectralSet | None = None) -> float:
+def orthogonality_residual(model: VarModel, grid: FrequencyGrid, j: int, spectra: SpectralSet | None = None, cross: np.ndarray | None = None) -> float:
     """Largest cross-spectrum between the partialized process of j and any
     other channel, over channels and frequencies. Zero in exact arithmetic.
+
+    ``cross`` takes ``partialized_cross_spectra(spectra, j)`` when the
+    caller already holds it, so it is not solved for twice.
     """
-    if spectra is None:
-        spectra = evaluate_spectra(model, grid)
-    cross = _partialized_cross_spectra(spectra, j)
+    if cross is None:
+        if spectra is None:
+            spectra = evaluate_spectra(model, grid)
+        cross = partialized_cross_spectra(spectra, j)
     others = [l for l in range(model.K) if l != j]
     if not others:
         return 0.0
@@ -283,14 +288,14 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128, chann
             float(np.max(np.abs(spectra.s @ spectra.s_inv - eye))),
         )
         for j in range(k):
-            lemma = partial_spectrum_via_lemma(spectra, model, j)
+            cross = partialized_cross_spectra(spectra, j)
             worst["partial spectrum: block elimination vs quadratic form"] = max(
                 worst["partial spectrum: block elimination vs quadratic form"],
-                float(np.max(np.abs(lemma - partial.partial_spectra[:, j]))),
+                float(np.max(np.abs(cross[:, j].real - partial.partial_spectra[:, j]))),
             )
             worst["partialized-process orthogonality"] = max(
                 worst["partialized-process orthogonality"],
-                orthogonality_residual(model, grid, j, spectra=spectra),
+                orthogonality_residual(model, grid, j, cross=cross),
             )
             for i in range(k):
                 reference = partialized_process_coherence(model, grid, i, j, spectra=spectra)

@@ -8,7 +8,10 @@ A_bar^H sigma^-1 A_bar. It also partializes each channel: the partial
 spectrum that remains after the optimal two-sided deduction of all other
 channels, the Wiener filter performing that deduction, and the variance of
 each innovation after removing its projection onto the other same-time
-innovations.
+innovations. All three are closed forms in S^-1 and sigma^-1 (partial
+spectrum 1 / [S^-1]_kk, Wiener row -[S^-1]_k,others / [S^-1]_kk, rho
+1 / [sigma^-1]_kk); the Schur complements of S they replace are the
+independent oracle route in :mod:`varconn.oracles`.
 """
 
 from dataclasses import dataclass
@@ -113,27 +116,17 @@ class PartializationSet:
         Variance of each innovation after removing its projection onto the
         other same-time innovations. Equals diag(sigma) when sigma is
         diagonal.
-    sigma : ndarray, shape (K, K)
-        Innovation covariance the projections were built from.
-    sigma_cross : ndarray, shape (K, K - 1)
-        Row k is sigma[k, others].
-    sigma_complement : ndarray, shape (K, K - 1, K - 1)
-        Entry k is sigma[others, others].
     """
 
     grid: FrequencyGrid
     partial_spectra: np.ndarray
     wiener_filters: np.ndarray
     rho: np.ndarray
-    sigma: np.ndarray
-    sigma_cross: np.ndarray
-    sigma_complement: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "partial_spectra", as_readonly(self.partial_spectra))
         object.__setattr__(self, "wiener_filters", as_readonly(self.wiener_filters, dtype=complex))
-        for name in ("rho", "sigma", "sigma_cross", "sigma_complement"):
-            object.__setattr__(self, name, as_readonly(getattr(self, name)))
+        object.__setattr__(self, "rho", as_readonly(self.rho))
 
     @property
     def K(self) -> int:
@@ -166,7 +159,7 @@ def evaluate_spectra(model: VarModel, grid: FrequencyGrid) -> SpectralSet:
     a_bar = np.repeat(np.eye(k, dtype=complex)[None, :, :], omega.size, axis=0)
     if p > 0:
         phases = np.exp(-1j * np.outer(omega, np.arange(1, p + 1)))
-        a_bar -= np.einsum("fl,lij->fij", phases, model.coeffs)
+        a_bar -= (phases @ model.coeffs.reshape(p, k * k)).reshape(omega.size, k, k)
     condition = np.linalg.cond(a_bar)
     worst = int(np.argmax(condition))
     if condition[worst] > CONDITION_LIMIT:
@@ -176,77 +169,40 @@ def evaluate_spectra(model: VarModel, grid: FrequencyGrid) -> SpectralSet:
         )
     h_bar = np.linalg.inv(a_bar)
     sigma_inv = np.linalg.inv(model.sigma)
-    s = np.einsum("fik,kl,fjl->fij", h_bar, model.sigma, h_bar.conj())
-    s_inv = np.einsum("fki,kl,flj->fij", a_bar.conj(), sigma_inv, a_bar)
+    s = h_bar @ model.sigma @ h_bar.conj().swapaxes(1, 2)
+    s_inv = a_bar.conj().swapaxes(1, 2) @ sigma_inv @ a_bar
     return SpectralSet(grid=grid, a_bar=a_bar, h_bar=h_bar, s=s, s_inv=s_inv)
 
 
 def partialize(spectra: SpectralSet, model: VarModel) -> PartializationSet:
     """Partialize every channel of a spectral set.
 
-    For channel k the partial spectrum is the Schur complement
-    S_kk - S_k,others S_others^-1 S_others,k, the power left after the
-    optimal linear deduction of the other channels; the deduction filter is
-    the corresponding Wiener solution. rho applies the same construction to
-    the innovation covariance.
+    For channel k the partial spectrum is the power left after the optimal
+    linear deduction of the other channels, and the deduction filter is
+    the corresponding Wiener solution. Both are read off the partitioned
+    inverse of S: with P = S^-1, the partial spectrum is 1 / P_kk and the
+    Wiener row is -P_k,others / P_kk. rho applies the same construction to
+    the innovation covariance, 1 / [sigma^-1]_kk. The Schur-complement
+    route S_kk - S_k,others S_others^-1 S_others,k stays independent in
+    :func:`varconn.oracles.partialized_cross_spectra`, which checks this one.
     """
-    s = spectra.s
     n_channels = spectra.K
     if model.K != n_channels:
         raise DimensionError(f"model has {model.K} channels but spectra have {n_channels}")
+    s_inv = spectra.s_inv
+    precision = np.diagonal(s_inv, axis1=1, axis2=2).real
+    if np.any(precision <= 0):
+        worst = int(np.argmin(np.min(precision, axis=1)))
+        raise NumericalError(
+            "partialization failed: inverse spectral density has a non-positive diagonal "
+            f"near omega = {spectra.grid.points[worst]:.6g}"
+        )
     n_points = spectra.grid.n_points
-    sigma = model.sigma
-    partial = np.empty((n_points, n_channels))
-    wiener = np.zeros((n_points, n_channels, n_channels - 1), dtype=complex)
-    rho = np.empty(n_channels)
-    sigma_cross = np.empty((n_channels, n_channels - 1))
-    sigma_complement = np.empty((n_channels, n_channels - 1, n_channels - 1))
-    for k in range(n_channels):
-        auto = s[:, k, k].real
-        if n_channels == 1:
-            partial[:, 0] = auto
-            rho[0] = sigma[0, 0]
-            continue
-        others = [i for i in range(n_channels) if i != k]
-        block = s[:, others, :][:, :, others]
-        try:
-            solved = np.linalg.solve(block, s[:, others, k][:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            worst = int(np.argmax(np.linalg.cond(block)))
-            raise NumericalError(
-                f"partialization failed for channel {k}: spectral block is singular "
-                f"near omega = {spectra.grid.points[worst]:.6g}"
-            ) from None
-        partial[:, k] = auto - np.einsum("fm,fm->f", s[:, k, others], solved).real
-        wiener[:, k, :] = solved.conj()
-        sigma_block = sigma[np.ix_(others, others)]
-        rho[k] = sigma[k, k] - sigma[k, others] @ np.linalg.solve(sigma_block, sigma[others, k])
-        sigma_cross[k] = sigma[k, others]
-        sigma_complement[k] = sigma_block
+    others = s_inv[:, ~np.eye(n_channels, dtype=bool)].reshape(n_points, n_channels, n_channels - 1)
     return PartializationSet(
         grid=spectra.grid,
-        partial_spectra=partial,
-        wiener_filters=wiener,
-        rho=rho,
-        sigma=sigma,
-        sigma_cross=sigma_cross,
-        sigma_complement=sigma_complement,
+        partial_spectra=1.0 / precision,
+        wiener_filters=-others / precision[:, :, None],
+        rho=1.0 / np.diag(np.linalg.inv(model.sigma)),
     )
 
-
-def partial_spectrum_via_lemma(spectra: SpectralSet, model: VarModel, j: int) -> np.ndarray:
-    """Partial spectrum of channel j by an algebraically independent route.
-
-    Returns 1 / (a_j^H sigma^-1 a_j) where a_j is column j of A_bar. The
-    partitioned-inverse identity makes this equal to the Schur-complement
-    construction in :func:`partialize`; computing both and comparing is a
-    strong end-to-end check of the spectral arithmetic.
-    """
-    if not 0 <= j < spectra.K:
-        raise DimensionError(f"channel index {j} out of range for K = {spectra.K}")
-    column = spectra.a_bar[:, :, j]
-    sigma_inv = np.linalg.inv(model.sigma)
-    quad = np.einsum("fi,il,fl->f", column.conj(), sigma_inv, column).real
-    if np.any(quad <= 0):
-        raise NumericalError(f"non-positive quadratic form for channel {j}")
-    return 1.0 / quad

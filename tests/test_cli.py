@@ -1,9 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import varconn
 from varconn import fixture, load_model, save_model
 from varconn.cli import main
 
@@ -96,6 +98,23 @@ class TestMirCommand:
         document = json.loads(out.read_text())
         values = np.asarray(document["mir"]["ipdc"]["values"])
         assert abs(values[1][0] - 0.5 * math.log(1.25) / math.log(2.0)) < 1e-8
+
+    def test_one_spectral_evaluation_per_request(self, monkeypatch, tmp_path, two_channel_model_path):
+        original = varconn.spectral.evaluate_spectra
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "varconn"]:
+            if getattr(module, "evaluate_spectra", None) is original:
+                monkeypatch.setattr(module, "evaluate_spectra", counting)
+        out = tmp_path / "mir.json"
+        argv = ["mir", "--model", str(two_channel_model_path), "--kinds", "ipdc,idtf,coh", "--out", str(out)]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert sorted(json.loads(out.read_text())["mir"]) == ["coh", "idtf", "ipdc"]
 
     def test_unknown_kind(self, capsys, two_channel_model_path):
         status = main(["mir", "--model", str(two_channel_model_path), "--kinds", "pdc"])

@@ -19,7 +19,6 @@ from varconn import (
     mir_from_coherence,
     mir_idtf,
     mir_ipdc,
-    mir_symmetry_check,
     random_stable_model,
 )
 
@@ -190,18 +189,6 @@ class TestBridge:
 
 
 class TestSymmetryCheck:
-    def test_fixture_pairs_pass(self):
-        fx = fixture("two_var_alpha", alpha=0.5)
-        report = mir_symmetry_check(fx.model, GRID, 1, 0)
-        assert report.passed
-        assert report.max_deviation <= 1e-15
-
-    def test_random_model_pairs_pass(self):
-        model = random_stable_model(np.random.default_rng(44), 3)
-        for i in range(3):
-            for j in range(3):
-                assert mir_symmetry_check(model, GRID, i, j).passed
-
     def test_directional_asymmetry_is_visible(self):
         # rates need not be symmetric even though each integrand is
         fx = fixture("two_var_alpha", alpha=0.5)

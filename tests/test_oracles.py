@@ -146,6 +146,24 @@ class TestStructuralIdentities:
         assert orthogonality_residual(model, GRID, 0) == 0.0
 
 
+class TestWideModel:
+    def test_sampled_pairs_and_inverses_at_32_channels(self):
+        rng = np.random.default_rng(56)
+        grid = FrequencyGrid.default(128)
+        model = random_stable_model(rng, 32)
+        spectra = evaluate_spectra(model, grid)
+        ipdc_values = ipdc(spectra, model).values
+        idtf_values = idtf(spectra, partialize(spectra, model)).values
+        eye = np.eye(32)
+        assert float(np.max(np.abs(spectra.a_bar @ spectra.h_bar - eye))) < 1e-10
+        assert float(np.max(np.abs(spectra.s @ spectra.s_inv - eye))) < 1e-10
+        for i, j in rng.integers(0, 32, size=(8, 2)):
+            reference = partialized_process_coherence(model, grid, i, j, spectra=spectra)
+            assert float(np.max(np.abs(reference - ipdc_values[:, i, j]))) < 1e-10
+            reference = partialized_innovation_coherence(model, grid, i, j, spectra=spectra)
+            assert float(np.max(np.abs(reference - idtf_values[:, i, j]))) < 1e-10
+
+
 class TestRunVerification:
     def test_small_sweep_passes(self):
         report = run_verification(seed=7, n_models=8, n_freq=64)

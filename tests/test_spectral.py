@@ -10,8 +10,8 @@ from varconn import (
     VarModel,
     evaluate_spectra,
     fixture,
-    partial_spectrum_via_lemma,
     partialize,
+    partialized_cross_spectra,
     random_stable_model,
 )
 
@@ -147,17 +147,26 @@ class TestPartialize:
         assert_allclose(partial.partial_spectra[:, 0], spectra.s[:, 0, 0].real, atol=1e-14)
         assert partial.rho[0] == 1.0
 
+    def test_wiener_rows_and_rho_match_explicit_solves(self):
+        rng = np.random.default_rng(16)
+        for k in (2, 3, 5):
+            model = random_stable_model(rng, k)
+            spectra = evaluate_spectra(model, GRID)
+            partial = partialize(spectra, model)
+            s, sigma = spectra.s, model.sigma
+            for channel in range(k):
+                others = [i for i in range(k) if i != channel]
+                block = s[:, others, :][:, :, others]
+                solved = np.linalg.solve(block, s[:, others, channel][:, :, None])[:, :, 0]
+                wiener_deviation = np.abs(solved.conj() - partial.wiener_filters[:, channel, :])
+                assert float(np.max(wiener_deviation)) < 1e-10
+                rho = sigma[channel, channel] - sigma[channel, others] @ np.linalg.solve(
+                    sigma[np.ix_(others, others)], sigma[others, channel]
+                )
+                assert abs(rho - partial.rho[channel]) < 1e-10
+
 
 class TestPartialSpectrumViaLemma:
-    def test_two_channel_closed_form(self):
-        alpha = 0.5
-        fx = fixture("two_var_alpha", alpha=alpha)
-        spectra = evaluate_spectra(fx.model, GRID)
-        assert_allclose(
-            partial_spectrum_via_lemma(spectra, fx.model, 0), 1.0 / (1.0 + alpha**2), atol=1e-14
-        )
-        assert_allclose(partial_spectrum_via_lemma(spectra, fx.model, 1), 1.0, atol=1e-14)
-
     def test_agrees_with_block_elimination(self):
         rng = np.random.default_rng(15)
         for k in (2, 3, 5):
@@ -165,11 +174,6 @@ class TestPartialSpectrumViaLemma:
             spectra = evaluate_spectra(model, GRID)
             partial = partialize(spectra, model)
             for j in range(k):
-                lemma = partial_spectrum_via_lemma(spectra, model, j)
-                assert float(np.max(np.abs(lemma - partial.partial_spectra[:, j]))) < 1e-10
+                schur = partialized_cross_spectra(spectra, j)[:, j].real
+                assert float(np.max(np.abs(schur - partial.partial_spectra[:, j]))) < 1e-10
 
-    def test_index_out_of_range(self):
-        fx = fixture("two_var_alpha", alpha=0.5)
-        spectra = evaluate_spectra(fx.model, GRID)
-        with pytest.raises(DimensionError):
-            partial_spectrum_via_lemma(spectra, fx.model, 2)
