@@ -26,7 +26,7 @@ from .fileio import (
     save_result,
     save_timeseries,
 )
-from .infotheory import MirKind, rates_from_spectra
+from .infotheory import RATE_KINDS, rates_from_spectra
 from .measures import MeasureKind, measures_from_spectra
 from .oracles import run_verification
 from .spectral import FrequencyGrid, evaluate_spectra
@@ -150,11 +150,6 @@ def _parse_kinds(text: str, allowed: tuple[str, ...], what: str) -> list[str]:
 def _cmd_measure(args) -> int:
     model = load_model(args.model)
     kinds = _parse_kinds(args.measures, tuple(k.value for k in MeasureKind), "measure")
-    report = validate(model)
-    if not report.stable:
-        raise NumericalError(
-            f"model is unstable (spectral radius {report.spectral_radius:.6g}); measures are undefined"
-        )
     grid = FrequencyGrid.default(args.nfreq)
     spectra = evaluate_spectra(model, grid)
     results = {result.kind: result for result in measures_from_spectra(spectra, model, kinds)}
@@ -166,12 +161,7 @@ def _cmd_measure(args) -> int:
 
 def _cmd_mir(args) -> int:
     model = load_model(args.model)
-    kinds = _parse_kinds(args.kinds, tuple(k.value for k in MirKind), "rate kind")
-    report = validate(model)
-    if not report.stable:
-        raise NumericalError(
-            f"model is unstable (spectral radius {report.spectral_radius:.6g}); rates are undefined"
-        )
+    kinds = _parse_kinds(args.kinds, tuple(k.value for k in RATE_KINDS), "rate kind")
     grid = FrequencyGrid.default(args.nfreq)
     mirs = rates_from_spectra(evaluate_spectra(model, grid), model, kinds)
     units = "nats_per_sample" if args.units == "nats" else "bits_per_sample"

@@ -16,7 +16,6 @@ of clipped values is reported alongside every result.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -28,7 +27,7 @@ except ImportError:  # numpy < 2
 from ._util import as_readonly
 from .errors import DimensionError, DomainError
 from .measures import MeasureKind, MeasureResult, coherence, idtf, ipdc, measures_from_spectra
-from .spectral import FrequencyGrid, SpectralSet, evaluate_spectra, partialize
+from .spectral import FrequencyGrid, SpectralSet, evaluate_spectra
 from .var_model import VarModel
 
 #: Squared coherences are clipped to at most 1 - EPS_CLIP before the log.
@@ -38,12 +37,8 @@ EPS_CLIP = 1e-12
 BOUND_TOL = 1e-9
 
 
-class MirKind(str, Enum):
-    """Which squared coherence a rate matrix was integrated from."""
-
-    IPDC = "ipdc"
-    IDTF = "idtf"
-    COHERENCE = "coh"
+#: The measures whose squared magnitudes integrate into rates.
+RATE_KINDS = (MeasureKind.IPDC, MeasureKind.IDTF, MeasureKind.COHERENCE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,10 +48,10 @@ class MirMatrix:
     Entry (i, j) is the rate of the directed pair with source j and target
     i. n_clipped counts squared-coherence values that had to be clipped
     away from 1 before the log; a nonzero count flags near-deterministic
-    coupling at some frequencies.
+    coupling at some frequencies. kind is one of RATE_KINDS.
     """
 
-    kind: MirKind
+    kind: MeasureKind
     grid: FrequencyGrid
     values: np.ndarray
     n_clipped: int = 0
@@ -77,7 +72,7 @@ class InfoDensity:
     corresponding MirMatrix entry.
     """
 
-    kind: MirKind
+    kind: MeasureKind
     grid: FrequencyGrid
     values: np.ndarray
     n_clipped: int = 0
@@ -104,70 +99,6 @@ def clip_squared_coherence(coh_sq) -> tuple[np.ndarray, int]:
     return np.clip(values, 0.0, 1.0 - EPS_CLIP), n_clipped
 
 
-def mir_from_coherence(coh_sq, grid: FrequencyGrid) -> float:
-    """Integrate one squared-coherence profile into a rate (nats/sample)."""
-    values = np.asarray(coh_sq, dtype=float)
-    if values.shape != (grid.n_points,):
-        raise DimensionError(f"expected shape ({grid.n_points},), got {values.shape}")
-    clipped, _ = clip_squared_coherence(values)
-    integrand = -np.log1p(-clipped)
-    return float(_trapezoid(integrand, grid.points) / (2.0 * np.pi))
-
-
-def info_density(measure: MeasureResult) -> InfoDensity:
-    """Per-frequency density -log(1 - |measure|^2) / (2 pi) for all pairs.
-
-    For ordinary coherence the diagonal is zeroed, matching the
-    :func:`mir_coherence` convention for the divergent self-pairs.
-    """
-    kind, integrand, n_clipped = _log_integrand(measure)
-    return InfoDensity(kind, measure.grid, integrand / (2.0 * np.pi), n_clipped)
-
-
-def _integrate(measure: MeasureResult) -> MirMatrix:
-    kind, integrand, n_clipped = _log_integrand(measure)
-    values = _trapezoid(integrand, measure.grid.points, axis=0) / (2.0 * np.pi)
-    return MirMatrix(kind, measure.grid, values, n_clipped)
-
-
-def _log_integrand(measure: MeasureResult) -> tuple[MirKind, np.ndarray, int]:
-    """-log(1 - |measure|^2) after clipping, with the coherence diagonal zeroed."""
-    kind = _mir_kind_for(measure.kind)
-    squared = np.abs(measure.values) ** 2
-    if kind is MirKind.COHERENCE:
-        diag = np.arange(measure.K)
-        squared[:, diag, diag] = 0.0
-    clipped, n_clipped = clip_squared_coherence(squared)
-    return kind, -np.log1p(-clipped), n_clipped
-
-
-def rates_from_spectra(spectra: SpectralSet, model: VarModel, kinds) -> dict[MirKind, MirMatrix]:
-    """Rate matrices of the requested kinds, in request order, from one spectral set."""
-    measures = measures_from_spectra(spectra, model, [MirKind(kind).value for kind in kinds])
-    return {rate.kind: rate for rate in map(_integrate, measures)}
-
-
-def mir_ipdc(model: VarModel, grid: FrequencyGrid) -> MirMatrix:
-    """Rates between each target innovation and each partialized process."""
-    return _integrate(ipdc(evaluate_spectra(model, grid), model))
-
-
-def mir_idtf(model: VarModel, grid: FrequencyGrid) -> MirMatrix:
-    """Rates between each signal and each partialized innovation."""
-    spectra = evaluate_spectra(model, grid)
-    partial = partialize(spectra, model)
-    return _integrate(idtf(spectra, partial))
-
-
-def mir_coherence(model: VarModel, grid: FrequencyGrid) -> MirMatrix:
-    """Pairwise (undirected) rates from ordinary coherence.
-
-    The diagonal is set to 0 by convention: a channel's coherence with
-    itself is identically 1, where the integral diverges.
-    """
-    return _integrate(coherence(evaluate_spectra(model, grid)))
-
-
 def geweke_hosoya_bridge(measure_sq) -> tuple[np.ndarray, int]:
     """Map squared coherences to spectral Granger-causality values.
 
@@ -180,12 +111,61 @@ def geweke_hosoya_bridge(measure_sq) -> tuple[np.ndarray, int]:
     return -np.log1p(-clipped), n_clipped
 
 
-def _mir_kind_for(kind: MeasureKind) -> MirKind:
-    mapping = {
-        MeasureKind.IPDC: MirKind.IPDC,
-        MeasureKind.IDTF: MirKind.IDTF,
-        MeasureKind.COHERENCE: MirKind.COHERENCE,
-    }
-    if kind not in mapping:
-        raise DomainError(f"no information-rate interpretation for measure {kind.value!r}")
-    return mapping[kind]
+def mir_from_coherence(coh_sq, grid: FrequencyGrid) -> float:
+    """Integrate one squared-coherence profile into a rate (nats/sample)."""
+    values = np.asarray(coh_sq, dtype=float)
+    if values.shape != (grid.n_points,):
+        raise DimensionError(f"expected shape ({grid.n_points},), got {values.shape}")
+    integrand, _ = geweke_hosoya_bridge(values)
+    return float(_trapezoid(integrand, grid.points) / (2.0 * np.pi))
+
+
+def info_density(measure: MeasureResult) -> InfoDensity:
+    """Per-frequency density -log(1 - |measure|^2) / (2 pi) for all pairs.
+
+    For ordinary coherence the diagonal is zeroed, matching the
+    :func:`mir_coherence` convention for the divergent self-pairs.
+    """
+    integrand, n_clipped = _log_integrand(measure)
+    return InfoDensity(measure.kind, measure.grid, integrand / (2.0 * np.pi), n_clipped)
+
+
+def _integrate(measure: MeasureResult) -> MirMatrix:
+    integrand, n_clipped = _log_integrand(measure)
+    values = _trapezoid(integrand, measure.grid.points, axis=0) / (2.0 * np.pi)
+    return MirMatrix(measure.kind, measure.grid, values, n_clipped)
+
+
+def _log_integrand(measure: MeasureResult) -> tuple[np.ndarray, int]:
+    """-log(1 - |measure|^2) after clipping, with the coherence diagonal zeroed."""
+    if measure.kind not in RATE_KINDS:
+        raise DomainError(f"no information-rate interpretation for measure {measure.kind.value!r}")
+    squared = np.abs(measure.values) ** 2
+    if measure.kind is MeasureKind.COHERENCE:
+        diag = np.arange(measure.K)
+        squared[:, diag, diag] = 0.0
+    return geweke_hosoya_bridge(squared)
+
+
+def rates_from_spectra(spectra: SpectralSet, model: VarModel, kinds) -> dict[MeasureKind, MirMatrix]:
+    """Rate matrices of the requested kinds, in request order, from one spectral set."""
+    return {rate.kind: rate for rate in map(_integrate, measures_from_spectra(spectra, model, kinds))}
+
+
+def mir_ipdc(model: VarModel, grid: FrequencyGrid) -> MirMatrix:
+    """Rates between each target innovation and each partialized process."""
+    return _integrate(ipdc(evaluate_spectra(model, grid), model))
+
+
+def mir_idtf(model: VarModel, grid: FrequencyGrid) -> MirMatrix:
+    """Rates between each signal and each partialized innovation."""
+    return _integrate(idtf(evaluate_spectra(model, grid), model))
+
+
+def mir_coherence(model: VarModel, grid: FrequencyGrid) -> MirMatrix:
+    """Pairwise (undirected) rates from ordinary coherence.
+
+    The diagonal is set to 0 by convention: a channel's coherence with
+    itself is identically 1, where the integral diverges.
+    """
+    return _integrate(coherence(evaluate_spectra(model, grid)))

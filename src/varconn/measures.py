@@ -27,7 +27,7 @@ import numpy as np
 
 from ._util import as_readonly
 from .errors import DimensionError, DomainError, NumericalError
-from .spectral import FrequencyGrid, PartializationSet, SpectralSet, evaluate_spectra, partialize
+from .spectral import FrequencyGrid, SpectralSet, evaluate_spectra
 from .var_model import VarModel
 
 
@@ -114,21 +114,20 @@ def pdc_family(spectra: SpectralSet, model: VarModel, kind: MeasureKind = Measur
     return MeasureResult(kind, spectra.grid, values)
 
 
-def idtf(spectra: SpectralSet, partial: PartializationSet) -> MeasureResult:
+def idtf(spectra: SpectralSet, model: VarModel) -> MeasureResult:
     """Information DTF.
 
     Entry (i, j) is H_bar_ij rho_j^1/2 / sqrt(h_i sigma h_i^H) with h_i the
     i-th row of H_bar, whose quadratic form is exactly the autospectrum
-    S_ii. It equals the coherence between signal i and the partialized
-    innovation of source j (the innovation with its projection onto the
-    other same-time innovations removed).
+    S_ii. rho_j = 1 / [sigma^-1]_jj is the partialized innovation variance
+    of source j: the variance of innovation j after removing its
+    projection onto the other same-time innovations, diag(sigma) when
+    sigma is diagonal. Entry (i, j) equals the coherence between signal i
+    and that partialized innovation.
     """
-    if spectra.K != partial.K:
-        raise DimensionError(f"spectra have {spectra.K} channels but partialization has {partial.K}")
-    quad = np.diagonal(spectra.s, axis1=1, axis2=2).real
-    if np.any(quad <= 0):
-        raise NumericalError("non-positive row quadratic form: iDTF undefined")
-    values = spectra.h_bar * np.sqrt(partial.rho)[None, None, :] / np.sqrt(quad)[:, :, None]
+    _check_channels(spectra, model)
+    rho = 1.0 / np.diag(np.linalg.inv(model.sigma))
+    values = spectra.h_bar * np.sqrt(rho)[None, None, :] / np.sqrt(_autospectra(spectra))[:, :, None]
     return MeasureResult(MeasureKind.IDTF, spectra.grid, values)
 
 
@@ -153,7 +152,9 @@ def dtf_family(spectra: SpectralSet, model: VarModel, kind: MeasureKind = Measur
     return MeasureResult(kind, spectra.grid, values)
 
 
-#: Every measure as fn(spectra, model); iDTF partializes the spectra itself.
+#: Every measure as fn(spectra, model). Each entry calls its function by
+#: module name, so a function rebound on the module (a tracer, a test
+#: double) is the one that runs.
 _MEASURES = {
     MeasureKind.COHERENCE: lambda spectra, model: coherence(spectra),
     MeasureKind.PDC: lambda spectra, model: pdc_family(spectra, model, MeasureKind.PDC),
@@ -161,7 +162,7 @@ _MEASURES = {
     MeasureKind.IPDC: lambda spectra, model: ipdc(spectra, model),
     MeasureKind.DTF: lambda spectra, model: dtf_family(spectra, model, MeasureKind.DTF),
     MeasureKind.DC: lambda spectra, model: dtf_family(spectra, model, MeasureKind.DC),
-    MeasureKind.IDTF: lambda spectra, model: idtf(spectra, partialize(spectra, model)),
+    MeasureKind.IDTF: lambda spectra, model: idtf(spectra, model),
 }
 
 
@@ -170,7 +171,7 @@ def measures_from_spectra(spectra: SpectralSet, model: VarModel, kinds) -> Itera
 
     A result is computed when it is drawn, so a caller that reduces one
     before drawing the next holds a single (n_points, K, K) result at a
-    time. Only iDTF partializes the spectra.
+    time.
     """
     for kind in dict.fromkeys(map(MeasureKind, kinds)):
         yield _MEASURES[kind](spectra, model)

@@ -136,17 +136,19 @@ def partialized_cross_spectra(spectra: SpectralSet, j: int) -> np.ndarray:
     return column - np.einsum("flm,fm->fl", s[:, :, others], projection)
 
 
-def partialized_process_coherence(model: VarModel, grid: FrequencyGrid, i: int, j: int, spectra: SpectralSet | None = None) -> np.ndarray:
+def partialized_process_coherence(model: VarModel, grid: FrequencyGrid, i: int, j: int, spectra: SpectralSet | None = None, cross: np.ndarray | None = None) -> np.ndarray:
     """Coherence between innovation i and the partialized process of j.
 
     Assembled by pushing the model equation for w_i through the
     partialized cross-spectra. The sum over all channels is kept in full;
     nothing is cancelled analytically, so agreement with iPDC is an
-    end-to-end check rather than a reimplementation.
+    end-to-end check rather than a reimplementation. ``cross`` is as in
+    :func:`orthogonality_residual`.
     """
     if spectra is None:
         spectra = evaluate_spectra(model, grid)
-    cross = partialized_cross_spectra(spectra, j)
+    if cross is None:
+        cross = partialized_cross_spectra(spectra, j)
     numerator = np.einsum("fl,fl->f", spectra.a_bar[:, i, :], cross)
     partial_spectrum = cross[:, j].real
     return numerator / np.sqrt(model.sigma[i, i] * partial_spectrum)
@@ -174,16 +176,18 @@ def partialized_innovation_coherence(model: VarModel, grid: FrequencyGrid, i: in
     return cross / np.sqrt(auto * rho)
 
 
-def transfer_function_deviation(model: VarModel, grid: FrequencyGrid, i: int, j: int, spectra: SpectralSet | None = None) -> float:
+def transfer_function_deviation(model: VarModel, grid: FrequencyGrid, i: int, j: int, spectra: SpectralSet | None = None, cross: np.ndarray | None = None) -> float:
     """Max deviation of A_bar_ij from its partialized cross-spectral ratio.
 
     The entry must equal S_{w_i eta_j} / S_{eta_j eta_j} (coupling each
     innovation to each partialized process); the return value is the
-    largest absolute difference over the grid.
+    largest absolute difference over the grid. ``cross`` is as in
+    :func:`orthogonality_residual`.
     """
     if spectra is None:
         spectra = evaluate_spectra(model, grid)
-    cross = partialized_cross_spectra(spectra, j)
+    if cross is None:
+        cross = partialized_cross_spectra(spectra, j)
     numerator = np.einsum("fl,fl->f", spectra.a_bar[:, i, :], cross)
     ratio = numerator / cross[:, j].real
     return float(np.max(np.abs(spectra.a_bar[:, i, j] - ratio)))
@@ -268,8 +272,7 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128, chann
     )
     for fx in fixtures:
         spectra = evaluate_spectra(fx.model, grid)
-        partial = partialize(spectra, fx.model)
-        computed = {"ipdc": ipdc(spectra, fx.model).values, "idtf": idtf(spectra, partial).values}
+        computed = {"ipdc": ipdc(spectra, fx.model).values, "idtf": idtf(spectra, fx.model).values}
         for (kind, i, j), expected in fx.expected(grid).items():
             deviation = float(np.max(np.abs(computed[kind][:, i, j] - expected)))
             worst["fixture closed forms"] = max(worst["fixture closed forms"], deviation)
@@ -278,9 +281,9 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128, chann
         k = channel_counts[index % len(channel_counts)]
         model = random_stable_model(rng, k)
         spectra = evaluate_spectra(model, grid)
-        partial = partialize(spectra, model)
+        partial = partialize(spectra)
         ipdc_values = ipdc(spectra, model).values
-        idtf_values = idtf(spectra, partial).values
+        idtf_values = idtf(spectra, model).values
         eye = np.eye(k)
         worst["inverse reconstruction: A_bar H_bar = I and S S^-1 = I"] = max(
             worst["inverse reconstruction: A_bar H_bar = I and S S^-1 = I"],
@@ -298,7 +301,7 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128, chann
                 orthogonality_residual(model, grid, j, cross=cross),
             )
             for i in range(k):
-                reference = partialized_process_coherence(model, grid, i, j, spectra=spectra)
+                reference = partialized_process_coherence(model, grid, i, j, spectra=spectra, cross=cross)
                 worst["iPDC equals innovation/partialized-process coherence"] = max(
                     worst["iPDC equals innovation/partialized-process coherence"],
                     float(np.max(np.abs(reference - ipdc_values[:, i, j]))),
@@ -310,7 +313,7 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128, chann
                 )
                 worst["A_bar equals partialized cross-spectral ratio"] = max(
                     worst["A_bar equals partialized cross-spectral ratio"],
-                    transfer_function_deviation(model, grid, i, j, spectra=spectra),
+                    transfer_function_deviation(model, grid, i, j, spectra=spectra, cross=cross),
                 )
 
     checks = tuple(CheckResult(name, worst[name], bounds[name]) for name in names)

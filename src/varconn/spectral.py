@@ -6,12 +6,10 @@ the transfer matrix H_bar = A_bar^-1, the spectral density
 S = H_bar sigma H_bar^H and its inverse assembled directly as
 A_bar^H sigma^-1 A_bar. It also partializes each channel: the partial
 spectrum that remains after the optimal two-sided deduction of all other
-channels, the Wiener filter performing that deduction, and the variance of
-each innovation after removing its projection onto the other same-time
-innovations. All three are closed forms in S^-1 and sigma^-1 (partial
-spectrum 1 / [S^-1]_kk, Wiener row -[S^-1]_k,others / [S^-1]_kk, rho
-1 / [sigma^-1]_kk); the Schur complements of S they replace are the
-independent oracle route in :mod:`varconn.oracles`.
+channels, and the Wiener filter performing that deduction. Both are closed
+forms in S^-1 (partial spectrum 1 / [S^-1]_kk, Wiener row
+-[S^-1]_k,others / [S^-1]_kk); the Schur complements of S they replace are
+the independent oracle route in :mod:`varconn.oracles`.
 """
 
 from dataclasses import dataclass
@@ -112,21 +110,15 @@ class PartializationSet:
     wiener_filters : ndarray, shape (n_points, K, K - 1)
         Row k holds the frequency response of the deduction filter for
         channel k against the other channels in ascending index order.
-    rho : ndarray, shape (K,)
-        Variance of each innovation after removing its projection onto the
-        other same-time innovations. Equals diag(sigma) when sigma is
-        diagonal.
     """
 
     grid: FrequencyGrid
     partial_spectra: np.ndarray
     wiener_filters: np.ndarray
-    rho: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "partial_spectra", as_readonly(self.partial_spectra))
         object.__setattr__(self, "wiener_filters", as_readonly(self.wiener_filters, dtype=complex))
-        object.__setattr__(self, "rho", as_readonly(self.rho))
 
     @property
     def K(self) -> int:
@@ -174,21 +166,18 @@ def evaluate_spectra(model: VarModel, grid: FrequencyGrid) -> SpectralSet:
     return SpectralSet(grid=grid, a_bar=a_bar, h_bar=h_bar, s=s, s_inv=s_inv)
 
 
-def partialize(spectra: SpectralSet, model: VarModel) -> PartializationSet:
+def partialize(spectra: SpectralSet) -> PartializationSet:
     """Partialize every channel of a spectral set.
 
     For channel k the partial spectrum is the power left after the optimal
     linear deduction of the other channels, and the deduction filter is
     the corresponding Wiener solution. Both are read off the partitioned
     inverse of S: with P = S^-1, the partial spectrum is 1 / P_kk and the
-    Wiener row is -P_k,others / P_kk. rho applies the same construction to
-    the innovation covariance, 1 / [sigma^-1]_kk. The Schur-complement
-    route S_kk - S_k,others S_others^-1 S_others,k stays independent in
+    Wiener row is -P_k,others / P_kk. The Schur-complement route
+    S_kk - S_k,others S_others^-1 S_others,k stays independent in
     :func:`varconn.oracles.partialized_cross_spectra`, which checks this one.
     """
     n_channels = spectra.K
-    if model.K != n_channels:
-        raise DimensionError(f"model has {model.K} channels but spectra have {n_channels}")
     s_inv = spectra.s_inv
     precision = np.diagonal(s_inv, axis1=1, axis2=2).real
     if np.any(precision <= 0):
@@ -203,6 +192,5 @@ def partialize(spectra: SpectralSet, model: VarModel) -> PartializationSet:
         grid=spectra.grid,
         partial_spectra=1.0 / precision,
         wiener_filters=-others / precision[:, :, None],
-        rho=1.0 / np.diag(np.linalg.inv(model.sigma)),
     )
 

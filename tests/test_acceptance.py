@@ -79,9 +79,8 @@ def test_criterion_01_two_channel_fixture():
 def test_criterion_02_chain_fixture():
     fx = fixture("three_var_alpha_beta", alpha=0.5, beta=1.0)
     spectra = evaluate_spectra(fx.model, DEFAULT_GRID)
-    partial = partialize(spectra, fx.model)
     ipdc_values = ipdc(spectra, fx.model).values
-    idtf_values = idtf(spectra, partial).values
+    idtf_values = idtf(spectra, fx.model).values
     assert float(np.max(np.abs(np.abs(idtf_values[:, 2, 0]) ** 2 - 1.0 / 9.0))) < 1e-12
     assert float(np.max(np.abs(np.abs(ipdc_values[:, 2, 1]) ** 2 - 0.5))) < 1e-12
     assert float(np.max(np.abs(ipdc_values[:, 2, 0]))) < 1e-12
@@ -107,8 +106,7 @@ def test_criterion_04_innovation_coherence_identity(population):
     worst = 0.0
     for model in population:
         spectra = evaluate_spectra(model, GRID)
-        partial = partialize(spectra, model)
-        values = idtf(spectra, partial).values
+        values = idtf(spectra, model).values
         for i in range(model.K):
             for j in range(model.K):
                 reference = partialized_innovation_coherence(model, GRID, i, j, spectra=spectra)
@@ -121,7 +119,7 @@ def test_criterion_05_partial_spectrum_dual_route(population):
     worst = 0.0
     for model in population:
         spectra = evaluate_spectra(model, GRID)
-        partial = partialize(spectra, model)
+        partial = partialize(spectra)
         for j in range(model.K):
             schur = partialized_cross_spectra(spectra, j)[:, j].real
             worst = max(worst, float(np.max(np.abs(schur - partial.partial_spectra[:, j]))))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -47,12 +48,13 @@ class TestMeasureCommand:
         assert status == 2
         assert "E_CONFIG" in capsys.readouterr().err
 
-    def test_unstable_model_refused(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["measure", "mir"])
+    def test_unstable_model_refused(self, command, tmp_path, capsys):
         from varconn import VarModel
 
         path = tmp_path / "unstable.json"
         save_model(VarModel([[[1.1, 0.0], [0.0, 0.5]]], np.eye(2)), path)
-        status = main(["measure", "--model", str(path)])
+        status = main([command, "--model", str(path)])
         assert status == 3
         assert "E_NUMERIC" in capsys.readouterr().err
 
@@ -100,26 +102,55 @@ class TestMirCommand:
         assert abs(values[1][0] - 0.5 * math.log(1.25) / math.log(2.0)) < 1e-8
 
     def test_one_spectral_evaluation_per_request(self, monkeypatch, tmp_path, two_channel_model_path):
-        original = varconn.spectral.evaluate_spectra
-        calls = []
+        calls = {"evaluate_spectra": 0, "validate": 0, "partialize": 0}
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "varconn"]
+        for name in calls:
+            original = getattr(varconn, name)
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "varconn"]:
-            if getattr(module, "evaluate_spectra", None) is original:
-                monkeypatch.setattr(module, "evaluate_spectra", counting)
-        out = tmp_path / "mir.json"
-        argv = ["mir", "--model", str(two_channel_model_path), "--kinds", "ipdc,idtf,coh", "--out", str(out)]
-        assert main(argv) == 0
-        assert len(calls) == 1
-        assert sorted(json.loads(out.read_text())["mir"]) == ["coh", "idtf", "ipdc"]
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        requests = {"mir": ["--kinds", "ipdc,idtf,coh"], "measure": []}
+        for command, options in requests.items():
+            calls.update(dict.fromkeys(calls, 0))
+            argv = [command, "--model", str(two_channel_model_path), *options, "--out", str(tmp_path / f"{command}.json")]
+            assert main(argv) == 0
+            assert calls == {"evaluate_spectra": 1, "validate": 1, "partialize": 0}, command
+        assert sorted(json.loads((tmp_path / "mir.json").read_text())["mir"]) == ["coh", "idtf", "ipdc"]
 
     def test_unknown_kind(self, capsys, two_channel_model_path):
         status = main(["mir", "--model", str(two_channel_model_path), "--kinds", "pdc"])
         assert status == 2
         assert "E_CONFIG" in capsys.readouterr().err
+
+
+class TestReadmeExamples:
+    """The README's measure and mir examples write the bytes recorded here.
+
+    Digests recorded with numpy 2.4 on x86-64. A change to either
+    document's bytes has to be deliberate and has to update them.
+    """
+
+    DIGESTS = {
+        "measure": "51f93aa99328b5354015dcb8a749bdc1b5669b657d65235c188407273549b6dd",
+        "mir": "86a0208282a9ddb54b52040e081e42880e4805726caeca2ffb1e803c94b51d20",
+    }
+
+    def test_outputs_match_recorded_digests(self, tmp_path):
+        model = tmp_path / "two_var_alpha.json"
+        save_model(fixture("two_var_alpha", alpha=0.5).model, model)
+        examples = {
+            "measure": ["--measures", "ipdc", "--nfreq", "8", "--mag-sq"],
+            "mir": ["--kinds", "ipdc,idtf", "--units", "nats"],
+        }
+        for command, options in examples.items():
+            out = tmp_path / f"{command}.json"
+            assert main([command, "--model", str(model), *options, "--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[command], command
 
 
 class TestSimulateAndFit:

@@ -14,7 +14,6 @@ from varconn import (
     fixture,
     idtf,
     ipdc,
-    partialize,
     pdc_family,
     random_stable_model,
     rescale,
@@ -24,28 +23,23 @@ from varconn import (
 GRID = FrequencyGrid.default(64)
 
 
-def pipeline(model):
-    spectra = evaluate_spectra(model, GRID)
-    return spectra, partialize(spectra, model)
-
-
 class TestCoherence:
     def test_two_channel_magnitude(self):
         # |C_12|^2 = alpha^2 / (1 + alpha^2) = 0.2 for alpha = 0.5
         fx = fixture("two_var_alpha", alpha=0.5)
-        spectra, _ = pipeline(fx.model)
+        spectra = evaluate_spectra(fx.model, GRID)
         values = coherence(spectra).values
         assert_allclose(np.abs(values[:, 0, 1]) ** 2, 0.2, atol=1e-13)
         assert_allclose(np.abs(values[:, 1, 0]) ** 2, 0.2, atol=1e-13)
 
     def test_diagonal_is_one(self):
         model = random_stable_model(np.random.default_rng(20), 3)
-        spectra, _ = pipeline(model)
+        spectra = evaluate_spectra(model, GRID)
         diagonal = np.einsum("fii->fi", coherence(spectra).values)
         assert float(np.max(np.abs(diagonal - 1.0))) < 1e-12
 
     def test_independent_channels_have_zero_coherence(self):
-        spectra, _ = pipeline(VarModel.white_noise(np.diag([1.0, 2.0])))
+        spectra = evaluate_spectra(VarModel.white_noise(np.diag([1.0, 2.0])), GRID)
         values = coherence(spectra).values
         assert float(np.max(np.abs(values[:, 0, 1]))) < 1e-14
 
@@ -54,7 +48,7 @@ class TestIpdc:
     def test_two_channel_closed_form(self):
         alpha = 0.5
         fx = fixture("two_var_alpha", alpha=alpha)
-        spectra, _ = pipeline(fx.model)
+        spectra = evaluate_spectra(fx.model, GRID)
         values = ipdc(spectra, fx.model).values
         expected = -alpha * np.exp(-1j * GRID.points) / np.sqrt(1.0 + alpha**2)
         assert_allclose(values[:, 1, 0], expected, atol=1e-14)
@@ -63,7 +57,7 @@ class TestIpdc:
     def test_indirect_route_is_invisible(self):
         # 0 -> 1 -> 2 chain: no direct 0 -> 2 coupling
         fx = fixture("three_var_alpha_beta", alpha=0.5, beta=1.0)
-        spectra, _ = pipeline(fx.model)
+        spectra = evaluate_spectra(fx.model, GRID)
         values = ipdc(spectra, fx.model).values
         assert_allclose(values[:, 2, 0], 0.0, atol=1e-15)
 
@@ -71,12 +65,12 @@ class TestIpdc:
         rng = np.random.default_rng(21)
         for k in (2, 3, 4):
             model = random_stable_model(rng, k)
-            spectra, _ = pipeline(model)
+            spectra = evaluate_spectra(model, GRID)
             assert float(np.max(np.abs(ipdc(spectra, model).values))) <= 1.0 + 1e-10
 
     def test_order_zero_off_diagonal_is_zero(self):
         model = VarModel.white_noise(np.diag([1.0, 3.0]))
-        spectra, _ = pipeline(model)
+        spectra = evaluate_spectra(model, GRID)
         values = ipdc(spectra, model).values
         assert_allclose(values[:, 0, 1], 0.0, atol=1e-15)
         assert_allclose(values[:, 1, 0], 0.0, atol=1e-15)
@@ -85,7 +79,7 @@ class TestIpdc:
 class TestPdcFamily:
     def test_column_normalization(self):
         model = random_stable_model(np.random.default_rng(22), 3)
-        spectra, _ = pipeline(model)
+        spectra = evaluate_spectra(model, GRID)
         for kind in (MeasureKind.PDC, MeasureKind.GPDC):
             values = pdc_family(spectra, model, kind).values
             totals = np.sum(np.abs(values) ** 2, axis=1)
@@ -93,7 +87,7 @@ class TestPdcFamily:
 
     def test_identity_sigma_collapses_family(self):
         model = random_stable_model(np.random.default_rng(23), 3, sigma_kind="identity")
-        spectra, _ = pipeline(model)
+        spectra = evaluate_spectra(model, GRID)
         pdc = pdc_family(spectra, model, MeasureKind.PDC).values
         gpdc = pdc_family(spectra, model, MeasureKind.GPDC).values
         info = ipdc(spectra, model).values
@@ -102,14 +96,14 @@ class TestPdcFamily:
 
     def test_diagonal_sigma_collapses_gpdc_and_ipdc(self):
         model = random_stable_model(np.random.default_rng(24), 3, sigma_kind="diagonal")
-        spectra, _ = pipeline(model)
+        spectra = evaluate_spectra(model, GRID)
         gpdc = pdc_family(spectra, model, MeasureKind.GPDC).values
         info = ipdc(spectra, model).values
         assert float(np.max(np.abs(gpdc - info))) < 1e-13
 
     def test_rejects_other_kinds(self):
         fx = fixture("two_var_alpha", alpha=0.5)
-        spectra, _ = pipeline(fx.model)
+        spectra = evaluate_spectra(fx.model, GRID)
         with pytest.raises(DomainError):
             pdc_family(spectra, fx.model, MeasureKind.DTF)
 
@@ -117,7 +111,7 @@ class TestPdcFamily:
 class TestDtfFamily:
     def test_row_normalization(self):
         model = random_stable_model(np.random.default_rng(25), 3)
-        spectra, _ = pipeline(model)
+        spectra = evaluate_spectra(model, GRID)
         for kind in (MeasureKind.DTF, MeasureKind.DC):
             values = dtf_family(spectra, model, kind).values
             totals = np.sum(np.abs(values) ** 2, axis=2)
@@ -125,23 +119,23 @@ class TestDtfFamily:
 
     def test_identity_sigma_collapses_family(self):
         model = random_stable_model(np.random.default_rng(26), 3, sigma_kind="identity")
-        spectra, partial = pipeline(model)
+        spectra = evaluate_spectra(model, GRID)
         dtf = dtf_family(spectra, model, MeasureKind.DTF).values
         dc = dtf_family(spectra, model, MeasureKind.DC).values
-        info = idtf(spectra, partial).values
+        info = idtf(spectra, model).values
         assert float(np.max(np.abs(dtf - dc))) < 1e-14
         assert float(np.max(np.abs(dtf - info))) < 1e-14
 
     def test_diagonal_sigma_collapses_dc_and_idtf(self):
         model = random_stable_model(np.random.default_rng(27), 4, sigma_kind="diagonal")
-        spectra, partial = pipeline(model)
+        spectra = evaluate_spectra(model, GRID)
         dc = dtf_family(spectra, model, MeasureKind.DC).values
-        info = idtf(spectra, partial).values
+        info = idtf(spectra, model).values
         assert float(np.max(np.abs(dc - info))) < 1e-13
 
     def test_rejects_other_kinds(self):
         fx = fixture("two_var_alpha", alpha=0.5)
-        spectra, _ = pipeline(fx.model)
+        spectra = evaluate_spectra(fx.model, GRID)
         with pytest.raises(DomainError):
             dtf_family(spectra, fx.model, MeasureKind.IPDC)
 
@@ -150,8 +144,8 @@ class TestIdtf:
     def test_chain_closed_forms(self):
         alpha, beta = 0.5, 1.0
         fx = fixture("three_var_alpha_beta", alpha=alpha, beta=beta)
-        spectra, partial = pipeline(fx.model)
-        values = idtf(spectra, partial).values
+        spectra = evaluate_spectra(fx.model, GRID)
+        values = idtf(spectra, fx.model).values
         w = GRID.points
         chain = np.sqrt(1.0 + beta**2 + (alpha * beta) ** 2)
         assert_allclose(values[:, 2, 0], alpha * beta * np.exp(-2j * w) / chain, atol=1e-14)
@@ -162,16 +156,16 @@ class TestIdtf:
 
     def test_severed_chain_kills_downstream_entry(self):
         fx = fixture("three_var_alpha_beta", alpha=0.0, beta=1.0)
-        spectra, partial = pipeline(fx.model)
-        values = idtf(spectra, partial).values
+        spectra = evaluate_spectra(fx.model, GRID)
+        values = idtf(spectra, fx.model).values
         assert_allclose(values[:, 2, 0], 0.0, atol=1e-15)
 
     def test_magnitude_bounded_by_one(self):
         rng = np.random.default_rng(28)
         for k in (2, 3, 4):
             model = random_stable_model(rng, k)
-            spectra, partial = pipeline(model)
-            assert float(np.max(np.abs(idtf(spectra, partial).values))) <= 1.0 + 1e-10
+            spectra = evaluate_spectra(model, GRID)
+            assert float(np.max(np.abs(idtf(spectra, model).values))) <= 1.0 + 1e-10
 
 
 class TestAllMeasures:

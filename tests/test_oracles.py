@@ -10,7 +10,6 @@ from varconn import (
     idtf,
     ipdc,
     orthogonality_residual,
-    partialize,
     partialized_innovation_coherence,
     partialized_process_coherence,
     random_stable_model,
@@ -44,10 +43,9 @@ class TestFixtures:
             fixture("three_var_alpha_beta", alpha=0.5, beta=1.0),
         ):
             spectra = evaluate_spectra(fx.model, GRID)
-            partial = partialize(spectra, fx.model)
             computed = {
                 "ipdc": ipdc(spectra, fx.model).values,
-                "idtf": idtf(spectra, partial).values,
+                "idtf": idtf(spectra, fx.model).values,
             }
             for (kind, i, j), expected in fx.expected(GRID).items():
                 deviation = float(np.max(np.abs(computed[kind][:, i, j] - expected)))
@@ -114,8 +112,7 @@ class TestInnovationCoherenceIdentity:
         for k in (2, 4):
             model = random_stable_model(rng, k)
             spectra = evaluate_spectra(model, GRID)
-            partial = partialize(spectra, model)
-            values = idtf(spectra, partial).values
+            values = idtf(spectra, model).values
             for i in range(k):
                 for j in range(k):
                     reference = partialized_innovation_coherence(model, GRID, i, j, spectra=spectra)
@@ -153,7 +150,7 @@ class TestWideModel:
         model = random_stable_model(rng, 32)
         spectra = evaluate_spectra(model, grid)
         ipdc_values = ipdc(spectra, model).values
-        idtf_values = idtf(spectra, partialize(spectra, model)).values
+        idtf_values = idtf(spectra, model).values
         eye = np.eye(32)
         assert float(np.max(np.abs(spectra.a_bar @ spectra.h_bar - eye))) < 1e-10
         assert float(np.max(np.abs(spectra.s @ spectra.s_inv - eye))) < 1e-10

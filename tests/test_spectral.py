@@ -10,6 +10,7 @@ from varconn import (
     VarModel,
     evaluate_spectra,
     fixture,
+    idtf,
     partialize,
     partialized_cross_spectra,
     random_stable_model,
@@ -108,7 +109,7 @@ class TestPartialize:
         alpha = 0.5
         fx = fixture("two_var_alpha", alpha=alpha)
         spectra = evaluate_spectra(fx.model, GRID)
-        partial = partialize(spectra, fx.model)
+        partial = partialize(spectra)
         w = GRID.points
         assert_allclose(partial.partial_spectra[:, 0], 1.0 / (1.0 + alpha**2), atol=1e-14)
         assert_allclose(partial.partial_spectra[:, 1], 1.0, atol=1e-14)
@@ -116,54 +117,47 @@ class TestPartialize:
         assert_allclose(
             partial.wiener_filters[:, 0, 0], alpha * np.exp(1j * w) / (1.0 + alpha**2), atol=1e-14
         )
-        assert_allclose(partial.rho, [1.0, 1.0], atol=1e-15)
 
     def test_partial_power_never_exceeds_autospectrum(self):
         rng = np.random.default_rng(12)
         for k in (2, 4):
             model = random_stable_model(rng, k)
             spectra = evaluate_spectra(model, GRID)
-            partial = partialize(spectra, model)
+            partial = partialize(spectra)
             auto = np.einsum("fii->fi", spectra.s).real
             assert np.all(partial.partial_spectra > 0)
             assert np.all(partial.partial_spectra <= auto + 1e-12)
 
-    def test_rho_matches_diagonal_sigma(self):
-        model = random_stable_model(np.random.default_rng(13), 3, sigma_kind="diagonal")
-        spectra = evaluate_spectra(model, GRID)
-        partial = partialize(spectra, model)
-        assert_allclose(partial.rho, np.diag(model.sigma), atol=1e-14)
-
     def test_rho_never_exceeds_sigma_diagonal(self):
+        # |iDTF_ij|^2 S_ii = rho_j |H_bar_ij|^2 with rho_j the partialized
+        # innovation variance, so rho_j <= sigma_jj bounds it by sigma_jj |H_bar_ij|^2
         model = random_stable_model(np.random.default_rng(14), 4)
-        partial = partialize(evaluate_spectra(model, GRID), model)
-        assert np.all(partial.rho > 0)
-        assert np.all(partial.rho <= np.diag(model.sigma) + 1e-12)
+        spectra = evaluate_spectra(model, GRID)
+        auto = np.einsum("fii->fi", spectra.s).real
+        scaled = np.abs(idtf(spectra, model).values) ** 2 * auto[:, :, None]
+        assert np.all(scaled <= np.diag(model.sigma) * np.abs(spectra.h_bar) ** 2 + 1e-12)
 
     def test_single_channel_partialization_is_identity(self):
         model = VarModel(np.array([[[0.5]]]), np.eye(1))
         spectra = evaluate_spectra(model, GRID)
-        partial = partialize(spectra, model)
+        partial = partialize(spectra)
         assert_allclose(partial.partial_spectra[:, 0], spectra.s[:, 0, 0].real, atol=1e-14)
-        assert partial.rho[0] == 1.0
+        # nothing to partialize against: rho = sigma, so |iDTF| is 1
+        assert_allclose(np.abs(idtf(spectra, model).values), 1.0, atol=1e-14)
 
-    def test_wiener_rows_and_rho_match_explicit_solves(self):
+    def test_wiener_rows_match_explicit_solves(self):
         rng = np.random.default_rng(16)
         for k in (2, 3, 5):
             model = random_stable_model(rng, k)
             spectra = evaluate_spectra(model, GRID)
-            partial = partialize(spectra, model)
-            s, sigma = spectra.s, model.sigma
+            partial = partialize(spectra)
+            s = spectra.s
             for channel in range(k):
                 others = [i for i in range(k) if i != channel]
                 block = s[:, others, :][:, :, others]
                 solved = np.linalg.solve(block, s[:, others, channel][:, :, None])[:, :, 0]
                 wiener_deviation = np.abs(solved.conj() - partial.wiener_filters[:, channel, :])
                 assert float(np.max(wiener_deviation)) < 1e-10
-                rho = sigma[channel, channel] - sigma[channel, others] @ np.linalg.solve(
-                    sigma[np.ix_(others, others)], sigma[others, channel]
-                )
-                assert abs(rho - partial.rho[channel]) < 1e-10
 
 
 class TestPartialSpectrumViaLemma:
@@ -172,7 +166,7 @@ class TestPartialSpectrumViaLemma:
         for k in (2, 3, 5):
             model = random_stable_model(rng, k)
             spectra = evaluate_spectra(model, GRID)
-            partial = partialize(spectra, model)
+            partial = partialize(spectra)
             for j in range(k):
                 schur = partialized_cross_spectra(spectra, j)[:, j].real
                 assert float(np.max(np.abs(schur - partial.partial_spectra[:, j]))) < 1e-10
