@@ -29,13 +29,9 @@ from .fileio import (
 from .infotheory import (
     BOUND_TOL,
     EPS_CLIP,
-    InfoDensity,
     MirMatrix,
-    clip_squared_coherence,
     geweke_hosoya_bridge,
-    info_density,
     mir_coherence,
-    mir_from_coherence,
     mir_idtf,
     mir_ipdc,
 )
@@ -97,7 +93,6 @@ __all__ = [
     "EstimationError",
     "Fixture",
     "FrequencyGrid",
-    "InfoDensity",
     "MeasureKind",
     "MeasureResult",
     "MirMatrix",
@@ -115,7 +110,6 @@ __all__ = [
     "all_measures",
     "build_result_document",
     "canonical_json",
-    "clip_squared_coherence",
     "coherence",
     "companion_matrix",
     "dtf_family",
@@ -124,12 +118,10 @@ __all__ = [
     "fixture",
     "geweke_hosoya_bridge",
     "idtf",
-    "info_density",
     "ipdc",
     "load_model",
     "load_timeseries",
     "mir_coherence",
-    "mir_from_coherence",
     "mir_idtf",
     "mir_ipdc",
     "orthogonality_residual",

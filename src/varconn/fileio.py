@@ -144,13 +144,12 @@ def load_timeseries(path, layout: str = "rows_are_samples") -> TimeSeriesData:
     return TimeSeriesData(values)
 
 
-def save_timeseries(data: TimeSeriesData, path, header: bool = True) -> Path:
-    """Write samples as CSV (rows are samples); floats use repr precision."""
+def save_timeseries(data: TimeSeriesData, path) -> Path:
+    """Write samples as CSV (rows are samples) under a ch1..chK header; floats use repr precision."""
     target = resolve_output_path(path)
     with open(target, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        if header:
-            writer.writerow([f"ch{i + 1}" for i in range(data.K)])
+        writer.writerow([f"ch{i + 1}" for i in range(data.K)])
         for row in data.values:
             writer.writerow([repr(float(v)) for v in row])
     return target

@@ -25,7 +25,7 @@ except ImportError:  # numpy < 2
     from numpy import trapz as _trapezoid
 
 from ._util import as_readonly
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 from .measures import MeasureKind, MeasureResult, coherence, idtf, ipdc, measures_from_spectra
 from .spectral import FrequencyGrid, SpectralSet, evaluate_spectra
 from .var_model import VarModel
@@ -52,7 +52,6 @@ class MirMatrix:
     """
 
     kind: MeasureKind
-    grid: FrequencyGrid
     values: np.ndarray
     n_clipped: int = 0
 
@@ -64,31 +63,18 @@ class MirMatrix:
         return self.values.shape[-1]
 
 
-@dataclass(frozen=True, eq=False)
-class InfoDensity:
-    """Per-frequency information density, shaped (n_points, K, K).
+def geweke_hosoya_bridge(measure_sq) -> tuple[np.ndarray, int]:
+    """Map squared coherences s to spectral Granger-causality values -log(1 - s).
 
-    Nonnegative; trapezoid integration over the grid recovers the
-    corresponding MirMatrix entry.
+    Any s above 1 + BOUND_TOL or below -BOUND_TOL raises DomainError: it
+    means an upstream bound was violated, which the clip must not hide.
+    Otherwise s is clipped into [0, 1 - EPS_CLIP] before the log, and
+    n_clipped counts the entries above 1 - EPS_CLIP. Returns (-log(1 - s),
+    n_clipped) elementwise; the inverse map is s = 1 - exp(-f). For two
+    channels this connects the information measures to the classical
+    Geweke and Hosoya frequency-domain causality decompositions.
     """
-
-    kind: MeasureKind
-    grid: FrequencyGrid
-    values: np.ndarray
-    n_clipped: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", as_readonly(self.values))
-
-
-def clip_squared_coherence(coh_sq) -> tuple[np.ndarray, int]:
-    """Clamp squared coherences into [0, 1 - EPS_CLIP].
-
-    Returns the clipped array and how many entries exceeded the upper
-    limit. Values above 1 + BOUND_TOL indicate a broken upstream bound and
-    raise DomainError instead of being hidden by the clip.
-    """
-    values = np.asarray(coh_sq, dtype=float)
+    values = np.asarray(measure_sq, dtype=float)
     if np.any(values > 1.0 + BOUND_TOL):
         raise DomainError(
             f"squared coherence exceeds 1 (max {float(np.max(values)):.6g}); upstream bound violated"
@@ -96,59 +82,29 @@ def clip_squared_coherence(coh_sq) -> tuple[np.ndarray, int]:
     if np.any(values < -BOUND_TOL):
         raise DomainError(f"squared coherence is negative (min {float(np.min(values)):.6g})")
     n_clipped = int(np.count_nonzero(values > 1.0 - EPS_CLIP))
-    return np.clip(values, 0.0, 1.0 - EPS_CLIP), n_clipped
-
-
-def geweke_hosoya_bridge(measure_sq) -> tuple[np.ndarray, int]:
-    """Map squared coherences to spectral Granger-causality values.
-
-    Returns (-log(1 - s), n_clipped) elementwise; the inverse map is
-    s = 1 - exp(-f). For two channels this connects the information
-    measures to the classical Geweke and Hosoya frequency-domain causality
-    decompositions.
-    """
-    clipped, n_clipped = clip_squared_coherence(measure_sq)
-    return -np.log1p(-clipped), n_clipped
-
-
-def mir_from_coherence(coh_sq, grid: FrequencyGrid) -> float:
-    """Integrate one squared-coherence profile into a rate (nats/sample)."""
-    values = np.asarray(coh_sq, dtype=float)
-    if values.shape != (grid.n_points,):
-        raise DimensionError(f"expected shape ({grid.n_points},), got {values.shape}")
-    integrand, _ = geweke_hosoya_bridge(values)
-    return float(_trapezoid(integrand, grid.points) / (2.0 * np.pi))
-
-
-def info_density(measure: MeasureResult) -> InfoDensity:
-    """Per-frequency density -log(1 - |measure|^2) / (2 pi) for all pairs.
-
-    For ordinary coherence the diagonal is zeroed, matching the
-    :func:`mir_coherence` convention for the divergent self-pairs.
-    """
-    integrand, n_clipped = _log_integrand(measure)
-    return InfoDensity(measure.kind, measure.grid, integrand / (2.0 * np.pi), n_clipped)
+    return -np.log1p(-np.clip(values, 0.0, 1.0 - EPS_CLIP)), n_clipped
 
 
 def _integrate(measure: MeasureResult) -> MirMatrix:
-    integrand, n_clipped = _log_integrand(measure)
-    values = _trapezoid(integrand, measure.grid.points, axis=0) / (2.0 * np.pi)
-    return MirMatrix(measure.kind, measure.grid, values, n_clipped)
-
-
-def _log_integrand(measure: MeasureResult) -> tuple[np.ndarray, int]:
-    """-log(1 - |measure|^2) after clipping, with the coherence diagonal zeroed."""
-    if measure.kind not in RATE_KINDS:
-        raise DomainError(f"no information-rate interpretation for measure {measure.kind.value!r}")
+    """Trapezoid of -log(1 - |measure|^2) over the grid / (2 pi), coherence diagonal zeroed."""
     squared = np.abs(measure.values) ** 2
     if measure.kind is MeasureKind.COHERENCE:
         diag = np.arange(measure.K)
         squared[:, diag, diag] = 0.0
-    return geweke_hosoya_bridge(squared)
+    integrand, n_clipped = geweke_hosoya_bridge(squared)
+    values = _trapezoid(integrand, measure.grid.points, axis=0) / (2.0 * np.pi)
+    return MirMatrix(measure.kind, values, n_clipped)
 
 
 def rates_from_spectra(spectra: SpectralSet, model: VarModel, kinds) -> dict[MeasureKind, MirMatrix]:
-    """Rate matrices of the requested kinds, in request order, from one spectral set."""
+    """Rate matrices of the requested kinds, in request order, from one spectral set.
+
+    Every kind is checked against RATE_KINDS before any measure is built.
+    """
+    kinds = [MeasureKind(kind) for kind in kinds]
+    for kind in kinds:
+        if kind not in RATE_KINDS:
+            raise DomainError(f"no information-rate interpretation for measure {kind.value!r}")
     return {rate.kind: rate for rate in map(_integrate, measures_from_spectra(spectra, model, kinds))}
 
 

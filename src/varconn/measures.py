@@ -42,6 +42,12 @@ class MeasureKind(str, Enum):
     DC = "dc"
     IDTF = "idtf"
 
+    @classmethod
+    def _missing_(cls, value):
+        # Enum lookup calls this for an unknown value; raising here makes
+        # every MeasureKind(name) conversion refuse it with a DomainError.
+        raise DomainError(f"unknown measure {value!r}, expected one of {', '.join(kind.value for kind in cls)}")
+
 
 @dataclass(frozen=True, eq=False)
 class MeasureResult:

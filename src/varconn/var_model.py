@@ -85,7 +85,6 @@ class TimeSeriesData:
     """Multichannel samples; rows are time steps, columns are channels."""
 
     values: np.ndarray
-    sample_rate_hz: float | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -95,8 +94,6 @@ class TimeSeriesData:
             raise DimensionError("need at least one sample and one channel")
         if not np.all(np.isfinite(values)):
             raise DomainError("samples must be finite")
-        if self.sample_rate_hz is not None and not self.sample_rate_hz > 0:
-            raise DomainError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         object.__setattr__(self, "values", as_readonly(values))
 
     @property

@@ -4,76 +4,75 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import varconn.measures
 from varconn import (
-    DimensionError,
     DomainError,
     EPS_CLIP,
     FrequencyGrid,
     MeasureKind,
+    MeasureResult,
     all_measures,
-    clip_squared_coherence,
+    evaluate_spectra,
     fixture,
     geweke_hosoya_bridge,
-    info_density,
     mir_coherence,
-    mir_from_coherence,
     mir_idtf,
     mir_ipdc,
     random_stable_model,
 )
+from varconn.infotheory import _integrate, rates_from_spectra
 
 GRID = FrequencyGrid.default(512)
 
 
-def manual_trapezoid(values, points):
-    # independent quadrature: explicit endpoint-halved weighted sum
-    widths = np.diff(points)
-    return float(np.sum(0.5 * widths * (values[:-1] + values[1:])))
+def constant_profile_rate(s):
+    # a 1x1 measure whose squared magnitude is s at every grid point
+    values = np.full((GRID.n_points, 1, 1), math.sqrt(s), dtype=complex)
+    return _integrate(MeasureResult(MeasureKind.IPDC, GRID, values))
 
 
 class TestClip:
     def test_passthrough_below_limit(self):
         values = np.array([0.0, 0.5, 0.9])
-        clipped, n_clipped = clip_squared_coherence(values)
+        mapped, n_clipped = geweke_hosoya_bridge(values)
         assert n_clipped == 0
-        assert_allclose(clipped, values)
+        assert_allclose(1.0 - np.exp(-mapped), values, rtol=0, atol=1e-15)
 
     def test_clips_and_counts(self):
-        clipped, n_clipped = clip_squared_coherence([0.5, 1.0, 1.0 + 1e-10])
+        mapped, n_clipped = geweke_hosoya_bridge([0.5, 1.0, 1.0 + 1e-10])
         assert n_clipped == 2
-        assert float(np.max(clipped)) == 1.0 - EPS_CLIP
+        assert float(np.max(mapped)) == -math.log1p(-(1.0 - EPS_CLIP))
 
     def test_rejects_bound_violations(self):
         with pytest.raises(DomainError, match="exceeds 1"):
-            clip_squared_coherence([0.5, 1.5])
+            geweke_hosoya_bridge([0.5, 1.5])
         with pytest.raises(DomainError, match="negative"):
-            clip_squared_coherence([-0.5])
+            geweke_hosoya_bridge([-0.5])
 
 
 class TestMirFromCoherence:
     def test_constant_profile_is_analytic(self):
         # MIR of a constant s is -log(1 - s) / 2
-        value = mir_from_coherence(np.full(GRID.n_points, 0.2), GRID)
+        value = constant_profile_rate(0.2).values[0, 0]
         assert abs(value - 0.5 * math.log(1.25)) < 1e-14
 
     def test_constant_profiles_from_exponentials(self):
         # s = 1 - exp(-c) integrates to c / 2
         for c in (1.0, 2.0):
-            value = mir_from_coherence(np.full(GRID.n_points, 1.0 - math.exp(-c)), GRID)
+            value = constant_profile_rate(1.0 - math.exp(-c)).values[0, 0]
             assert abs(value - c / 2.0) < 1e-13
 
     def test_zero_profile_gives_zero(self):
-        assert mir_from_coherence(np.zeros(GRID.n_points), GRID) == 0.0
+        rates = constant_profile_rate(0.0)
+        assert rates.values[0, 0] == 0.0
+        assert rates.n_clipped == 0
 
     def test_unit_profile_is_clipped_finite(self):
         # representation error of 1 - EPS_CLIP perturbs the log by ~1e-4
-        value = mir_from_coherence(np.ones(GRID.n_points), GRID)
-        assert math.isfinite(value)
-        assert abs(value - (-0.5 * math.log(EPS_CLIP))) < 1e-3
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            mir_from_coherence(np.zeros(7), GRID)
+        rates = constant_profile_rate(1.0)
+        assert rates.n_clipped == GRID.n_points
+        assert math.isfinite(rates.values[0, 0])
+        assert abs(rates.values[0, 0] - (-0.5 * math.log(EPS_CLIP))) < 1e-3
 
 
 class TestMirMatrices:
@@ -91,6 +90,8 @@ class TestMirMatrices:
         assert rates.n_clipped == GRID.n_points
         assert math.isfinite(rates.values[1, 1])
         assert rates.values[1, 1] > 10.0
+        # representation error of 1 - EPS_CLIP perturbs the log by ~1e-4
+        assert abs(rates.values[1, 1] - (-0.5 * math.log(EPS_CLIP))) < 1e-3
         assert abs(rates.values[0, 0] - 0.5 * math.log(5.0)) < 1e-10
 
     def test_chain_rates(self):
@@ -109,6 +110,7 @@ class TestMirMatrices:
         rates = mir_coherence(fx.model, GRID)
         assert rates.values[0, 0] == 0.0
         assert rates.values[1, 1] == 0.0
+        assert rates.n_clipped == 0
         assert abs(rates.values[0, 1] - rates.values[1, 0]) < 1e-14
         assert abs(rates.values[0, 1] - 0.5 * math.log(1.25)) < 1e-10
 
@@ -137,34 +139,31 @@ class TestMirMatrices:
 
 
 class TestInfoDensity:
-    def test_density_integrates_to_rates(self):
-        fx = fixture("three_var_alpha_beta", alpha=0.5, beta=1.0)
-        results = all_measures(fx.model, GRID)
-        rates = mir_ipdc(fx.model, GRID)
-        density = info_density(results[MeasureKind.IPDC])
-        for i in range(3):
-            for j in range(3):
-                integral = manual_trapezoid(density.values[:, i, j], GRID.points)
-                assert abs(integral - rates.values[i, j]) < 1e-12
-
-    def test_density_is_nonnegative(self):
-        model = random_stable_model(np.random.default_rng(42), 3)
-        results = all_measures(model, GRID)
-        density = info_density(results[MeasureKind.IDTF])
-        assert float(np.min(density.values)) >= 0.0
-
     def test_coherence_density_zeroes_diagonal(self):
+        # a channel's coherence with itself is 1, which would saturate the
+        # integrand; the coherence diagonal is left out of the rate instead
         fx = fixture("two_var_alpha", alpha=0.5)
-        results = all_measures(fx.model, GRID)
-        density = info_density(results[MeasureKind.COHERENCE])
-        assert float(np.max(np.abs(density.values[:, 0, 0]))) == 0.0
-        assert density.n_clipped == 0
+        measure = all_measures(fx.model, GRID)[MeasureKind.COHERENCE]
+        diagonal = np.abs(np.einsum("fii->fi", measure.values)) ** 2
+        assert_allclose(diagonal, 1.0, rtol=0, atol=1e-14)
+        rates = _integrate(measure)
+        assert rates.values[0, 0] == 0.0
+        assert rates.values[1, 1] == 0.0
+        assert rates.n_clipped == 0
 
-    def test_rejects_measures_without_rate_interpretation(self):
+
+class TestRatesFromSpectra:
+    def test_refuses_non_rate_kind_before_building_any_measure(self, monkeypatch):
         fx = fixture("two_var_alpha", alpha=0.5)
-        results = all_measures(fx.model, GRID)
-        with pytest.raises(DomainError):
-            info_density(results[MeasureKind.PDC])
+        spectra = evaluate_spectra(fx.model, GRID)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a measure was built before the kinds were checked")
+
+        for name in ("coherence", "ipdc", "pdc_family"):
+            monkeypatch.setattr(varconn.measures, name, refuse)
+        with pytest.raises(DomainError, match="'pdc'"):
+            rates_from_spectra(spectra, fx.model, ["ipdc", "pdc"])
 
 
 class TestBridge:

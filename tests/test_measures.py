@@ -19,6 +19,8 @@ from varconn import (
     rescale,
     validate,
 )
+from varconn.infotheory import rates_from_spectra
+from varconn.measures import measures_from_spectra
 
 GRID = FrequencyGrid.default(64)
 
@@ -166,6 +168,22 @@ class TestIdtf:
             model = random_stable_model(rng, k)
             spectra = evaluate_spectra(model, GRID)
             assert float(np.max(np.abs(idtf(spectra, model).values))) <= 1.0 + 1e-10
+
+
+class TestKindNames:
+    ENTRY_POINTS = {
+        "measures_from_spectra": lambda spectra, model: list(measures_from_spectra(spectra, model, ["foo"])),
+        "rates_from_spectra": lambda spectra, model: rates_from_spectra(spectra, model, ["foo"]),
+        "pdc_family": lambda spectra, model: pdc_family(spectra, model, "foo"),
+        "dtf_family": lambda spectra, model: dtf_family(spectra, model, "foo"),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_unknown_name_is_a_domain_error(self, entry):
+        fx = fixture("two_var_alpha", alpha=0.5)
+        spectra = evaluate_spectra(fx.model, GRID)
+        with pytest.raises(DomainError, match="unknown measure 'foo', expected one of coh, pdc, gpdc, ipdc, dtf, dc, idtf"):
+            self.ENTRY_POINTS[entry](spectra, fx.model)
 
 
 class TestAllMeasures:

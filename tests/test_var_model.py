@@ -68,10 +68,6 @@ class TestTimeSeriesData:
         with pytest.raises(DomainError):
             TimeSeriesData([[1.0, np.nan]])
 
-    def test_bad_sample_rate(self):
-        with pytest.raises(DomainError):
-            TimeSeriesData([[0.0, 0.0]], sample_rate_hz=0.0)
-
 
 class TestValidate:
     def test_nilpotent_model_is_stable_with_zero_radius(self):
