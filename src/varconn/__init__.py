@@ -62,10 +62,8 @@ from .spectral import (
     CONDITION_LIMIT,
     DEFAULT_N_POINTS,
     FrequencyGrid,
-    PartializationSet,
     SpectralSet,
     evaluate_spectra,
-    partialize,
 )
 from .var_model import (
     STABILITY_TOL,
@@ -98,7 +96,6 @@ __all__ = [
     "MirMatrix",
     "NumericalError",
     "ParseError",
-    "PartializationSet",
     "EPS_CLIP",
     "STABILITY_TOL",
     "SpectralSet",
@@ -125,7 +122,6 @@ __all__ = [
     "mir_idtf",
     "mir_ipdc",
     "orthogonality_residual",
-    "partialize",
     "partialized_cross_spectra",
     "partialized_innovation_coherence",
     "partialized_process_coherence",

@@ -24,7 +24,7 @@ try:
 except ImportError:  # numpy < 2
     from numpy import trapz as _trapezoid
 
-from ._util import as_readonly
+from ._util import lock
 from .errors import DomainError
 from .measures import MeasureKind, MeasureResult, coherence, idtf, ipdc, measures_from_spectra
 from .spectral import FrequencyGrid, SpectralSet, evaluate_spectra
@@ -48,7 +48,8 @@ class MirMatrix:
     Entry (i, j) is the rate of the directed pair with source j and target
     i. n_clipped counts squared-coherence values that had to be clipped
     away from 1 before the log; a nonzero count flags near-deterministic
-    coupling at some frequencies. kind is one of RATE_KINDS.
+    coupling at some frequencies. kind is one of RATE_KINDS. values is
+    locked, not copied.
     """
 
     kind: MeasureKind
@@ -56,7 +57,7 @@ class MirMatrix:
     n_clipped: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "values", as_readonly(self.values))
+        object.__setattr__(self, "values", lock(self.values))
 
     @property
     def K(self) -> int:
@@ -87,6 +88,8 @@ def geweke_hosoya_bridge(measure_sq) -> tuple[np.ndarray, int]:
 
 def _integrate(measure: MeasureResult) -> MirMatrix:
     """Trapezoid of -log(1 - |measure|^2) over the grid / (2 pi), coherence diagonal zeroed."""
+    if measure.grid.n_points < 2:
+        raise DomainError(f"rates need a grid of at least 2 points, got {measure.grid.n_points}")
     squared = np.abs(measure.values) ** 2
     if measure.kind is MeasureKind.COHERENCE:
         diag = np.arange(measure.K)

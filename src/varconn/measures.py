@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._util import as_readonly
+from ._util import lock
 from .errors import DimensionError, DomainError, NumericalError
 from .spectral import FrequencyGrid, SpectralSet, evaluate_spectra
 from .var_model import VarModel
@@ -51,14 +51,17 @@ class MeasureKind(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class MeasureResult:
-    """Complex values of one measure on a frequency grid."""
+    """Complex values of one measure on a frequency grid.
+
+    values is locked, not copied: the result owns the array it is given.
+    """
 
     kind: MeasureKind
     grid: FrequencyGrid
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", as_readonly(self.values, dtype=complex))
+        object.__setattr__(self, "values", lock(self.values, dtype=complex))
 
     @property
     def K(self) -> int:

@@ -4,19 +4,14 @@ For a grid of normalized angular frequencies omega in [0, pi] this module
 evaluates the AR polynomial A_bar(omega) = I - sum_l A(l) exp(-j omega l),
 the transfer matrix H_bar = A_bar^-1, the spectral density
 S = H_bar sigma H_bar^H and its inverse assembled directly as
-A_bar^H sigma^-1 A_bar. It also partializes each channel: the partial
-spectrum that remains after the optimal two-sided deduction of all other
-channels, and the Wiener filter performing that deduction. Both are closed
-forms in S^-1 (partial spectrum 1 / [S^-1]_kk, Wiener row
--[S^-1]_k,others / [S^-1]_kk); the Schur complements of S they replace are
-the independent oracle route in :mod:`varconn.oracles`.
+A_bar^H sigma^-1 A_bar.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_readonly
+from ._util import as_readonly, lock
 from .errors import DimensionError, DomainError, NumericalError
 from .var_model import VarModel, validate
 
@@ -79,7 +74,11 @@ class SpectralSet:
     s : ndarray
         Spectral density h_bar sigma h_bar^H (Hermitian, positive definite).
     s_inv : ndarray
-        Inverse spectral density a_bar^H sigma^-1 a_bar.
+        Inverse spectral density a_bar^H sigma^-1 a_bar. Its diagonal
+        entry [S^-1]_kk is the reciprocal of channel k's partial spectrum,
+        the power left after the optimal deduction of all other channels.
+
+    The arrays are locked, not copied: the set owns what it is given.
     """
 
     grid: FrequencyGrid
@@ -90,39 +89,11 @@ class SpectralSet:
 
     def __post_init__(self):
         for name in ("a_bar", "h_bar", "s", "s_inv"):
-            object.__setattr__(self, name, as_readonly(getattr(self, name), dtype=complex))
+            object.__setattr__(self, name, lock(getattr(self, name), dtype=complex))
 
     @property
     def K(self) -> int:
         return self.a_bar.shape[-1]
-
-
-@dataclass(frozen=True, eq=False)
-class PartializationSet:
-    """Per-channel partialization of a spectral set.
-
-    Attributes
-    ----------
-    partial_spectra : ndarray, shape (n_points, K)
-        Column k holds the spectrum of channel k after the optimal
-        two-sided deduction of every other channel. Always real, positive,
-        and no larger than the corresponding autospectrum.
-    wiener_filters : ndarray, shape (n_points, K, K - 1)
-        Row k holds the frequency response of the deduction filter for
-        channel k against the other channels in ascending index order.
-    """
-
-    grid: FrequencyGrid
-    partial_spectra: np.ndarray
-    wiener_filters: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "partial_spectra", as_readonly(self.partial_spectra))
-        object.__setattr__(self, "wiener_filters", as_readonly(self.wiener_filters, dtype=complex))
-
-    @property
-    def K(self) -> int:
-        return self.partial_spectra.shape[-1]
 
 
 def evaluate_spectra(model: VarModel, grid: FrequencyGrid) -> SpectralSet:
@@ -164,33 +135,3 @@ def evaluate_spectra(model: VarModel, grid: FrequencyGrid) -> SpectralSet:
     s = h_bar @ model.sigma @ h_bar.conj().swapaxes(1, 2)
     s_inv = a_bar.conj().swapaxes(1, 2) @ sigma_inv @ a_bar
     return SpectralSet(grid=grid, a_bar=a_bar, h_bar=h_bar, s=s, s_inv=s_inv)
-
-
-def partialize(spectra: SpectralSet) -> PartializationSet:
-    """Partialize every channel of a spectral set.
-
-    For channel k the partial spectrum is the power left after the optimal
-    linear deduction of the other channels, and the deduction filter is
-    the corresponding Wiener solution. Both are read off the partitioned
-    inverse of S: with P = S^-1, the partial spectrum is 1 / P_kk and the
-    Wiener row is -P_k,others / P_kk. The Schur-complement route
-    S_kk - S_k,others S_others^-1 S_others,k stays independent in
-    :func:`varconn.oracles.partialized_cross_spectra`, which checks this one.
-    """
-    n_channels = spectra.K
-    s_inv = spectra.s_inv
-    precision = np.diagonal(s_inv, axis1=1, axis2=2).real
-    if np.any(precision <= 0):
-        worst = int(np.argmin(np.min(precision, axis=1)))
-        raise NumericalError(
-            "partialization failed: inverse spectral density has a non-positive diagonal "
-            f"near omega = {spectra.grid.points[worst]:.6g}"
-        )
-    n_points = spectra.grid.n_points
-    others = s_inv[:, ~np.eye(n_channels, dtype=bool)].reshape(n_points, n_channels, n_channels - 1)
-    return PartializationSet(
-        grid=spectra.grid,
-        partial_spectra=1.0 / precision,
-        wiener_filters=-others / precision[:, :, None],
-    )
-

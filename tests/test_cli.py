@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 import varconn
 from varconn import fixture, load_model, save_model
 from varconn.cli import main
+
+DOCS = Path(__file__).resolve().parents[1] / "docs"
 
 
 @pytest.fixture()
@@ -102,7 +105,7 @@ class TestMirCommand:
         assert abs(values[1][0] - 0.5 * math.log(1.25) / math.log(2.0)) < 1e-8
 
     def test_one_spectral_evaluation_per_request(self, monkeypatch, tmp_path, two_channel_model_path):
-        calls = {"evaluate_spectra": 0, "validate": 0, "partialize": 0}
+        calls = {"evaluate_spectra": 0, "validate": 0}
         modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "varconn"]
         for name in calls:
             original = getattr(varconn, name)
@@ -119,13 +122,51 @@ class TestMirCommand:
             calls.update(dict.fromkeys(calls, 0))
             argv = [command, "--model", str(two_channel_model_path), *options, "--out", str(tmp_path / f"{command}.json")]
             assert main(argv) == 0
-            assert calls == {"evaluate_spectra": 1, "validate": 1, "partialize": 0}, command
+            assert calls == {"evaluate_spectra": 1, "validate": 1}, command
         assert sorted(json.loads((tmp_path / "mir.json").read_text())["mir"]) == ["coh", "idtf", "ipdc"]
 
     def test_unknown_kind(self, capsys, two_channel_model_path):
         status = main(["mir", "--model", str(two_channel_model_path), "--kinds", "pdc"])
         assert status == 2
         assert "E_CONFIG" in capsys.readouterr().err
+
+    def test_one_point_grid_refused(self, capsys, two_channel_model_path):
+        status = main(["mir", "--model", str(two_channel_model_path), "--nfreq", "1"])
+        assert status == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "E_CONFIG: rates need a grid of at least 2 points, got 1\n"
+        # measures are defined at a single frequency
+        assert main(["measure", "--model", str(two_channel_model_path), "--nfreq", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["grid"]["n_points"] == 1
+
+
+class TestSchemaConformance:
+    """CLI documents validate against the schemas in docs/."""
+
+    @staticmethod
+    def validate(path, schema_name):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((DOCS / schema_name).read_text())
+        jsonschema.validate(json.loads(path.read_text()), schema)
+
+    def test_result_documents(self, tmp_path, two_channel_model_path):
+        model = str(two_channel_model_path)
+        requests = {
+            "measure": ["measure", "--model", model, "--nfreq", "8", "--mag-sq", "--fs", "100"],
+            "mir": ["mir", "--model", model, "--kinds", "ipdc,idtf,coh", "--units", "bits"],
+        }
+        for name, argv in requests.items():
+            out = tmp_path / f"{name}.json"
+            assert main([*argv, "--out", str(out)]) == 0
+            self.validate(out, "result.schema.json")
+
+    def test_fitted_model_document(self, tmp_path, two_channel_model_path):
+        samples = tmp_path / "samples.csv"
+        fitted = tmp_path / "fitted.json"
+        assert main(["simulate", "--model", str(two_channel_model_path), "--n", "500", "--out", str(samples)]) == 0
+        assert main(["fit", "--data", str(samples), "--order", "1", "--name", "fitted", "--out", str(fitted)]) == 0
+        self.validate(fitted, "model.schema.json")
 
 
 class TestReadmeExamples:

@@ -39,9 +39,11 @@ class TestClip:
         assert_allclose(1.0 - np.exp(-mapped), values, rtol=0, atol=1e-15)
 
     def test_clips_and_counts(self):
-        mapped, n_clipped = geweke_hosoya_bridge([0.5, 1.0, 1.0 + 1e-10])
-        assert n_clipped == 2
-        assert float(np.max(mapped)) == -math.log1p(-(1.0 - EPS_CLIP))
+        for values, expected in (([0.5, 1.0, 1.0 + 1e-10], 2), ([0.5, 1.0], 1)):
+            mapped, n_clipped = geweke_hosoya_bridge(values)
+            assert n_clipped == expected
+            assert np.all(np.isfinite(mapped))
+            assert float(np.max(mapped)) == -math.log1p(-(1.0 - EPS_CLIP))
 
     def test_rejects_bound_violations(self):
         with pytest.raises(DomainError, match="exceeds 1"):
@@ -81,6 +83,12 @@ class TestMirMatrices:
         rates = mir_ipdc(fx.model, GRID)
         assert abs(rates.values[1, 0] - 0.5 * math.log(1.25)) < 1e-10
         assert rates.values[0, 1] == 0.0
+
+    def test_one_point_grid_refused(self):
+        # a one-point trapezoid integrates to 0 whatever the measure
+        fx = fixture("two_var_alpha", alpha=0.5)
+        with pytest.raises(DomainError, match="at least 2 points, got 1"):
+            mir_ipdc(fx.model, FrequencyGrid.default(1))
 
     def test_saturated_diagonal_is_clipped_and_counted(self):
         # channel 1 drives nothing, so its own-innovation coherence is exactly
@@ -182,9 +190,16 @@ class TestBridge:
         assert float(np.max(np.abs(recovered - squared))) < 1e-14
 
     def test_clip_count_reported(self):
-        values, n_clipped = geweke_hosoya_bridge([0.5, 1.0])
-        assert n_clipped == 1
+        # the stacked (n_points, K, K) array _integrate hands the bridge: the
+        # count covers every point and entry, and the shape is kept
+        squared = np.full((3, 2, 2), 0.2)
+        squared[:, 1, 1] = 1.0
+        squared[0, 0, 1] = 1.0
+        values, n_clipped = geweke_hosoya_bridge(squared)
+        assert n_clipped == 4
+        assert values.shape == (3, 2, 2)
         assert np.all(np.isfinite(values))
+        assert abs(values[2, 0, 1] - math.log(1.25)) < 1e-15
 
 
 class TestSymmetryCheck:

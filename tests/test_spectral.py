@@ -7,11 +7,11 @@ from varconn import (
     DomainError,
     FrequencyGrid,
     NumericalError,
+    SpectralSet,
     VarModel,
     evaluate_spectra,
     fixture,
     idtf,
-    partialize,
     partialized_cross_spectra,
     random_stable_model,
 )
@@ -104,29 +104,42 @@ class TestEvaluateSpectra:
             evaluate_spectra(model, GRID)
 
 
+class TestSpectralSet:
+    def test_arrays_are_locked_not_copied(self):
+        names = ("a_bar", "h_bar", "s", "s_inv")
+        spectra = evaluate_spectra(fixture("two_var_alpha", alpha=0.5).model, GRID)
+        assert not any(getattr(spectra, name).flags.writeable for name in names)
+        given = {name: np.array(getattr(spectra, name)) for name in names}
+        held = SpectralSet(grid=GRID, **given)
+        for name, array in given.items():
+            assert np.shares_memory(getattr(held, name), array), name
+            assert not array.flags.writeable, name
+
+
+def partial_spectra(spectra):
+    # the partial spectrum of each channel, 1 / [S^-1]_kk
+    return 1.0 / np.diagonal(spectra.s_inv, axis1=1, axis2=2).real
+
+
 class TestPartialize:
     def test_two_channel_closed_forms(self):
         alpha = 0.5
         fx = fixture("two_var_alpha", alpha=alpha)
         spectra = evaluate_spectra(fx.model, GRID)
-        partial = partialize(spectra)
-        w = GRID.points
-        assert_allclose(partial.partial_spectra[:, 0], 1.0 / (1.0 + alpha**2), atol=1e-14)
-        assert_allclose(partial.partial_spectra[:, 1], 1.0, atol=1e-14)
-        # deduction filter for channel 0 against channel 1
-        assert_allclose(
-            partial.wiener_filters[:, 0, 0], alpha * np.exp(1j * w) / (1.0 + alpha**2), atol=1e-14
-        )
+        expected = (1.0 / (1.0 + alpha**2), 1.0)
+        for j, value in enumerate(expected):
+            assert_allclose(partial_spectra(spectra)[:, j], value, atol=1e-14)
+            assert_allclose(partialized_cross_spectra(spectra, j)[:, j].real, value, atol=1e-14)
 
     def test_partial_power_never_exceeds_autospectrum(self):
         rng = np.random.default_rng(12)
         for k in (2, 4):
             model = random_stable_model(rng, k)
             spectra = evaluate_spectra(model, GRID)
-            partial = partialize(spectra)
+            partial = partial_spectra(spectra)
             auto = np.einsum("fii->fi", spectra.s).real
-            assert np.all(partial.partial_spectra > 0)
-            assert np.all(partial.partial_spectra <= auto + 1e-12)
+            assert np.all(partial > 0)
+            assert np.all(partial <= auto + 1e-12)
 
     def test_rho_never_exceeds_sigma_diagonal(self):
         # |iDTF_ij|^2 S_ii = rho_j |H_bar_ij|^2 with rho_j the partialized
@@ -140,24 +153,10 @@ class TestPartialize:
     def test_single_channel_partialization_is_identity(self):
         model = VarModel(np.array([[[0.5]]]), np.eye(1))
         spectra = evaluate_spectra(model, GRID)
-        partial = partialize(spectra)
-        assert_allclose(partial.partial_spectra[:, 0], spectra.s[:, 0, 0].real, atol=1e-14)
+        # nothing to deduct: the partial spectrum is the autospectrum
+        assert_allclose(spectra.s_inv[:, 0, 0] * spectra.s[:, 0, 0], 1.0, rtol=0, atol=1e-14)
         # nothing to partialize against: rho = sigma, so |iDTF| is 1
         assert_allclose(np.abs(idtf(spectra, model).values), 1.0, atol=1e-14)
-
-    def test_wiener_rows_match_explicit_solves(self):
-        rng = np.random.default_rng(16)
-        for k in (2, 3, 5):
-            model = random_stable_model(rng, k)
-            spectra = evaluate_spectra(model, GRID)
-            partial = partialize(spectra)
-            s = spectra.s
-            for channel in range(k):
-                others = [i for i in range(k) if i != channel]
-                block = s[:, others, :][:, :, others]
-                solved = np.linalg.solve(block, s[:, others, channel][:, :, None])[:, :, 0]
-                wiener_deviation = np.abs(solved.conj() - partial.wiener_filters[:, channel, :])
-                assert float(np.max(wiener_deviation)) < 1e-10
 
 
 class TestPartialSpectrumViaLemma:
@@ -166,8 +165,8 @@ class TestPartialSpectrumViaLemma:
         for k in (2, 3, 5):
             model = random_stable_model(rng, k)
             spectra = evaluate_spectra(model, GRID)
-            partial = partialize(spectra)
+            partial = partial_spectra(spectra)
             for j in range(k):
                 schur = partialized_cross_spectra(spectra, j)[:, j].real
-                assert float(np.max(np.abs(schur - partial.partial_spectra[:, j]))) < 1e-10
+                assert float(np.max(np.abs(schur - partial[:, j]))) < 1e-10
 
