@@ -18,10 +18,10 @@ from .errors import (
     VarconnError,
 )
 from .fileio import (
-    build_result_document,
     canonical_json,
     load_model,
     load_timeseries,
+    render_result,
     save_model,
     save_result,
     save_timeseries,
@@ -105,7 +105,6 @@ __all__ = [
     "VerificationReport",
     "VarModel",
     "all_measures",
-    "build_result_document",
     "canonical_json",
     "coherence",
     "companion_matrix",
@@ -127,6 +126,7 @@ __all__ = [
     "partialized_process_coherence",
     "pdc_family",
     "random_stable_model",
+    "render_result",
     "rescale",
     "run_verification",
     "save_model",

@@ -18,10 +18,9 @@ from .errors import (
     ParseError,
 )
 from .fileio import (
-    build_result_document,
-    canonical_json,
     load_model,
     load_timeseries,
+    render_result,
     save_model,
     save_result,
     save_timeseries,
@@ -150,10 +149,7 @@ def _cmd_measure(args) -> int:
     grid = FrequencyGrid.default(args.nfreq)
     spectra = evaluate_spectra(model, grid)
     results = {result.kind: result for result in measures_from_spectra(spectra, model, kinds)}
-    document = build_result_document(
-        grid, measures=results, include_mag_sq=args.mag_sq, sample_rate_hz=args.fs
-    )
-    return _emit(document, args.out)
+    return _emit(render_result(grid, measures=results, include_mag_sq=args.mag_sq, sample_rate_hz=args.fs), args.out)
 
 
 def _cmd_mir(args) -> int:
@@ -166,8 +162,7 @@ def _cmd_mir(args) -> int:
     grid = FrequencyGrid.default(args.nfreq)
     mirs = rates_from_spectra(evaluate_spectra(model, grid), model, kinds)
     units = "nats_per_sample" if args.units == "nats" else "bits_per_sample"
-    document = build_result_document(grid, mirs=mirs, units=units)
-    return _emit(document, args.out)
+    return _emit(render_result(grid, mirs=mirs, units=units), args.out)
 
 
 def _cmd_verify(args) -> int:
@@ -181,12 +176,11 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY
 
 
-def _emit(document: dict, out: str | None) -> int:
+def _emit(chunks, out: str | None) -> int:
     if out is None:
-        sys.stdout.write(canonical_json(document))
+        sys.stdout.writelines(chunks)
     else:
-        path = save_result(document, out)
-        print(f"wrote {path}")
+        print(f"wrote {save_result(chunks, out)}")
     return EXIT_OK
 
 

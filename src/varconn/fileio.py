@@ -1,22 +1,23 @@
 """Model and result documents (JSON) and time-series ingestion (CSV).
 
 Model documents round-trip byte-identically: loading and re-saving a
-document reproduces the file exactly. Result documents are deterministic
-for a given configuration. Complex arrays are serialized as separate
-"re"/"im" nested lists.
+document reproduces the file exactly. Result documents are written
+straight from arrays, byte for byte as ``canonical_json`` writes them as
+nested lists ("re"/"im" for complex arrays), and nothing is written when
+one is refused.
 """
 
 import csv
+import itertools
 import json
 import math
 import os
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, DomainError, ParseError
-from .infotheory import MirMatrix
-from .measures import MeasureResult
 from .spectral import FrequencyGrid
 from .var_model import TimeSeriesData, VarModel
 
@@ -147,11 +148,12 @@ def load_timeseries(path, layout: str = "rows_are_samples") -> TimeSeriesData:
 def save_timeseries(data: TimeSeriesData, path) -> Path:
     """Write samples as CSV (rows are samples) under a ch1..chK header; floats use repr precision."""
     target = resolve_output_path(path)
+    rows = 2048  # per write, so the text held at once stays small
     with open(target, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"ch{i + 1}" for i in range(data.K)])
-        for row in data.values:
-            writer.writerow([repr(float(v)) for v in row])
+        # each line ends in "\r\n" as csv.writer ends it, so the bytes match a csv.writer file
+        handle.write(",".join(f"ch{i + 1}" for i in range(data.K)) + "\r\n")
+        for start in range(0, data.n_samples, rows):
+            handle.write("".join(",".join(map(float.__repr__, row)) + "\r\n" for row in data.values[start : start + rows].tolist()))
     return target
 
 
@@ -163,65 +165,70 @@ def _is_not_number(cell: str) -> bool:
     return False
 
 
-def measure_payload(result: MeasureResult, include_mag_sq: bool = False) -> dict:
-    """Serialize one measure's complex values (optionally with |.|^2)."""
-    payload = {
-        "re": result.values.real.tolist(),
-        "im": result.values.imag.tolist(),
-    }
-    if include_mag_sq:
-        payload["mag_sq"] = (np.abs(result.values) ** 2).tolist()
-    return payload
-
-
-def mir_payload(mir: MirMatrix, units: str = "nats_per_sample") -> dict:
-    """Serialize a rate matrix, converting units at this boundary only."""
-    if units not in UNITS:
-        raise DomainError(f"unknown units {units!r}, expected one of {UNITS}")
-    values = mir.values if units == "nats_per_sample" else mir.values / _LN2
-    return {
-        "values": values.tolist(),
-        "units": units,
-        "n_clipped": int(mir.n_clipped),
-    }
-
-
-def build_result_document(
+def render_result(
     grid: FrequencyGrid,
     measures: dict | None = None,
     mirs: dict | None = None,
     include_mag_sq: bool = False,
     units: str = "nats_per_sample",
     sample_rate_hz: float | None = None,
-) -> dict:
-    """Assemble the result document for a set of measures and rate matrices.
+) -> Iterator[str]:
+    """Check a result document, then return its ``canonical_json`` text in chunks.
 
-    Keys of `measures` and `mirs` may be enums or strings; string values
-    are used in the document.
+    Keys of `measures` (to MeasureResult) and `mirs` (to MirMatrix) may be
+    enums or strings. Every refusal is raised by this call, before any text
+    exists; a non-finite value raises the ValueError of ``allow_nan=False``.
     """
-    grid_block = {
-        "n_points": grid.n_points,
-        "omega": grid.points.tolist(),
-    }
+    if units not in UNITS:
+        raise DomainError(f"unknown units {units!r}, expected one of {UNITS}")
+    grid_block = {"n_points": grid.n_points, "omega": grid.points}
     if sample_rate_hz is not None:
         if not sample_rate_hz > 0:
             raise DomainError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
-        grid_block["frequency_hz"] = (grid.points * sample_rate_hz / (2.0 * np.pi)).tolist()
-    document = {
-        "schema_version": RESULT_SCHEMA_VERSION,
-        "grid": grid_block,
-        "measures": {},
-        "mir": {},
-    }
+        grid_block["frequency_hz"] = grid.points * sample_rate_hz / (2.0 * np.pi)
+    document = {"schema_version": RESULT_SCHEMA_VERSION, "grid": grid_block, "measures": {}, "mir": {}}
     for kind, result in (measures or {}).items():
-        document["measures"][str(getattr(kind, "value", kind))] = measure_payload(result, include_mag_sq=include_mag_sq)
+        block = document["measures"][str(getattr(kind, "value", kind))] = {"re": result.values.real, "im": result.values.imag}
+        if include_mag_sq:
+            block["mag_sq"] = np.abs(result.values) ** 2
     for kind, mir in (mirs or {}).items():
-        document["mir"][str(getattr(kind, "value", kind))] = mir_payload(mir, units=units)
-    return document
+        values = mir.values if units == "nats_per_sample" else mir.values / _LN2
+        document["mir"][str(getattr(kind, "value", kind))] = {"values": values, "units": units, "n_clipped": int(mir.n_clipped)}
+    _check_finite(document)
+    return itertools.chain(_chunks(document, 0), ("\n",))
 
 
-def save_result(document: dict, path) -> Path:
-    """Write a result document; returns the resolved path."""
+def save_result(chunks: Iterable[str], path) -> Path:
+    """Write the chunks of a rendered result document; returns the resolved path."""
     target = resolve_output_path(path)
-    target.write_text(canonical_json(document), encoding="utf-8")
+    with open(target, "w", encoding="utf-8") as handle:
+        handle.writelines(chunks)
     return target
+
+
+def _check_finite(node) -> None:
+    if isinstance(node, dict):
+        for value in node.values():
+            _check_finite(value)
+    elif isinstance(node, np.ndarray) and not np.all(np.isfinite(node)):
+        raise ValueError(f"Out of range float values are not JSON compliant: {float(node[~np.isfinite(node)][0])!r}")
+
+
+def _chunks(node, level: int) -> Iterator[str]:
+    """The text of a node at indent `level`, as ``json.dumps(sort_keys=True, indent=2)`` writes it."""
+    if isinstance(node, np.ndarray):
+        # one float.__repr__ per value, then the rows of each axis joined at the indent of their depth
+        texts = map(float.__repr__, node.ravel().tolist())
+        for axis in range(node.ndim - 1, -1, -1):
+            pad = "\n" + "  " * (level + axis + 1)
+            close = "\n" + "  " * (level + axis) + "]"
+            texts = ["[" + pad + ("," + pad).join(row) + close for row in zip(*[iter(texts)] * node.shape[axis])]
+        yield texts[0]
+    elif isinstance(node, dict) and node:
+        pad = "\n" + "  " * (level + 1)
+        for index, key in enumerate(sorted(node)):
+            yield ("," if index else "{") + pad + json.dumps(key) + ": "
+            yield from _chunks(node[key], level + 1)
+        yield "\n" + "  " * level + "}"
+    else:
+        yield json.dumps(node)

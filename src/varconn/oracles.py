@@ -154,22 +154,27 @@ def partialized_process_coherence(model: VarModel, grid: FrequencyGrid, i: int, 
     return numerator / np.sqrt(model.sigma[i, i] * partial_spectrum)
 
 
-def partialized_innovation_coherence(model: VarModel, grid: FrequencyGrid, i: int, j: int, spectra: SpectralSet | None = None) -> np.ndarray:
+def partialized_innovation_covariances(sigma: np.ndarray, j: int) -> np.ndarray:
+    """Covariance of each innovation with the partialized innovation of j, by a Schur solve on sigma."""
+    others = [l for l in range(sigma.shape[0]) if l != j]
+    if not others:
+        return sigma[:, j].copy()
+    return sigma[:, j] - sigma[:, others] @ np.linalg.solve(sigma[np.ix_(others, others)], sigma[others, j])
+
+
+def partialized_innovation_coherence(model: VarModel, grid: FrequencyGrid, i: int, j: int, spectra: SpectralSet | None = None, covariances: np.ndarray | None = None) -> np.ndarray:
     """Coherence between signal i and the partialized innovation of j.
 
     The covariance between each innovation and the partialized innovation
     is formed explicitly from sigma, pushed through the transfer matrix for
     the cross-spectrum, and normalized by the autospectrum read off S.
+    ``covariances`` takes ``partialized_innovation_covariances(model.sigma, j)``
+    when the caller holds it.
     """
     if spectra is None:
         spectra = evaluate_spectra(model, grid)
-    sigma = model.sigma
-    others = [l for l in range(model.K) if l != j]
-    if others:
-        solved = np.linalg.solve(sigma[np.ix_(others, others)], sigma[others, j])
-        covariances = sigma[:, j] - sigma[:, others] @ solved
-    else:
-        covariances = sigma[:, j].copy()
+    if covariances is None:
+        covariances = partialized_innovation_covariances(model.sigma, j)
     rho = covariances[j]
     cross = np.einsum("fl,l->f", spectra.h_bar[:, i, :], covariances)
     auto = spectra.s[:, i, i].real
@@ -267,6 +272,9 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128) -> Ve
     bounds["fixture closed forms"] = 1e-12
     worst = {name: 0.0 for name in names}
 
+    def record(name: str, *deviations: float) -> None:
+        worst[name] = max(worst[name], *deviations)
+
     fixtures = (
         fixture("two_var_alpha", alpha=0.5),
         fixture("three_var_alpha_beta", alpha=0.5, beta=1.0),
@@ -275,8 +283,7 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128) -> Ve
         spectra = evaluate_spectra(fx.model, grid)
         computed = {"ipdc": ipdc(spectra, fx.model).values, "idtf": idtf(spectra, fx.model).values}
         for (kind, i, j), expected in fx.expected(grid).items():
-            deviation = float(np.max(np.abs(computed[kind][:, i, j] - expected)))
-            worst["fixture closed forms"] = max(worst["fixture closed forms"], deviation)
+            record("fixture closed forms", float(np.max(np.abs(computed[kind][:, i, j] - expected))))
 
     for index in range(n_models):
         k = 2 + index % 4
@@ -287,36 +294,22 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128) -> Ve
         ipdc_values = ipdc(spectra, model).values
         idtf_values = idtf(spectra, model).values
         eye = np.eye(k)
-        worst["inverse reconstruction: A_bar H_bar = I and S S^-1 = I"] = max(
-            worst["inverse reconstruction: A_bar H_bar = I and S S^-1 = I"],
+        record(
+            "inverse reconstruction: A_bar H_bar = I and S S^-1 = I",
             float(np.max(np.abs(spectra.a_bar @ spectra.h_bar - eye))),
             float(np.max(np.abs(spectra.s @ spectra.s_inv - eye))),
         )
         for j in range(k):
             cross = partialized_cross_spectra(spectra, j)
-            worst["partial spectrum: block elimination vs quadratic form"] = max(
-                worst["partial spectrum: block elimination vs quadratic form"],
-                float(np.max(np.abs(cross[:, j].real - partial_spectra[:, j]))),
-            )
-            worst["partialized-process orthogonality"] = max(
-                worst["partialized-process orthogonality"],
-                orthogonality_residual(model, grid, j, cross=cross),
-            )
+            covariances = partialized_innovation_covariances(model.sigma, j)
+            record("partial spectrum: block elimination vs quadratic form", float(np.max(np.abs(cross[:, j].real - partial_spectra[:, j]))))
+            record("partialized-process orthogonality", orthogonality_residual(model, grid, j, cross=cross))
             for i in range(k):
                 reference = partialized_process_coherence(model, grid, i, j, spectra=spectra, cross=cross)
-                worst["iPDC equals innovation/partialized-process coherence"] = max(
-                    worst["iPDC equals innovation/partialized-process coherence"],
-                    float(np.max(np.abs(reference - ipdc_values[:, i, j]))),
-                )
-                reference = partialized_innovation_coherence(model, grid, i, j, spectra=spectra)
-                worst["iDTF equals signal/partialized-innovation coherence"] = max(
-                    worst["iDTF equals signal/partialized-innovation coherence"],
-                    float(np.max(np.abs(reference - idtf_values[:, i, j]))),
-                )
-                worst["A_bar equals partialized cross-spectral ratio"] = max(
-                    worst["A_bar equals partialized cross-spectral ratio"],
-                    transfer_function_deviation(model, grid, i, j, spectra=spectra, cross=cross),
-                )
+                record("iPDC equals innovation/partialized-process coherence", float(np.max(np.abs(reference - ipdc_values[:, i, j]))))
+                reference = partialized_innovation_coherence(model, grid, i, j, spectra=spectra, covariances=covariances)
+                record("iDTF equals signal/partialized-innovation coherence", float(np.max(np.abs(reference - idtf_values[:, i, j]))))
+                record("A_bar equals partialized cross-spectral ratio", transfer_function_deviation(model, grid, i, j, spectra=spectra, cross=cross))
 
     checks = tuple(CheckResult(name, worst[name], bounds[name]) for name in names)
     return VerificationReport(checks)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import varconn
-from varconn import fixture, load_model, save_model
+from varconn import MeasureKind, NumericalError, fixture, load_model, save_model
+from varconn import measures
 from varconn.cli import main
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -60,6 +61,23 @@ class TestMeasureCommand:
         status = main([command, "--model", str(path)])
         assert status == 3
         assert "E_NUMERIC" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, kinds", [("measure", "coh,idtf"), ("mir", "ipdc,idtf")])
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_refusal_mid_request_writes_nothing(self, monkeypatch, tmp_path, capsys, two_channel_model_path, command, kinds, to_file):
+        def refuse(spectra, model):
+            raise NumericalError("refused after the first measure")
+
+        monkeypatch.setitem(measures._MEASURES, MeasureKind.IDTF, refuse)
+        out = tmp_path / "result.json"
+        option = "--measures" if command == "measure" else "--kinds"
+        argv = [command, "--model", str(two_channel_model_path), option, kinds]
+        status = main([*argv, "--out", str(out)] if to_file else argv)
+        captured = capsys.readouterr()
+        assert status == 3
+        assert captured.err.startswith("E_NUMERIC")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_missing_model_file(self, tmp_path, capsys):
         status = main(["measure", "--model", str(tmp_path / "absent.json")])

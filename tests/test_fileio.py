@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -10,15 +12,17 @@ from varconn import (
     DomainError,
     FrequencyGrid,
     MeasureKind,
+    MeasureResult,
+    MirMatrix,
     ParseError,
     TimeSeriesData,
     all_measures,
-    build_result_document,
     canonical_json,
     fixture,
     load_model,
     load_timeseries,
     mir_ipdc,
+    render_result,
     save_model,
     save_result,
     save_timeseries,
@@ -26,6 +30,19 @@ from varconn import (
 from varconn.fileio import model_from_document, model_to_document, resolve_output_path
 
 GRID = FrequencyGrid.default(16)
+
+#: Values whose repr takes each of float's forms: signed zero, exponents
+#: both ways, the smallest subnormal, and the neighbours of 1.
+SPECIAL_VALUES = (-0.0, 1e-05, 1e16, 5e-324, 1.0, math.nextafter(1.0, 0.0), 1.0 - 1e-12)
+
+
+def draw(rng, shape) -> np.ndarray:
+    """Random floats across 17 decades, with SPECIAL_VALUES scattered in."""
+    values = (rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=shape)).reshape(-1)
+    count = min(values.size, len(SPECIAL_VALUES))
+    values[:count] = SPECIAL_VALUES[:count]
+    rng.shuffle(values)
+    return values.reshape(shape)
 
 
 class TestModelDocuments:
@@ -147,14 +164,28 @@ class TestTimeseriesCsv:
         reloaded = load_timeseries(path)
         assert np.array_equal(reloaded.values, data.values)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_save_writes_what_csv_writer_writes(self, tmp_path, k):
+        rng = np.random.default_rng(k)
+        data = TimeSeriesData(draw(rng, (40, k)))
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow([f"ch{i + 1}" for i in range(k)])
+        for row in data.values:
+            writer.writerow([repr(float(v)) for v in row])
+        path = save_timeseries(data, tmp_path / "series.csv")
+        assert path.read_bytes() == reference.getvalue().encode("utf-8")
+
+
+def rendered(grid, **kwargs) -> dict:
+    return json.loads("".join(render_result(grid, **kwargs)))
+
 
 class TestResultDocuments:
     def test_measure_serialization(self, tmp_path):
         fx = fixture("two_var_alpha", alpha=0.5)
         results = all_measures(fx.model, GRID)
-        document = build_result_document(
-            GRID, measures={MeasureKind.IPDC: results[MeasureKind.IPDC]}, include_mag_sq=True
-        )
+        document = rendered(GRID, measures={MeasureKind.IPDC: results[MeasureKind.IPDC]}, include_mag_sq=True)
         payload = document["measures"]["ipdc"]
         re = np.asarray(payload["re"])
         im = np.asarray(payload["im"])
@@ -166,14 +197,14 @@ class TestResultDocuments:
     def test_mag_sq_omitted_by_default(self):
         fx = fixture("two_var_alpha", alpha=0.5)
         results = all_measures(fx.model, GRID)
-        document = build_result_document(GRID, measures={MeasureKind.PDC: results[MeasureKind.PDC]})
+        document = rendered(GRID, measures={MeasureKind.PDC: results[MeasureKind.PDC]})
         assert "mag_sq" not in document["measures"]["pdc"]
 
     def test_units_conversion_to_bits(self):
         fx = fixture("two_var_alpha", alpha=0.5)
         rates = mir_ipdc(fx.model, GRID)
-        nats = build_result_document(GRID, mirs={"ipdc": rates})
-        bits = build_result_document(GRID, mirs={"ipdc": rates}, units="bits_per_sample")
+        nats = rendered(GRID, mirs={"ipdc": rates})
+        bits = rendered(GRID, mirs={"ipdc": rates}, units="bits_per_sample")
         nats_vals = np.asarray(nats["mir"]["ipdc"]["values"])
         bits_vals = np.asarray(bits["mir"]["ipdc"]["values"])
         assert nats["mir"]["ipdc"]["units"] == "nats_per_sample"
@@ -185,24 +216,71 @@ class TestResultDocuments:
         fx = fixture("two_var_alpha", alpha=0.5)
         rates = mir_ipdc(fx.model, GRID)
         with pytest.raises(DomainError, match="units"):
-            build_result_document(GRID, mirs={"ipdc": rates}, units="hartleys")
+            render_result(GRID, mirs={"ipdc": rates}, units="hartleys")
 
     def test_frequency_annotation(self):
-        document = build_result_document(GRID, sample_rate_hz=200.0)
+        document = rendered(GRID, sample_rate_hz=200.0)
         hz = np.asarray(document["grid"]["frequency_hz"])
         assert hz[0] == 0.0
         assert_allclose(hz[-1], 100.0)
 
     def test_documents_are_deterministic(self, tmp_path):
         fx = fixture("two_var_alpha", alpha=0.5)
-        results = all_measures(fx.model, GRID)
-        document = build_result_document(GRID, measures=results)
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        save_result(document, a)
-        save_result(build_result_document(GRID, measures=all_measures(fx.model, GRID)), b)
+        assert save_result(render_result(GRID, measures=all_measures(fx.model, GRID)), a) == a
+        save_result(render_result(GRID, measures=all_measures(fx.model, GRID)), b)
         assert a.read_bytes() == b.read_bytes()
-        json.loads(canonical_json(document))  # stays valid JSON
+        json.loads(a.read_text())  # stays valid JSON
+
+
+class TestResultWriter:
+    """render_result's text is what canonical_json writes for the same document.
+
+    The oracle parses the text and renders it again through json.dumps,
+    which shares no code with the writer: any byte the writer gets wrong,
+    or any value it rounds, makes the two texts differ.
+    """
+
+    @pytest.mark.parametrize("k, n_points", [(1, 1), (3, 5), (2, 17)])
+    @pytest.mark.parametrize("include_mag_sq", [False, True])
+    @pytest.mark.parametrize("units, sample_rate_hz", [("nats_per_sample", None), ("bits_per_sample", 250.0)])
+    def test_text_equals_canonical_json(self, k, n_points, include_mag_sq, units, sample_rate_hz):
+        rng = np.random.default_rng([k, n_points])
+        grid = FrequencyGrid.default(n_points)
+        shape = (n_points, k, k)
+        measures = {kind: MeasureResult(kind, grid, draw(rng, shape) + 1j * draw(rng, shape)) for kind in (MeasureKind.IPDC, MeasureKind.COHERENCE)}
+        mirs = {kind: MirMatrix(kind, np.abs(draw(rng, (k, k))), int(rng.integers(0, 5))) for kind in (MeasureKind.IDTF, MeasureKind.IPDC)}
+        text = "".join(
+            render_result(grid, measures=measures, mirs=mirs, include_mag_sq=include_mag_sq, units=units, sample_rate_hz=sample_rate_hz)
+        )
+        assert canonical_json(json.loads(text)) == text
+
+    def test_empty_blocks(self):
+        text = "".join(render_result(FrequencyGrid.default(3)))
+        assert canonical_json(json.loads(text)) == text
+        assert '"measures": {}' in text and '"mir": {}' in text
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["re", "im", "mir"])
+    def test_non_finite_refused_before_any_byte(self, tmp_path, bad, where):
+        values = np.zeros((GRID.n_points, 2, 2), dtype=complex)
+        rates = np.zeros((2, 2))
+        if where == "mir":
+            rates[1, 0] = bad
+        else:
+            values[3, 1, 0] = complex(bad, 0.0) if where == "re" else complex(0.0, bad)
+        out = tmp_path / "result.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_result(
+                render_result(
+                    GRID,
+                    measures={"pdc": MeasureResult(MeasureKind.PDC, GRID, values)},
+                    mirs={"ipdc": MirMatrix(MeasureKind.IPDC, rates)},
+                ),
+                out,
+            )
+        assert not out.exists()
 
 
 class TestOutputDir:
