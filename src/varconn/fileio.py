@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DomainError, ParseError
+from .errors import DataError, DomainError, NumericalError, ParseError
 from .spectral import FrequencyGrid
 from .var_model import TimeSeriesData, VarModel
 
@@ -177,7 +177,8 @@ def render_result(
 
     Keys of `measures` (to MeasureResult) and `mirs` (to MirMatrix) may be
     enums or strings. Every refusal is raised by this call, before any text
-    exists; a non-finite value raises the ValueError of ``allow_nan=False``.
+    exists; a non-finite value raises NumericalError with the message of
+    ``allow_nan=False``.
     """
     if units not in UNITS:
         raise DomainError(f"unknown units {units!r}, expected one of {UNITS}")
@@ -211,7 +212,7 @@ def _check_finite(node) -> None:
         for value in node.values():
             _check_finite(value)
     elif isinstance(node, np.ndarray) and not np.all(np.isfinite(node)):
-        raise ValueError(f"Out of range float values are not JSON compliant: {float(node[~np.isfinite(node)][0])!r}")
+        raise NumericalError(f"Out of range float values are not JSON compliant: {float(node[~np.isfinite(node)][0])!r}")
 
 
 def _chunks(node, level: int) -> Iterator[str]:

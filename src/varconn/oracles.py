@@ -11,6 +11,7 @@ population. The test suite and the `verify` CLI subcommand are built on it.
 All index arguments are zero-based (target i, source j).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,48 +255,73 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128) -> Ve
     spectrum, the partialized ratio recovering A_bar, the orthogonality of
     partialized processes, and the two inverse reconstructions. The random
     population cycles through K = 2, 3, 4, 5 channels.
+
+    A NumericalError raised while computing a check's quantity is that
+    check's failure, recorded as deviation inf: ``ipdc`` and ``idtf`` feed
+    the two coherence identities, ``evaluate_spectra`` the inverse
+    reconstruction (and, for a fixture, every quantity feeds the closed
+    forms). Checks that need a refused quantity skip that model. A NaN
+    deviation is recorded as inf too.
     """
     if n_models < 1 or n_freq < 2:
         raise DomainError("need n_models >= 1 and n_freq >= 2")
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid.default(n_freq)
+    fixture_check = "fixture closed forms"
+    ipdc_check = "iPDC equals innovation/partialized-process coherence"
+    idtf_check = "iDTF equals signal/partialized-innovation coherence"
+    inverse_check = "inverse reconstruction: A_bar H_bar = I and S S^-1 = I"
     names = (
-        "fixture closed forms",
-        "iPDC equals innovation/partialized-process coherence",
-        "iDTF equals signal/partialized-innovation coherence",
+        fixture_check,
+        ipdc_check,
+        idtf_check,
         "partial spectrum: block elimination vs quadratic form",
         "A_bar equals partialized cross-spectral ratio",
         "partialized-process orthogonality",
-        "inverse reconstruction: A_bar H_bar = I and S S^-1 = I",
+        inverse_check,
     )
     bounds = {name: 1e-10 for name in names}
-    bounds["fixture closed forms"] = 1e-12
+    bounds[fixture_check] = 1e-12
     worst = {name: 0.0 for name in names}
 
     def record(name: str, *deviations: float) -> None:
-        worst[name] = max(worst[name], *deviations)
+        # max() drops a NaN that is not its first argument, so a NaN deviation is recorded as inf
+        worst[name] = max(worst[name], *(math.inf if math.isnan(d) else d for d in deviations))
+
+    def attempt(name: str, compute, *args):
+        """compute(*args), or None after recording a refusal as deviation inf for check `name`."""
+        try:
+            return compute(*args)
+        except NumericalError:
+            record(name, math.inf)
+            return None
 
     fixtures = (
         fixture("two_var_alpha", alpha=0.5),
         fixture("three_var_alpha_beta", alpha=0.5, beta=1.0),
     )
     for fx in fixtures:
-        spectra = evaluate_spectra(fx.model, grid)
-        computed = {"ipdc": ipdc(spectra, fx.model).values, "idtf": idtf(spectra, fx.model).values}
+        spectra = attempt(fixture_check, evaluate_spectra, fx.model, grid)
+        if spectra is None:
+            continue
+        computed = {"ipdc": attempt(fixture_check, ipdc, spectra, fx.model), "idtf": attempt(fixture_check, idtf, spectra, fx.model)}
         for (kind, i, j), expected in fx.expected(grid).items():
-            record("fixture closed forms", float(np.max(np.abs(computed[kind][:, i, j] - expected))))
+            if computed[kind] is not None:
+                record(fixture_check, float(np.max(np.abs(computed[kind].values[:, i, j] - expected))))
 
     for index in range(n_models):
         k = 2 + index % 4
         model = random_stable_model(rng, k)
-        spectra = evaluate_spectra(model, grid)
+        spectra = attempt(inverse_check, evaluate_spectra, model, grid)
+        if spectra is None:
+            continue
         # the partial spectra iPDC divides by, 1 / [S^-1]_jj
         partial_spectra = 1.0 / np.diagonal(spectra.s_inv, axis1=1, axis2=2).real
-        ipdc_values = ipdc(spectra, model).values
-        idtf_values = idtf(spectra, model).values
+        ipdc_result = attempt(ipdc_check, ipdc, spectra, model)
+        idtf_result = attempt(idtf_check, idtf, spectra, model)
         eye = np.eye(k)
         record(
-            "inverse reconstruction: A_bar H_bar = I and S S^-1 = I",
+            inverse_check,
             float(np.max(np.abs(spectra.a_bar @ spectra.h_bar - eye))),
             float(np.max(np.abs(spectra.s @ spectra.s_inv - eye))),
         )
@@ -305,10 +331,12 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128) -> Ve
             record("partial spectrum: block elimination vs quadratic form", float(np.max(np.abs(cross[:, j].real - partial_spectra[:, j]))))
             record("partialized-process orthogonality", orthogonality_residual(model, grid, j, cross=cross))
             for i in range(k):
-                reference = partialized_process_coherence(model, grid, i, j, spectra=spectra, cross=cross)
-                record("iPDC equals innovation/partialized-process coherence", float(np.max(np.abs(reference - ipdc_values[:, i, j]))))
-                reference = partialized_innovation_coherence(model, grid, i, j, spectra=spectra, covariances=covariances)
-                record("iDTF equals signal/partialized-innovation coherence", float(np.max(np.abs(reference - idtf_values[:, i, j]))))
+                if ipdc_result is not None:
+                    reference = partialized_process_coherence(model, grid, i, j, spectra=spectra, cross=cross)
+                    record(ipdc_check, float(np.max(np.abs(reference - ipdc_result.values[:, i, j]))))
+                if idtf_result is not None:
+                    reference = partialized_innovation_coherence(model, grid, i, j, spectra=spectra, covariances=covariances)
+                    record(idtf_check, float(np.max(np.abs(reference - idtf_result.values[:, i, j]))))
                 record("A_bar equals partialized cross-spectral ratio", transfer_function_deviation(model, grid, i, j, spectra=spectra, cross=cross))
 
     checks = tuple(CheckResult(name, worst[name], bounds[name]) for name in names)

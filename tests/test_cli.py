@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import varconn
-from varconn import MeasureKind, NumericalError, fixture, load_model, save_model
-from varconn import measures
+from varconn import MeasureKind, MeasureResult, NumericalError, fixture, load_model, save_model
+from varconn import measures, oracles
 from varconn.cli import main
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -76,6 +76,21 @@ class TestMeasureCommand:
         captured = capsys.readouterr()
         assert status == 3
         assert captured.err.startswith("E_NUMERIC")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_non_finite_value_is_a_numerical_refusal(self, monkeypatch, tmp_path, capsys, two_channel_model_path):
+        def nan_pdc(spectra, model):
+            values = np.zeros((spectra.grid.n_points, model.K, model.K), dtype=complex)
+            values[2, 1, 0] = np.nan
+            return MeasureResult(MeasureKind.PDC, spectra.grid, values)
+
+        monkeypatch.setitem(measures._MEASURES, MeasureKind.PDC, nan_pdc)
+        out = tmp_path / "result.json"
+        status = main(["measure", "--model", str(two_channel_model_path), "--measures", "pdc", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert status == 3
+        assert captured.err == "E_NUMERIC: Out of range float values are not JSON compliant: nan\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -322,3 +337,30 @@ class TestVerifyCommand:
         assert status == 0
         assert "verification passed" in out
         assert out.count("ok") >= 7
+
+    @pytest.mark.parametrize(
+        "refused, failing",
+        [
+            ("ipdc", "iPDC equals innovation/partialized-process coherence"),
+            ("idtf", "iDTF equals signal/partialized-innovation coherence"),
+            ("evaluate_spectra", "inverse reconstruction: A_bar H_bar = I and S S^-1 = I"),
+        ],
+    )
+    def test_refusal_inside_a_check_fails_that_check(self, monkeypatch, capsys, refused, failing):
+        def refuse(*args):
+            raise NumericalError("non-positive column quadratic form")
+
+        # rebind the name run_verification calls
+        monkeypatch.setattr(oracles, refused, refuse)
+        status = main(["verify", "--seed", "7", "--models", "6", "--nfreq", "48"])
+        captured = capsys.readouterr()
+        assert status == 4
+        assert captured.err == "E_VERIFY: at least one identity check failed\n"
+        lines = captured.out.splitlines()
+        failed = [line for line in lines if not line.startswith("ok")]
+        # the fixtures feed every refused quantity into their closed-form check
+        assert failed == [
+            "FAIL fixture closed forms: max deviation inf (bound 1e-12)",
+            f"FAIL {failing}: max deviation inf (bound 1e-10)",
+        ]
+        assert len(lines) == 7

@@ -14,6 +14,7 @@ from varconn import (
     MeasureKind,
     MeasureResult,
     MirMatrix,
+    NumericalError,
     ParseError,
     TimeSeriesData,
     all_measures,
@@ -271,7 +272,7 @@ class TestResultWriter:
         else:
             values[3, 1, 0] = complex(bad, 0.0) if where == "re" else complex(0.0, bad)
         out = tmp_path / "result.json"
-        with pytest.raises(ValueError, match="not JSON compliant"):
+        with pytest.raises(NumericalError, match="not JSON compliant"):
             save_result(
                 render_result(
                     GRID,

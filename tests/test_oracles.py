@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose
 from varconn import (
     DomainError,
     FrequencyGrid,
+    MeasureKind,
+    MeasureResult,
     evaluate_spectra,
     fixture,
     idtf,
@@ -17,6 +19,7 @@ from varconn import (
     transfer_function_deviation,
     validate,
 )
+from varconn import oracles
 
 GRID = FrequencyGrid.default(64)
 
@@ -167,6 +170,15 @@ class TestRunVerification:
         assert report.passed
         assert len(report.checks) == 7
         assert all(line.startswith("ok") for line in report.lines())
+
+    def test_nan_deviation_fails_its_check(self, monkeypatch):
+        def nan_ipdc(spectra, model):
+            return MeasureResult(MeasureKind.IPDC, spectra.grid, np.full((spectra.grid.n_points, model.K, model.K), np.nan, dtype=complex))
+
+        monkeypatch.setattr(oracles, "ipdc", nan_ipdc)
+        report = run_verification(seed=7, n_models=4, n_freq=32)
+        failed = {check.name: check.max_deviation for check in report.checks if not check.passed}
+        assert failed == {"fixture closed forms": np.inf, "iPDC equals innovation/partialized-process coherence": np.inf}
 
     def test_rejects_degenerate_configuration(self):
         with pytest.raises(DomainError):

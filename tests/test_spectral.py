@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -102,6 +104,80 @@ class TestEvaluateSpectra:
         model = VarModel(coeffs, np.eye(2))
         with pytest.raises(NumericalError, match="singular"):
             evaluate_spectra(model, GRID)
+
+
+def double_root_model(eps, basis=None):
+    # the family of test_near_singular_a_bar_refused: a stable double root at 1 - eps on
+    # channel 0, so A_bar(0) holds (1 - r)^2 = eps^2; `basis` rotates it into K channels
+    r = 1.0 - eps
+    k = 2 if basis is None else basis.shape[0]
+    coeffs = np.zeros((2, k, k))
+    coeffs[0, 0, 0] = 2 * r
+    coeffs[1, 0, 0] = -r * r
+    if basis is not None:
+        coeffs = basis @ coeffs @ basis.T
+    return VarModel(coeffs, np.eye(k))
+
+
+def a_bar_at(model, omega):
+    return np.eye(model.K) - sum(a * np.exp(-1j * omega * lag) for lag, a in enumerate(model.coeffs, start=1))
+
+
+ROTATION_16 = np.linalg.qr(np.random.default_rng(0).standard_normal((16, 16)))[0]
+
+
+class TestConditionGuard:
+    """The guard reads kappa_1 = ||A_bar||_1 ||H_bar||_1; np.linalg.cond (SVD) is the reference."""
+
+    def test_accepts_below_the_limit(self):
+        # kappa = 1 / eps^2 = 1e10
+        spectra = evaluate_spectra(double_root_model(1e-5), GRID)
+        assert np.all(np.isfinite(spectra.h_bar))
+
+    @pytest.mark.parametrize(
+        "eps, basis",
+        [
+            (1e-6, None),
+            (2e-8, None),
+            # kappa_2 = 4.4e11 passes a 2-norm guard; kappa_1 = 3.6 kappa_2 is refused
+            (1.5e-6, ROTATION_16),
+            (2e-8, ROTATION_16),
+        ],
+    )
+    def test_refusal_quotes_kappa_1_of_the_worst_frequency(self, eps, basis):
+        model = double_root_model(eps, basis)
+        with pytest.raises(NumericalError, match="singular") as caught:
+            evaluate_spectra(model, GRID)
+        found = re.search(r"omega = (\S+) \(condition number (\S+) exceeds 1e\+12\)", str(caught.value))
+        omega, kappa = float(found[1]), float(found[2])
+        assert omega in GRID.points
+        a_bar = a_bar_at(model, omega)
+        # the message prints 4 significant digits
+        assert kappa == pytest.approx(np.linalg.cond(a_bar, 1), rel=5e-4)
+        kappa_2 = np.linalg.cond(a_bar)
+        assert kappa_2 / model.K <= kappa <= model.K * kappa_2
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_inverse_refused(self, monkeypatch, bad):
+        inv = np.linalg.inv
+
+        def broken(a):
+            out = inv(a)
+            if out.ndim == 3:
+                out[5, 0, 1] = bad
+            return out
+
+        monkeypatch.setattr(np.linalg, "inv", broken)
+        with pytest.raises(NumericalError, match=f"singular at omega = {GRID.points[5]:.6g} "):
+            evaluate_spectra(fixture("two_var_alpha", alpha=0.5).model, GRID)
+
+    def test_zero_pivot_refused(self, monkeypatch):
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(NumericalError, match=r"singular .*condition number inf"):
+            evaluate_spectra(fixture("two_var_alpha", alpha=0.5).model, GRID)
 
 
 class TestSpectralSet:
