@@ -119,6 +119,44 @@ def load_timeseries(path, layout: str = "rows_are_samples") -> TimeSeriesData:
     if layout not in LAYOUTS:
         raise DomainError(f"unknown layout {layout!r}, expected one of {LAYOUTS}")
     path = Path(path)
+    values = _parse_vectorised(path)
+    if values is None:
+        values = _parse_cells(path)
+    if layout == "rows_are_channels":
+        values = values.T
+    return TimeSeriesData(values)
+
+
+def _parse_vectorised(path: Path) -> np.ndarray | None:
+    """The CSV's values in one ``np.loadtxt`` call, or None when it refuses them.
+
+    Only the rows up to the first data row are read with ``csv``, to detect
+    the header. loadtxt parses unquoted numbers as ``float`` does; whatever
+    it cannot parse (quotes, underscores, whitespace-only lines, ragged
+    rows) or parses to a non-finite value is left to ``_parse_cells``,
+    which reports the error or reads what it accepts. ``comments=None``
+    keeps a "#" a parse error.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        rows = (row for row in reader if any(cell.strip() for cell in row))
+        first = next(rows, None)
+        header = first is not None and any(_is_not_number(cell) for cell in first)
+        skip = reader.line_num if header else 0
+        row = next(rows, None) if header else first
+    if row is None:  # no data rows: _parse_cells says which error
+        return None
+    try:
+        values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip, encoding="utf-8")
+    except ValueError:
+        return None
+    if values.shape[1] != len(row) or not np.all(np.isfinite(values)):
+        return None
+    return values
+
+
+def _parse_cells(path: Path) -> np.ndarray:
+    """The CSV's values read cell by cell with ``float``, raising at the first bad cell."""
     with open(path, newline="", encoding="utf-8") as handle:
         rows = [(number, row) for number, row in enumerate(csv.reader(handle), start=1) if any(cell.strip() for cell in row)]
     if not rows:
@@ -140,9 +178,7 @@ def load_timeseries(path, layout: str = "rows_are_samples") -> TimeSeriesData:
             if not math.isfinite(value):
                 raise DataError(f"{path}: {line}:{c + 1}: non-finite value {cell.strip()!r}")
             values[r, c] = value
-    if layout == "rows_are_channels":
-        values = values.T
-    return TimeSeriesData(values)
+    return values
 
 
 def save_timeseries(data: TimeSeriesData, path) -> Path:

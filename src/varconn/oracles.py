@@ -261,7 +261,8 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128) -> Ve
     the two coherence identities, ``evaluate_spectra`` the inverse
     reconstruction (and, for a fixture, every quantity feeds the closed
     forms). Checks that need a refused quantity skip that model. A NaN
-    deviation is recorded as inf too.
+    deviation is recorded as inf too, and so is a check that no model
+    reached.
     """
     if n_models < 1 or n_freq < 2:
         raise DomainError("need n_models >= 1 and n_freq >= 2")
@@ -283,10 +284,12 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128) -> Ve
     bounds = {name: 1e-10 for name in names}
     bounds[fixture_check] = 1e-12
     worst = {name: 0.0 for name in names}
+    reached = {name: 0 for name in names}
 
     def record(name: str, *deviations: float) -> None:
         # max() drops a NaN that is not its first argument, so a NaN deviation is recorded as inf
         worst[name] = max(worst[name], *(math.inf if math.isnan(d) else d for d in deviations))
+        reached[name] += 1
 
     def attempt(name: str, compute, *args):
         """compute(*args), or None after recording a refusal as deviation inf for check `name`."""
@@ -339,5 +342,5 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128) -> Ve
                     record(idtf_check, float(np.max(np.abs(reference - idtf_result.values[:, i, j]))))
                 record("A_bar equals partialized cross-spectral ratio", transfer_function_deviation(model, grid, i, j, spectra=spectra, cross=cross))
 
-    checks = tuple(CheckResult(name, worst[name], bounds[name]) for name in names)
+    checks = tuple(CheckResult(name, worst[name] if reached[name] else math.inf, bounds[name]) for name in names)
     return VerificationReport(checks)

@@ -194,15 +194,16 @@ def simulate(
     rng = np.random.default_rng(seed)
     total = burn_in + n_samples
     innovations = rng.standard_normal((total, k)) @ chol.T
-    coeffs = model.coeffs
-    x = np.zeros((total, k))
+    # rows t .. t + p - 1 of x hold lags p .. 1 of sample t (the first p rows
+    # are the zero pre-sample history), so one (K, K p) matvec per step
+    # applies every lag
+    flat = model.coeffs[::-1].transpose(1, 0, 2).reshape(k, k * p)
+    x = np.zeros((p + total, k))
+    x[p:] = innovations
     for t in range(total):
-        acc = innovations[t].copy()
-        for lag in range(min(p, t)):
-            acc += coeffs[lag] @ x[t - lag - 1]
-        x[t] = acc
+        x[p + t] += flat @ x[t : t + p].ravel()
     return (
-        TimeSeriesData(x[burn_in:]),
+        TimeSeriesData(x[p + burn_in :]),
         TimeSeriesData(innovations[burn_in:]),
     )
 
@@ -266,27 +267,74 @@ def select_order(data: TimeSeriesData, p_max: int, criterion: str = "bic") -> in
     p_max rows are held back for all of them) so criterion values are
     comparable. The criterion is log det(sigma_hat) plus a penalty of
     2 K^2 p / n for "aic" or K^2 p log(n) / n for "bic".
+
+    Each candidate is fitted exactly as ``estimate`` fits the samples from
+    row p_max - order on, demeaned by their own mean, but all of them are
+    read off one Gram matrix of the p_max-lag design (Lütkepohl 2005,
+    §4.3). A candidate whose Gram route is refused (too few samples, or a
+    regressor block that is not clearly full rank) is fitted by
+    ``estimate`` itself, which raises its own errors.
     """
     crit = str(criterion).lower()
     if crit not in ("aic", "bic"):
         raise DomainError(f"unknown criterion {criterion!r}, expected 'aic' or 'bic'")
     if p_max < 1:
         raise DomainError(f"p_max must be >= 1, got {p_max}")
-    x = data.values
+    values = _criterion_values(data.values, p_max, crit)
+    if not np.min(values) < np.inf:
+        raise EstimationError("no candidate order produced a usable residual covariance")
+    return int(np.argmin(values)) + 1
+
+
+def _criterion_values(x: np.ndarray, p_max: int, crit: str) -> np.ndarray:
+    """The criterion of orders 1 .. p_max, inf for an order whose residual
+    covariance is not positive definite."""
     n, k = x.shape
     n_eff = n - p_max
-    best_order = 0
-    best_value = np.inf
+    if n_eff > k:  # else every order fails the sample check below and estimate refuses order 1
+        # [lag 1 .. lag p_max | response] over the rows every candidate regresses on
+        design = np.hstack([x[p_max - lag : n - lag] for lag in range(1, p_max + 1)] + [x[p_max:]])
+        means = design.mean(axis=0)
+        design -= means
+        gram = design.T @ design
+    values = np.full(p_max, np.inf)
     for order in range(1, p_max + 1):
-        fitted = estimate(TimeSeriesData(x[p_max - order :]), order)
-        sign, logdet = np.linalg.slogdet(fitted.sigma)
-        if sign <= 0:
-            continue
-        penalty = 2.0 if crit == "aic" else float(np.log(n_eff))
-        value = logdet + penalty * (k * k * order) / n_eff
-        if value < best_value:
-            best_value = value
-            best_order = order
-    if best_order == 0:
-        raise EstimationError("no candidate order produced a usable residual covariance")
-    return best_order
+        window = x[p_max - order :]
+        fit = _gram_slogdet(gram, means, window.mean(axis=0), order, n_eff) if len(window) > k * order + 1 else None
+        if fit is None:
+            fit = np.linalg.slogdet(estimate(TimeSeriesData(window), order).sigma)
+        sign, logdet = fit
+        if sign > 0:
+            penalty = 2.0 if crit == "aic" else float(np.log(n_eff))
+            values[order - 1] = logdet + penalty * (k * k * order) / n_eff
+    return values
+
+
+#: Smallest accepted ratio of extreme singular values of the regressor
+#: block's Cholesky factor. ``lstsq`` finds rank deficiency only below
+#: eps * max(n, K p), about 4e-12 at n = 20000; the Gram route resolves
+#: the ratio to about sqrt(eps), so it refuses well before that.
+_GRAM_RATIO_MIN = 1e-6
+
+
+def _gram_slogdet(gram: np.ndarray, means: np.ndarray, window_mean: np.ndarray, order: int, n_eff: int):
+    """``slogdet`` of the order's residual covariance, read off the full Gram.
+
+    The Gram was centred by the design's column means; a rank-one term
+    moves it to the window mean ``estimate`` would subtract. Returns None
+    when the regressor block is not clearly full rank.
+    """
+    k = window_mean.shape[0]
+    columns = np.r_[0 : k * order, len(means) - k : len(means)]
+    shift = np.tile(window_mean, order + 1) - means[columns]
+    block = gram[np.ix_(columns, columns)] + n_eff * np.outer(shift, shift)
+    try:
+        factor = np.linalg.cholesky(block[: k * order, : k * order])
+    except np.linalg.LinAlgError:
+        return None
+    singular = np.linalg.svd(factor, compute_uv=False)
+    if not singular[-1] > _GRAM_RATIO_MIN * singular[0]:
+        return None
+    explained = np.linalg.solve(factor, block[: k * order, k * order :])
+    residual = block[k * order :, k * order :] - explained.T @ explained
+    return np.linalg.slogdet(residual / n_eff)

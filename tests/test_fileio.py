@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from varconn import (
     save_result,
     save_timeseries,
 )
-from varconn.fileio import model_from_document, model_to_document, resolve_output_path
+from varconn.fileio import _parse_cells, _parse_vectorised, model_from_document, model_to_document, resolve_output_path
 
 GRID = FrequencyGrid.default(16)
 
@@ -176,6 +177,62 @@ class TestTimeseriesCsv:
             writer.writerow([repr(float(v)) for v in row])
         path = save_timeseries(data, tmp_path / "series.csv")
         assert path.read_bytes() == reference.getvalue().encode("utf-8")
+
+
+def repr_rows(seed: int, shape, sep="\n") -> str:
+    return "".join(",".join(map(repr, row)) + sep for row in draw(np.random.default_rng(seed), shape).tolist())
+
+
+#: (CSV text, whether the vectorised parse accepts it). Whatever it
+#: refuses must come out of the per-cell loop unchanged.
+PARITY_CASES = {
+    "repr floats": ("ch1,ch2,ch3\n" + repr_rows(0, (200, 3)), True),
+    "repr floats, no header, one column": (repr_rows(1, (50, 1)), True),
+    "repr floats, crlf": ("a,b\r\n" + repr_rows(2, (30, 2), "\r\n"), True),
+    "signs, spaces, exponents": (" +2.5 ,1e5\n-0.0, -1E-3\n", True),
+    "underscore": ("1_0,2\n3,4\n", False),
+    "quoted cells": ('"x","y"\n"1.5",2\n3,"-4e2"\n', False),
+    "quoted header only": ('"x","y"\n1.5,2\n', True),
+    "hash cell": ("1,2\n3,#4\n", False),
+    "trailing comment": ("a,b\n1,2 # note\n", False),
+    "blank lines": ("\n  \n\na,b\n\n1,2\n\n3,4\n\n", True),
+    "whitespace-only line after header": ("a,b\n1,2\n \t \n3,4\n", False),
+    "crlf blank lines": ("\r\n \r\na,b\r\n\r\n1,2\r\n", True),
+    "header wider than data": ("a,b,c\n1,2\n3,4\n", True),
+    "ragged": ("a,b\n1,2\n3\n", False),
+    "too wide": ("1,2\n3,4,5\n", False),
+    "empty cell": ("1,,2\n", False),
+    "text cell": ("1,2\n3,abc\n", False),
+    "nan": ("1,2\n3,nan\n", False),
+    "overflow to inf": ("1,2\n1e400,4\n", False),
+    "empty": ("", False),
+    "blank only": ("\n \n\r\n", False),
+    "header only": ("a,b\n", False),
+    "header then blank lines": ("a,b\n\n  \n", False),
+}
+
+
+class TestVectorisedCsvParse:
+    @pytest.mark.parametrize("text, accepted", PARITY_CASES.values(), ids=PARITY_CASES)
+    def test_matches_the_cell_loop(self, tmp_path, text, accepted):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on an input with no data
+            vectorised = _parse_vectorised(path)
+            assert (vectorised is not None) == accepted
+            try:
+                expected = _parse_cells(path)
+            except (ParseError, DataError) as exc:
+                with pytest.raises(type(exc)) as caught:
+                    load_timeseries(path)
+                assert type(caught.value) is type(exc)
+                assert str(caught.value) == str(exc)
+                return
+            assert np.array_equal(load_timeseries(path).values, expected)
+        if accepted:
+            assert np.array_equal(vectorised, expected)
+            assert np.array_equal(np.signbit(vectorised), np.signbit(expected))
 
 
 def rendered(grid, **kwargs) -> dict:

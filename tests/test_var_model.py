@@ -16,6 +16,8 @@ from varconn import (
     simulate,
     validate,
 )
+from varconn import var_model
+from varconn.oracles import random_stable_model
 
 
 def two_channel_model(alpha=0.5):
@@ -137,6 +139,32 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(two_channel_model(), 10, burn_in=-1)
 
+    @pytest.mark.parametrize(
+        "p, n_samples, burn_in",
+        [(0, 300, 50), (1, 300, 50), (3, 300, 50), (3, 300, 0), (3, 1, 0), (1, 1, 20)],
+    )
+    def test_flat_recursion_matches_per_lag_loop(self, p, n_samples, burn_in):
+        model = random_stable_model(np.random.default_rng(p), 4, p=p) if p else VarModel.white_noise(np.diag([1.0, 2.0]))
+        samples, innovations = simulate(model, n_samples, burn_in=burn_in, seed=8)
+        reference, reference_innovations = per_lag_simulation(model, n_samples, burn_in, seed=8)
+        assert np.array_equal(innovations.values, reference_innovations)
+        # the summation order differs, so only the last digits may move
+        assert np.max(np.abs(samples.values - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def per_lag_simulation(model, n_samples, burn_in, seed):
+    """The recursion one lag at a time, with simulate's draws."""
+    k, p = model.K, model.p
+    total = burn_in + n_samples
+    innovations = np.random.default_rng(seed).standard_normal((total, k)) @ np.linalg.cholesky(model.sigma).T
+    x = np.zeros((total, k))
+    for t in range(total):
+        acc = innovations[t].copy()
+        for lag in range(min(p, t)):
+            acc += model.coeffs[lag] @ x[t - lag - 1]
+        x[t] = acc
+    return x[burn_in:], innovations[burn_in:]
+
 
 class TestRescale:
     def test_identity_gains_are_a_no_op(self):
@@ -245,3 +273,53 @@ class TestSelectOrder:
         data, _ = simulate(two_channel_model(), 500, seed=0)
         with pytest.raises(DomainError):
             select_order(data, 0)
+
+    @pytest.mark.parametrize("criterion", ["aic", "bic"])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_criterion_values_match_per_order_fits(self, seed, k, criterion):
+        model = random_stable_model(np.random.default_rng(seed), k)
+        data, _ = simulate(model, 3000, seed=seed)
+        p_max = 6
+        n_eff = data.n_samples - p_max
+        penalty = 2.0 if criterion == "aic" else np.log(n_eff)
+        reference = []
+        for order in range(1, p_max + 1):
+            _, logdet = np.linalg.slogdet(estimate(TimeSeriesData(data.values[p_max - order :]), order).sigma)
+            reference.append(logdet + penalty * k * k * order / n_eff)
+        values = var_model._criterion_values(data.values, p_max, criterion)
+        assert_allclose(values, reference, rtol=0.0, atol=1e-12)
+        assert select_order(data, p_max, criterion) == int(np.argmin(reference)) + 1
+
+    def test_well_conditioned_candidates_are_not_refitted(self, monkeypatch):
+        data, _ = simulate(two_channel_model(0.5), 2000, seed=3)
+
+        def refuse(*args):
+            raise AssertionError("estimate called for a candidate the Gram route accepts")
+
+        monkeypatch.setattr(var_model, "estimate", refuse)
+        assert select_order(data, 5) == 1
+
+    @pytest.mark.parametrize("degenerate", ["duplicated", "constant"])
+    def test_rank_deficient_channel_raises_estimates_message(self, degenerate):
+        values = np.random.default_rng(6).standard_normal((500, 3))
+        values[:, 2] = values[:, 0] if degenerate == "duplicated" else 3.7
+        with pytest.raises(EstimationError, match="rank-deficient") as expected:
+            estimate(TimeSeriesData(values[3:]), 1)
+        with pytest.raises(EstimationError) as caught:
+            select_order(TimeSeriesData(values), 4)
+        assert str(caught.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "n, k, p_max, message",
+        [
+            (5, 2, 4, "need more than K * order + 1 = 3 samples to fit order 1, got 2"),
+            (3, 1, 2, "need more than K * order + 1 = 2 samples to fit order 1, got 2"),
+            (6, 2, 6, "need more than K * order + 1 = 3 samples to fit order 1, got 1"),
+        ],
+    )
+    def test_too_few_samples_for_p_max(self, n, k, p_max, message):
+        data = TimeSeriesData(np.random.default_rng(0).standard_normal((n, k)))
+        with pytest.raises(EstimationError) as caught:
+            select_order(data, p_max)
+        assert str(caught.value) == message
