@@ -156,9 +156,17 @@ def _parse_vectorised(path: Path) -> np.ndarray | None:
 
 
 def _parse_cells(path: Path) -> np.ndarray:
-    """The CSV's values read cell by cell with ``float``, raising at the first bad cell."""
+    """The CSV's values read cell by cell with ``float``, raising at the first bad cell.
+
+    A row is numbered by the physical line its record starts on.
+    """
+    rows, start = [], 1
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = [(number, row) for number, row in enumerate(csv.reader(handle), start=1) if any(cell.strip() for cell in row)]
+        reader = csv.reader(handle)
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                rows.append((start, row))
+            start = reader.line_num + 1
     if not rows:
         raise ParseError(f"{path}: no data rows")
     if any(_is_not_number(cell) for cell in rows[0][1]):

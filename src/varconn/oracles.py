@@ -37,27 +37,18 @@ class Fixture:
         """
         omega = grid.points
         phase = np.exp(-1j * omega)
-        zeros = np.zeros(omega.size, dtype=complex)
-        out: dict[tuple[str, int, int], np.ndarray] = {}
-        if self.name == "two_var_alpha":
-            alpha = self.params["alpha"]
-            root = np.sqrt(1.0 + alpha**2)
-            out[("ipdc", 1, 0)] = -alpha * phase / root
-            out[("idtf", 1, 0)] = alpha * phase / root
-            out[("ipdc", 0, 1)] = zeros
-            out[("idtf", 0, 1)] = zeros
-        else:
-            alpha, beta = self.params["alpha"], self.params["beta"]
+        k = self.model.K
+        off_diagonal = [(kind, i, j) for kind in ("ipdc", "idtf") for i in range(k) for j in range(k) if i != j]
+        out = dict.fromkeys(off_diagonal, np.zeros(omega.size, dtype=complex))
+        alpha = self.params["alpha"]
+        out[("ipdc", 1, 0)] = -alpha * phase / np.sqrt(1.0 + alpha**2)
+        out[("idtf", 1, 0)] = alpha * phase / np.sqrt(1.0 + alpha**2)
+        if self.name == "three_var_alpha_beta":
+            beta = self.params["beta"]
             chain = np.sqrt(1.0 + beta**2 + (alpha * beta) ** 2)
-            out[("ipdc", 1, 0)] = -alpha * phase / np.sqrt(1.0 + alpha**2)
             out[("ipdc", 2, 1)] = -beta * phase / np.sqrt(1.0 + beta**2)
-            out[("ipdc", 2, 0)] = zeros
-            out[("idtf", 1, 0)] = alpha * phase / np.sqrt(1.0 + alpha**2)
             out[("idtf", 2, 1)] = beta * phase / chain
             out[("idtf", 2, 0)] = alpha * beta * np.exp(-2j * omega) / chain
-            for i, j in ((0, 1), (0, 2), (1, 2)):
-                out[("ipdc", i, j)] = zeros
-                out[("idtf", i, j)] = zeros
         return out
 
 
@@ -68,23 +59,17 @@ def fixture(name: str, **params) -> Fixture:
     lag 1 with identity innovation covariance. "three_var_alpha_beta"
     (parameters alpha, beta) chains 0 -> 1 -> 2 the same way.
     """
-    if name == "two_var_alpha":
-        alpha = float(params.pop("alpha"))
-        if params:
-            raise DomainError(f"unexpected parameters {sorted(params)} for {name}")
-        model = VarModel([[[0.0, 0.0], [alpha, 0.0]]], np.eye(2))
-        return Fixture(name, {"alpha": alpha}, model)
-    if name == "three_var_alpha_beta":
-        alpha = float(params.pop("alpha"))
-        beta = float(params.pop("beta"))
-        if params:
-            raise DomainError(f"unexpected parameters {sorted(params)} for {name}")
-        coeffs = np.zeros((1, 3, 3))
-        coeffs[0, 1, 0] = alpha
-        coeffs[0, 2, 1] = beta
-        model = VarModel(coeffs, np.eye(3))
-        return Fixture(name, {"alpha": alpha, "beta": beta}, model)
-    raise DomainError(f"unknown fixture {name!r}")
+    names = {"two_var_alpha": ("alpha",), "three_var_alpha_beta": ("alpha", "beta")}.get(name)
+    if names is None:
+        raise DomainError(f"unknown fixture {name!r}")
+    values = {key: float(params.pop(key)) for key in names}
+    if params:
+        raise DomainError(f"unexpected parameters {sorted(params)} for {name}")
+    k = len(names) + 1
+    coeffs = np.zeros((1, k, k))
+    for c, value in enumerate(values.values()):
+        coeffs[0, c + 1, c] = value
+    return Fixture(name, values, VarModel(coeffs, np.eye(k)))
 
 
 def random_stable_model(rng, k: int, p: int | None = None, max_radius: float = 0.9, sigma_kind: str = "full") -> VarModel:
@@ -137,6 +122,35 @@ def partialized_cross_spectra(spectra: SpectralSet, j: int) -> np.ndarray:
     return column - np.einsum("flm,fm->fl", s[:, :, others], projection)
 
 
+def _process_columns(model: VarModel, spectra: SpectralSet, cross: np.ndarray, sources: list) -> tuple[np.ndarray, np.ndarray]:
+    """The innovation/partialized-process coherences and |A_bar_ij - S_{w_i eta_j} / S_{eta_j eta_j}|.
+
+    Column forms like this one evaluate every target i (axis 1) of each
+    source at once, where ``cross[..., c]`` and ``covariances[:, c]`` belong
+    to source ``sources[c]``. The per-pair oracles are slices of them.
+    """
+    numerator = np.einsum("fil,flc->fic", spectra.a_bar, cross)
+    schur = cross[:, sources, range(len(sources))].real[:, None, :]
+    return numerator / np.sqrt(np.diagonal(model.sigma)[:, None] * schur), np.abs(spectra.a_bar[:, :, sources] - numerator / schur)
+
+
+def _innovation_columns(spectra: SpectralSet, covariances: np.ndarray, sources: list) -> np.ndarray:
+    """The signal/partialized-innovation coherences."""
+    auto = np.diagonal(spectra.s, axis1=1, axis2=2).real[:, :, None]
+    return np.einsum("fil,lc->fic", spectra.h_bar, covariances) / np.sqrt(auto * covariances[sources, range(len(sources))])
+
+
+def _orthogonality(cross: np.ndarray, sources: list) -> float:
+    """The largest |cross| outside each source's own channel, 0.0 when there is none."""
+    return float(np.max(np.abs(cross[:, np.arange(cross.shape[1])[:, None] != sources]), initial=0.0))
+
+
+def _pair_cross(model: VarModel, grid: FrequencyGrid, j: int, spectra: SpectralSet | None, cross: np.ndarray | None) -> tuple[SpectralSet, np.ndarray]:
+    if spectra is None:
+        spectra = evaluate_spectra(model, grid)
+    return spectra, (partialized_cross_spectra(spectra, j) if cross is None else cross)[:, :, None]
+
+
 def partialized_process_coherence(model: VarModel, grid: FrequencyGrid, i: int, j: int, spectra: SpectralSet | None = None, cross: np.ndarray | None = None) -> np.ndarray:
     """Coherence between innovation i and the partialized process of j.
 
@@ -146,13 +160,7 @@ def partialized_process_coherence(model: VarModel, grid: FrequencyGrid, i: int, 
     end-to-end check rather than a reimplementation. ``cross`` is as in
     :func:`orthogonality_residual`.
     """
-    if spectra is None:
-        spectra = evaluate_spectra(model, grid)
-    if cross is None:
-        cross = partialized_cross_spectra(spectra, j)
-    numerator = np.einsum("fl,fl->f", spectra.a_bar[:, i, :], cross)
-    partial_spectrum = cross[:, j].real
-    return numerator / np.sqrt(model.sigma[i, i] * partial_spectrum)
+    return _process_columns(model, *_pair_cross(model, grid, j, spectra, cross), [j])[0][:, i, 0]
 
 
 def partialized_innovation_covariances(sigma: np.ndarray, j: int) -> np.ndarray:
@@ -176,10 +184,7 @@ def partialized_innovation_coherence(model: VarModel, grid: FrequencyGrid, i: in
         spectra = evaluate_spectra(model, grid)
     if covariances is None:
         covariances = partialized_innovation_covariances(model.sigma, j)
-    rho = covariances[j]
-    cross = np.einsum("fl,l->f", spectra.h_bar[:, i, :], covariances)
-    auto = spectra.s[:, i, i].real
-    return cross / np.sqrt(auto * rho)
+    return _innovation_columns(spectra, covariances[:, None], [j])[:, i, 0]
 
 
 def transfer_function_deviation(model: VarModel, grid: FrequencyGrid, i: int, j: int, spectra: SpectralSet | None = None, cross: np.ndarray | None = None) -> float:
@@ -190,13 +195,7 @@ def transfer_function_deviation(model: VarModel, grid: FrequencyGrid, i: int, j:
     largest absolute difference over the grid. ``cross`` is as in
     :func:`orthogonality_residual`.
     """
-    if spectra is None:
-        spectra = evaluate_spectra(model, grid)
-    if cross is None:
-        cross = partialized_cross_spectra(spectra, j)
-    numerator = np.einsum("fl,fl->f", spectra.a_bar[:, i, :], cross)
-    ratio = numerator / cross[:, j].real
-    return float(np.max(np.abs(spectra.a_bar[:, i, j] - ratio)))
+    return float(np.max(_process_columns(model, *_pair_cross(model, grid, j, spectra, cross), [j])[1][:, i, 0]))
 
 
 def orthogonality_residual(model: VarModel, grid: FrequencyGrid, j: int, spectra: SpectralSet | None = None, cross: np.ndarray | None = None) -> float:
@@ -206,14 +205,8 @@ def orthogonality_residual(model: VarModel, grid: FrequencyGrid, j: int, spectra
     ``cross`` takes ``partialized_cross_spectra(spectra, j)`` when the
     caller already holds it, so it is not solved for twice.
     """
-    if cross is None:
-        if spectra is None:
-            spectra = evaluate_spectra(model, grid)
-        cross = partialized_cross_spectra(spectra, j)
-    others = [l for l in range(model.K) if l != j]
-    if not others:
-        return 0.0
-    return float(np.max(np.abs(cross[:, others])))
+    column = cross[:, :, None] if cross is not None else _pair_cross(model, grid, j, spectra, None)[1]
+    return _orthogonality(column, [j])
 
 
 @dataclass(frozen=True)
@@ -328,19 +321,18 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128) -> Ve
             float(np.max(np.abs(spectra.a_bar @ spectra.h_bar - eye))),
             float(np.max(np.abs(spectra.s @ spectra.s_inv - eye))),
         )
-        for j in range(k):
-            cross = partialized_cross_spectra(spectra, j)
-            covariances = partialized_innovation_covariances(model.sigma, j)
-            record("partial spectrum: block elimination vs quadratic form", float(np.max(np.abs(cross[:, j].real - partial_spectra[:, j]))))
-            record("partialized-process orthogonality", orthogonality_residual(model, grid, j, cross=cross))
-            for i in range(k):
-                if ipdc_result is not None:
-                    reference = partialized_process_coherence(model, grid, i, j, spectra=spectra, cross=cross)
-                    record(ipdc_check, float(np.max(np.abs(reference - ipdc_result.values[:, i, j]))))
-                if idtf_result is not None:
-                    reference = partialized_innovation_coherence(model, grid, i, j, spectra=spectra, covariances=covariances)
-                    record(idtf_check, float(np.max(np.abs(reference - idtf_result.values[:, i, j]))))
-                record("A_bar equals partialized cross-spectral ratio", transfer_function_deviation(model, grid, i, j, spectra=spectra, cross=cross))
+        # every pair at once, from one Schur solve per source
+        sources = list(range(k))
+        cross = np.stack([partialized_cross_spectra(spectra, j) for j in sources], axis=-1)
+        covariances = np.stack([partialized_innovation_covariances(model.sigma, j) for j in sources], axis=-1)
+        process, ratio = _process_columns(model, spectra, cross, sources)
+        record("partial spectrum: block elimination vs quadratic form", float(np.max(np.abs(np.diagonal(cross, axis1=1, axis2=2).real - partial_spectra))))
+        record("partialized-process orthogonality", _orthogonality(cross, sources))
+        if ipdc_result is not None:
+            record(ipdc_check, float(np.max(np.abs(process - ipdc_result.values))))
+        if idtf_result is not None:
+            record(idtf_check, float(np.max(np.abs(_innovation_columns(spectra, covariances, sources) - idtf_result.values))))
+        record("A_bar equals partialized cross-spectral ratio", float(np.max(ratio)))
 
     checks = tuple(CheckResult(name, worst[name] if reached[name] else math.inf, bounds[name]) for name in names)
     return VerificationReport(checks)

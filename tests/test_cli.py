@@ -227,6 +227,20 @@ class TestReadmeExamples:
             assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[command], command
 
 
+class TestVerifyDigest:
+    """``verify --seed 7 --models 12 --nfreq 48`` prints the bytes recorded here.
+
+    Digest recorded with numpy 2.4 on x86-64. A change to the printed
+    deviations has to be deliberate and has to update it.
+    """
+
+    DIGEST = "a353505352dfe32fca408e90942fde64e5da93ac42ee84296a6937feb287bdf4"
+
+    def test_stdout_matches_recorded_digest(self, capsys):
+        assert main(["verify", "--seed", "7", "--models", "12", "--nfreq", "48"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == self.DIGEST
+
+
 class TestSimulateAndFit:
     def test_simulate_then_fit_recovers_model(self, tmp_path, two_channel_model_path):
         csv_path = tmp_path / "samples.csv"

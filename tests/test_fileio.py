@@ -126,6 +126,12 @@ class TestTimeseriesCsv:
         with pytest.raises(ParseError, match=r"7:2"):
             load_timeseries(path)
 
+    def test_rows_are_numbered_by_physical_line(self, tmp_path):
+        # the quoted header cell spans lines 1 and 2, so the bad cell sits on line 4
+        path = self.write(tmp_path, '"a\nb",c\n1,2\n3,x\n')
+        with pytest.raises(ParseError, match=r": 4:2: cannot parse 'x' as a number$"):
+            load_timeseries(path)
+
     def test_ragged_row_rejected(self, tmp_path):
         path = self.write(tmp_path, "1.0,2.0\n3.0\n")
         with pytest.raises(ParseError, match=r"2:1"):
@@ -198,6 +204,8 @@ PARITY_CASES = {
     "blank lines": ("\n  \n\na,b\n\n1,2\n\n3,4\n\n", True),
     "whitespace-only line after header": ("a,b\n1,2\n \t \n3,4\n", False),
     "crlf blank lines": ("\r\n \r\na,b\r\n\r\n1,2\r\n", True),
+    "header cell spanning lines": ('"a\nb",c\n1,2\n3,4\n', True),
+    "header cell spanning lines, bad cell": ('"a\nb",c\n1,2\n3,x\n', False),
     "header wider than data": ("a,b,c\n1,2\n3,4\n", True),
     "ragged": ("a,b\n1,2\n3\n", False),
     "too wide": ("1,2\n3,4,5\n", False),

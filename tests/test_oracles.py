@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,6 +14,7 @@ from varconn import (
     idtf,
     ipdc,
     orthogonality_residual,
+    partialized_cross_spectra,
     partialized_innovation_coherence,
     partialized_process_coherence,
     random_stable_model,
@@ -22,6 +25,10 @@ from varconn import (
 from varconn import oracles
 
 GRID = FrequencyGrid.default(64)
+
+IPDC_CHECK = "iPDC equals innovation/partialized-process coherence"
+IDTF_CHECK = "iDTF equals signal/partialized-innovation coherence"
+PER_PAIR = ("partialized_process_coherence", "partialized_innovation_coherence", "transfer_function_deviation", "orthogonality_residual")
 
 
 class TestFixtures:
@@ -164,6 +171,49 @@ class TestWideModel:
             assert float(np.max(np.abs(reference - idtf_values[:, i, j]))) < 1e-10
 
 
+class TestColumnForms:
+    """The per-pair oracles are entries of the column forms ``run_verification`` evaluates."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_per_pair_oracles_match_the_column_entries(self, k):
+        model = random_stable_model(np.random.default_rng(60 + k), k)
+        spectra = evaluate_spectra(model, GRID)
+        # stacked one source per column, as run_verification stacks them
+        sources = list(range(k))
+        cross = np.stack([partialized_cross_spectra(spectra, j) for j in sources], axis=-1)
+        covariances = np.stack([oracles.partialized_innovation_covariances(model.sigma, j) for j in sources], axis=-1)
+        process, ratio = oracles._process_columns(model, spectra, cross, sources)
+        innovation = oracles._innovation_columns(spectra, covariances, sources)
+        orthogonality = oracles._orthogonality(cross, sources)
+        assert orthogonality == max(orthogonality_residual(model, GRID, j, spectra=spectra) for j in sources)
+        assert orthogonality == max(orthogonality_residual(model, GRID, j, cross=cross[:, :, j]) for j in sources)
+        if k == 1:
+            # nothing to partialize against: cross is the column of S itself
+            assert np.array_equal(cross[:, :, 0], spectra.s[:, :, 0])
+            assert orthogonality == 0.0
+        for i in sources:
+            for j in sources:
+                # the per-pair formulas written out as a loop would evaluate them
+                numerator = np.einsum("fl,fl->f", spectra.a_bar[:, i, :], cross[:, :, j])
+                schur = cross[:, j, j].real
+                loop_ipdc = numerator / np.sqrt(model.sigma[i, i] * schur)
+                loop_idtf = np.einsum("fl,l->f", spectra.h_bar[:, i, :], covariances[:, j]) / np.sqrt(spectra.s[:, i, i].real * covariances[j, j])
+                loop_ratio = float(np.max(np.abs(spectra.a_bar[:, i, j] - numerator / schur)))
+                for column, pair, loop in (
+                    (process[:, i, j], partialized_process_coherence(model, GRID, i, j, spectra=spectra), loop_ipdc),
+                    (innovation[:, i, j], partialized_innovation_coherence(model, GRID, i, j, spectra=spectra), loop_idtf),
+                ):
+                    assert float(np.max(np.abs(pair - column))) <= 1e-15
+                    assert float(np.max(np.abs(loop - column))) <= 1e-15
+                held = partialized_process_coherence(model, GRID, i, j, spectra=spectra, cross=cross[:, :, j])
+                assert float(np.max(np.abs(held - process[:, i, j]))) <= 1e-15
+                held = partialized_innovation_coherence(model, GRID, i, j, spectra=spectra, covariances=covariances[:, j])
+                assert float(np.max(np.abs(held - innovation[:, i, j]))) <= 1e-15
+                deviation = transfer_function_deviation(model, GRID, i, j, spectra=spectra)
+                assert abs(deviation - float(np.max(ratio[:, i, j]))) <= 1e-15
+                assert abs(loop_ratio - deviation) <= 1e-15
+
+
 class TestRunVerification:
     def test_small_sweep_passes(self):
         report = run_verification(seed=7, n_models=8, n_freq=64)
@@ -183,3 +233,41 @@ class TestRunVerification:
     def test_rejects_degenerate_configuration(self):
         with pytest.raises(DomainError):
             run_verification(n_models=0)
+
+    @pytest.mark.parametrize("measure, check", [("ipdc", IPDC_CHECK), ("idtf", IDTF_CHECK)], ids=["ipdc", "idtf"])
+    @pytest.mark.parametrize("entry", [(3, 1), (2, 2), (4, 4)], ids=["off-diagonal", "diagonal", "last"])
+    def test_every_pair_is_compared(self, monkeypatch, measure, check, entry):
+        original = getattr(oracles, measure)
+
+        def shifted(spectra, model):
+            result = original(spectra, model)
+            if model.K != 5:
+                return result
+            values = result.values.copy()
+            values[(7, *entry)] += 1e-8
+            return MeasureResult(result.kind, result.grid, values)
+
+        # rebind the name run_verification calls; models 3 and 7 have K = 5
+        monkeypatch.setattr(oracles, measure, shifted)
+        report = run_verification(seed=7, n_models=8, n_freq=32)
+        failed = {c.name: c.max_deviation for c in report.checks if not c.passed}
+        assert list(failed) == [check]
+        assert 0.5e-8 <= failed[check] <= 2e-8
+
+    def test_one_schur_solve_per_source_and_no_per_pair_call(self, monkeypatch):
+        calls = dict.fromkeys((*PER_PAIR, "partialized_cross_spectra", "partialized_innovation_covariances"), 0)
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "varconn"]
+        for name in calls:
+            original = getattr(oracles, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        assert run_verification(seed=0, n_models=8).passed
+        # the population cycles through K = 2, 3, 4, 5
+        solves = sum(2 + index % 4 for index in range(8))
+        assert calls == {**dict.fromkeys(PER_PAIR, 0), "partialized_cross_spectra": solves, "partialized_innovation_covariances": solves}
