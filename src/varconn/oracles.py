@@ -145,22 +145,21 @@ def _orthogonality(cross: np.ndarray, sources: list) -> float:
     return float(np.max(np.abs(cross[:, np.arange(cross.shape[1])[:, None] != sources]), initial=0.0))
 
 
-def _pair_cross(model: VarModel, grid: FrequencyGrid, j: int, spectra: SpectralSet | None, cross: np.ndarray | None) -> tuple[SpectralSet, np.ndarray]:
+def _pair_cross(model: VarModel, grid: FrequencyGrid, j: int, spectra: SpectralSet | None) -> tuple[SpectralSet, np.ndarray]:
     if spectra is None:
         spectra = evaluate_spectra(model, grid)
-    return spectra, (partialized_cross_spectra(spectra, j) if cross is None else cross)[:, :, None]
+    return spectra, partialized_cross_spectra(spectra, j)[:, :, None]
 
 
-def partialized_process_coherence(model: VarModel, grid: FrequencyGrid, i: int, j: int, spectra: SpectralSet | None = None, cross: np.ndarray | None = None) -> np.ndarray:
+def partialized_process_coherence(model: VarModel, grid: FrequencyGrid, i: int, j: int, spectra: SpectralSet | None = None) -> np.ndarray:
     """Coherence between innovation i and the partialized process of j.
 
     Assembled by pushing the model equation for w_i through the
     partialized cross-spectra. The sum over all channels is kept in full;
     nothing is cancelled analytically, so agreement with iPDC is an
-    end-to-end check rather than a reimplementation. ``cross`` is as in
-    :func:`orthogonality_residual`.
+    end-to-end check rather than a reimplementation.
     """
-    return _process_columns(model, *_pair_cross(model, grid, j, spectra, cross), [j])[0][:, i, 0]
+    return _process_columns(model, *_pair_cross(model, grid, j, spectra), [j])[0][:, i, 0]
 
 
 def partialized_innovation_covariances(sigma: np.ndarray, j: int) -> np.ndarray:
@@ -171,42 +170,33 @@ def partialized_innovation_covariances(sigma: np.ndarray, j: int) -> np.ndarray:
     return sigma[:, j] - sigma[:, others] @ np.linalg.solve(sigma[np.ix_(others, others)], sigma[others, j])
 
 
-def partialized_innovation_coherence(model: VarModel, grid: FrequencyGrid, i: int, j: int, spectra: SpectralSet | None = None, covariances: np.ndarray | None = None) -> np.ndarray:
+def partialized_innovation_coherence(model: VarModel, grid: FrequencyGrid, i: int, j: int, spectra: SpectralSet | None = None) -> np.ndarray:
     """Coherence between signal i and the partialized innovation of j.
 
     The covariance between each innovation and the partialized innovation
     is formed explicitly from sigma, pushed through the transfer matrix for
     the cross-spectrum, and normalized by the autospectrum read off S.
-    ``covariances`` takes ``partialized_innovation_covariances(model.sigma, j)``
-    when the caller holds it.
     """
     if spectra is None:
         spectra = evaluate_spectra(model, grid)
-    if covariances is None:
-        covariances = partialized_innovation_covariances(model.sigma, j)
-    return _innovation_columns(spectra, covariances[:, None], [j])[:, i, 0]
+    return _innovation_columns(spectra, partialized_innovation_covariances(model.sigma, j)[:, None], [j])[:, i, 0]
 
 
-def transfer_function_deviation(model: VarModel, grid: FrequencyGrid, i: int, j: int, spectra: SpectralSet | None = None, cross: np.ndarray | None = None) -> float:
+def transfer_function_deviation(model: VarModel, grid: FrequencyGrid, i: int, j: int, spectra: SpectralSet | None = None) -> float:
     """Max deviation of A_bar_ij from its partialized cross-spectral ratio.
 
     The entry must equal S_{w_i eta_j} / S_{eta_j eta_j} (coupling each
     innovation to each partialized process); the return value is the
-    largest absolute difference over the grid. ``cross`` is as in
-    :func:`orthogonality_residual`.
+    largest absolute difference over the grid.
     """
-    return float(np.max(_process_columns(model, *_pair_cross(model, grid, j, spectra, cross), [j])[1][:, i, 0]))
+    return float(np.max(_process_columns(model, *_pair_cross(model, grid, j, spectra), [j])[1][:, i, 0]))
 
 
-def orthogonality_residual(model: VarModel, grid: FrequencyGrid, j: int, spectra: SpectralSet | None = None, cross: np.ndarray | None = None) -> float:
+def orthogonality_residual(model: VarModel, grid: FrequencyGrid, j: int, spectra: SpectralSet | None = None) -> float:
     """Largest cross-spectrum between the partialized process of j and any
     other channel, over channels and frequencies. Zero in exact arithmetic.
-
-    ``cross`` takes ``partialized_cross_spectra(spectra, j)`` when the
-    caller already holds it, so it is not solved for twice.
     """
-    column = cross[:, :, None] if cross is not None else _pair_cross(model, grid, j, spectra, None)[1]
-    return _orthogonality(column, [j])
+    return _orthogonality(_pair_cross(model, grid, j, spectra)[1], [j])
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ A_bar^H sigma^-1 A_bar.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,8 @@ class SpectralSet:
         AR polynomial I - sum_l A(l) exp(-j omega l).
     h_bar : ndarray
         Transfer matrix, the inverse of a_bar.
+    sigma : ndarray
+        Innovation covariance of the model, shaped (K, K).
     s : ndarray
         Spectral density h_bar sigma h_bar^H (Hermitian, positive definite).
     s_inv : ndarray
@@ -82,31 +85,41 @@ class SpectralSet:
         entry [S^-1]_kk is the reciprocal of channel k's partial spectrum,
         the power left after the optimal deduction of all other channels.
 
-    The arrays are locked, not copied: the set owns what it is given.
+    S and S^-1 are assembled on first access and kept; a caller that needs
+    neither never holds them. The arrays are locked, not copied: the set
+    owns what it is given.
     """
 
     grid: FrequencyGrid
     a_bar: np.ndarray
     h_bar: np.ndarray
-    s: np.ndarray
-    s_inv: np.ndarray
+    sigma: np.ndarray
 
     def __post_init__(self):
-        for name in ("a_bar", "h_bar", "s", "s_inv"):
+        for name in ("a_bar", "h_bar"):
             object.__setattr__(self, name, lock(getattr(self, name), dtype=complex))
+        object.__setattr__(self, "sigma", lock(self.sigma))
 
     @property
     def K(self) -> int:
         return self.a_bar.shape[-1]
 
+    @cached_property
+    def s(self) -> np.ndarray:
+        return lock(self.h_bar @ self.sigma @ self.h_bar.conj().swapaxes(1, 2), dtype=complex)
+
+    @cached_property
+    def s_inv(self) -> np.ndarray:
+        return lock(self.a_bar.conj().swapaxes(1, 2) @ np.linalg.inv(self.sigma) @ self.a_bar, dtype=complex)
+
 
 def evaluate_spectra(model: VarModel, grid: FrequencyGrid) -> SpectralSet:
-    """Evaluate A_bar, H_bar, S and S^-1 on a grid.
+    """Evaluate A_bar and H_bar on a grid; S and S^-1 follow on first access.
 
     H_bar is obtained by inverting A_bar at each frequency, never by
     truncating a moving-average expansion, so it is exact for any stable
-    model. S^-1 is assembled from sigma^-1 and A_bar rather than by
-    inverting S.
+    model. The returned set assembles S from H_bar and sigma, and S^-1 from
+    sigma^-1 and A_bar rather than by inverting S, when one is first read.
 
     After the inverse, each frequency's 1-norm condition number
     kappa_1 = ||A_bar||_1 ||H_bar||_1 is read from the two arrays, and the
@@ -143,10 +156,7 @@ def evaluate_spectra(model: VarModel, grid: FrequencyGrid) -> SpectralSet:
     worst = int(np.argmax(kappa))  # the first NaN, if there is one
     if not kappa[worst] <= CONDITION_LIMIT:
         raise _singular(omega[worst], kappa[worst])
-    sigma_inv = np.linalg.inv(model.sigma)
-    s = h_bar @ model.sigma @ h_bar.conj().swapaxes(1, 2)
-    s_inv = a_bar.conj().swapaxes(1, 2) @ sigma_inv @ a_bar
-    return SpectralSet(grid=grid, a_bar=a_bar, h_bar=h_bar, s=s, s_inv=s_inv)
+    return SpectralSet(grid=grid, a_bar=a_bar, h_bar=h_bar, sigma=model.sigma)
 
 
 def _singular(omega: float, kappa: float) -> NumericalError:

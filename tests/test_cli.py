@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import varconn
-from varconn import MeasureKind, MeasureResult, NumericalError, fixture, load_model, save_model
+from varconn import MeasureKind, MeasureResult, NumericalError, fixture, load_model, random_stable_model, save_model
 from varconn import measures, oracles
 from varconn.cli import main
 
@@ -157,6 +157,15 @@ class TestMirCommand:
             assert main(argv) == 0
             assert calls == {"evaluate_spectra": 1, "validate": 1}, command
         assert sorted(json.loads((tmp_path / "mir.json").read_text())["mir"]) == ["coh", "idtf", "ipdc"]
+
+    def test_wide_model_matches_recorded_digest(self, tmp_path):
+        # 1001 points span many frequency blocks at K = 16 and are not a
+        # multiple of the block size; digest recorded with numpy 2.4 on x86-64
+        model, out = tmp_path / "k16.json", tmp_path / "mir.json"
+        save_model(random_stable_model(np.random.default_rng(16), 16, p=3), model)
+        argv = ["mir", "--model", str(model), "--kinds", "ipdc,idtf,coh", "--units", "bits", "--nfreq", "1001", "--out", str(out)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == "f041cfc613ec2c5b1a5d12ab0384668d9a4ef405a0e627a415441c71bd55b7a7"
 
     def test_unknown_kind(self, capsys, two_channel_model_path):
         status = main(["mir", "--model", str(two_channel_model_path), "--kinds", "pdc"])

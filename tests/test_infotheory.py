@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from varconn import (
     mir_ipdc,
     random_stable_model,
 )
-from varconn.infotheory import _integrate, rates_from_spectra
+from varconn.infotheory import _TrapezoidSum, _block_size, _integrate, rates_from_spectra
+
+trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 has only trapz
 
 GRID = FrequencyGrid.default(512)
 
@@ -28,7 +31,7 @@ GRID = FrequencyGrid.default(512)
 def constant_profile_rate(s):
     # a 1x1 measure whose squared magnitude is s at every grid point
     values = np.full((GRID.n_points, 1, 1), math.sqrt(s), dtype=complex)
-    return _integrate(MeasureResult(MeasureKind.IPDC, GRID, values))
+    return _integrate(MeasureKind.IPDC, [MeasureResult(MeasureKind.IPDC, GRID, values)], GRID.points)
 
 
 class TestClip:
@@ -154,7 +157,7 @@ class TestInfoDensity:
         measure = all_measures(fx.model, GRID)[MeasureKind.COHERENCE]
         diagonal = np.abs(np.einsum("fii->fi", measure.values)) ** 2
         assert_allclose(diagonal, 1.0, rtol=0, atol=1e-14)
-        rates = _integrate(measure)
+        rates = _integrate(measure.kind, [measure], GRID.points)
         assert rates.values[0, 0] == 0.0
         assert rates.values[1, 1] == 0.0
         assert rates.n_clipped == 0
@@ -174,6 +177,42 @@ class TestRatesFromSpectra:
             rates_from_spectra(spectra, fx.model, ["ipdc", "pdc"])
 
 
+class TestBlockBoundaries:
+    """Integrands fed block by block sum to np.trapezoid over the whole grid, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 16])
+    def test_accumulator_matches_whole_grid_trapezoid(self, k):
+        size = _block_size(k)
+        rng = np.random.default_rng(70 + k)
+        for n_points in (2, 3, size - 1, size, size + 1, 2 * size + 1):
+            omega = FrequencyGrid.default(n_points).points
+            squared = rng.uniform(0.0, 1.0, size=(n_points, k, k))
+            # saturated rows in several blocks, each entry clipped
+            squared[:: size // 2] = 1.0
+            whole, expected_clipped = geweke_hosoya_bridge(squared)
+            integral, n_clipped = _TrapezoidSum(omega), 0
+            for start in range(0, n_points, size):
+                integrand, clipped = geweke_hosoya_bridge(squared[start : start + size])
+                integral.add(integrand)
+                n_clipped += clipped
+            assert np.array_equal(integral.result(), trapezoid(whole, omega, axis=0)), n_points
+            assert n_clipped == expected_clipped > 0, n_points
+
+
+class TestPeakMemory:
+    def test_rates_hold_a_bar_h_bar_and_one_block(self):
+        # one complex (2048, 16, 16) array is 8 MiB; holding S, S^-1 and each
+        # whole-grid measure besides A_bar and H_bar peaks near 56 MiB
+        model = random_stable_model(np.random.default_rng(16), 16, p=4)
+        tracemalloc.start()
+        try:
+            rates_from_spectra(evaluate_spectra(model, FrequencyGrid.default(2048)), model, ["ipdc", "idtf", "coh"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * 2**20
+
+
 class TestBridge:
     def test_known_value(self):
         values, n_clipped = geweke_hosoya_bridge(np.array([0.0, 0.2]))
@@ -190,7 +229,7 @@ class TestBridge:
         assert float(np.max(np.abs(recovered - squared))) < 1e-14
 
     def test_clip_count_reported(self):
-        # the stacked (n_points, K, K) array _integrate hands the bridge: the
+        # a stacked (n_points, K, K) block as _integrate hands the bridge: the
         # count covers every point and entry, and the shape is kept
         squared = np.full((3, 2, 2), 0.2)
         squared[:, 1, 1] = 1.0

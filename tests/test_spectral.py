@@ -183,13 +183,20 @@ class TestConditionGuard:
 class TestSpectralSet:
     def test_arrays_are_locked_not_copied(self):
         names = ("a_bar", "h_bar", "s", "s_inv")
-        spectra = evaluate_spectra(fixture("two_var_alpha", alpha=0.5).model, GRID)
+        model = fixture("two_var_alpha", alpha=0.5).model
+        spectra = evaluate_spectra(model, GRID)
         assert not any(getattr(spectra, name).flags.writeable for name in names)
-        given = {name: np.array(getattr(spectra, name)) for name in names}
-        held = SpectralSet(grid=GRID, **given)
+        given = {name: np.array(getattr(spectra, name)) for name in ("a_bar", "h_bar")}
+        held = SpectralSet(grid=GRID, sigma=model.sigma, **given)
         for name, array in given.items():
             assert np.shares_memory(getattr(held, name), array), name
             assert not array.flags.writeable, name
+        # S and S^-1 are assembled on first access, locked, and kept
+        assert not {"s", "s_inv"} & vars(held).keys()
+        for name in ("s", "s_inv"):
+            assembled = getattr(held, name)
+            assert not assembled.flags.writeable, name
+            assert getattr(held, name) is assembled, name
 
 
 def partial_spectra(spectra):
