@@ -31,18 +31,16 @@ from .infotheory import (
     EPS_CLIP,
     MirMatrix,
     geweke_hosoya_bridge,
-    mir_coherence,
-    mir_idtf,
-    mir_ipdc,
+    rates_from_spectra,
 )
 from .measures import (
     MeasureKind,
     MeasureResult,
-    all_measures,
     coherence,
     dtf_family,
     idtf,
     ipdc,
+    measures_from_spectra,
     pdc_family,
 )
 from .oracles import (
@@ -50,13 +48,11 @@ from .oracles import (
     Fixture,
     VerificationReport,
     fixture,
-    orthogonality_residual,
     partialized_cross_spectra,
     partialized_innovation_coherence,
     partialized_process_coherence,
     random_stable_model,
     run_verification,
-    transfer_function_deviation,
 )
 from .spectral import (
     CONDITION_LIMIT,
@@ -104,7 +100,6 @@ __all__ = [
     "VarconnError",
     "VerificationReport",
     "VarModel",
-    "all_measures",
     "canonical_json",
     "coherence",
     "companion_matrix",
@@ -117,15 +112,13 @@ __all__ = [
     "ipdc",
     "load_model",
     "load_timeseries",
-    "mir_coherence",
-    "mir_idtf",
-    "mir_ipdc",
-    "orthogonality_residual",
+    "measures_from_spectra",
     "partialized_cross_spectra",
     "partialized_innovation_coherence",
     "partialized_process_coherence",
     "pdc_family",
     "random_stable_model",
+    "rates_from_spectra",
     "render_result",
     "rescale",
     "run_verification",
@@ -134,6 +127,5 @@ __all__ = [
     "save_timeseries",
     "select_order",
     "simulate",
-    "transfer_function_deviation",
     "validate",
 ]

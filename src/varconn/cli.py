@@ -148,7 +148,7 @@ def _cmd_measure(args) -> int:
     kinds = [MeasureKind(name) for name in _parse_kinds(args.measures, "measure")]
     grid = FrequencyGrid.default(args.nfreq)
     spectra = evaluate_spectra(model, grid)
-    results = {result.kind: result for result in measures_from_spectra(spectra, model, kinds)}
+    results = {result.kind: result for result in measures_from_spectra(spectra, kinds)}
     return _emit(render_result(grid, measures=results, include_mag_sq=args.mag_sq, sample_rate_hz=args.fs), args.out)
 
 
@@ -160,7 +160,7 @@ def _cmd_mir(args) -> int:
         if kind not in allowed:
             raise DomainError(f"unknown rate kind {kind!r}, expected one of {', '.join(allowed)}")
     grid = FrequencyGrid.default(args.nfreq)
-    mirs = rates_from_spectra(evaluate_spectra(model, grid), model, kinds)
+    mirs = rates_from_spectra(evaluate_spectra(model, grid), kinds)
     units = "nats_per_sample" if args.units == "nats" else "bits_per_sample"
     return _emit(render_result(grid, mirs=mirs, units=units), args.out)
 

@@ -48,8 +48,8 @@ def resolve_output_path(path) -> Path:
     return path
 
 
-def model_to_document(model: VarModel, name: str | None = None, sample_rate_hz: float | None = None) -> dict:
-    """Serialize a model, with optional metadata, to a plain dict."""
+def model_to_document(model: VarModel, name: str | None = None) -> dict:
+    """Serialize a model, with an optional name, to a plain dict."""
     document = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "K": model.K,
@@ -57,13 +57,8 @@ def model_to_document(model: VarModel, name: str | None = None, sample_rate_hz: 
         "coeffs": model.coeffs.tolist(),
         "sigma": model.sigma.tolist(),
     }
-    metadata = {}
     if name is not None:
-        metadata["name"] = str(name)
-    if sample_rate_hz is not None:
-        metadata["sample_rate_hz"] = float(sample_rate_hz)
-    if metadata:
-        document["metadata"] = metadata
+        document["metadata"] = {"name": str(name)}
     return document
 
 
@@ -75,8 +70,7 @@ def model_from_document(document: dict) -> VarModel:
     if version != MODEL_SCHEMA_VERSION:
         raise ParseError(f"unsupported model schema_version {version!r}, expected {MODEL_SCHEMA_VERSION}")
     try:
-        k = int(document["K"])
-        p = int(document["p"])
+        k, p = _integer(document, "K"), _integer(document, "p")
         coeffs = np.asarray(document["coeffs"], dtype=float)
         sigma = np.asarray(document["sigma"], dtype=float)
     except KeyError as exc:
@@ -92,10 +86,18 @@ def model_from_document(document: dict) -> VarModel:
     return VarModel(coeffs, sigma)
 
 
-def save_model(model: VarModel, path, name: str | None = None, sample_rate_hz: float | None = None) -> Path:
+def _integer(document: dict, key: str) -> int:
+    """document[key] as an int, refusing what JSON Schema's "integer" refuses: bools, fractions, strings."""
+    value = document[key]
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ParseError(f"model document {key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def save_model(model: VarModel, path, name: str | None = None) -> Path:
     """Write a model document; returns the resolved path."""
     target = resolve_output_path(path)
-    target.write_text(canonical_json(model_to_document(model, name=name, sample_rate_hz=sample_rate_hz)), encoding="utf-8")
+    target.write_text(canonical_json(model_to_document(model, name=name)), encoding="utf-8")
     return target
 
 
@@ -106,6 +108,8 @@ def load_model(path) -> VarModel:
         document = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from None
     return model_from_document(document)
 
 
@@ -119,9 +123,12 @@ def load_timeseries(path, layout: str = "rows_are_samples") -> TimeSeriesData:
     if layout not in LAYOUTS:
         raise DomainError(f"unknown layout {layout!r}, expected one of {LAYOUTS}")
     path = Path(path)
-    values = _parse_vectorised(path)
-    if values is None:
-        values = _parse_cells(path)
+    try:
+        values = _parse_vectorised(path)
+        if values is None:
+            values = _parse_cells(path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from None
     if layout == "rows_are_channels":
         values = values.T
     return TimeSeriesData(values)

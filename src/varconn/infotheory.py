@@ -23,8 +23,7 @@ import numpy as np
 from ._util import lock
 from .errors import DomainError
 from .measures import _MEASURES, MeasureKind, MeasureResult
-from .spectral import FrequencyGrid, SpectralSet, evaluate_spectra
-from .var_model import VarModel
+from .spectral import SpectralSet
 
 #: Squared coherences are clipped to at most 1 - EPS_CLIP before the log.
 EPS_CLIP = 1e-12
@@ -163,7 +162,7 @@ def _integrate(kind: MeasureKind, measures: Iterable[MeasureResult], omega: np.n
     return MirMatrix(kind, integral.result() / (2.0 * np.pi), n_clipped)
 
 
-def rates_from_spectra(spectra: SpectralSet, model: VarModel, kinds) -> dict[MeasureKind, MirMatrix]:
+def rates_from_spectra(spectra: SpectralSet, kinds) -> dict[MeasureKind, MirMatrix]:
     """Rate matrices of the requested kinds, in request order, from one spectral set.
 
     Every kind is checked against RATE_KINDS before any measure is built.
@@ -178,29 +177,7 @@ def rates_from_spectra(spectra: SpectralSet, model: VarModel, kinds) -> dict[Mea
             raise DomainError(f"no information-rate interpretation for measure {kind.value!r}")
     size = _block_size(spectra.K)
     return {
-        kind: _integrate(kind, (_MEASURES[kind](block, model) for block in _blocks(spectra, size)), spectra.grid.points)
+        kind: _integrate(kind, (_MEASURES[kind](block) for block in _blocks(spectra, size)), spectra.grid.points)
         for kind in dict.fromkeys(kinds)
     }
 
-
-def _rate(model: VarModel, grid: FrequencyGrid, kind: MeasureKind) -> MirMatrix:
-    return rates_from_spectra(evaluate_spectra(model, grid), model, [kind])[kind]
-
-
-def mir_ipdc(model: VarModel, grid: FrequencyGrid) -> MirMatrix:
-    """Rates between each target innovation and each partialized process."""
-    return _rate(model, grid, MeasureKind.IPDC)
-
-
-def mir_idtf(model: VarModel, grid: FrequencyGrid) -> MirMatrix:
-    """Rates between each signal and each partialized innovation."""
-    return _rate(model, grid, MeasureKind.IDTF)
-
-
-def mir_coherence(model: VarModel, grid: FrequencyGrid) -> MirMatrix:
-    """Pairwise (undirected) rates from ordinary coherence.
-
-    The diagonal is set to 0 by convention: a channel's coherence with
-    itself is identically 1, where the integral diverges.
-    """
-    return _rate(model, grid, MeasureKind.COHERENCE)

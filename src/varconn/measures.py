@@ -26,9 +26,8 @@ from enum import Enum
 import numpy as np
 
 from ._util import lock
-from .errors import DimensionError, DomainError, NumericalError
-from .spectral import FrequencyGrid, SpectralSet, evaluate_spectra
-from .var_model import VarModel
+from .errors import DomainError, NumericalError
+from .spectral import SpectralSet
 
 
 class MeasureKind(str, Enum):
@@ -51,13 +50,12 @@ class MeasureKind(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class MeasureResult:
-    """Complex values of one measure on a frequency grid.
+    """Complex values of one measure, shaped (n_points, K, K).
 
     values is locked, not copied: the result owns the array it is given.
     """
 
     kind: MeasureKind
-    grid: FrequencyGrid
     values: np.ndarray
 
     def __post_init__(self):
@@ -79,10 +77,10 @@ def coherence(spectra: SpectralSet) -> MeasureResult:
     """Ordinary coherence C_ij = S_ij / sqrt(S_ii S_jj)."""
     auto = _autospectra(spectra)
     denominator = np.sqrt(auto[:, :, None] * auto[:, None, :])
-    return MeasureResult(MeasureKind.COHERENCE, spectra.grid, spectra.s / denominator)
+    return MeasureResult(MeasureKind.COHERENCE, spectra.s / denominator)
 
 
-def ipdc(spectra: SpectralSet, model: VarModel) -> MeasureResult:
+def ipdc(spectra: SpectralSet) -> MeasureResult:
     """Information PDC.
 
     Entry (i, j) is A_bar_ij / (sigma_ii^1/2 sqrt(a_j^H sigma^-1 a_j)) with
@@ -92,16 +90,15 @@ def ipdc(spectra: SpectralSet, model: VarModel) -> MeasureResult:
     squared magnitude never exceeds 1 and integrates to a mutual
     information rate.
     """
-    _check_channels(spectra, model)
     quad = np.diagonal(spectra.s_inv, axis1=1, axis2=2).real
     if np.any(quad <= 0):
         raise NumericalError("non-positive column quadratic form: iPDC undefined")
-    row_weight = 1.0 / np.sqrt(np.diag(model.sigma))
+    row_weight = 1.0 / np.sqrt(np.diag(spectra.sigma))
     values = spectra.a_bar * row_weight[None, :, None] / np.sqrt(quad)[:, None, :]
-    return MeasureResult(MeasureKind.IPDC, spectra.grid, values)
+    return MeasureResult(MeasureKind.IPDC, values)
 
 
-def pdc_family(spectra: SpectralSet, model: VarModel, kind: MeasureKind = MeasureKind.PDC) -> MeasureResult:
+def pdc_family(spectra: SpectralSet, kind: MeasureKind = MeasureKind.PDC) -> MeasureResult:
     """Classical PDC or its generalized (gPDC) variant.
 
     Both normalize column j of A_bar so the squared magnitudes over targets
@@ -109,21 +106,20 @@ def pdc_family(spectra: SpectralSet, model: VarModel, kind: MeasureKind = Measur
     invariant under channel rescaling.
     """
     kind = MeasureKind(kind)
-    _check_channels(spectra, model)
     a_bar = spectra.a_bar
     if kind is MeasureKind.PDC:
         quad = np.sum(np.abs(a_bar) ** 2, axis=1)
         values = a_bar / np.sqrt(quad)[:, None, :]
     elif kind is MeasureKind.GPDC:
-        variances = np.diag(model.sigma)
+        variances = np.diag(spectra.sigma)
         quad = np.einsum("k,fkj->fj", 1.0 / variances, np.abs(a_bar) ** 2)
         values = a_bar / np.sqrt(variances)[None, :, None] / np.sqrt(quad)[:, None, :]
     else:
         raise DomainError(f"pdc_family computes PDC or GPDC, not {kind.value!r}")
-    return MeasureResult(kind, spectra.grid, values)
+    return MeasureResult(kind, values)
 
 
-def idtf(spectra: SpectralSet, model: VarModel) -> MeasureResult:
+def idtf(spectra: SpectralSet) -> MeasureResult:
     """Information DTF.
 
     Entry (i, j) is H_bar_ij rho_j^1/2 / sqrt(h_i sigma h_i^H) with h_i the
@@ -134,48 +130,46 @@ def idtf(spectra: SpectralSet, model: VarModel) -> MeasureResult:
     sigma is diagonal. Entry (i, j) equals the coherence between signal i
     and that partialized innovation.
     """
-    _check_channels(spectra, model)
-    rho = 1.0 / np.diag(np.linalg.inv(model.sigma))
+    rho = 1.0 / np.diag(np.linalg.inv(spectra.sigma))
     values = spectra.h_bar * np.sqrt(rho)[None, None, :] / np.sqrt(_autospectra(spectra))[:, :, None]
-    return MeasureResult(MeasureKind.IDTF, spectra.grid, values)
+    return MeasureResult(MeasureKind.IDTF, values)
 
 
-def dtf_family(spectra: SpectralSet, model: VarModel, kind: MeasureKind = MeasureKind.DTF) -> MeasureResult:
+def dtf_family(spectra: SpectralSet, kind: MeasureKind = MeasureKind.DTF) -> MeasureResult:
     """Classical DTF or directed coherence (DC).
 
     Both normalize row i of H_bar so the squared magnitudes over sources
     sum to 1; DC first weights columns by sigma_jj^1/2.
     """
     kind = MeasureKind(kind)
-    _check_channels(spectra, model)
     h_bar = spectra.h_bar
     if kind is MeasureKind.DTF:
         quad = np.sum(np.abs(h_bar) ** 2, axis=2)
         values = h_bar / np.sqrt(quad)[:, :, None]
     elif kind is MeasureKind.DC:
-        variances = np.diag(model.sigma)
+        variances = np.diag(spectra.sigma)
         quad = np.einsum("k,fik->fi", variances, np.abs(h_bar) ** 2)
         values = h_bar * np.sqrt(variances)[None, None, :] / np.sqrt(quad)[:, :, None]
     else:
         raise DomainError(f"dtf_family computes DTF or DC, not {kind.value!r}")
-    return MeasureResult(kind, spectra.grid, values)
+    return MeasureResult(kind, values)
 
 
-#: Every measure as fn(spectra, model). Each entry calls its function by
-#: module name, so a function rebound on the module (a tracer, a test
-#: double) is the one that runs.
+#: Every measure as fn(spectra). Each entry calls its function by module
+#: name, so a function rebound on the module (a tracer, a test double) is
+#: the one that runs.
 _MEASURES = {
-    MeasureKind.COHERENCE: lambda spectra, model: coherence(spectra),
-    MeasureKind.PDC: lambda spectra, model: pdc_family(spectra, model, MeasureKind.PDC),
-    MeasureKind.GPDC: lambda spectra, model: pdc_family(spectra, model, MeasureKind.GPDC),
-    MeasureKind.IPDC: lambda spectra, model: ipdc(spectra, model),
-    MeasureKind.DTF: lambda spectra, model: dtf_family(spectra, model, MeasureKind.DTF),
-    MeasureKind.DC: lambda spectra, model: dtf_family(spectra, model, MeasureKind.DC),
-    MeasureKind.IDTF: lambda spectra, model: idtf(spectra, model),
+    MeasureKind.COHERENCE: lambda spectra: coherence(spectra),
+    MeasureKind.PDC: lambda spectra: pdc_family(spectra, MeasureKind.PDC),
+    MeasureKind.GPDC: lambda spectra: pdc_family(spectra, MeasureKind.GPDC),
+    MeasureKind.IPDC: lambda spectra: ipdc(spectra),
+    MeasureKind.DTF: lambda spectra: dtf_family(spectra, MeasureKind.DTF),
+    MeasureKind.DC: lambda spectra: dtf_family(spectra, MeasureKind.DC),
+    MeasureKind.IDTF: lambda spectra: idtf(spectra),
 }
 
 
-def measures_from_spectra(spectra: SpectralSet, model: VarModel, kinds) -> Iterator[MeasureResult]:
+def measures_from_spectra(spectra: SpectralSet, kinds) -> Iterator[MeasureResult]:
     """Yield each requested measure once, in request order, from one spectral set.
 
     A result is computed when it is drawn, so a caller that reduces one
@@ -183,15 +177,4 @@ def measures_from_spectra(spectra: SpectralSet, model: VarModel, kinds) -> Itera
     time.
     """
     for kind in dict.fromkeys(map(MeasureKind, kinds)):
-        yield _MEASURES[kind](spectra, model)
-
-
-def all_measures(model: VarModel, grid: FrequencyGrid) -> dict[MeasureKind, MeasureResult]:
-    """Evaluate every measure from a single spectral evaluation."""
-    spectra = evaluate_spectra(model, grid)
-    return {result.kind: result for result in measures_from_spectra(spectra, model, MeasureKind)}
-
-
-def _check_channels(spectra: SpectralSet, model: VarModel) -> None:
-    if spectra.K != model.K:
-        raise DimensionError(f"spectra have {spectra.K} channels but model has {model.K}")
+        yield _MEASURES[kind](spectra)

@@ -145,12 +145,6 @@ def _orthogonality(cross: np.ndarray, sources: list) -> float:
     return float(np.max(np.abs(cross[:, np.arange(cross.shape[1])[:, None] != sources]), initial=0.0))
 
 
-def _pair_cross(model: VarModel, grid: FrequencyGrid, j: int, spectra: SpectralSet | None) -> tuple[SpectralSet, np.ndarray]:
-    if spectra is None:
-        spectra = evaluate_spectra(model, grid)
-    return spectra, partialized_cross_spectra(spectra, j)[:, :, None]
-
-
 def partialized_process_coherence(model: VarModel, grid: FrequencyGrid, i: int, j: int, spectra: SpectralSet | None = None) -> np.ndarray:
     """Coherence between innovation i and the partialized process of j.
 
@@ -159,7 +153,9 @@ def partialized_process_coherence(model: VarModel, grid: FrequencyGrid, i: int, 
     nothing is cancelled analytically, so agreement with iPDC is an
     end-to-end check rather than a reimplementation.
     """
-    return _process_columns(model, *_pair_cross(model, grid, j, spectra), [j])[0][:, i, 0]
+    if spectra is None:
+        spectra = evaluate_spectra(model, grid)
+    return _process_columns(model, spectra, partialized_cross_spectra(spectra, j)[:, :, None], [j])[0][:, i, 0]
 
 
 def partialized_innovation_covariances(sigma: np.ndarray, j: int) -> np.ndarray:
@@ -180,23 +176,6 @@ def partialized_innovation_coherence(model: VarModel, grid: FrequencyGrid, i: in
     if spectra is None:
         spectra = evaluate_spectra(model, grid)
     return _innovation_columns(spectra, partialized_innovation_covariances(model.sigma, j)[:, None], [j])[:, i, 0]
-
-
-def transfer_function_deviation(model: VarModel, grid: FrequencyGrid, i: int, j: int, spectra: SpectralSet | None = None) -> float:
-    """Max deviation of A_bar_ij from its partialized cross-spectral ratio.
-
-    The entry must equal S_{w_i eta_j} / S_{eta_j eta_j} (coupling each
-    innovation to each partialized process); the return value is the
-    largest absolute difference over the grid.
-    """
-    return float(np.max(_process_columns(model, *_pair_cross(model, grid, j, spectra), [j])[1][:, i, 0]))
-
-
-def orthogonality_residual(model: VarModel, grid: FrequencyGrid, j: int, spectra: SpectralSet | None = None) -> float:
-    """Largest cross-spectrum between the partialized process of j and any
-    other channel, over channels and frequencies. Zero in exact arithmetic.
-    """
-    return _orthogonality(_pair_cross(model, grid, j, spectra)[1], [j])
 
 
 @dataclass(frozen=True)
@@ -290,7 +269,7 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128) -> Ve
         spectra = attempt(fixture_check, evaluate_spectra, fx.model, grid)
         if spectra is None:
             continue
-        computed = {"ipdc": attempt(fixture_check, ipdc, spectra, fx.model), "idtf": attempt(fixture_check, idtf, spectra, fx.model)}
+        computed = {"ipdc": attempt(fixture_check, ipdc, spectra), "idtf": attempt(fixture_check, idtf, spectra)}
         for (kind, i, j), expected in fx.expected(grid).items():
             if computed[kind] is not None:
                 record(fixture_check, float(np.max(np.abs(computed[kind].values[:, i, j] - expected))))
@@ -303,8 +282,8 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128) -> Ve
             continue
         # the partial spectra iPDC divides by, 1 / [S^-1]_jj
         partial_spectra = 1.0 / np.diagonal(spectra.s_inv, axis1=1, axis2=2).real
-        ipdc_result = attempt(ipdc_check, ipdc, spectra, model)
-        idtf_result = attempt(idtf_check, idtf, spectra, model)
+        ipdc_result = attempt(ipdc_check, ipdc, spectra)
+        idtf_result = attempt(idtf_check, idtf, spectra)
         eye = np.eye(k)
         record(
             inverse_check,

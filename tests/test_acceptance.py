@@ -16,19 +16,18 @@ from varconn import (
     FrequencyGrid,
     MeasureKind,
     VarModel,
-    all_measures,
     estimate,
     evaluate_spectra,
     fixture,
     geweke_hosoya_bridge,
     idtf,
     ipdc,
-    mir_idtf,
-    mir_ipdc,
+    measures_from_spectra,
     partialized_cross_spectra,
     partialized_innovation_coherence,
     partialized_process_coherence,
     random_stable_model,
+    rates_from_spectra,
     rescale,
     simulate,
     validate,
@@ -38,6 +37,15 @@ N_MODELS = 50
 CHANNEL_COUNTS = (2, 3, 4, 5)
 GRID = FrequencyGrid.default(128)
 DEFAULT_GRID = FrequencyGrid.default(512)
+
+
+def every_measure(model, grid):
+    spectra = evaluate_spectra(model, grid)
+    return {result.kind: result for result in measures_from_spectra(spectra, MeasureKind)}
+
+
+def information_rates(model, grid):
+    return rates_from_spectra(evaluate_spectra(model, grid), ["ipdc", "idtf"])
 
 
 def criterion(number, label):
@@ -69,7 +77,7 @@ def population():
 def test_criterion_01_two_channel_fixture():
     fx = fixture("two_var_alpha", alpha=0.5)
     spectra = evaluate_spectra(fx.model, DEFAULT_GRID)
-    values = ipdc(spectra, fx.model).values
+    values = ipdc(spectra).values
     assert float(np.max(np.abs(np.abs(values[:, 1, 0]) ** 2 - 0.2))) < 1e-12
     assert float(np.max(np.abs(values[:, 0, 1]))) < 1e-12
 
@@ -78,8 +86,8 @@ def test_criterion_01_two_channel_fixture():
 def test_criterion_02_chain_fixture():
     fx = fixture("three_var_alpha_beta", alpha=0.5, beta=1.0)
     spectra = evaluate_spectra(fx.model, DEFAULT_GRID)
-    ipdc_values = ipdc(spectra, fx.model).values
-    idtf_values = idtf(spectra, fx.model).values
+    ipdc_values = ipdc(spectra).values
+    idtf_values = idtf(spectra).values
     assert float(np.max(np.abs(np.abs(idtf_values[:, 2, 0]) ** 2 - 1.0 / 9.0))) < 1e-12
     assert float(np.max(np.abs(np.abs(ipdc_values[:, 2, 1]) ** 2 - 0.5))) < 1e-12
     assert float(np.max(np.abs(ipdc_values[:, 2, 0]))) < 1e-12
@@ -92,7 +100,7 @@ def test_criterion_03_process_coherence_identity(population):
     worst = 0.0
     for model in population:
         spectra = evaluate_spectra(model, GRID)
-        values = ipdc(spectra, model).values
+        values = ipdc(spectra).values
         for i in range(model.K):
             for j in range(model.K):
                 reference = partialized_process_coherence(model, GRID, i, j, spectra=spectra)
@@ -105,7 +113,7 @@ def test_criterion_04_innovation_coherence_identity(population):
     worst = 0.0
     for model in population:
         spectra = evaluate_spectra(model, GRID)
-        values = idtf(spectra, model).values
+        values = idtf(spectra).values
         for i in range(model.K):
             for j in range(model.K):
                 reference = partialized_innovation_coherence(model, GRID, i, j, spectra=spectra)
@@ -126,10 +134,10 @@ def test_criterion_05_partial_spectrum_dual_route(population):
     assert worst < 1e-10, worst
 
 
-@criterion(6, "two-channel rate: mir_ipdc[2,1] = log(1.25)/2 (1e-8), mir_ipdc[1,2] = 0")
+@criterion(6, "two-channel rate: iPDC rate[2,1] = log(1.25)/2 (1e-8), iPDC rate[1,2] = 0")
 def test_criterion_06_two_channel_rate():
     fx = fixture("two_var_alpha", alpha=0.5)
-    rates = mir_ipdc(fx.model, DEFAULT_GRID)
+    rates = information_rates(fx.model, DEFAULT_GRID)[MeasureKind.IPDC]
     assert abs(rates.values[1, 0] - 0.5 * math.log(1.25)) < 1e-8
     assert rates.values[0, 1] == 0.0
 
@@ -138,8 +146,8 @@ def test_criterion_06_two_channel_rate():
 def test_criterion_07_scale_invariance():
     fx = fixture("three_var_alpha_beta", alpha=0.5, beta=1.0)
     scaled = rescale(fx.model, [2.0, 1.0, 0.5])
-    base = all_measures(fx.model, GRID)
-    moved = all_measures(scaled, GRID)
+    base = every_measure(fx.model, GRID)
+    moved = every_measure(scaled, GRID)
     for kind in (MeasureKind.IPDC, MeasureKind.IDTF, MeasureKind.GPDC):
         deviation = float(np.max(np.abs(np.abs(base[kind].values) - np.abs(moved[kind].values))))
         assert deviation < 1e-12, (kind, deviation)
@@ -154,7 +162,7 @@ def test_criterion_08_identity_sigma_collapse():
     rng = np.random.default_rng(8)
     for k in (2, 3, 4, 5):
         model = random_stable_model(rng, k, sigma_kind="identity")
-        results = all_measures(model, GRID)
+        results = every_measure(model, GRID)
         pdc = results[MeasureKind.PDC].values
         dtf = results[MeasureKind.DTF].values
         assert float(np.max(np.abs(pdc - results[MeasureKind.GPDC].values))) < 1e-14
@@ -170,7 +178,7 @@ def test_criterion_09_two_channel_coalescence(population):
         if model.K != 2:
             continue
         checked += 1
-        results = all_measures(model, GRID)
+        results = every_measure(model, GRID)
         ipdc_mag = np.abs(results[MeasureKind.IPDC].values)
         idtf_mag = np.abs(results[MeasureKind.IDTF].values)
         for i, j in ((0, 1), (1, 0)):
@@ -199,19 +207,19 @@ def test_criterion_10_granger_nullity():
             continue
         tested += 1
         spectra = evaluate_spectra(severed, GRID)
-        results = all_measures(severed, GRID)
+        results = every_measure(severed, GRID)
         assert float(np.max(np.abs(spectra.h_bar[:, 1, 0]))) < 1e-12
         assert float(np.max(np.abs(results[MeasureKind.IPDC].values[:, 1, 0]))) < 1e-12
         assert float(np.max(np.abs(results[MeasureKind.IDTF].values[:, 1, 0]))) < 1e-12
-        assert mir_ipdc(severed, GRID).values[1, 0] < 1e-12
-        assert mir_idtf(severed, GRID).values[1, 0] < 1e-12
+        for rates in information_rates(severed, GRID).values():
+            assert rates.values[1, 0] < 1e-12
         full_spectra = evaluate_spectra(model, GRID)
-        full = all_measures(model, GRID)
+        full = every_measure(model, GRID)
         assert float(np.max(np.abs(full_spectra.h_bar[:, 1, 0]))) > 1e-6
         assert float(np.max(np.abs(full[MeasureKind.IPDC].values[:, 1, 0]))) > 1e-6
         assert float(np.max(np.abs(full[MeasureKind.IDTF].values[:, 1, 0]))) > 1e-6
-        assert mir_ipdc(model, GRID).values[1, 0] > 1e-8
-        assert mir_idtf(model, GRID).values[1, 0] > 1e-8
+        for rates in information_rates(model, GRID).values():
+            assert rates.values[1, 0] > 1e-8
 
 
 @criterion(11, "simulate + fit recovers |ipdc_21| within 0.05 uniformly on the grid")
@@ -220,7 +228,7 @@ def test_criterion_11_estimation_recovery():
     data, _ = simulate(fx.model, 20000, burn_in=1000, seed=42)
     fitted = estimate(data, 1)
     spectra = evaluate_spectra(fitted, DEFAULT_GRID)
-    magnitude = np.abs(ipdc(spectra, fitted).values[:, 1, 0])
+    magnitude = np.abs(ipdc(spectra).values[:, 1, 0])
     assert float(np.max(np.abs(magnitude - math.sqrt(0.2)))) < 0.05
 
 
@@ -238,7 +246,6 @@ def test_criterion_12_numerical_conditioning(population):
         ("three_var_alpha_beta", {"alpha": 0.5, "beta": 1.0}),
     ):
         model = fixture(name, **params).model
-        for build in (mir_ipdc, mir_idtf):
-            base = build(model, DEFAULT_GRID).values
-            fine = build(model, FrequencyGrid.default(1024)).values
-            assert float(np.max(np.abs(base - fine))) < 1e-8
+        fine = information_rates(model, FrequencyGrid.default(1024))
+        for kind, base in information_rates(model, DEFAULT_GRID).items():
+            assert float(np.max(np.abs(base.values - fine[kind].values))) < 1e-8

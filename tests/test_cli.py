@@ -65,7 +65,7 @@ class TestMeasureCommand:
     @pytest.mark.parametrize("command, kinds", [("measure", "coh,idtf"), ("mir", "ipdc,idtf")])
     @pytest.mark.parametrize("to_file", [True, False])
     def test_refusal_mid_request_writes_nothing(self, monkeypatch, tmp_path, capsys, two_channel_model_path, command, kinds, to_file):
-        def refuse(spectra, model):
+        def refuse(spectra):
             raise NumericalError("refused after the first measure")
 
         monkeypatch.setitem(measures._MEASURES, MeasureKind.IDTF, refuse)
@@ -80,10 +80,10 @@ class TestMeasureCommand:
         assert not out.exists()
 
     def test_non_finite_value_is_a_numerical_refusal(self, monkeypatch, tmp_path, capsys, two_channel_model_path):
-        def nan_pdc(spectra, model):
-            values = np.zeros((spectra.grid.n_points, model.K, model.K), dtype=complex)
+        def nan_pdc(spectra):
+            values = np.zeros((spectra.grid.n_points, spectra.K, spectra.K), dtype=complex)
             values[2, 1, 0] = np.nan
-            return MeasureResult(MeasureKind.PDC, spectra.grid, values)
+            return MeasureResult(MeasureKind.PDC, values)
 
         monkeypatch.setitem(measures._MEASURES, MeasureKind.PDC, nan_pdc)
         out = tmp_path / "result.json"
@@ -97,6 +97,16 @@ class TestMeasureCommand:
     def test_missing_model_file(self, tmp_path, capsys):
         status = main(["measure", "--model", str(tmp_path / "absent.json")])
         assert status == 2
+
+    def test_non_utf8_model_fails_with_parse_code(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff{}")
+        status = main(["mir", "--model", str(path)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err.startswith(f"E_PARSE: {path}: not UTF-8: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_stdout_when_no_out(self, capsys, two_channel_model_path):
         status = main(
@@ -333,6 +343,17 @@ class TestSimulateAndFit:
         status = main(["fit", "--data", str(path), "--order", "1", "--out", str(tmp_path / "m.json")])
         assert status == 2
         assert "E_PARSE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"\xff1.0,2.0\n3.0,4.0\n", b"ch1,ch2\n1.0,2.0\n3.0,4.0\xff\n"])
+    def test_fit_non_utf8_csv_fails_with_parse_code(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        status = main(["fit", "--data", str(path), "--order", "1", "--out", str(tmp_path / "m.json")])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err.startswith(f"E_PARSE: {path}: not UTF-8: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
 
     def test_fit_nan_csv_fails_with_data_code(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

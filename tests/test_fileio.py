@@ -3,6 +3,7 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from varconn import (
     NumericalError,
     ParseError,
     TimeSeriesData,
-    all_measures,
+    VarModel,
     canonical_json,
+    evaluate_spectra,
     fixture,
     load_model,
     load_timeseries,
-    mir_ipdc,
+    measures_from_spectra,
+    rates_from_spectra,
     render_result,
     save_model,
     save_result,
@@ -32,6 +35,7 @@ from varconn import (
 from varconn.fileio import _parse_cells, _parse_vectorised, model_from_document, model_to_document, resolve_output_path
 
 GRID = FrequencyGrid.default(16)
+DOCS = Path(__file__).resolve().parents[1] / "docs"
 
 #: Values whose repr takes each of float's forms: signed zero, exponents
 #: both ways, the smallest subnormal, and the neighbours of 1.
@@ -59,11 +63,13 @@ class TestModelDocuments:
 
     def test_document_shape(self):
         fx = fixture("two_var_alpha", alpha=0.5)
-        document = model_to_document(fx.model, name="pair", sample_rate_hz=250.0)
+        document = model_to_document(fx.model, name="pair")
         assert document["schema_version"] == 1
         assert document["K"] == 2
         assert document["p"] == 1
-        assert document["metadata"] == {"name": "pair", "sample_rate_hz": 250.0}
+        assert document["metadata"] == {"name": "pair"}
+        # the schema's optional sample rate is accepted and not kept
+        document["metadata"]["sample_rate_hz"] = 250.0
         rebuilt = model_from_document(document)
         assert_allclose(rebuilt.coeffs, fx.model.coeffs)
         assert_allclose(rebuilt.sigma, fx.model.sigma)
@@ -97,6 +103,27 @@ class TestModelDocuments:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ParseError, match="JSON"):
             load_model(path)
+
+    def test_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff{}")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["K", "p"])
+    @pytest.mark.parametrize("value", [1, 1.0, 1.9, 2.7, True, False, "1", None, [1], math.nan, math.inf], ids=repr)
+    def test_counts_accepted_exactly_as_the_schema_accepts_them(self, key, value):
+        jsonschema = pytest.importorskip("jsonschema")
+        document = model_to_document(VarModel([[[0.5]]], np.eye(1)))
+        document[key] = value
+        schema_accepts = jsonschema.Draft202012Validator(json.loads((DOCS / "model.schema.json").read_text())).is_valid(document)
+        try:
+            model = model_from_document(document)
+        except ParseError:
+            assert not schema_accepts
+        else:
+            assert schema_accepts
+            assert (model.K, model.p) == (1, 1)
 
 
 class TestTimeseriesCsv:
@@ -243,6 +270,10 @@ class TestVectorisedCsvParse:
             assert np.array_equal(np.signbit(vectorised), np.signbit(expected))
 
 
+def every_measure(model) -> dict:
+    return {result.kind: result for result in measures_from_spectra(evaluate_spectra(model, GRID), MeasureKind)}
+
+
 def rendered(grid, **kwargs) -> dict:
     return json.loads("".join(render_result(grid, **kwargs)))
 
@@ -250,7 +281,7 @@ def rendered(grid, **kwargs) -> dict:
 class TestResultDocuments:
     def test_measure_serialization(self, tmp_path):
         fx = fixture("two_var_alpha", alpha=0.5)
-        results = all_measures(fx.model, GRID)
+        results = every_measure(fx.model)
         document = rendered(GRID, measures={MeasureKind.IPDC: results[MeasureKind.IPDC]}, include_mag_sq=True)
         payload = document["measures"]["ipdc"]
         re = np.asarray(payload["re"])
@@ -262,13 +293,13 @@ class TestResultDocuments:
 
     def test_mag_sq_omitted_by_default(self):
         fx = fixture("two_var_alpha", alpha=0.5)
-        results = all_measures(fx.model, GRID)
+        results = every_measure(fx.model)
         document = rendered(GRID, measures={MeasureKind.PDC: results[MeasureKind.PDC]})
         assert "mag_sq" not in document["measures"]["pdc"]
 
     def test_units_conversion_to_bits(self):
         fx = fixture("two_var_alpha", alpha=0.5)
-        rates = mir_ipdc(fx.model, GRID)
+        rates = rates_from_spectra(evaluate_spectra(fx.model, GRID), ["ipdc"])[MeasureKind.IPDC]
         nats = rendered(GRID, mirs={"ipdc": rates})
         bits = rendered(GRID, mirs={"ipdc": rates}, units="bits_per_sample")
         nats_vals = np.asarray(nats["mir"]["ipdc"]["values"])
@@ -280,7 +311,7 @@ class TestResultDocuments:
 
     def test_unknown_units_rejected(self):
         fx = fixture("two_var_alpha", alpha=0.5)
-        rates = mir_ipdc(fx.model, GRID)
+        rates = rates_from_spectra(evaluate_spectra(fx.model, GRID), ["ipdc"])[MeasureKind.IPDC]
         with pytest.raises(DomainError, match="units"):
             render_result(GRID, mirs={"ipdc": rates}, units="hartleys")
 
@@ -294,8 +325,8 @@ class TestResultDocuments:
         fx = fixture("two_var_alpha", alpha=0.5)
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        assert save_result(render_result(GRID, measures=all_measures(fx.model, GRID)), a) == a
-        save_result(render_result(GRID, measures=all_measures(fx.model, GRID)), b)
+        assert save_result(render_result(GRID, measures=every_measure(fx.model)), a) == a
+        save_result(render_result(GRID, measures=every_measure(fx.model)), b)
         assert a.read_bytes() == b.read_bytes()
         json.loads(a.read_text())  # stays valid JSON
 
@@ -315,7 +346,7 @@ class TestResultWriter:
         rng = np.random.default_rng([k, n_points])
         grid = FrequencyGrid.default(n_points)
         shape = (n_points, k, k)
-        measures = {kind: MeasureResult(kind, grid, draw(rng, shape) + 1j * draw(rng, shape)) for kind in (MeasureKind.IPDC, MeasureKind.COHERENCE)}
+        measures = {kind: MeasureResult(kind, draw(rng, shape) + 1j * draw(rng, shape)) for kind in (MeasureKind.IPDC, MeasureKind.COHERENCE)}
         mirs = {kind: MirMatrix(kind, np.abs(draw(rng, (k, k))), int(rng.integers(0, 5))) for kind in (MeasureKind.IDTF, MeasureKind.IPDC)}
         text = "".join(
             render_result(grid, measures=measures, mirs=mirs, include_mag_sq=include_mag_sq, units=units, sample_rate_hz=sample_rate_hz)
@@ -341,7 +372,7 @@ class TestResultWriter:
             save_result(
                 render_result(
                     GRID,
-                    measures={"pdc": MeasureResult(MeasureKind.PDC, GRID, values)},
+                    measures={"pdc": MeasureResult(MeasureKind.PDC, values)},
                     mirs={"ipdc": MirMatrix(MeasureKind.IPDC, rates)},
                 ),
                 out,

@@ -12,26 +12,28 @@ from varconn import (
     FrequencyGrid,
     MeasureKind,
     MeasureResult,
-    all_measures,
+    coherence,
     evaluate_spectra,
     fixture,
     geweke_hosoya_bridge,
-    mir_coherence,
-    mir_idtf,
-    mir_ipdc,
     random_stable_model,
+    rates_from_spectra,
 )
-from varconn.infotheory import _TrapezoidSum, _block_size, _integrate, rates_from_spectra
+from varconn.infotheory import _TrapezoidSum, _block_size, _integrate
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 has only trapz
 
 GRID = FrequencyGrid.default(512)
 
 
+def rate(model, grid, kind):
+    return rates_from_spectra(evaluate_spectra(model, grid), [kind])[kind]
+
+
 def constant_profile_rate(s):
     # a 1x1 measure whose squared magnitude is s at every grid point
     values = np.full((GRID.n_points, 1, 1), math.sqrt(s), dtype=complex)
-    return _integrate(MeasureKind.IPDC, [MeasureResult(MeasureKind.IPDC, GRID, values)], GRID.points)
+    return _integrate(MeasureKind.IPDC, [MeasureResult(MeasureKind.IPDC, values)], GRID.points)
 
 
 class TestClip:
@@ -83,7 +85,7 @@ class TestMirFromCoherence:
 class TestMirMatrices:
     def test_two_channel_rates(self):
         fx = fixture("two_var_alpha", alpha=0.5)
-        rates = mir_ipdc(fx.model, GRID)
+        rates = rate(fx.model, GRID, "ipdc")
         assert abs(rates.values[1, 0] - 0.5 * math.log(1.25)) < 1e-10
         assert rates.values[0, 1] == 0.0
 
@@ -91,13 +93,13 @@ class TestMirMatrices:
         # a one-point trapezoid integrates to 0 whatever the measure
         fx = fixture("two_var_alpha", alpha=0.5)
         with pytest.raises(DomainError, match="at least 2 points, got 1"):
-            mir_ipdc(fx.model, FrequencyGrid.default(1))
+            rate(fx.model, FrequencyGrid.default(1), "ipdc")
 
     def test_saturated_diagonal_is_clipped_and_counted(self):
         # channel 1 drives nothing, so its own-innovation coherence is exactly
         # 1 everywhere: the diagonal rate diverges and must be clipped
         fx = fixture("two_var_alpha", alpha=0.5)
-        rates = mir_ipdc(fx.model, GRID)
+        rates = rate(fx.model, GRID, "ipdc")
         assert rates.n_clipped == GRID.n_points
         assert math.isfinite(rates.values[1, 1])
         assert rates.values[1, 1] > 10.0
@@ -107,18 +109,18 @@ class TestMirMatrices:
 
     def test_chain_rates(self):
         fx = fixture("three_var_alpha_beta", alpha=0.5, beta=1.0)
-        rates = mir_idtf(fx.model, GRID)
+        rates = rate(fx.model, GRID, "idtf")
         # |idtf_31|^2 = 1/9 constant
         assert abs(rates.values[2, 0] - 0.5 * math.log(9.0 / 8.0)) < 1e-10
         assert rates.values[0, 2] == 0.0
-        ipdc_rates = mir_ipdc(fx.model, GRID)
+        ipdc_rates = rate(fx.model, GRID, "ipdc")
         # direct chain links carry rate; the skipped link does not
         assert ipdc_rates.values[2, 1] > 0.1
         assert ipdc_rates.values[2, 0] == 0.0
 
     def test_coherence_rates_symmetric_with_zero_diagonal(self):
         fx = fixture("two_var_alpha", alpha=0.5)
-        rates = mir_coherence(fx.model, GRID)
+        rates = rate(fx.model, GRID, "coh")
         assert rates.values[0, 0] == 0.0
         assert rates.values[1, 1] == 0.0
         assert rates.n_clipped == 0
@@ -127,8 +129,8 @@ class TestMirMatrices:
 
     def test_rates_are_nonnegative(self):
         model = random_stable_model(np.random.default_rng(40), 4)
-        for builder in (mir_ipdc, mir_idtf, mir_coherence):
-            assert float(np.min(builder(model, GRID).values)) >= 0.0
+        for rates in rates_from_spectra(evaluate_spectra(model, GRID), ["ipdc", "idtf", "coh"]).values():
+            assert float(np.min(rates.values)) >= 0.0
 
     def test_quadrature_refinement_leaves_fixture_rates_unchanged(self):
         for name, params in (
@@ -136,16 +138,16 @@ class TestMirMatrices:
             ("three_var_alpha_beta", {"alpha": 0.5, "beta": 1.0}),
         ):
             fx = fixture(name, **params)
-            coarse = mir_ipdc(fx.model, FrequencyGrid.default(256)).values
-            base = mir_ipdc(fx.model, FrequencyGrid.default(512)).values
-            fine = mir_ipdc(fx.model, FrequencyGrid.default(1024)).values
+            coarse = rate(fx.model, FrequencyGrid.default(256), "ipdc").values
+            base = rate(fx.model, FrequencyGrid.default(512), "ipdc").values
+            fine = rate(fx.model, FrequencyGrid.default(1024), "ipdc").values
             assert float(np.max(np.abs(base - fine))) < 1e-8
             assert float(np.max(np.abs(base - coarse))) < 1e-8
 
     def test_quadrature_converges_on_random_model(self):
         model = random_stable_model(np.random.default_rng(41), 3, max_radius=0.7)
-        base = mir_ipdc(model, FrequencyGrid.default(512)).values
-        fine = mir_ipdc(model, FrequencyGrid.default(2048)).values
+        base = rate(model, FrequencyGrid.default(512), "ipdc").values
+        fine = rate(model, FrequencyGrid.default(2048), "ipdc").values
         assert float(np.max(np.abs(base - fine))) < 1e-5
 
 
@@ -154,7 +156,7 @@ class TestInfoDensity:
         # a channel's coherence with itself is 1, which would saturate the
         # integrand; the coherence diagonal is left out of the rate instead
         fx = fixture("two_var_alpha", alpha=0.5)
-        measure = all_measures(fx.model, GRID)[MeasureKind.COHERENCE]
+        measure = coherence(evaluate_spectra(fx.model, GRID))
         diagonal = np.abs(np.einsum("fii->fi", measure.values)) ** 2
         assert_allclose(diagonal, 1.0, rtol=0, atol=1e-14)
         rates = _integrate(measure.kind, [measure], GRID.points)
@@ -174,7 +176,7 @@ class TestRatesFromSpectra:
         for name in ("coherence", "ipdc", "pdc_family"):
             monkeypatch.setattr(varconn.measures, name, refuse)
         with pytest.raises(DomainError, match="'pdc'"):
-            rates_from_spectra(spectra, fx.model, ["ipdc", "pdc"])
+            rates_from_spectra(spectra, ["ipdc", "pdc"])
 
 
 class TestBlockBoundaries:
@@ -206,7 +208,7 @@ class TestPeakMemory:
         model = random_stable_model(np.random.default_rng(16), 16, p=4)
         tracemalloc.start()
         try:
-            rates_from_spectra(evaluate_spectra(model, FrequencyGrid.default(2048)), model, ["ipdc", "idtf", "coh"])
+            rates_from_spectra(evaluate_spectra(model, FrequencyGrid.default(2048)), ["ipdc", "idtf", "coh"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -245,6 +247,6 @@ class TestSymmetryCheck:
     def test_directional_asymmetry_is_visible(self):
         # rates need not be symmetric even though each integrand is
         fx = fixture("two_var_alpha", alpha=0.5)
-        rates = mir_ipdc(fx.model, GRID)
+        rates = rate(fx.model, GRID, "ipdc")
         assert rates.values[1, 0] > 0.1
         assert rates.values[0, 1] == 0.0

@@ -13,13 +13,11 @@ from varconn import (
     fixture,
     idtf,
     ipdc,
-    orthogonality_residual,
     partialized_cross_spectra,
     partialized_innovation_coherence,
     partialized_process_coherence,
     random_stable_model,
     run_verification,
-    transfer_function_deviation,
     validate,
 )
 from varconn import oracles
@@ -28,7 +26,7 @@ GRID = FrequencyGrid.default(64)
 
 IPDC_CHECK = "iPDC equals innovation/partialized-process coherence"
 IDTF_CHECK = "iDTF equals signal/partialized-innovation coherence"
-PER_PAIR = ("partialized_process_coherence", "partialized_innovation_coherence", "transfer_function_deviation", "orthogonality_residual")
+PER_PAIR = ("partialized_process_coherence", "partialized_innovation_coherence")
 
 
 class TestFixtures:
@@ -54,8 +52,8 @@ class TestFixtures:
         ):
             spectra = evaluate_spectra(fx.model, GRID)
             computed = {
-                "ipdc": ipdc(spectra, fx.model).values,
-                "idtf": idtf(spectra, fx.model).values,
+                "ipdc": ipdc(spectra).values,
+                "idtf": idtf(spectra).values,
             }
             for (kind, i, j), expected in fx.expected(GRID).items():
                 deviation = float(np.max(np.abs(computed[kind][:, i, j] - expected)))
@@ -101,7 +99,7 @@ class TestProcessCoherenceIdentity:
         for k in (2, 4):
             model = random_stable_model(rng, k)
             spectra = evaluate_spectra(model, GRID)
-            values = ipdc(spectra, model).values
+            values = ipdc(spectra).values
             for i in range(k):
                 for j in range(k):
                     reference = partialized_process_coherence(model, GRID, i, j, spectra=spectra)
@@ -122,7 +120,7 @@ class TestInnovationCoherenceIdentity:
         for k in (2, 4):
             model = random_stable_model(rng, k)
             spectra = evaluate_spectra(model, GRID)
-            values = idtf(spectra, model).values
+            values = idtf(spectra).values
             for i in range(k):
                 for j in range(k):
                     reference = partialized_innovation_coherence(model, GRID, i, j, spectra=spectra)
@@ -134,9 +132,10 @@ class TestStructuralIdentities:
         rng = np.random.default_rng(54)
         model = random_stable_model(rng, 3)
         spectra = evaluate_spectra(model, GRID)
-        for i in range(3):
-            for j in range(3):
-                assert transfer_function_deviation(model, GRID, i, j, spectra=spectra) < 1e-10
+        for j in range(3):
+            ratio = oracles._process_columns(model, spectra, partialized_cross_spectra(spectra, j)[:, :, None], [j])[1]
+            for i in range(3):
+                assert float(np.max(ratio[:, i, 0])) < 1e-10
 
     def test_orthogonality_residual_vanishes(self):
         rng = np.random.default_rng(55)
@@ -144,13 +143,14 @@ class TestStructuralIdentities:
             model = random_stable_model(rng, k)
             spectra = evaluate_spectra(model, GRID)
             for j in range(k):
-                assert orthogonality_residual(model, GRID, j, spectra=spectra) < 1e-10
+                assert oracles._orthogonality(partialized_cross_spectra(spectra, j)[:, :, None], [j]) < 1e-10
 
     def test_single_channel_residual_is_zero(self):
         from varconn import VarModel
 
         model = VarModel(np.array([[[0.5]]]), np.eye(1))
-        assert orthogonality_residual(model, GRID, 0) == 0.0
+        cross = partialized_cross_spectra(evaluate_spectra(model, GRID), 0)
+        assert oracles._orthogonality(cross[:, :, None], [0]) == 0.0
 
 
 class TestWideModel:
@@ -159,8 +159,8 @@ class TestWideModel:
         grid = FrequencyGrid.default(128)
         model = random_stable_model(rng, 32)
         spectra = evaluate_spectra(model, grid)
-        ipdc_values = ipdc(spectra, model).values
-        idtf_values = idtf(spectra, model).values
+        ipdc_values = ipdc(spectra).values
+        idtf_values = idtf(spectra).values
         eye = np.eye(32)
         assert float(np.max(np.abs(spectra.a_bar @ spectra.h_bar - eye))) < 1e-10
         assert float(np.max(np.abs(spectra.s @ spectra.s_inv - eye))) < 1e-10
@@ -185,7 +185,7 @@ class TestColumnForms:
         process, ratio = oracles._process_columns(model, spectra, cross, sources)
         innovation = oracles._innovation_columns(spectra, covariances, sources)
         orthogonality = oracles._orthogonality(cross, sources)
-        assert orthogonality == max(orthogonality_residual(model, GRID, j, spectra=spectra) for j in sources)
+        assert orthogonality == max(oracles._orthogonality(cross[:, :, [j]], [j]) for j in sources)
         if k == 1:
             # nothing to partialize against: cross is the column of S itself
             assert np.array_equal(cross[:, :, 0], spectra.s[:, :, 0])
@@ -204,7 +204,9 @@ class TestColumnForms:
                 ):
                     assert float(np.max(np.abs(pair - column))) <= 1e-15
                     assert float(np.max(np.abs(loop - column))) <= 1e-15
-                deviation = transfer_function_deviation(model, GRID, i, j, spectra=spectra)
+                # one source alone, as a column of its own
+                alone = oracles._process_columns(model, spectra, cross[:, :, [j]], [j])[1]
+                deviation = float(np.max(alone[:, i, 0]))
                 assert abs(deviation - float(np.max(ratio[:, i, j]))) <= 1e-15
                 assert abs(loop_ratio - deviation) <= 1e-15
 
@@ -217,8 +219,8 @@ class TestRunVerification:
         assert all(line.startswith("ok") for line in report.lines())
 
     def test_nan_deviation_fails_its_check(self, monkeypatch):
-        def nan_ipdc(spectra, model):
-            return MeasureResult(MeasureKind.IPDC, spectra.grid, np.full((spectra.grid.n_points, model.K, model.K), np.nan, dtype=complex))
+        def nan_ipdc(spectra):
+            return MeasureResult(MeasureKind.IPDC, np.full((spectra.grid.n_points, spectra.K, spectra.K), np.nan, dtype=complex))
 
         monkeypatch.setattr(oracles, "ipdc", nan_ipdc)
         report = run_verification(seed=7, n_models=4, n_freq=32)
@@ -234,13 +236,13 @@ class TestRunVerification:
     def test_every_pair_is_compared(self, monkeypatch, measure, check, entry):
         original = getattr(oracles, measure)
 
-        def shifted(spectra, model):
-            result = original(spectra, model)
-            if model.K != 5:
+        def shifted(spectra):
+            result = original(spectra)
+            if spectra.K != 5:
                 return result
             values = result.values.copy()
             values[(7, *entry)] += 1e-8
-            return MeasureResult(result.kind, result.grid, values)
+            return MeasureResult(result.kind, values)
 
         # rebind the name run_verification calls; models 3 and 7 have K = 5
         monkeypatch.setattr(oracles, measure, shifted)

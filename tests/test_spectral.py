@@ -230,7 +230,7 @@ class TestPartialize:
         model = random_stable_model(np.random.default_rng(14), 4)
         spectra = evaluate_spectra(model, GRID)
         auto = np.einsum("fii->fi", spectra.s).real
-        scaled = np.abs(idtf(spectra, model).values) ** 2 * auto[:, :, None]
+        scaled = np.abs(idtf(spectra).values) ** 2 * auto[:, :, None]
         assert np.all(scaled <= np.diag(model.sigma) * np.abs(spectra.h_bar) ** 2 + 1e-12)
 
     def test_single_channel_partialization_is_identity(self):
@@ -239,7 +239,7 @@ class TestPartialize:
         # nothing to deduct: the partial spectrum is the autospectrum
         assert_allclose(spectra.s_inv[:, 0, 0] * spectra.s[:, 0, 0], 1.0, rtol=0, atol=1e-14)
         # nothing to partialize against: rho = sigma, so |iDTF| is 1
-        assert_allclose(np.abs(idtf(spectra, model).values), 1.0, atol=1e-14)
+        assert_allclose(np.abs(idtf(spectra).values), 1.0, atol=1e-14)
 
 
 class TestPartialSpectrumViaLemma:
