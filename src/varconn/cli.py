@@ -25,7 +25,7 @@ from .fileio import (
     save_result,
     save_timeseries,
 )
-from .infotheory import RATE_KINDS, rates_from_spectra
+from .infotheory import rate_kinds, rates_from_spectra
 from .measures import MeasureKind, measures_from_spectra
 from .oracles import run_verification
 from .spectral import FrequencyGrid, evaluate_spectra
@@ -154,11 +154,7 @@ def _cmd_measure(args) -> int:
 
 def _cmd_mir(args) -> int:
     model = load_model(args.model)
-    kinds = _parse_kinds(args.kinds, "rate kind")
-    allowed = [kind.value for kind in RATE_KINDS]
-    for kind in kinds:
-        if kind not in allowed:
-            raise DomainError(f"unknown rate kind {kind!r}, expected one of {', '.join(allowed)}")
+    kinds = rate_kinds(_parse_kinds(args.kinds, "rate kind"))
     grid = FrequencyGrid.default(args.nfreq)
     mirs = rates_from_spectra(evaluate_spectra(model, grid), kinds)
     units = "nats_per_sample" if args.units == "nats" else "bits_per_sample"

@@ -117,8 +117,8 @@ def load_timeseries(path, layout: str = "rows_are_samples") -> TimeSeriesData:
     """Read a CSV of numbers into TimeSeriesData.
 
     A header row is detected automatically (any non-numeric cell in the
-    first row). Errors cite the position as line:column, one-based,
-    counting physical file lines.
+    first row); a UTF-8 byte-order mark is skipped. Errors cite the
+    position as line:column, one-based, counting physical file lines.
     """
     if layout not in LAYOUTS:
         raise DomainError(f"unknown layout {layout!r}, expected one of {LAYOUTS}")
@@ -144,7 +144,7 @@ def _parse_vectorised(path: Path) -> np.ndarray | None:
     which reports the error or reads what it accepts. ``comments=None``
     keeps a "#" a parse error.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         rows = (row for row in reader if any(cell.strip() for cell in row))
         first = next(rows, None)
@@ -154,7 +154,7 @@ def _parse_vectorised(path: Path) -> np.ndarray | None:
     if row is None:  # no data rows: _parse_cells says which error
         return None
     try:
-        values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip, encoding="utf-8")
+        values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip, encoding="utf-8-sig")
     except ValueError:
         return None
     if values.shape[1] != len(row) or not np.all(np.isfinite(values)):
@@ -168,7 +168,7 @@ def _parse_cells(path: Path) -> np.ndarray:
     A row is numbered by the physical line its record starts on.
     """
     rows, start = [], 1
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         for row in reader:
             if any(cell.strip() for cell in row):
@@ -235,8 +235,8 @@ def render_result(
         raise DomainError(f"unknown units {units!r}, expected one of {UNITS}")
     grid_block = {"n_points": grid.n_points, "omega": grid.points}
     if sample_rate_hz is not None:
-        if not sample_rate_hz > 0:
-            raise DomainError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
+        if not (sample_rate_hz > 0 and math.isfinite(math.pi * sample_rate_hz)):
+            raise DomainError(f"sample_rate_hz must be positive with pi * sample_rate_hz finite, got {sample_rate_hz}")
         grid_block["frequency_hz"] = grid.points * sample_rate_hz / (2.0 * np.pi)
     document = {"schema_version": RESULT_SCHEMA_VERSION, "grid": grid_block, "measures": {}, "mir": {}}
     for kind, result in (measures or {}).items():

@@ -15,14 +15,14 @@ Squared coherences are clipped just below 1 before taking logs; the number
 of clipped values is reported alongside every result.
 """
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import lock
 from .errors import DomainError
-from .measures import _MEASURES, MeasureKind, MeasureResult
+from .measures import _MEASURES, MeasureKind
 from .spectral import SpectralSet
 
 #: Squared coherences are clipped to at most 1 - EPS_CLIP before the log.
@@ -94,12 +94,8 @@ def _blocks(spectra: SpectralSet, size: int) -> Iterator[SpectralSet]:
     """Consecutive runs of at most ``size`` frequencies of a set, as sets of views.
 
     Each block keeps the whole grid; its arrays cover only its own points,
-    and it assembles its own S and S^-1. A set that fits in one block is
-    that block, so every kind drawn from it shares one S and S^-1.
+    and it assembles its own S and S^-1 on first access.
     """
-    if size >= spectra.a_bar.shape[0]:
-        yield spectra
-        return
     for start in range(0, spectra.a_bar.shape[0], size):
         window = slice(start, start + size)
         yield SpectralSet(spectra.grid, spectra.a_bar[window], spectra.h_bar[window], spectra.sigma)
@@ -142,42 +138,41 @@ class _TrapezoidSum:
         return np.concatenate(self.scalar_terms).sum(axis=0) if self.scalar_terms else self.total
 
 
-def _integrate(kind: MeasureKind, measures: Iterable[MeasureResult], omega: np.ndarray) -> MirMatrix:
-    """Trapezoid of -log(1 - |measure|^2) over omega / (2 pi), coherence diagonal zeroed.
-
-    ``measures`` are the values of one kind on consecutive blocks of the
-    grid, in order; they are drawn only after the grid is checked.
-    """
-    if omega.size < 2:
-        raise DomainError(f"rates need a grid of at least 2 points, got {omega.size}")
-    integral, n_clipped = _TrapezoidSum(omega), 0
-    for measure in measures:
-        squared = np.abs(measure.values) ** 2
-        if kind is MeasureKind.COHERENCE:
-            diag = np.arange(measure.K)
-            squared[:, diag, diag] = 0.0
-        integrand, clipped = geweke_hosoya_bridge(squared)
-        integral.add(integrand)
-        n_clipped += clipped
-    return MirMatrix(kind, integral.result() / (2.0 * np.pi), n_clipped)
+def rate_kinds(kinds) -> list[MeasureKind]:
+    """The requested kinds as MeasureKinds, each once, in request order; DomainError for a kind without a rate."""
+    kinds = list(kinds)
+    for kind in kinds:
+        if kind not in RATE_KINDS:
+            names = ", ".join(rate.value for rate in RATE_KINDS)
+            raise DomainError(f"unknown rate kind {getattr(kind, 'value', kind)!r}, expected one of {names}")
+    return list(dict.fromkeys(map(MeasureKind, kinds)))
 
 
 def rates_from_spectra(spectra: SpectralSet, kinds) -> dict[MeasureKind, MirMatrix]:
     """Rate matrices of the requested kinds, in request order, from one spectral set.
 
-    Every kind is checked against RATE_KINDS before any measure is built.
-    Each kind is then integrated over blocks of consecutive frequencies
-    (``_block_size``), each block with its own S and S^-1, so besides
-    A_bar and H_bar only one block of any measure is held. A refusal comes
-    from the first block that meets it, kind by kind in request order.
+    The kinds (``rate_kinds``) and the grid are checked before any measure
+    is built. The grid is then walked once, in blocks of ``_block_size(K)``
+    frequencies: each block assembles one S and S^-1 that every kind is
+    drawn from, so besides A_bar and H_bar only one block is held, and each
+    kind carries its own trapezoid sum and clip count on to the next block.
+    The coherence diagonal, a channel's coherence with itself, is left out.
+    A refusal comes from the first block that meets one, and within that
+    block from the first kind in request order.
     """
-    kinds = [MeasureKind(kind) for kind in kinds]
-    for kind in kinds:
-        if kind not in RATE_KINDS:
-            raise DomainError(f"no information-rate interpretation for measure {kind.value!r}")
-    size = _block_size(spectra.K)
-    return {
-        kind: _integrate(kind, (_MEASURES[kind](block) for block in _blocks(spectra, size)), spectra.grid.points)
-        for kind in dict.fromkeys(kinds)
-    }
-
+    kinds = rate_kinds(kinds)
+    omega = spectra.grid.points
+    if omega.size < 2:
+        raise DomainError(f"rates need a grid of at least 2 points, got {omega.size}")
+    integrals = {kind: _TrapezoidSum(omega) for kind in kinds}
+    n_clipped = dict.fromkeys(kinds, 0)
+    diag = np.arange(spectra.K)
+    for block in _blocks(spectra, _block_size(spectra.K)):
+        for kind in kinds:
+            squared = np.abs(_MEASURES[kind](block).values) ** 2
+            if kind is MeasureKind.COHERENCE:
+                squared[:, diag, diag] = 0.0
+            integrand, clipped = geweke_hosoya_bridge(squared)
+            integrals[kind].add(integrand)
+            n_clipped[kind] += clipped
+    return {kind: MirMatrix(kind, integrals[kind].result() / (2.0 * np.pi), n_clipped[kind]) for kind in kinds}

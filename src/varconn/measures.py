@@ -61,10 +61,6 @@ class MeasureResult:
     def __post_init__(self):
         object.__setattr__(self, "values", lock(self.values, dtype=complex))
 
-    @property
-    def K(self) -> int:
-        return self.values.shape[-1]
-
 
 def _autospectra(spectra: SpectralSet) -> np.ndarray:
     auto = np.einsum("fii->fi", spectra.s).real

@@ -94,6 +94,17 @@ class TestMeasureCommand:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("fs", ["inf", "1e308"])
+    def test_unrenderable_sample_rate_refused(self, tmp_path, capsys, two_channel_model_path, fs):
+        # pi * fs overflows, so the frequencies in Hz could not be written
+        out = tmp_path / "result.json"
+        status = main(["measure", "--model", str(two_channel_model_path), "--nfreq", "8", "--fs", fs, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err == f"E_CONFIG: sample_rate_hz must be positive with pi * sample_rate_hz finite, got {float(fs)}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_model_file(self, tmp_path, capsys):
         status = main(["measure", "--model", str(tmp_path / "absent.json")])
         assert status == 2

@@ -146,6 +146,18 @@ class TestTimeseriesCsv:
         assert data.n_samples == 2
         assert_allclose(data.values, [[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize(
+        "text, vectorised",
+        [("1.0,2.0\n3.0,4.0\n5.0,6.0\n", True), ("a,b\n1.0,2.0\n3.0,4.0\n5.0,6.0\n", True), ('"1.0",2.0\n3.0,4.0\n5.0,6.0\n', False)],
+        ids=["headerless", "header", "quoted cell"],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, text, vectorised):
+        # a mark left in the first cell would make a data row look like a header
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert (_parse_vectorised(path) is not None) == vectorised
+        assert np.array_equal(load_timeseries(path).values, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
     def test_parse_error_cites_line_and_column(self, tmp_path):
         rows = ["%f,%f" % (i, i) for i in range(10)]
         rows[6] = "6.0,abc"  # physical line 7, column 2

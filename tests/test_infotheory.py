@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ from varconn import (
     FrequencyGrid,
     MeasureKind,
     MeasureResult,
+    NumericalError,
+    SpectralSet,
+    VarModel,
     coherence,
     evaluate_spectra,
     fixture,
@@ -19,7 +24,8 @@ from varconn import (
     random_stable_model,
     rates_from_spectra,
 )
-from varconn.infotheory import _TrapezoidSum, _block_size, _integrate
+from varconn.infotheory import _TrapezoidSum, _block_size
+from varconn.measures import _MEASURES
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 has only trapz
 
@@ -32,8 +38,13 @@ def rate(model, grid, kind):
 
 def constant_profile_rate(s):
     # a 1x1 measure whose squared magnitude is s at every grid point
-    values = np.full((GRID.n_points, 1, 1), math.sqrt(s), dtype=complex)
-    return _integrate(MeasureKind.IPDC, [MeasureResult(MeasureKind.IPDC, values)], GRID.points)
+    def constant(block):
+        return MeasureResult(MeasureKind.IPDC, np.full((block.a_bar.shape[0], 1, 1), math.sqrt(s), dtype=complex))
+
+    spectra = evaluate_spectra(VarModel(np.zeros((0, 1, 1)), np.eye(1)), GRID)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(_MEASURES, MeasureKind.IPDC, constant)
+        return rates_from_spectra(spectra, ["ipdc"])[MeasureKind.IPDC]
 
 
 class TestClip:
@@ -152,14 +163,17 @@ class TestMirMatrices:
 
 
 class TestInfoDensity:
-    def test_coherence_density_zeroes_diagonal(self):
+    def test_coherence_density_zeroes_diagonal(self, monkeypatch):
         # a channel's coherence with itself is 1, which would saturate the
         # integrand; the coherence diagonal is left out of the rate instead
         fx = fixture("two_var_alpha", alpha=0.5)
-        measure = coherence(evaluate_spectra(fx.model, GRID))
+        spectra = evaluate_spectra(fx.model, GRID)
+        measure = coherence(spectra)
         diagonal = np.abs(np.einsum("fii->fi", measure.values)) ** 2
         assert_allclose(diagonal, 1.0, rtol=0, atol=1e-14)
-        rates = _integrate(measure.kind, [measure], GRID.points)
+        # the grid is one block at K = 2, so the rate integrates exactly this measure
+        monkeypatch.setitem(_MEASURES, MeasureKind.COHERENCE, lambda block: measure)
+        rates = rates_from_spectra(spectra, ["coh"])[MeasureKind.COHERENCE]
         assert rates.values[0, 0] == 0.0
         assert rates.values[1, 1] == 0.0
         assert rates.n_clipped == 0
@@ -177,6 +191,71 @@ class TestRatesFromSpectra:
             monkeypatch.setattr(varconn.measures, name, refuse)
         with pytest.raises(DomainError, match="'pdc'"):
             rates_from_spectra(spectra, ["ipdc", "pdc"])
+
+
+def count_builds(monkeypatch):
+    """Count the assemblies of S and S^-1 by every SpectralSet from here on."""
+    builds = dict.fromkeys(("s", "s_inv"), 0)
+    for name in builds:
+
+        def build(self, _name=name, _original=getattr(SpectralSet, name).func):
+            builds[_name] += 1
+            return _original(self)
+
+        counted = cached_property(build)
+        counted.__set_name__(SpectralSet, name)
+        monkeypatch.setattr(SpectralSet, name, counted)
+    return builds
+
+
+def refusing_in_block(kind, failing):
+    """A _MEASURES entry for kind that refuses on its call for block ``failing``, counting from 0."""
+    original, calls = _MEASURES[kind], itertools.count()
+
+    def measure(block):
+        if next(calls) == failing:
+            raise NumericalError(f"{kind.value} refused in block {failing}")
+        return original(block)
+
+    return measure
+
+
+class TestOnePass:
+    """One walk over the blocks serves every requested kind."""
+
+    @pytest.mark.parametrize("k, p, n_points, builds", [(16, 4, 2048, 32), (5, 3, 512, 1)])
+    def test_each_block_builds_s_and_s_inv_once(self, monkeypatch, k, p, n_points, builds):
+        spectra = evaluate_spectra(random_stable_model(np.random.default_rng(k), k, p=p), FrequencyGrid.default(n_points))
+        counts = count_builds(monkeypatch)
+        rates_from_spectra(spectra, ["ipdc", "idtf", "coh"])
+        assert counts == {"s": builds, "s_inv": builds}
+
+    @pytest.mark.parametrize("k, n_points", [(1, 40000), (2, 9000), (16, 1001), (16, 2048)])
+    def test_one_call_equals_one_call_per_kind(self, k, n_points):
+        model = random_stable_model(np.random.default_rng(80 + k), k, p=3)
+        spectra = evaluate_spectra(model, FrequencyGrid.default(n_points))
+        together = rates_from_spectra(spectra, ["ipdc", "idtf", "coh"])
+        for kind, rates in together.items():
+            alone = rates_from_spectra(spectra, [kind])[kind]
+            assert np.array_equal(rates.values, alone.values), kind
+            assert rates.n_clipped == alone.n_clipped, kind
+
+    @pytest.mark.parametrize(
+        "kinds, ipdc_block, idtf_block, refused",
+        [
+            (["ipdc", "idtf"], 2, 1, "idtf refused in block 1"),
+            (["ipdc", "idtf"], 1, 2, "ipdc refused in block 1"),
+            (["ipdc", "idtf"], 1, 1, "ipdc refused in block 1"),
+            (["idtf", "ipdc"], 1, 1, "idtf refused in block 1"),
+        ],
+    )
+    def test_refusal_from_first_failing_block_then_request_order(self, monkeypatch, kinds, ipdc_block, idtf_block, refused):
+        # 200 points are four blocks at K = 16
+        spectra = evaluate_spectra(random_stable_model(np.random.default_rng(17), 16, p=2), FrequencyGrid.default(200))
+        monkeypatch.setitem(_MEASURES, MeasureKind.IPDC, refusing_in_block(MeasureKind.IPDC, ipdc_block))
+        monkeypatch.setitem(_MEASURES, MeasureKind.IDTF, refusing_in_block(MeasureKind.IDTF, idtf_block))
+        with pytest.raises(NumericalError, match=f"^{refused}$"):
+            rates_from_spectra(spectra, kinds)
 
 
 class TestBlockBoundaries:
@@ -231,7 +310,7 @@ class TestBridge:
         assert float(np.max(np.abs(recovered - squared))) < 1e-14
 
     def test_clip_count_reported(self):
-        # a stacked (n_points, K, K) block as _integrate hands the bridge: the
+        # a stacked (n_points, K, K) block as rates_from_spectra hands the bridge: the
         # count covers every point and entry, and the shape is kept
         squared = np.full((3, 2, 2), 0.2)
         squared[:, 1, 1] = 1.0

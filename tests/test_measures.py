@@ -175,19 +175,24 @@ class TestIdtf:
 
 
 class TestKindNames:
+    UNKNOWN_MEASURE = "unknown measure 'foo', expected one of coh, pdc, gpdc, ipdc, dtf, dc, idtf"
     ENTRY_POINTS = {
-        "measures_from_spectra": lambda spectra: list(measures_from_spectra(spectra, ["foo"])),
-        "rates_from_spectra": lambda spectra: rates_from_spectra(spectra, ["foo"]),
-        "pdc_family": lambda spectra: pdc_family(spectra, "foo"),
-        "dtf_family": lambda spectra: dtf_family(spectra, "foo"),
+        "measures_from_spectra": (lambda spectra: list(measures_from_spectra(spectra, ["foo"])), UNKNOWN_MEASURE),
+        "rates_from_spectra": (
+            lambda spectra: rates_from_spectra(spectra, ["foo"]),
+            "unknown rate kind 'foo', expected one of ipdc, idtf, coh",
+        ),
+        "pdc_family": (lambda spectra: pdc_family(spectra, "foo"), UNKNOWN_MEASURE),
+        "dtf_family": (lambda spectra: dtf_family(spectra, "foo"), UNKNOWN_MEASURE),
     }
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_unknown_name_is_a_domain_error(self, entry):
         fx = fixture("two_var_alpha", alpha=0.5)
         spectra = evaluate_spectra(fx.model, GRID)
-        with pytest.raises(DomainError, match="unknown measure 'foo', expected one of coh, pdc, gpdc, ipdc, dtf, dc, idtf"):
-            self.ENTRY_POINTS[entry](spectra)
+        call, message = self.ENTRY_POINTS[entry]
+        with pytest.raises(DomainError, match=message):
+            call(spectra)
 
 
 class TestAllMeasures:
