@@ -31,7 +31,7 @@ from .infotheory import (
     EPS_CLIP,
     MirMatrix,
     geweke_hosoya_bridge,
-    rates_from_spectra,
+    information_rates,
 )
 from .measures import (
     MeasureKind,
@@ -109,6 +109,7 @@ __all__ = [
     "fixture",
     "geweke_hosoya_bridge",
     "idtf",
+    "information_rates",
     "ipdc",
     "load_model",
     "load_timeseries",
@@ -118,7 +119,6 @@ __all__ = [
     "partialized_process_coherence",
     "pdc_family",
     "random_stable_model",
-    "rates_from_spectra",
     "render_result",
     "rescale",
     "run_verification",

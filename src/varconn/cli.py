@@ -25,7 +25,7 @@ from .fileio import (
     save_result,
     save_timeseries,
 )
-from .infotheory import rate_kinds, rates_from_spectra
+from .infotheory import information_rates, rate_kinds
 from .measures import MeasureKind, measures_from_spectra
 from .oracles import run_verification
 from .spectral import FrequencyGrid, evaluate_spectra
@@ -156,7 +156,7 @@ def _cmd_mir(args) -> int:
     model = load_model(args.model)
     kinds = rate_kinds(_parse_kinds(args.kinds, "rate kind"))
     grid = FrequencyGrid.default(args.nfreq)
-    mirs = rates_from_spectra(evaluate_spectra(model, grid), kinds)
+    mirs = information_rates(model, grid, kinds)
     units = "nats_per_sample" if args.units == "nats" else "bits_per_sample"
     return _emit(render_result(grid, mirs=mirs, units=units), args.out)
 

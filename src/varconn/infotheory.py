@@ -12,18 +12,20 @@ by trapezoid quadrature, in nats per sample. iPDC and iDTF are exact
 coherences between suitably partialized processes, so integrating their
 squared magnitudes yields the information rate each directed pair shares.
 Squared coherences are clipped just below 1 before taking logs; the number
-of clipped values is reported alongside every result.
+of clipped values is reported alongside every result. Each frequency adds
+its own term, so the rates are integrated while the spectra are evaluated
+block by block, and no whole-grid array is ever held.
 """
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import lock
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .measures import _MEASURES, MeasureKind
-from .spectral import SpectralSet
+from .spectral import FrequencyGrid, _block_size, _spectral_blocks
+from .var_model import VarModel
 
 #: Squared coherences are clipped to at most 1 - EPS_CLIP before the log.
 EPS_CLIP = 1e-12
@@ -54,10 +56,6 @@ class MirMatrix:
     def __post_init__(self):
         object.__setattr__(self, "values", lock(self.values))
 
-    @property
-    def K(self) -> int:
-        return self.values.shape[-1]
-
 
 def geweke_hosoya_bridge(measure_sq) -> tuple[np.ndarray, int]:
     """Map squared coherences s to spectral Granger-causality values -log(1 - s).
@@ -83,22 +81,6 @@ def geweke_hosoya_bridge(measure_sq) -> tuple[np.ndarray, int]:
         raise DomainError(f"squared coherence is negative (min {float(np.min(values)):.6g})")
     n_clipped = int(np.count_nonzero(values > 1.0 - EPS_CLIP))
     return -np.log1p(-np.clip(values, 0.0, 1.0 - EPS_CLIP)), n_clipped
-
-
-def _block_size(k: int) -> int:
-    """Frequencies per block of the rate path: about 256 KiB per complex (block, K, K) array."""
-    return max(1, 2**14 // k**2)
-
-
-def _blocks(spectra: SpectralSet, size: int) -> Iterator[SpectralSet]:
-    """Consecutive runs of at most ``size`` frequencies of a set, as sets of views.
-
-    Each block keeps the whole grid; its arrays cover only its own points,
-    and it assembles its own S and S^-1 on first access.
-    """
-    for start in range(0, spectra.a_bar.shape[0], size):
-        window = slice(start, start + size)
-        yield SpectralSet(spectra.grid, spectra.a_bar[window], spectra.h_bar[window], spectra.sigma)
 
 
 class _TrapezoidSum:
@@ -148,31 +130,40 @@ def rate_kinds(kinds) -> list[MeasureKind]:
     return list(dict.fromkeys(map(MeasureKind, kinds)))
 
 
-def rates_from_spectra(spectra: SpectralSet, kinds) -> dict[MeasureKind, MirMatrix]:
-    """Rate matrices of the requested kinds, in request order, from one spectral set.
+def information_rates(model: VarModel, grid: FrequencyGrid, kinds) -> dict[MeasureKind, MirMatrix]:
+    """Rate matrices of the requested kinds, in request order, of a model on a grid.
 
-    The kinds (``rate_kinds``) and the grid are checked before any measure
-    is built. The grid is then walked once, in blocks of ``_block_size(K)``
-    frequencies: each block assembles one S and S^-1 that every kind is
-    drawn from, so besides A_bar and H_bar only one block is held, and each
-    kind carries its own trapezoid sum and clip count on to the next block.
-    The coherence diagonal, a channel's coherence with itself, is left out.
-    A refusal comes from the first block that meets one, and within that
-    block from the first kind in request order.
+    The grid is walked once, in blocks of ``_block_size(K)`` frequencies:
+    every kind is drawn from each block's A_bar, H_bar, S and S^-1 and
+    carries its own trapezoid sum and clip count on to the next block, so
+    only one block is ever held. The coherence diagonal, a channel's
+    coherence with itself, is left out. Refusals come in this order,
+    whatever the block size: the kinds (``rate_kinds``), the model and a
+    singular A_bar (``_spectral_blocks``), a grid of fewer than 2 points,
+    then the first block whose measures or bridge refuse, and within it the
+    first kind in request order.
     """
     kinds = rate_kinds(kinds)
-    omega = spectra.grid.points
-    if omega.size < 2:
-        raise DomainError(f"rates need a grid of at least 2 points, got {omega.size}")
+    omega = grid.points
     integrals = {kind: _TrapezoidSum(omega) for kind in kinds}
     n_clipped = dict.fromkeys(kinds, 0)
-    diag = np.arange(spectra.K)
-    for block in _blocks(spectra, _block_size(spectra.K)):
-        for kind in kinds:
-            squared = np.abs(_MEASURES[kind](block).values) ** 2
-            if kind is MeasureKind.COHERENCE:
-                squared[:, diag, diag] = 0.0
-            integrand, clipped = geweke_hosoya_bridge(squared)
-            integrals[kind].add(integrand)
-            n_clipped[kind] += clipped
+    diag = np.arange(model.K)
+    refusal = None
+    for block in _spectral_blocks(model, grid, _block_size(model.K)):
+        if refusal is not None:
+            continue
+        try:
+            for kind in kinds:
+                squared = np.abs(_MEASURES[kind](block).values) ** 2
+                if kind is MeasureKind.COHERENCE:
+                    squared[:, diag, diag] = 0.0
+                integrand, clipped = geweke_hosoya_bridge(squared)
+                integrals[kind].add(integrand)
+                n_clipped[kind] += clipped
+        except (DomainError, NumericalError) as exc:
+            refusal = exc
+    if omega.size < 2:
+        raise DomainError(f"rates need a grid of at least 2 points, got {omega.size}")
+    if refusal is not None:
+        raise refusal
     return {kind: MirMatrix(kind, integrals[kind].result() / (2.0 * np.pi), n_clipped[kind]) for kind in kinds}

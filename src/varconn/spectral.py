@@ -4,9 +4,12 @@ For a grid of normalized angular frequencies omega in [0, pi] this module
 evaluates the AR polynomial A_bar(omega) = I - sum_l A(l) exp(-j omega l),
 the transfer matrix H_bar = A_bar^-1, the spectral density
 S = H_bar sigma H_bar^H and its inverse assembled directly as
-A_bar^H sigma^-1 A_bar.
+A_bar^H sigma^-1 A_bar. Each frequency is evaluated on its own, so the
+grid is walked in blocks (``_spectral_blocks``); ``evaluate_spectra`` is
+the walk in a single block.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,7 +71,9 @@ class FrequencyGrid:
 
 @dataclass(frozen=True, eq=False)
 class SpectralSet:
-    """Per-frequency matrices of a stable model, all shaped (n_points, K, K).
+    """Per-frequency matrices of a stable model, all shaped (n, K, K).
+
+    The n frequencies are the whole grid, or one block of it in a walk.
 
     Attributes
     ----------
@@ -120,18 +125,37 @@ def evaluate_spectra(model: VarModel, grid: FrequencyGrid) -> SpectralSet:
     truncating a moving-average expansion, so it is exact for any stable
     model. The returned set assembles S from H_bar and sigma, and S^-1 from
     sigma^-1 and A_bar rather than by inverting S, when one is first read.
-
-    After the inverse, each frequency's 1-norm condition number
-    kappa_1 = ||A_bar||_1 ||H_bar||_1 is read from the two arrays, and the
-    evaluation is refused unless the worst one is at most CONDITION_LIMIT.
-    A non-finite kappa_1 (an inverse that overflowed) and an exactly
-    singular A_bar (``inv`` meets a zero pivot) are refused the same way.
+    It is the one block of ``_spectral_blocks`` that spans the whole grid,
+    so it is checked and refused exactly as the blocks are.
 
     Raises
     ------
     NumericalError
         If the model is unstable, sigma is not positive definite, or
         A_bar is numerically singular at some grid frequency.
+    """
+    (spectra,) = _spectral_blocks(model, grid, grid.n_points)
+    return spectra
+
+
+def _block_size(k: int) -> int:
+    """Frequencies per block of a walk: about 256 KiB per complex (block, K, K) array."""
+    return max(1, 2**14 // k**2)
+
+
+def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterator[SpectralSet]:
+    """Walk a grid in consecutive runs of at most ``size`` frequencies, one SpectralSet each.
+
+    The model is validated once, on the first draw. Each block keeps the
+    whole grid but builds A_bar and H_bar for its own points only, and
+    reads each frequency's 1-norm condition number
+    kappa_1 = ||A_bar||_1 ||H_bar||_1 from the two.
+
+    Refusals do not depend on the block size. A zero pivot in ``inv`` is
+    refused at once, at the first frequency whose det is 0. Otherwise, after
+    the last block, the worst kappa_1 of the grid is refused if it exceeds
+    CONDITION_LIMIT, or the first non-finite one (an inverse that
+    overflowed). No block is yielded once the guard has failed.
     """
     report = validate(model)
     if not report.stable:
@@ -141,22 +165,28 @@ def evaluate_spectra(model: VarModel, grid: FrequencyGrid) -> SpectralSet:
     if not report.sigma_ok:
         raise NumericalError("innovation covariance is not positive definite")
     k, p = model.K, model.p
-    omega = grid.points
-    a_bar = np.repeat(np.eye(k, dtype=complex)[None, :, :], omega.size, axis=0)
-    if p > 0:
-        phases = np.exp(-1j * np.outer(omega, np.arange(1, p + 1)))
-        a_bar -= (phases @ model.coeffs.reshape(p, k * k)).reshape(omega.size, k, k)
-    try:
-        h_bar = np.linalg.inv(a_bar)
-    except np.linalg.LinAlgError:
-        # a zero pivot; det factors A_bar by the same LU, so it reads 0 at that frequency
-        worst = int(np.argmax(np.linalg.det(a_bar) == 0))
-        raise _singular(omega[worst], np.inf) from None
-    kappa = np.linalg.norm(a_bar, 1, axis=(1, 2)) * np.linalg.norm(h_bar, 1, axis=(1, 2))
-    worst = int(np.argmax(kappa))  # the first NaN, if there is one
-    if not kappa[worst] <= CONDITION_LIMIT:
-        raise _singular(omega[worst], kappa[worst])
-    return SpectralSet(grid=grid, a_bar=a_bar, h_bar=h_bar, sigma=model.sigma)
+    lags, coeffs = np.arange(1, p + 1), model.coeffs.reshape(p, k * k)
+    worst_omega, worst_kappa = None, 0.0
+    for start in range(0, grid.n_points, size):
+        omega = grid.points[start : start + size]
+        a_bar = np.repeat(np.eye(k, dtype=complex)[None, :, :], omega.size, axis=0)
+        if p > 0:
+            a_bar -= (np.exp(-1j * np.outer(omega, lags)) @ coeffs).reshape(omega.size, k, k)
+        try:
+            h_bar = np.linalg.inv(a_bar)
+        except np.linalg.LinAlgError:
+            # a zero pivot; det factors A_bar by the same LU, so it reads 0 at that frequency
+            worst = int(np.argmax(np.linalg.det(a_bar) == 0))
+            raise _singular(omega[worst], np.inf) from None
+        kappa = np.linalg.norm(a_bar, 1, axis=(1, 2)) * np.linalg.norm(h_bar, 1, axis=(1, 2))
+        worst = int(np.argmax(kappa))  # the first NaN, if there is one
+        # keep the first NaN, else the first frequency of the largest kappa_1
+        if not np.isnan(worst_kappa) and not kappa[worst] <= worst_kappa:
+            worst_omega, worst_kappa = omega[worst], kappa[worst]
+        if worst_kappa <= CONDITION_LIMIT:
+            yield SpectralSet(grid=grid, a_bar=a_bar, h_bar=h_bar, sigma=model.sigma)
+    if not worst_kappa <= CONDITION_LIMIT:
+        raise _singular(worst_omega, worst_kappa)
 
 
 def _singular(omega: float, kappa: float) -> NumericalError:

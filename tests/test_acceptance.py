@@ -21,13 +21,13 @@ from varconn import (
     fixture,
     geweke_hosoya_bridge,
     idtf,
+    information_rates,
     ipdc,
     measures_from_spectra,
     partialized_cross_spectra,
     partialized_innovation_coherence,
     partialized_process_coherence,
     random_stable_model,
-    rates_from_spectra,
     rescale,
     simulate,
     validate,
@@ -44,8 +44,8 @@ def every_measure(model, grid):
     return {result.kind: result for result in measures_from_spectra(spectra, MeasureKind)}
 
 
-def information_rates(model, grid):
-    return rates_from_spectra(evaluate_spectra(model, grid), ["ipdc", "idtf"])
+def directed_rates(model, grid):
+    return information_rates(model, grid, ["ipdc", "idtf"])
 
 
 def criterion(number, label):
@@ -137,7 +137,7 @@ def test_criterion_05_partial_spectrum_dual_route(population):
 @criterion(6, "two-channel rate: iPDC rate[2,1] = log(1.25)/2 (1e-8), iPDC rate[1,2] = 0")
 def test_criterion_06_two_channel_rate():
     fx = fixture("two_var_alpha", alpha=0.5)
-    rates = information_rates(fx.model, DEFAULT_GRID)[MeasureKind.IPDC]
+    rates = directed_rates(fx.model, DEFAULT_GRID)[MeasureKind.IPDC]
     assert abs(rates.values[1, 0] - 0.5 * math.log(1.25)) < 1e-8
     assert rates.values[0, 1] == 0.0
 
@@ -211,14 +211,14 @@ def test_criterion_10_granger_nullity():
         assert float(np.max(np.abs(spectra.h_bar[:, 1, 0]))) < 1e-12
         assert float(np.max(np.abs(results[MeasureKind.IPDC].values[:, 1, 0]))) < 1e-12
         assert float(np.max(np.abs(results[MeasureKind.IDTF].values[:, 1, 0]))) < 1e-12
-        for rates in information_rates(severed, GRID).values():
+        for rates in directed_rates(severed, GRID).values():
             assert rates.values[1, 0] < 1e-12
         full_spectra = evaluate_spectra(model, GRID)
         full = every_measure(model, GRID)
         assert float(np.max(np.abs(full_spectra.h_bar[:, 1, 0]))) > 1e-6
         assert float(np.max(np.abs(full[MeasureKind.IPDC].values[:, 1, 0]))) > 1e-6
         assert float(np.max(np.abs(full[MeasureKind.IDTF].values[:, 1, 0]))) > 1e-6
-        for rates in information_rates(model, GRID).values():
+        for rates in directed_rates(model, GRID).values():
             assert rates.values[1, 0] > 1e-8
 
 
@@ -246,6 +246,6 @@ def test_criterion_12_numerical_conditioning(population):
         ("three_var_alpha_beta", {"alpha": 0.5, "beta": 1.0}),
     ):
         model = fixture(name, **params).model
-        fine = information_rates(model, FrequencyGrid.default(1024))
-        for kind, base in information_rates(model, DEFAULT_GRID).items():
+        fine = directed_rates(model, FrequencyGrid.default(1024))
+        for kind, base in directed_rates(model, DEFAULT_GRID).items():
             assert float(np.max(np.abs(base.values - fine[kind].values))) < 1e-8

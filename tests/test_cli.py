@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import varconn
-from varconn import MeasureKind, MeasureResult, NumericalError, fixture, load_model, random_stable_model, save_model
+from varconn import MeasureKind, MeasureResult, NumericalError, VarModel, fixture, load_model, random_stable_model, save_model
 from varconn import measures, oracles
 from varconn.cli import main
 
@@ -54,8 +56,6 @@ class TestMeasureCommand:
 
     @pytest.mark.parametrize("command", ["measure", "mir"])
     def test_unstable_model_refused(self, command, tmp_path, capsys):
-        from varconn import VarModel
-
         path = tmp_path / "unstable.json"
         save_model(VarModel([[[1.1, 0.0], [0.0, 0.5]]], np.eye(2)), path)
         status = main([command, "--model", str(path)])
@@ -159,10 +159,15 @@ class TestMirCommand:
         assert abs(values[1][0] - 0.5 * math.log(1.25) / math.log(2.0)) < 1e-8
 
     def test_one_spectral_evaluation_per_request(self, monkeypatch, tmp_path, two_channel_model_path):
-        calls = {"evaluate_spectra": 0, "validate": 0}
+        # every spectral evaluation enters the block walker; `measure` enters it through evaluate_spectra
+        originals = {
+            "evaluate_spectra": varconn.spectral.evaluate_spectra,
+            "_spectral_blocks": varconn.spectral._spectral_blocks,
+            "validate": varconn.var_model.validate,
+        }
+        calls = dict.fromkeys(originals, 0)
         modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "varconn"]
-        for name in calls:
-            original = getattr(varconn, name)
+        for name, original in originals.items():
 
             def counting(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
@@ -171,12 +176,12 @@ class TestMirCommand:
             for module in modules:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting)
-        requests = {"mir": ["--kinds", "ipdc,idtf,coh"], "measure": []}
-        for command, options in requests.items():
+        requests = {"mir": (["--kinds", "ipdc,idtf,coh"], 0), "measure": ([], 1)}
+        for command, (options, whole_grid) in requests.items():
             calls.update(dict.fromkeys(calls, 0))
             argv = [command, "--model", str(two_channel_model_path), *options, "--out", str(tmp_path / f"{command}.json")]
             assert main(argv) == 0
-            assert calls == {"evaluate_spectra": 1, "validate": 1}, command
+            assert calls == {"evaluate_spectra": whole_grid, "_spectral_blocks": 1, "validate": 1}, command
         assert sorted(json.loads((tmp_path / "mir.json").read_text())["mir"]) == ["coh", "idtf", "ipdc"]
 
     def test_wide_model_matches_recorded_digest(self, tmp_path):
@@ -202,6 +207,40 @@ class TestMirCommand:
         # measures are defined at a single frequency
         assert main(["measure", "--model", str(two_channel_model_path), "--nfreq", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["grid"]["n_points"] == 1
+
+    def test_unstable_model_refused_before_the_grid_size(self, tmp_path, capsys):
+        path = tmp_path / "unstable.json"
+        save_model(VarModel([[[1.2]]], np.eye(1)), path)
+        assert main(["mir", "--model", str(path), "--nfreq", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "E_NUMERIC: spectra require a stable model (spectral radius 1.2)\n"
+
+    def test_resident_peak_stays_near_the_import_floor(self, tmp_path):
+        # tracemalloc misses BLAS/LAPACK workspace and allocator slack, so read the
+        # process's resident high-water mark around one wide request instead; the
+        # whole-grid (2048, 16, 16) A_bar and H_bar alone would take 16 MiB
+        if not Path("/proc/self/status").exists():
+            pytest.skip("needs /proc/self/status")
+        model, out = tmp_path / "k16.json", tmp_path / "mir.json"
+        save_model(random_stable_model(np.random.default_rng(0), 16, p=4), model)
+        script = (
+            "import re, sys\n"
+            "import varconn.cli\n"
+            "def hwm():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return int(re.search(r'VmHWM:\\s+(\\d+) kB', status.read())[1])\n"
+            "before = hwm()\n"
+            "assert varconn.cli.main(sys.argv[1:]) == 0\n"
+            "print(hwm() - before)\n"
+        )
+        argv = ["mir", "--model", str(model), "--kinds", "ipdc,idtf,coh", "--nfreq", "2048", "--out", str(out)]
+        src = str(Path(varconn.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        growth_kib = int(done.stdout.split()[-1])
+        assert growth_kib <= 12 * 1024
 
 
 class TestSchemaConformance:
@@ -374,8 +413,6 @@ class TestSimulateAndFit:
         assert "E_DATA" in capsys.readouterr().err
 
     def test_simulate_unstable_model(self, tmp_path, capsys):
-        from varconn import VarModel
-
         path = tmp_path / "unstable.json"
         save_model(VarModel([[[1.2]]], np.eye(1)), path)
         status = main(

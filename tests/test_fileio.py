@@ -23,10 +23,10 @@ from varconn import (
     canonical_json,
     evaluate_spectra,
     fixture,
+    information_rates,
     load_model,
     load_timeseries,
     measures_from_spectra,
-    rates_from_spectra,
     render_result,
     save_model,
     save_result,
@@ -311,7 +311,7 @@ class TestResultDocuments:
 
     def test_units_conversion_to_bits(self):
         fx = fixture("two_var_alpha", alpha=0.5)
-        rates = rates_from_spectra(evaluate_spectra(fx.model, GRID), ["ipdc"])[MeasureKind.IPDC]
+        rates = information_rates(fx.model, GRID, ["ipdc"])[MeasureKind.IPDC]
         nats = rendered(GRID, mirs={"ipdc": rates})
         bits = rendered(GRID, mirs={"ipdc": rates}, units="bits_per_sample")
         nats_vals = np.asarray(nats["mir"]["ipdc"]["values"])
@@ -323,7 +323,7 @@ class TestResultDocuments:
 
     def test_unknown_units_rejected(self):
         fx = fixture("two_var_alpha", alpha=0.5)
-        rates = rates_from_spectra(evaluate_spectra(fx.model, GRID), ["ipdc"])[MeasureKind.IPDC]
+        rates = information_rates(fx.model, GRID, ["ipdc"])[MeasureKind.IPDC]
         with pytest.raises(DomainError, match="units"):
             render_result(GRID, mirs={"ipdc": rates}, units="hartleys")
 

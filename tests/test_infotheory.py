@@ -21,11 +21,12 @@ from varconn import (
     evaluate_spectra,
     fixture,
     geweke_hosoya_bridge,
+    information_rates,
     random_stable_model,
-    rates_from_spectra,
 )
-from varconn.infotheory import _TrapezoidSum, _block_size
+from varconn.infotheory import _TrapezoidSum
 from varconn.measures import _MEASURES
+from varconn.spectral import _block_size
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 has only trapz
 
@@ -33,7 +34,7 @@ GRID = FrequencyGrid.default(512)
 
 
 def rate(model, grid, kind):
-    return rates_from_spectra(evaluate_spectra(model, grid), [kind])[kind]
+    return information_rates(model, grid, [kind])[kind]
 
 
 def constant_profile_rate(s):
@@ -41,10 +42,9 @@ def constant_profile_rate(s):
     def constant(block):
         return MeasureResult(MeasureKind.IPDC, np.full((block.a_bar.shape[0], 1, 1), math.sqrt(s), dtype=complex))
 
-    spectra = evaluate_spectra(VarModel(np.zeros((0, 1, 1)), np.eye(1)), GRID)
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(_MEASURES, MeasureKind.IPDC, constant)
-        return rates_from_spectra(spectra, ["ipdc"])[MeasureKind.IPDC]
+        return information_rates(VarModel(np.zeros((0, 1, 1)), np.eye(1)), GRID, ["ipdc"])[MeasureKind.IPDC]
 
 
 class TestClip:
@@ -140,7 +140,7 @@ class TestMirMatrices:
 
     def test_rates_are_nonnegative(self):
         model = random_stable_model(np.random.default_rng(40), 4)
-        for rates in rates_from_spectra(evaluate_spectra(model, GRID), ["ipdc", "idtf", "coh"]).values():
+        for rates in information_rates(model, GRID, ["ipdc", "idtf", "coh"]).values():
             assert float(np.min(rates.values)) >= 0.0
 
     def test_quadrature_refinement_leaves_fixture_rates_unchanged(self):
@@ -173,16 +173,15 @@ class TestInfoDensity:
         assert_allclose(diagonal, 1.0, rtol=0, atol=1e-14)
         # the grid is one block at K = 2, so the rate integrates exactly this measure
         monkeypatch.setitem(_MEASURES, MeasureKind.COHERENCE, lambda block: measure)
-        rates = rates_from_spectra(spectra, ["coh"])[MeasureKind.COHERENCE]
+        rates = information_rates(fx.model, GRID, ["coh"])[MeasureKind.COHERENCE]
         assert rates.values[0, 0] == 0.0
         assert rates.values[1, 1] == 0.0
         assert rates.n_clipped == 0
 
 
-class TestRatesFromSpectra:
+class TestInformationRates:
     def test_refuses_non_rate_kind_before_building_any_measure(self, monkeypatch):
         fx = fixture("two_var_alpha", alpha=0.5)
-        spectra = evaluate_spectra(fx.model, GRID)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a measure was built before the kinds were checked")
@@ -190,7 +189,7 @@ class TestRatesFromSpectra:
         for name in ("coherence", "ipdc", "pdc_family"):
             monkeypatch.setattr(varconn.measures, name, refuse)
         with pytest.raises(DomainError, match="'pdc'"):
-            rates_from_spectra(spectra, ["ipdc", "pdc"])
+            information_rates(fx.model, GRID, ["ipdc", "pdc"])
 
 
 def count_builds(monkeypatch):
@@ -225,18 +224,18 @@ class TestOnePass:
 
     @pytest.mark.parametrize("k, p, n_points, builds", [(16, 4, 2048, 32), (5, 3, 512, 1)])
     def test_each_block_builds_s_and_s_inv_once(self, monkeypatch, k, p, n_points, builds):
-        spectra = evaluate_spectra(random_stable_model(np.random.default_rng(k), k, p=p), FrequencyGrid.default(n_points))
+        model = random_stable_model(np.random.default_rng(k), k, p=p)
         counts = count_builds(monkeypatch)
-        rates_from_spectra(spectra, ["ipdc", "idtf", "coh"])
+        information_rates(model, FrequencyGrid.default(n_points), ["ipdc", "idtf", "coh"])
         assert counts == {"s": builds, "s_inv": builds}
 
     @pytest.mark.parametrize("k, n_points", [(1, 40000), (2, 9000), (16, 1001), (16, 2048)])
     def test_one_call_equals_one_call_per_kind(self, k, n_points):
         model = random_stable_model(np.random.default_rng(80 + k), k, p=3)
-        spectra = evaluate_spectra(model, FrequencyGrid.default(n_points))
-        together = rates_from_spectra(spectra, ["ipdc", "idtf", "coh"])
+        grid = FrequencyGrid.default(n_points)
+        together = information_rates(model, grid, ["ipdc", "idtf", "coh"])
         for kind, rates in together.items():
-            alone = rates_from_spectra(spectra, [kind])[kind]
+            alone = information_rates(model, grid, [kind])[kind]
             assert np.array_equal(rates.values, alone.values), kind
             assert rates.n_clipped == alone.n_clipped, kind
 
@@ -251,11 +250,43 @@ class TestOnePass:
     )
     def test_refusal_from_first_failing_block_then_request_order(self, monkeypatch, kinds, ipdc_block, idtf_block, refused):
         # 200 points are four blocks at K = 16
-        spectra = evaluate_spectra(random_stable_model(np.random.default_rng(17), 16, p=2), FrequencyGrid.default(200))
+        model = random_stable_model(np.random.default_rng(17), 16, p=2)
         monkeypatch.setitem(_MEASURES, MeasureKind.IPDC, refusing_in_block(MeasureKind.IPDC, ipdc_block))
         monkeypatch.setitem(_MEASURES, MeasureKind.IDTF, refusing_in_block(MeasureKind.IDTF, idtf_block))
         with pytest.raises(NumericalError, match=f"^{refused}$"):
-            rates_from_spectra(spectra, kinds)
+            information_rates(model, FrequencyGrid.default(200), kinds)
+
+
+class TestRefusalOrder:
+    """validate, then the guard over the whole grid, then the grid size, then the measures."""
+
+    @pytest.mark.parametrize("fault, kappa", [(1e20, r"\S+"), (np.nan, "nan"), ("pivot", "inf")], ids=["large", "nan", "pivot"])
+    def test_guard_in_a_later_block_beats_a_measure_refusal_in_an_earlier_one(self, monkeypatch, faulty_inverse, fault, kappa):
+        # 200 points are four blocks of 64 at K = 16: the measure refuses in block 0, the guard fails in block 2
+        grid = FrequencyGrid.default(200)
+        monkeypatch.setitem(_MEASURES, MeasureKind.IPDC, refusing_in_block(MeasureKind.IPDC, 0))
+        faulty_inverse(64, {150: fault})
+        with pytest.raises(NumericalError, match=f"singular at omega = {grid.points[150]:.6g} \\(condition number {kappa} "):
+            information_rates(random_stable_model(np.random.default_rng(17), 16, p=2), grid, ["ipdc"])
+
+    def test_no_measure_is_built_once_the_guard_fails(self, monkeypatch, faulty_inverse):
+        built, original = [], _MEASURES[MeasureKind.IDTF]
+
+        def counted(block):
+            built.append(block.a_bar.shape[0])
+            return original(block)
+
+        grid = FrequencyGrid.default(200)
+        monkeypatch.setitem(_MEASURES, MeasureKind.IDTF, counted)
+        faulty_inverse(64, {100: np.nan})
+        with pytest.raises(NumericalError, match=f"singular at omega = {grid.points[100]:.6g} \\(condition number nan "):
+            information_rates(random_stable_model(np.random.default_rng(17), 16, p=2), grid, ["idtf"])
+        assert built == [64]
+
+    def test_guard_beats_the_grid_size(self, faulty_inverse):
+        faulty_inverse(1, {0: 1e20})
+        with pytest.raises(NumericalError, match="singular at omega = 0 "):
+            information_rates(fixture("two_var_alpha", alpha=0.5).model, FrequencyGrid.default(1), ["ipdc"])
 
 
 class TestBlockBoundaries:
@@ -281,17 +312,21 @@ class TestBlockBoundaries:
 
 
 class TestPeakMemory:
-    def test_rates_hold_a_bar_h_bar_and_one_block(self):
-        # one complex (2048, 16, 16) array is 8 MiB; holding S, S^-1 and each
-        # whole-grid measure besides A_bar and H_bar peaks near 56 MiB
-        model = random_stable_model(np.random.default_rng(16), 16, p=4)
+    @pytest.mark.parametrize("k, p, n_points", [(16, 4, 2048), (64, 2, 512)])
+    def test_rates_hold_one_block(self, k, p, n_points):
+        # each complex (n_points, K, K) array is 8 MiB at (16, 2048) and 32 MiB at
+        # (64, 512); a block of one is about 256 KiB, so holding a block of A_bar,
+        # H_bar, S, S^-1, each measure and its integrand stays near 2.5 MiB, while
+        # a single whole-grid array would exceed the bound
+        model = random_stable_model(np.random.default_rng(k), k, p=p)
+        grid = FrequencyGrid.default(n_points)
         tracemalloc.start()
         try:
-            rates_from_spectra(evaluate_spectra(model, FrequencyGrid.default(2048)), ["ipdc", "idtf", "coh"])
+            information_rates(model, grid, ["ipdc", "idtf", "coh"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 8 * 2**20
+        assert peak <= 4 * 2**20
 
 
 class TestBridge:

@@ -12,11 +12,11 @@ from varconn import (
     evaluate_spectra,
     fixture,
     idtf,
+    information_rates,
     ipdc,
     measures_from_spectra,
     pdc_family,
     random_stable_model,
-    rates_from_spectra,
     rescale,
     validate,
 )
@@ -178,8 +178,8 @@ class TestKindNames:
     UNKNOWN_MEASURE = "unknown measure 'foo', expected one of coh, pdc, gpdc, ipdc, dtf, dc, idtf"
     ENTRY_POINTS = {
         "measures_from_spectra": (lambda spectra: list(measures_from_spectra(spectra, ["foo"])), UNKNOWN_MEASURE),
-        "rates_from_spectra": (
-            lambda spectra: rates_from_spectra(spectra, ["foo"]),
+        "information_rates": (
+            lambda spectra: information_rates(fixture("two_var_alpha", alpha=0.5).model, spectra.grid, ["foo"]),
             "unknown rate kind 'foo', expected one of ipdc, idtf, coh",
         ),
         "pdc_family": (lambda spectra: pdc_family(spectra, "foo"), UNKNOWN_MEASURE),

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from varconn import (
     partialized_cross_spectra,
     random_stable_model,
 )
+from varconn.spectral import _block_size, _spectral_blocks
 
 GRID = FrequencyGrid.default(64)
 
@@ -178,6 +180,63 @@ class TestConditionGuard:
         monkeypatch.setattr(np.linalg, "inv", singular)
         with pytest.raises(NumericalError, match=r"singular .*condition number inf"):
             evaluate_spectra(fixture("two_var_alpha", alpha=0.5).model, GRID)
+
+
+class TestBlockWalk:
+    """_spectral_blocks walks the grid in blocks; evaluate_spectra is its one-block walk."""
+
+    @pytest.mark.parametrize("k, n_points", [(1, 20000), (2, 9000), (16, 1001), (64, 103)])
+    def test_blocks_equal_slices_of_the_whole_grid(self, k, n_points):
+        # each n_points leaves a short last block at _block_size(k)
+        model = random_stable_model(np.random.default_rng(90 + k), k, p=3)
+        grid = FrequencyGrid.default(n_points)
+        whole = evaluate_spectra(model, grid)
+        size = _block_size(k)
+        blocks = list(_spectral_blocks(model, grid, size))
+        assert len(blocks) == math.ceil(n_points / size) > 1
+        for index, block in enumerate(blocks):
+            window = slice(index * size, (index + 1) * size)
+            assert block.grid is grid
+            for name in ("a_bar", "h_bar", "s", "s_inv"):
+                assert np.array_equal(getattr(block, name), getattr(whole, name)[window]), (index, name)
+
+
+class TestWalkRefusals:
+    """A walk refuses as the whole grid does, whatever the block size."""
+
+    @pytest.mark.parametrize(
+        "faults, index, kappa",
+        [
+            # a zero pivot beats a kappa_1 failure, in an earlier block or a later one
+            ({5: 1e20, 40: "pivot"}, 40, "inf"),
+            ({5: "pivot", 40: 1e20}, 5, "inf"),
+            ({5: np.nan, 40: "pivot"}, 40, "inf"),
+            # the worst kappa_1 over the whole grid, the first one on a tie
+            ({5: 1e20, 40: 1e30}, 40, None),
+            ({5: 1e30, 40: 1e20}, 5, None),
+            ({5: np.inf, 40: np.inf}, 5, "inf"),
+            # the first NaN beats any number
+            ({5: 1e30, 40: np.nan}, 40, "nan"),
+            ({20: np.nan, 40: np.nan, 50: np.inf}, 20, "nan"),
+        ],
+    )
+    @pytest.mark.parametrize("size", [1, 16, 64])
+    def test_refusal_does_not_depend_on_block_size(self, faulty_inverse, faults, index, kappa, size):
+        faulty_inverse(size, faults)
+        model = fixture("two_var_alpha", alpha=0.5).model
+        with pytest.raises(NumericalError, match="singular") as caught:
+            list(_spectral_blocks(model, GRID, size))
+        found = re.search(r"omega = (\S+) \(condition number (\S+) exceeds", str(caught.value))
+        assert found[1] == f"{GRID.points[index]:.6g}"
+        if kappa is not None:
+            assert found[2] == kappa
+
+    def test_no_block_is_yielded_once_the_guard_fails(self, faulty_inverse):
+        faulty_inverse(16, {20: 1e20})
+        walk = _spectral_blocks(fixture("two_var_alpha", alpha=0.5).model, GRID, 16)
+        assert next(walk).a_bar.shape[0] == 16
+        with pytest.raises(NumericalError, match=f"singular at omega = {GRID.points[20]:.6g} "):
+            next(walk)
 
 
 class TestSpectralSet:
