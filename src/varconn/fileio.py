@@ -77,6 +77,8 @@ def model_from_document(document: dict) -> VarModel:
         raise ParseError(f"model document is missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"model document has malformed arrays: {exc}") from None
+    if p == 0 and coeffs.shape == (0,):  # no lag matrices: JSON has no shape for an empty list
+        coeffs = coeffs.reshape(0, k, k)
     if coeffs.shape != (p, k, k):
         raise ParseError(f"coeffs have shape {coeffs.shape}, declared (p, K, K) = ({p}, {k}, {k})")
     if sigma.shape != (k, k):

@@ -68,11 +68,16 @@ def geweke_hosoya_bridge(measure_sq) -> tuple[np.ndarray, int]:
     channels this connects the information measures to the classical
     Geweke and Hosoya frequency-domain causality decompositions.
 
-    The rate path calls it one block of frequencies at a time, so a refusal
-    there quotes the max (or min) of the first block that fails, not of the
-    whole grid.
+    The rate path applies it in place, one block of frequencies at a time,
+    so a refusal there quotes the max (or min) of the first block that
+    fails, not of the whole grid.
     """
-    values = np.asarray(measure_sq, dtype=float)
+    values = np.array(measure_sq, dtype=float)
+    return values, _bridge_in_place(values)
+
+
+def _bridge_in_place(values: np.ndarray) -> int:
+    """``geweke_hosoya_bridge`` written over its float input; returns n_clipped."""
     if np.any(values > 1.0 + BOUND_TOL):
         raise DomainError(
             f"squared coherence exceeds 1 (max {float(np.max(values)):.6g}); upstream bound violated"
@@ -80,44 +85,55 @@ def geweke_hosoya_bridge(measure_sq) -> tuple[np.ndarray, int]:
     if np.any(values < -BOUND_TOL):
         raise DomainError(f"squared coherence is negative (min {float(np.min(values)):.6g})")
     n_clipped = int(np.count_nonzero(values > 1.0 - EPS_CLIP))
-    return -np.log1p(-np.clip(values, 0.0, 1.0 - EPS_CLIP)), n_clipped
+    # -log1p(-clip(values)), one step at a time
+    np.clip(values, 0.0, 1.0 - EPS_CLIP, out=values)
+    np.negative(values, out=values)
+    np.log1p(values, out=values)
+    np.negative(values, out=values)
+    return n_clipped
 
 
 class _TrapezoidSum:
     """``np.trapezoid(y, omega, axis=0)``, fed the (K, K) rows of y in consecutive blocks.
 
     The result is numpy's bit for bit. Each interval adds the term
-    d * (y[n + 1] + y[n]) / 2.0, so a block is joined to the last row of the
-    one before it. numpy sums a stack of such terms row by row, left to
-    right, when K >= 2, so the running sum carries from block to block. A
-    stack of 1 x 1 terms it sums pairwise instead, so for K = 1 the terms
-    are kept, one float per interval, and summed once in ``result``.
+    d * (y[n + 1] + y[n]) / 2.0, so a block is joined to a copy of the last
+    row of the one before it. numpy sums a stack of such terms row by row,
+    left to right, when K >= 2, so the running sum is row 0 of a stack whose
+    other rows are the next block's terms; the stack is allocated once, at
+    the first block, which no later block may outgrow. A stack of 1 x 1
+    terms numpy sums pairwise instead, so for K = 1 the terms are kept, one
+    float per interval, and summed once in ``result``.
     """
 
     def __init__(self, omega: np.ndarray):
         self.omega = omega
         self.stop = 0
         self.last = None
-        self.total = None
+        self.stack = None
         self.scalar_terms = []
 
     def add(self, rows: np.ndarray) -> None:
         start, self.stop = self.stop, self.stop + rows.shape[0]
-        if self.last is None:
-            self.total = np.zeros(rows.shape[1:])
-        else:
-            start -= 1
-            rows = np.concatenate([self.last[None], rows])
-        self.last = rows[-1]
-        d = np.diff(self.omega[start:self.stop])[:, None, None]
-        terms = d * (rows[1:] + rows[:-1]) / 2.0
+        joined = self.last is not None
+        if self.stack is None:
+            self.stack = np.zeros((rows.shape[0] + 1, *rows.shape[1:]))
+        d = np.diff(self.omega[start - joined : self.stop])[:, None, None]
+        stack = self.stack[: d.shape[0] + 1]
+        terms = stack[1:]
+        if joined:
+            np.add(rows[0], self.last, out=terms[0])
+        np.add(rows[1:], rows[:-1], out=terms[joined:])
+        np.multiply(d, terms, out=terms)
+        np.divide(terms, 2.0, out=terms)
+        self.last = rows[-1].copy()
         if self.last.size == 1:
-            self.scalar_terms.append(terms)
+            self.scalar_terms.append(terms.copy())
         else:
-            self.total = np.concatenate([self.total[None], terms]).sum(axis=0)
+            stack[0] = stack.sum(axis=0)
 
     def result(self) -> np.ndarray:
-        return np.concatenate(self.scalar_terms).sum(axis=0) if self.scalar_terms else self.total
+        return np.concatenate(self.scalar_terms).sum(axis=0) if self.scalar_terms else self.stack[0].copy()
 
 
 def rate_kinds(kinds) -> list[MeasureKind]:
@@ -148,18 +164,21 @@ def information_rates(model: VarModel, grid: FrequencyGrid, kinds) -> dict[Measu
     integrals = {kind: _TrapezoidSum(omega) for kind in kinds}
     n_clipped = dict.fromkeys(kinds, 0)
     diag = np.arange(model.K)
-    refusal = None
+    refusal, integrand = None, None
     for block in _spectral_blocks(model, grid, _block_size(model.K)):
         if refusal is not None:
             continue
+        if integrand is None:  # the first block is the longest
+            integrand = np.empty(block.a_bar.shape)
+        squared = integrand[: block.a_bar.shape[0]]
         try:
             for kind in kinds:
-                squared = np.abs(_MEASURES[kind](block).values) ** 2
+                np.abs(_MEASURES[kind](block).values, out=squared)
+                np.square(squared, out=squared)
                 if kind is MeasureKind.COHERENCE:
                     squared[:, diag, diag] = 0.0
-                integrand, clipped = geweke_hosoya_bridge(squared)
-                integrals[kind].add(integrand)
-                n_clipped[kind] += clipped
+                n_clipped[kind] += _bridge_in_place(squared)
+                integrals[kind].add(squared)
         except (DomainError, NumericalError) as exc:
             refusal = exc
     if omega.size < 2:

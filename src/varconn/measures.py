@@ -126,7 +126,7 @@ def idtf(spectra: SpectralSet) -> MeasureResult:
     sigma is diagonal. Entry (i, j) equals the coherence between signal i
     and that partialized innovation.
     """
-    rho = 1.0 / np.diag(np.linalg.inv(spectra.sigma))
+    rho = 1.0 / np.diag(spectra.sigma_inv)
     values = spectra.h_bar * np.sqrt(rho)[None, None, :] / np.sqrt(_autospectra(spectra))[:, :, None]
     return MeasureResult(MeasureKind.IDTF, values)
 

@@ -80,7 +80,7 @@ def random_stable_model(rng, k: int, p: int | None = None, max_radius: float = 0
     """
     if p is None:
         p = int(rng.integers(1, 4))
-    scale = 0.4 / np.sqrt(k * p)
+    scale = 0.4 / np.sqrt(k * max(p, 1))
     coeffs = None
     for _ in range(1000):
         candidate = rng.normal(0.0, scale, size=(p, k, k))

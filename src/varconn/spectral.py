@@ -7,10 +7,16 @@ S = H_bar sigma H_bar^H and its inverse assembled directly as
 A_bar^H sigma^-1 A_bar. Each frequency is evaluated on its own, so the
 grid is walked in blocks (``_spectral_blocks``); ``evaluate_spectra`` is
 the walk in a single block.
+
+A walk allocates its block-sized arrays once and writes every block into
+them, so a block it yields holds read-only views that stay valid only
+until the next block is drawn. A caller that keeps a block past that point
+must copy what it keeps. ``evaluate_spectra`` walks in one block, so its
+arrays are never rewritten.
 """
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -92,30 +98,76 @@ class SpectralSet:
 
     S and S^-1 are assembled on first access and kept; a caller that needs
     neither never holds them. The arrays are locked, not copied: the set
-    owns what it is given.
+    owns what it is given. A block of a walk shares the walk's workspace,
+    so its S and S^-1 are written into arrays the next block rewrites.
     """
 
     grid: FrequencyGrid
     a_bar: np.ndarray
     h_bar: np.ndarray
     sigma: np.ndarray
+    _work: "_Workspace | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("a_bar", "h_bar"):
             object.__setattr__(self, name, lock(getattr(self, name), dtype=complex))
         object.__setattr__(self, "sigma", lock(self.sigma))
+        if self._work is None:
+            object.__setattr__(self, "_work", _Workspace(self.sigma))
 
     @property
     def K(self) -> int:
         return self.a_bar.shape[-1]
 
+    @property
+    def sigma_inv(self) -> np.ndarray:
+        """sigma^-1, inverted once per walk."""
+        return self._work.sigma_inv
+
     @cached_property
     def s(self) -> np.ndarray:
-        return lock(self.h_bar @ self.sigma @ self.h_bar.conj().swapaxes(1, 2), dtype=complex)
+        n, take = self.h_bar.shape[0], self._work.take
+        product = np.matmul(self.h_bar, self.sigma, out=take("product", n))
+        conj = np.conjugate(self.h_bar, out=take("conj", n))
+        return lock(np.matmul(product, conj.swapaxes(1, 2), out=take("s", n)), dtype=complex)
 
     @cached_property
     def s_inv(self) -> np.ndarray:
-        return lock(self.a_bar.conj().swapaxes(1, 2) @ np.linalg.inv(self.sigma) @ self.a_bar, dtype=complex)
+        n, take = self.a_bar.shape[0], self._work.take
+        conj = np.conjugate(self.a_bar, out=take("conj", n))
+        product = np.matmul(conj.swapaxes(1, 2), self.sigma_inv, out=take("product", n))
+        return lock(np.matmul(product, self.a_bar, out=take("s_inv", n)), dtype=complex)
+
+
+class _Workspace:
+    """The arrays a walk writes its blocks into, lent only while the walk runs.
+
+    Each array is allocated on first use at ``rows`` frequencies, the walk's
+    longest block, and a block of n frequencies takes its first n. A
+    workspace without ``rows``, or one whose walk has ended (``close``),
+    hands out a fresh array on every ``take`` and keeps none, so a set read
+    after its walk, such as the one set of ``evaluate_spectra``, holds only
+    what it built. sigma^-1 is inverted on first use, so a walk refused
+    before it is needed never inverts sigma.
+    """
+
+    def __init__(self, sigma: np.ndarray, rows: int | None = None):
+        self.sigma, self.rows = sigma, rows
+        self.arrays = None if rows is None else {}
+
+    def take(self, name: str, n: int, dtype=complex) -> np.ndarray:
+        if self.arrays is None:
+            return np.empty((n, *self.sigma.shape), dtype)
+        if name not in self.arrays:
+            self.arrays[name] = np.empty((self.rows, *self.sigma.shape), dtype)
+        return self.arrays[name][:n]
+
+    def close(self) -> None:
+        self.arrays = None
+
+    @cached_property
+    def sigma_inv(self) -> np.ndarray:
+        return lock(np.linalg.inv(self.sigma))
 
 
 def evaluate_spectra(model: VarModel, grid: FrequencyGrid) -> SpectralSet:
@@ -149,7 +201,11 @@ def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterato
     The model is validated once, on the first draw. Each block keeps the
     whole grid but builds A_bar and H_bar for its own points only, and
     reads each frequency's 1-norm condition number
-    kappa_1 = ||A_bar||_1 ||H_bar||_1 from the two.
+    kappa_1 = ||A_bar||_1 ||H_bar||_1 from the two. A_bar and its scratch,
+    and S and S^-1 with theirs, are written into one workspace of
+    ``min(size, n_points)`` frequencies, so a yielded block holds read-only
+    views that stay valid until the next block is drawn; H_bar is the fresh
+    output of ``inv``. The workspace is released when the walk ends.
 
     Refusals do not depend on the block size. A zero pivot in ``inv`` is
     refused at once, at the first frequency whose det is 0. Otherwise, after
@@ -165,28 +221,39 @@ def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterato
     if not report.sigma_ok:
         raise NumericalError("innovation covariance is not positive definite")
     k, p = model.K, model.p
-    lags, coeffs = np.arange(1, p + 1), model.coeffs.reshape(p, k * k)
+    lags, coeffs, eye = np.arange(1, p + 1), model.coeffs.reshape(p, k * k), np.eye(k)
+    work = _Workspace(model.sigma, min(size, grid.n_points))
     worst_omega, worst_kappa = None, 0.0
     for start in range(0, grid.n_points, size):
         omega = grid.points[start : start + size]
-        a_bar = np.repeat(np.eye(k, dtype=complex)[None, :, :], omega.size, axis=0)
-        if p > 0:
-            a_bar -= (np.exp(-1j * np.outer(omega, lags)) @ coeffs).reshape(omega.size, k, k)
+        n = omega.size
+        a_bar = work.take("a_bar", n)
+        # I - sum_l A(l) exp(-j omega l), as -(the sum) + I: the same bits, signed zeros included
+        np.matmul(np.exp(-1j * np.outer(omega, lags)), coeffs, out=a_bar.reshape(n, k * k))
+        np.negative(a_bar, out=a_bar)
+        a_bar += eye
         try:
             h_bar = np.linalg.inv(a_bar)
         except np.linalg.LinAlgError:
             # a zero pivot; det factors A_bar by the same LU, so it reads 0 at that frequency
             worst = int(np.argmax(np.linalg.det(a_bar) == 0))
             raise _singular(omega[worst], np.inf) from None
-        kappa = np.linalg.norm(a_bar, 1, axis=(1, 2)) * np.linalg.norm(h_bar, 1, axis=(1, 2))
+        magnitude = work.take("magnitude", n, float)
+        kappa = _norm_1(a_bar, magnitude) * _norm_1(h_bar, magnitude)
         worst = int(np.argmax(kappa))  # the first NaN, if there is one
         # keep the first NaN, else the first frequency of the largest kappa_1
         if not np.isnan(worst_kappa) and not kappa[worst] <= worst_kappa:
             worst_omega, worst_kappa = omega[worst], kappa[worst]
         if worst_kappa <= CONDITION_LIMIT:
-            yield SpectralSet(grid=grid, a_bar=a_bar, h_bar=h_bar, sigma=model.sigma)
+            yield SpectralSet(grid=grid, a_bar=a_bar, h_bar=h_bar, sigma=model.sigma, _work=work)
+    work.close()
     if not worst_kappa <= CONDITION_LIMIT:
         raise _singular(worst_omega, worst_kappa)
+
+
+def _norm_1(x: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, 1, axis=(1, 2))`` by numpy's own steps, with |x| written into ``magnitude``."""
+    return np.add.reduce(np.abs(x, out=magnitude), axis=1).max(axis=-1, initial=0)
 
 
 def _singular(omega: float, kappa: float) -> NumericalError:

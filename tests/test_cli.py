@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import varconn
-from varconn import MeasureKind, MeasureResult, NumericalError, VarModel, fixture, load_model, random_stable_model, save_model
+from varconn import EPS_CLIP, MeasureKind, MeasureResult, NumericalError, VarModel, fixture, load_model, random_stable_model, save_model
 from varconn import measures, oracles
 from varconn.cli import main
 
@@ -241,6 +242,62 @@ class TestMirCommand:
         assert done.returncode == 0, done.stderr
         growth_kib = int(done.stdout.split()[-1])
         assert growth_kib <= 12 * 1024
+
+    def test_page_faults_do_not_grow_with_the_grid(self, tmp_path):
+        # a walk reuses one workspace for every block: arrays allocated per block
+        # would be handed back to the kernel by glibc's heap trim and faulted in
+        # again by the next block, so the faults would grow with the block count
+        pytest.importorskip("resource")
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("the fault count depends on glibc's heap trim")
+        model = tmp_path / "k16.json"
+        save_model(random_stable_model(np.random.default_rng(0), 16, p=4), model)
+        script = (
+            "import resource, sys\n"
+            "import varconn.cli\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "assert varconn.cli.main(sys.argv[1:]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(varconn.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        faults = {}
+        for n_points in (129, 2048):
+            out = tmp_path / f"mir{n_points}.json"
+            argv = ["mir", "--model", str(model), "--kinds", "ipdc,idtf,coh", "--nfreq", str(n_points), "--out", str(out)]
+            done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            faults[n_points] = int(done.stdout.split()[-1])
+        assert faults[2048] - faults[129] <= 500, faults
+
+
+class TestWhiteNoiseChannel:
+    """K = 1, p = 0: one white-noise channel, drawn as any other random model."""
+
+    @pytest.fixture()
+    def model_path(self, tmp_path):
+        path = tmp_path / "white.json"
+        save_model(random_stable_model(np.random.default_rng(1), 1, p=0), path)
+        return path
+
+    def test_mir(self, tmp_path, model_path):
+        out = tmp_path / "mir.json"
+        assert main(["mir", "--model", str(model_path), "--kinds", "ipdc,idtf,coh", "--nfreq", "65", "--out", str(out)]) == 0
+        rates = json.loads(out.read_text())["mir"]
+        # a channel's own coherence is left out; its own |iPDC|^2 and |iDTF|^2
+        # are 1 at every frequency, clipped to 1 - EPS_CLIP
+        assert rates["coh"] == {"n_clipped": 0, "units": "nats_per_sample", "values": [[0.0]]}
+        for kind in ("ipdc", "idtf"):
+            assert rates[kind]["n_clipped"] == 65, kind
+            assert rates[kind]["values"][0][0] == pytest.approx(-math.log1p(EPS_CLIP - 1.0) / 2.0, rel=1e-12), kind
+
+    def test_measure(self, tmp_path, model_path):
+        out = tmp_path / "measure.json"
+        assert main(["measure", "--model", str(model_path), "--nfreq", "9", "--mag-sq", "--out", str(out)]) == 0
+        measures = json.loads(out.read_text())["measures"]
+        assert sorted(measures) == sorted(kind.value for kind in MeasureKind)
+        for kind, values in measures.items():
+            assert np.asarray(values["mag_sq"]) == pytest.approx(np.ones((9, 1, 1)), abs=1e-15), kind
 
 
 class TestSchemaConformance:

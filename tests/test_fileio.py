@@ -61,6 +61,16 @@ class TestModelDocuments:
         save_model(reloaded, path, name="chain")
         assert path.read_bytes() == first
 
+    def test_round_trip_without_lags(self, tmp_path):
+        # a p = 0 document writes coeffs as [], which carries no (0, K, K) shape
+        model = VarModel(np.zeros((0, 2, 2)), np.eye(2))
+        path = tmp_path / "white.json"
+        save_model(model, path)
+        assert json.loads(path.read_text())["coeffs"] == []
+        reloaded = load_model(path)
+        assert reloaded.coeffs.shape == (0, 2, 2)
+        assert_allclose(reloaded.sigma, model.sigma)
+
     def test_document_shape(self):
         fx = fixture("two_var_alpha", alpha=0.5)
         document = model_to_document(fx.model, name="pair")

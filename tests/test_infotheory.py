@@ -22,6 +22,7 @@ from varconn import (
     fixture,
     geweke_hosoya_bridge,
     information_rates,
+    measures_from_spectra,
     random_stable_model,
 )
 from varconn.infotheory import _TrapezoidSum
@@ -229,6 +230,34 @@ class TestOnePass:
         information_rates(model, FrequencyGrid.default(n_points), ["ipdc", "idtf", "coh"])
         assert counts == {"s": builds, "s_inv": builds}
 
+    def test_sigma_is_inverted_once_per_walk(self, monkeypatch):
+        inv, inverted = np.linalg.inv, []
+
+        def counted(a):
+            inverted.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        information_rates(random_stable_model(np.random.default_rng(16), 16, p=4), FrequencyGrid.default(2048), ["ipdc", "idtf", "coh"])
+        # one inverse of A_bar per block of 64, and one of sigma
+        assert sorted(inverted) == [(16, 16)] + [(64, 16, 16)] * 32
+
+    def test_whole_grid_results_survive_a_later_walk(self):
+        # the walk reuses its arrays from block to block; a set evaluate_spectra
+        # returned, and the measures drawn from it, belong to no later walk
+        model = random_stable_model(np.random.default_rng(93), 16, p=3)
+        grid = FrequencyGrid.default(200)
+        spectra = evaluate_spectra(model, grid)
+        results = list(measures_from_spectra(spectra, list(MeasureKind)))
+        names = ("a_bar", "h_bar", "s", "s_inv")
+        kept = {name: getattr(spectra, name).copy() for name in names}
+        kept_values = [result.values.copy() for result in results]
+        information_rates(model, grid, ["ipdc", "idtf", "coh"])
+        for name in names:
+            assert np.array_equal(getattr(spectra, name), kept[name]), name
+        for result, values in zip(results, kept_values):
+            assert np.array_equal(result.values, values), result.kind
+
     @pytest.mark.parametrize("k, n_points", [(1, 40000), (2, 9000), (16, 1001), (16, 2048)])
     def test_one_call_equals_one_call_per_kind(self, k, n_points):
         model = random_stable_model(np.random.default_rng(80 + k), k, p=3)
@@ -316,7 +345,7 @@ class TestPeakMemory:
     def test_rates_hold_one_block(self, k, p, n_points):
         # each complex (n_points, K, K) array is 8 MiB at (16, 2048) and 32 MiB at
         # (64, 512); a block of one is about 256 KiB, so holding a block of A_bar,
-        # H_bar, S, S^-1, each measure and its integrand stays near 2.5 MiB, while
+        # H_bar, S, S^-1, each measure and its integrand stays near 3 MiB, while
         # a single whole-grid array would exceed the bound
         model = random_stable_model(np.random.default_rng(k), k, p=p)
         grid = FrequencyGrid.default(n_points)

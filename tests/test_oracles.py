@@ -82,6 +82,13 @@ class TestRandomStableModel:
         model = random_stable_model(np.random.default_rng(51), 2, p=3)
         assert model.p == 3
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_white_noise_order(self, k):
+        # p = 0 draws no coefficients; the scale must not divide by k * p
+        model = random_stable_model(np.random.default_rng(52), k, p=0)
+        assert model.coeffs.shape == (0, k, k)
+        assert validate(model).stable
+
 
 class TestProcessCoherenceIdentity:
     def test_two_channel_closed_form(self):

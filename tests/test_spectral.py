@@ -192,13 +192,32 @@ class TestBlockWalk:
         grid = FrequencyGrid.default(n_points)
         whole = evaluate_spectra(model, grid)
         size = _block_size(k)
-        blocks = list(_spectral_blocks(model, grid, size))
-        assert len(blocks) == math.ceil(n_points / size) > 1
-        for index, block in enumerate(blocks):
+        # a block is valid until the next is drawn, so each is compared as it comes
+        drawn = 0
+        for index, block in enumerate(_spectral_blocks(model, grid, size)):
             window = slice(index * size, (index + 1) * size)
             assert block.grid is grid
             for name in ("a_bar", "h_bar", "s", "s_inv"):
                 assert np.array_equal(getattr(block, name), getattr(whole, name)[window]), (index, name)
+            drawn += 1
+        assert drawn == math.ceil(n_points / size) > 1
+
+    def test_blocks_are_read_only_views_of_one_workspace(self):
+        model = random_stable_model(np.random.default_rng(91), 16, p=3)
+        names = ("a_bar", "h_bar", "sigma", "sigma_inv", "s", "s_inv")
+        blocks = []
+        for block in _spectral_blocks(model, FrequencyGrid.default(200), _block_size(16)):
+            for name in names:
+                assert not getattr(block, name).flags.writeable, (len(blocks), name)
+            blocks.append(block)
+        assert len(blocks) == 4
+        # every block is written into the arrays the walk allocated for the first;
+        # H_bar is the fresh output of inv, and sigma^-1 is inverted once
+        first, last = blocks[0], blocks[-1]
+        for name in ("a_bar", "s", "s_inv"):
+            assert np.shares_memory(getattr(first, name), getattr(last, name)), name
+        assert not np.shares_memory(first.h_bar, last.h_bar)
+        assert first.sigma_inv is last.sigma_inv
 
 
 class TestWalkRefusals:
