@@ -177,6 +177,12 @@ def simulate(
     (samples, innovations)
         Two aligned TimeSeriesData objects: ``innovations.values[t]`` is the
         draw that produced ``samples.values[t]``.
+
+    The recursion starts from a zero history and advances a block of
+    samples at a time (see ``_block_recursion``), so a sample may differ in
+    its last digit from the same sum taken one step and one lag at a time;
+    a seed gives the same samples on every run. For p = 0 the samples are
+    the innovations.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
@@ -189,23 +195,82 @@ def simulate(
         )
     if not report.sigma_ok:
         raise NumericalError("innovation covariance is not positive definite")
-    k, p = model.K, model.p
     chol = np.linalg.cholesky(model.sigma)
     rng = np.random.default_rng(seed)
     total = burn_in + n_samples
-    innovations = rng.standard_normal((total, k)) @ chol.T
-    # rows t .. t + p - 1 of x hold lags p .. 1 of sample t (the first p rows
-    # are the zero pre-sample history), so one (K, K p) matvec per step
-    # applies every lag
-    flat = model.coeffs[::-1].transpose(1, 0, 2).reshape(k, k * p)
-    x = np.zeros((p + total, k))
-    x[p:] = innovations
-    for t in range(total):
-        x[p + t] += flat @ x[t : t + p].ravel()
+    innovations = rng.standard_normal((total, model.K)) @ chol.T
+    samples = _block_recursion(model, innovations) if model.p else innovations
     return (
-        TimeSeriesData(x[p + burn_in :]),
+        TimeSeriesData(samples[burn_in:]),
         TimeSeriesData(innovations[burn_in:]),
     )
+
+
+#: Blocks whose zero-state part one product computes; 64 blocks of the
+#: largest block are 128 KiB of samples.
+_CHUNK_BLOCKS = 64
+
+
+def _simulation_block(k: int) -> int:
+    """Samples per block of the recursion: at most 256 values, so T is at most 512 KiB."""
+    return max(1, min(16, 256 // k))
+
+
+def _block_recursion(model: VarModel, innovations: np.ndarray) -> np.ndarray:
+    """The samples of x(n) = sum_l A(l) x(n - l) + w(n) from a zero history.
+
+    A block of m samples is x_b = T w_b + G h_b, where w_b are the block's
+    innovations and h_b its p-sample history (``_block_operators``). T w_b
+    of a run of ``_CHUNK_BLOCKS`` blocks is one product; only the G h_b
+    terms walk the blocks in order, one per block.
+    """
+    total, k = innovations.shape
+    p = model.p
+    m = _simulation_block(k)
+    t, g = _block_operators(model, m)
+    # row p + n of x is sample n and the first p rows are the zero
+    # pre-sample history, so rows b m .. b m + p - 1 are block b's history
+    x = np.zeros((p + total, k))
+    n_full = total // m
+    w_blocks = innovations[: n_full * m].reshape(n_full, m * k)
+    x_blocks = x[p : p + n_full * m].reshape(n_full, m * k)
+    for start in range(0, n_full, _CHUNK_BLOCKS):
+        stop = min(start + _CHUNK_BLOCKS, n_full)
+        np.matmul(w_blocks[start:stop], t.T, out=x_blocks[start:stop])
+        for b in range(start, stop):
+            x_blocks[b] += g @ x[b * m : b * m + p].ravel()
+    s = n_full * m
+    if s < total:
+        tail, r = x[p + s :].reshape(-1), (total - s) * k
+        np.matmul(t[:r, :r], innovations[s:].reshape(-1), out=tail)
+        tail += g[:r] @ x[s : s + p].ravel()
+    return x[p:]
+
+
+def _block_operators(model: VarModel, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """T and G of a block of m samples (Lütkepohl 2005, §2.1).
+
+    With F the companion matrix, T is the (m K, m K) block lower-triangular
+    Toeplitz matrix whose block j rows below the diagonal is the impulse
+    response Psi_j, the top-left K x K block of F^j, and G (m K, K p)
+    stacks the top K rows of F^1 .. F^m, its columns reordered to take the
+    history oldest sample first.
+    """
+    k, p = model.K, model.p
+    tops = np.empty((m + 1, k, k * p))  # the top K rows of F^0 .. F^m
+    tops[0] = np.eye(k, k * p)
+    # F is applied as the transpose of a C-ordered F^T, the operand layout of
+    # the draw and of the block products: a small product in another layout
+    # pages in a BLAS kernel that nothing else in simulate or fit touches
+    f_t = np.ascontiguousarray(companion_matrix(model).T)
+    for j in range(m):
+        np.matmul(tops[j], f_t.T, out=tops[j + 1])
+    t = np.zeros((m, k, m, k))
+    for j in range(m):
+        t[j, :, : j + 1] = tops[j::-1, :, :k].transpose(1, 0, 2)
+    # F's state lists the history newest first
+    g = tops[1:].reshape(m, k, p, k)[:, :, ::-1]
+    return t.reshape(m * k, m * k), g.reshape(m * k, k * p)
 
 
 def rescale(model: VarModel, gains) -> VarModel:

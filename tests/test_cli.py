@@ -444,6 +444,15 @@ class TestSimulateAndFit:
             )
         assert a.read_bytes() == b.read_bytes()
 
+    def test_innovations_match_recorded_digest(self, tmp_path, two_channel_model_path):
+        # the draws do not depend on how the recursion is summed; digest
+        # recorded with numpy 2.4 on x86-64
+        innovations = tmp_path / "w.csv"
+        argv = ["simulate", "--model", str(two_channel_model_path), "--n", "100", "--seed", "5"]
+        assert main([*argv, "--out", str(tmp_path / "x.csv"), "--innovations-out", str(innovations)]) == 0
+        digest = hashlib.sha256(innovations.read_bytes()).hexdigest()
+        assert digest == "cd23f843cacd66d433251dc613e8eb3976bb8147182965d43dd65ba934eaf393"
+
     def test_fit_ragged_csv_fails_with_parse_code(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n3.0\n", encoding="utf-8")

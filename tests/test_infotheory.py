@@ -119,6 +119,21 @@ class TestMirMatrices:
         assert abs(rates.values[1, 1] - (-0.5 * math.log(EPS_CLIP))) < 1e-3
         assert abs(rates.values[0, 0] - 0.5 * math.log(5.0)) < 1e-10
 
+    def test_diagonal_saturates_where_a_channel_drives_or_receives_nothing(self):
+        # channel 1 drives nothing and channel 0 receives nothing, with
+        # uncorrelated innovations: |iPDC_11|^2 and |iDTF_00|^2 are 1 at every
+        # point, while the coherence diagonal is left out and clips nothing
+        model = VarModel([[[0.5, 0.0], [0.4, 0.3]]], np.diag([1.0, 2.0]))
+        grid = FrequencyGrid.default(65)
+        rates = information_rates(model, grid, ["ipdc", "idtf", "coh"])
+        saturated = -0.5 * math.log(EPS_CLIP)
+        for kind, entry in [(MeasureKind.IPDC, [1, 1]), (MeasureKind.IDTF, [0, 0])]:
+            assert rates[kind].n_clipped == grid.n_points, kind
+            assert np.argwhere(rates[kind].values > 10.0).tolist() == [entry], kind
+            assert abs(rates[kind].values[tuple(entry)] - saturated) < 1e-3, kind
+        assert rates[MeasureKind.COHERENCE].n_clipped == 0
+        assert np.all(rates[MeasureKind.COHERENCE].values < 1.0)
+
     def test_chain_rates(self):
         fx = fixture("three_var_alpha_beta", alpha=0.5, beta=1.0)
         rates = rate(fx.model, GRID, "idtf")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,6 +24,10 @@ from varconn.oracles import random_stable_model
 
 def two_channel_model(alpha=0.5):
     return VarModel([[[0.0, 0.0], [alpha, 0.0]]], np.eye(2))
+
+
+#: Samples per block of simulate's recursion at K = 4.
+M4 = var_model._simulation_block(4)
 
 
 class TestVarModel:
@@ -106,17 +112,38 @@ class TestSimulate:
         data, _ = simulate(two_channel_model(), 100000, burn_in=1000, seed=0)
         assert abs(data.values[:, 1].var() - 1.25) < 0.02
 
-    def test_innovations_align_with_samples(self):
-        model = two_channel_model()
-        samples, innovations = simulate(model, 200, burn_in=0, seed=3)
-        x, w = samples.values, innovations.values
-        for t in range(1, 200):
-            reconstructed = w[t] + model.coeffs[0] @ x[t - 1]
-            assert_allclose(x[t], reconstructed, atol=1e-12)
+    @pytest.mark.parametrize("k, p", [(2, 1), (4, 3)])
+    def test_innovations_align_with_samples(self, k, p):
+        model = two_channel_model() if p == 1 else random_stable_model(np.random.default_rng(k), k, p=p)
+        n = 5 * var_model._simulation_block(k) + 3  # several blocks and a short last one
+        samples, innovations = simulate(model, n, burn_in=0, seed=3)
+        x = np.vstack([np.zeros((p, k)), samples.values])  # the zero history before sample 0
+        for t in range(n):
+            lags = sum(model.coeffs[lag] @ x[p + t - lag - 1] for lag in range(p))
+            assert np.max(np.abs(x[p + t] - lags - innovations.values[t])) <= 1e-12, t
 
     def test_order_zero_output_equals_innovations(self):
         samples, innovations = simulate(VarModel.white_noise(np.eye(2)), 1, burn_in=0, seed=5)
-        assert_allclose(samples.values, innovations.values)
+        assert np.array_equal(samples.values, innovations.values)
+
+    @pytest.mark.parametrize("k", [2, 5, 16, 64])
+    def test_block_operators_stay_small(self, k):
+        # the block shrinks as K grows, so T and G stay within 1 MiB
+        model = random_stable_model(np.random.default_rng(k), k, p=2)
+        t, g = var_model._block_operators(model, var_model._simulation_block(k))
+        assert max(t.nbytes, g.nbytes) <= 2**20
+
+    def test_peak_memory_stays_near_the_returned_arrays(self):
+        # the draw, the samples and the two returned copies; a whole-series
+        # product or a block operator that grows with n would exceed the bound
+        model = random_stable_model(np.random.default_rng(5), 5, p=3)
+        tracemalloc.start()
+        try:
+            samples, innovations = simulate(model, 200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * (samples.values.nbytes + innovations.values.nbytes)
 
     def test_deterministic_for_fixed_seed(self):
         a, _ = simulate(two_channel_model(), 500, seed=11)
@@ -140,16 +167,48 @@ class TestSimulate:
             simulate(two_channel_model(), 10, burn_in=-1)
 
     @pytest.mark.parametrize(
-        "p, n_samples, burn_in",
-        [(0, 300, 50), (1, 300, 50), (3, 300, 50), (3, 300, 0), (3, 1, 0), (1, 1, 20)],
+        "name, n_samples, burn_in",
+        [
+            ("K2p0", 300, 50),
+            ("K4p1", 300, 50),
+            ("K4p3", 300, 50),
+            ("K4p3", 300, 0),
+            ("K4p3", 1, 0),
+            ("K4p1", 1, 20),
+            # totals of m - 1, m and m + 1 samples for a block of m
+            ("K4p3", M4 - 1, 0),
+            ("K4p3", M4, 0),
+            ("K4p3", M4 + 1, 0),
+            ("K4p3", 300, M4 + 5),  # the burn-in ends inside a block
+            ("K1p5", 20000, 1000),
+            ("K64p2", 20000, 1000),
+            ("non_normal", 20000, 1000),
+            ("K2p1_near_unit_root", 20000, 1000),
+            ("K5p3_near_unit_root", 20000, 1000),
+        ],
     )
-    def test_flat_recursion_matches_per_lag_loop(self, p, n_samples, burn_in):
-        model = random_stable_model(np.random.default_rng(p), 4, p=p) if p else VarModel.white_noise(np.diag([1.0, 2.0]))
+    def test_flat_recursion_matches_per_lag_loop(self, name, n_samples, burn_in):
+        model = simulation_model(name)
         samples, innovations = simulate(model, n_samples, burn_in=burn_in, seed=8)
         reference, reference_innovations = per_lag_simulation(model, n_samples, burn_in, seed=8)
         assert np.array_equal(innovations.values, reference_innovations)
         # the summation order differs, so only the last digits may move
         assert np.max(np.abs(samples.values - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def simulation_model(name):
+    """A model for the recursion checks: random draws, a non-normal one and near unit roots."""
+    if name == "K2p0":
+        return VarModel.white_noise(np.diag([1.0, 2.0]))
+    if name == "non_normal":
+        return VarModel([[[0.9, 50.0], [0.0, 0.9]]], np.eye(2))
+    k, p = int(name[1 : name.index("p")]), int(name[name.index("p") + 1])
+    model = random_stable_model(np.random.default_rng(p), k, p=p)
+    if not name.endswith("near_unit_root"):
+        return model
+    # A(l) -> c^l A(l) scales every companion eigenvalue by c
+    c = (1.0 - 2e-8) / validate(model).spectral_radius
+    return VarModel(model.coeffs * c ** np.arange(1, p + 1)[:, None, None], model.sigma)
 
 
 def per_lag_simulation(model, n_samples, burn_in, seed):
