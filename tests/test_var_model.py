@@ -112,15 +112,16 @@ class TestSimulate:
         data, _ = simulate(two_channel_model(), 100000, burn_in=1000, seed=0)
         assert abs(data.values[:, 1].var() - 1.25) < 0.02
 
-    @pytest.mark.parametrize("k, p", [(2, 1), (4, 3)])
-    def test_innovations_align_with_samples(self, k, p):
-        model = two_channel_model() if p == 1 else random_stable_model(np.random.default_rng(k), k, p=p)
-        n = 5 * var_model._simulation_block(k) + 3  # several blocks and a short last one
-        samples, innovations = simulate(model, n, burn_in=0, seed=3)
-        x = np.vstack([np.zeros((p, k)), samples.values])  # the zero history before sample 0
-        for t in range(n):
-            lags = sum(model.coeffs[lag] @ x[p + t - lag - 1] for lag in range(p))
-            assert np.max(np.abs(x[p + t] - lags - innovations.values[t])) <= 1e-12, t
+    def test_innovations_align_with_samples(self):
+        # the two-channel model, and K=4, p=3 over several blocks and a short last one
+        for k, p in [(2, 1), (4, 3)]:
+            model = two_channel_model() if p == 1 else random_stable_model(np.random.default_rng(k), k, p=p)
+            n = 5 * var_model._simulation_block(k) + 3
+            samples, innovations = simulate(model, n, burn_in=0, seed=3)
+            x = np.vstack([np.zeros((p, k)), samples.values])  # the zero history before sample 0
+            for t in range(n):
+                lags = sum(model.coeffs[lag] @ x[p + t - lag - 1] for lag in range(p))
+                assert np.max(np.abs(x[p + t] - lags - innovations.values[t])) <= 1e-12, (k, p, t)
 
     def test_order_zero_output_equals_innovations(self):
         samples, innovations = simulate(VarModel.white_noise(np.eye(2)), 1, burn_in=0, seed=5)
@@ -167,19 +168,19 @@ class TestSimulate:
             simulate(two_channel_model(), 10, burn_in=-1)
 
     @pytest.mark.parametrize(
-        "name, n_samples, burn_in",
+        "case, n_samples, burn_in",
         [
-            ("K2p0", 300, 50),
-            ("K4p1", 300, 50),
-            ("K4p3", 300, 50),
-            ("K4p3", 300, 0),
-            ("K4p3", 1, 0),
-            ("K4p1", 1, 20),
+            (0, 300, 50),
+            (1, 300, 50),
+            (3, 300, 50),
+            (3, 300, 0),
+            (3, 1, 0),
+            (1, 1, 20),
             # totals of m - 1, m and m + 1 samples for a block of m
-            ("K4p3", M4 - 1, 0),
-            ("K4p3", M4, 0),
-            ("K4p3", M4 + 1, 0),
-            ("K4p3", 300, M4 + 5),  # the burn-in ends inside a block
+            (3, M4 - 1, 0),
+            (3, M4, 0),
+            (3, M4 + 1, 0),
+            (3, 300, M4 + 5),  # the burn-in ends inside a block
             ("K1p5", 20000, 1000),
             ("K64p2", 20000, 1000),
             ("non_normal", 20000, 1000),
@@ -187,8 +188,8 @@ class TestSimulate:
             ("K5p3_near_unit_root", 20000, 1000),
         ],
     )
-    def test_flat_recursion_matches_per_lag_loop(self, name, n_samples, burn_in):
-        model = simulation_model(name)
+    def test_flat_recursion_matches_per_lag_loop(self, case, n_samples, burn_in):
+        model = simulation_model(case)
         samples, innovations = simulate(model, n_samples, burn_in=burn_in, seed=8)
         reference, reference_innovations = per_lag_simulation(model, n_samples, burn_in, seed=8)
         assert np.array_equal(innovations.values, reference_innovations)
@@ -196,10 +197,18 @@ class TestSimulate:
         assert np.max(np.abs(samples.values - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
-def simulation_model(name):
-    """A model for the recursion checks: random draws, a non-normal one and near unit roots."""
-    if name == "K2p0":
+def simulation_model(case):
+    """A model for the recursion checks.
+
+    An integer p is a random K=4 model of order p (white noise on two
+    channels for p = 0); a name is a random model "K<k>p<p>", a non-normal
+    one, or a random one scaled to a near unit root.
+    """
+    if case == 0:
         return VarModel.white_noise(np.diag([1.0, 2.0]))
+    if isinstance(case, int):
+        return random_stable_model(np.random.default_rng(case), 4, p=case)
+    name = case
     if name == "non_normal":
         return VarModel([[[0.9, 50.0], [0.0, 0.9]]], np.eye(2))
     k, p = int(name[1 : name.index("p")]), int(name[name.index("p") + 1])
