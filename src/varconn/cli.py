@@ -28,7 +28,7 @@ from .fileio import (
 from .infotheory import information_rates, rate_kinds
 from .measures import MeasureKind, measures_from_spectra
 from .oracles import run_verification
-from .spectral import FrequencyGrid, evaluate_spectra
+from .spectral import DEFAULT_N_POINTS, FrequencyGrid, evaluate_spectra
 from .var_model import estimate, select_order, simulate, validate
 
 EXIT_OK = 0
@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_measure = sub.add_parser("measure", help="evaluate connectivity measures")
     p_measure.add_argument("--model", required=True)
     p_measure.add_argument("--measures", default="coh,pdc,gpdc,ipdc,dtf,dc,idtf", help="comma-separated list")
-    p_measure.add_argument("--nfreq", type=int, default=512)
+    p_measure.add_argument("--nfreq", type=int, default=DEFAULT_N_POINTS)
     p_measure.add_argument("--mag-sq", action="store_true", help="include squared magnitudes")
     p_measure.add_argument("--fs", type=float, help="sample rate to annotate frequencies in Hz")
     p_measure.add_argument("--out", help="output JSON (stdout if omitted)")
@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mir = sub.add_parser("mir", help="integrate measures into information rates")
     p_mir.add_argument("--model", required=True)
     p_mir.add_argument("--kinds", default="ipdc,idtf", help="comma-separated: ipdc, idtf, coh")
-    p_mir.add_argument("--nfreq", type=int, default=512)
+    p_mir.add_argument("--nfreq", type=int, default=DEFAULT_N_POINTS)
     p_mir.add_argument("--units", default="nats", choices=("nats", "bits"))
     p_mir.add_argument("--out", help="output JSON (stdout if omitted)")
     p_mir.set_defaults(handler=_cmd_mir)
@@ -146,7 +146,7 @@ def _parse_kinds(text: str, what: str) -> list[str]:
 def _cmd_measure(args) -> int:
     model = load_model(args.model)
     kinds = [MeasureKind(name) for name in _parse_kinds(args.measures, "measure")]
-    grid = FrequencyGrid.default(args.nfreq)
+    grid = FrequencyGrid(args.nfreq)
     spectra = evaluate_spectra(model, grid)
     results = {result.kind: result for result in measures_from_spectra(spectra, kinds)}
     return _emit(render_result(grid, measures=results, include_mag_sq=args.mag_sq, sample_rate_hz=args.fs), args.out)
@@ -155,7 +155,7 @@ def _cmd_measure(args) -> int:
 def _cmd_mir(args) -> int:
     model = load_model(args.model)
     kinds = rate_kinds(_parse_kinds(args.kinds, "rate kind"))
-    grid = FrequencyGrid.default(args.nfreq)
+    grid = FrequencyGrid(args.nfreq)
     mirs = information_rates(model, grid, kinds)
     units = "nats_per_sample" if args.units == "nats" else "bits_per_sample"
     return _emit(render_result(grid, mirs=mirs, units=units), args.out)

@@ -8,7 +8,10 @@ integral over [0, pi] divided by pi, and every rate here is computed as
 
     MIR = 1 / (2 pi) * integral_0^pi -log(1 - |C(omega)|^2) d omega
 
-by trapezoid quadrature, in nats per sample. iPDC and iDTF are exact
+by the trapezoid rule on the uniform grid of n points, in nats per
+sample: the weighted sum (sum_k y_k - (y_0 + y_{n-1}) / 2) / (2 (n - 1)).
+The integrand is 2 pi-periodic, so the rule converges geometrically in n
+(Trefethen & Weideman, SIAM Review 56(3), 2014). iPDC and iDTF are exact
 coherences between suitably partialized processes, so integrating their
 squared magnitudes yields the information rate each directed pair shares.
 Squared coherences are clipped just below 1 before taking logs; the number
@@ -93,49 +96,6 @@ def _bridge_in_place(values: np.ndarray) -> int:
     return n_clipped
 
 
-class _TrapezoidSum:
-    """``np.trapezoid(y, omega, axis=0)``, fed the (K, K) rows of y in consecutive blocks.
-
-    The result is numpy's bit for bit. Each interval adds the term
-    d * (y[n + 1] + y[n]) / 2.0, so a block is joined to a copy of the last
-    row of the one before it. numpy sums a stack of such terms row by row,
-    left to right, when K >= 2, so the running sum is row 0 of a stack whose
-    other rows are the next block's terms; the stack is allocated once, at
-    the first block, which no later block may outgrow. A stack of 1 x 1
-    terms numpy sums pairwise instead, so for K = 1 the terms are kept, one
-    float per interval, and summed once in ``result``.
-    """
-
-    def __init__(self, omega: np.ndarray):
-        self.omega = omega
-        self.stop = 0
-        self.last = None
-        self.stack = None
-        self.scalar_terms = []
-
-    def add(self, rows: np.ndarray) -> None:
-        start, self.stop = self.stop, self.stop + rows.shape[0]
-        joined = self.last is not None
-        if self.stack is None:
-            self.stack = np.zeros((rows.shape[0] + 1, *rows.shape[1:]))
-        d = np.diff(self.omega[start - joined : self.stop])[:, None, None]
-        stack = self.stack[: d.shape[0] + 1]
-        terms = stack[1:]
-        if joined:
-            np.add(rows[0], self.last, out=terms[0])
-        np.add(rows[1:], rows[:-1], out=terms[joined:])
-        np.multiply(d, terms, out=terms)
-        np.divide(terms, 2.0, out=terms)
-        self.last = rows[-1].copy()
-        if self.last.size == 1:
-            self.scalar_terms.append(terms.copy())
-        else:
-            stack[0] = stack.sum(axis=0)
-
-    def result(self) -> np.ndarray:
-        return np.concatenate(self.scalar_terms).sum(axis=0) if self.scalar_terms else self.stack[0].copy()
-
-
 def rate_kinds(kinds) -> list[MeasureKind]:
     """The requested kinds as MeasureKinds, each once, in request order; DomainError for a kind without a rate."""
     kinds = list(kinds)
@@ -151,8 +111,10 @@ def information_rates(model: VarModel, grid: FrequencyGrid, kinds) -> dict[Measu
 
     The grid is walked once, in blocks of ``_block_size(K)`` frequencies:
     every kind is drawn from each block's A_bar, H_bar, S and S^-1 and
-    carries its own trapezoid sum and clip count on to the next block, so
-    only one block is ever held. The coherence diagonal, a channel's
+    carries its own running sum and clip count on to the next block, so
+    only one block is ever held. The bridged rows are added one at a time
+    in grid order, the two endpoint rows at half weight, so the rates do
+    not depend on the block size. The coherence diagonal, a channel's
     coherence with itself, is left out. Refusals come in this order,
     whatever the block size: the kinds (``rate_kinds``), the model and a
     singular A_bar (``_spectral_blocks``), a grid of fewer than 2 points,
@@ -160,29 +122,38 @@ def information_rates(model: VarModel, grid: FrequencyGrid, kinds) -> dict[Measu
     first kind in request order.
     """
     kinds = rate_kinds(kinds)
-    omega = grid.points
-    integrals = {kind: _TrapezoidSum(omega) for kind in kinds}
+    n_points, k = grid.n_points, model.K
+    size = _block_size(k)
+    # row 0 carries a kind's running sum, and the rows after it take the next block's integrand
+    sums = {kind: np.zeros((min(size, n_points) + 1, k, k)) for kind in kinds}
     n_clipped = dict.fromkeys(kinds, 0)
-    diag = np.arange(model.K)
-    refusal, integrand = None, None
-    for block in _spectral_blocks(model, grid, _block_size(model.K)):
+    diag = np.arange(k)
+    refusal, stop = None, 0
+    for block in _spectral_blocks(model, grid, size):
+        n = block.a_bar.shape[0]
+        start, stop = stop, stop + n
         if refusal is not None:
             continue
-        if integrand is None:  # the first block is the longest
-            integrand = np.empty(block.a_bar.shape)
-        squared = integrand[: block.a_bar.shape[0]]
         try:
             for kind in kinds:
+                stack = sums[kind][: n + 1]
+                squared = stack[1:]
                 np.abs(_MEASURES[kind](block).values, out=squared)
                 np.square(squared, out=squared)
                 if kind is MeasureKind.COHERENCE:
                     squared[:, diag, diag] = 0.0
                 n_clipped[kind] += _bridge_in_place(squared)
-                integrals[kind].add(squared)
+                if start == 0:
+                    squared[0] /= 2.0
+                if stop == n_points:
+                    squared[-1] /= 2.0
+                # accumulate adds strictly in sequence, whatever K is
+                np.cumsum(stack, axis=0, out=stack)
+                stack[0] = stack[-1]
         except (DomainError, NumericalError) as exc:
             refusal = exc
-    if omega.size < 2:
-        raise DomainError(f"rates need a grid of at least 2 points, got {omega.size}")
+    if n_points < 2:
+        raise DomainError(f"rates need a grid of at least 2 points, got {n_points}")
     if refusal is not None:
         raise refusal
-    return {kind: MirMatrix(kind, integrals[kind].result() / (2.0 * np.pi), n_clipped[kind]) for kind in kinds}
+    return {kind: MirMatrix(kind, sums[kind][0] / (2.0 * (n_points - 1)), n_clipped[kind]) for kind in kinds}

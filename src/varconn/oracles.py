@@ -229,7 +229,7 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128) -> Ve
     if n_models < 1 or n_freq < 2:
         raise DomainError("need n_models >= 1 and n_freq >= 2")
     rng = np.random.default_rng(seed)
-    grid = FrequencyGrid.default(n_freq)
+    grid = FrequencyGrid(n_freq)
     fixture_check = "fixture closed forms"
     ipdc_check = "iPDC equals innovation/partialized-process coherence"
     idtf_check = "iDTF equals signal/partialized-innovation coherence"

@@ -21,11 +21,11 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import as_readonly, lock
-from .errors import DimensionError, DomainError, NumericalError
+from ._util import lock
+from .errors import DomainError, NumericalError
 from .var_model import VarModel, validate
 
-#: Default number of grid points over [0, pi].
+#: Grid points over [0, pi] of the measure and mir commands unless --nfreq says otherwise.
 DEFAULT_N_POINTS = 512
 
 #: Limit on the 1-norm condition number kappa_1 = ||A_bar||_1 ||H_bar||_1
@@ -38,48 +38,29 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
-    """Strictly increasing frequencies in [0, pi], endpoints included.
+    """n_points uniform frequencies over [0, pi], endpoints included.
 
-    Frequencies are in radians per sample; pi is the Nyquist frequency.
-    Spectra of real-valued processes are conjugate-symmetric, so the
-    half-open circle carries all the information.
+    points is ``np.linspace(0, pi, n_points)``, read-only; one point is
+    omega = 0 alone. Frequencies are in radians per sample; pi is the
+    Nyquist frequency. Spectra of real-valued processes are
+    conjugate-symmetric, so the half-open circle carries all the
+    information.
     """
 
-    points: np.ndarray
+    n_points: int
+    points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        if points.ndim != 1 or points.size < 1:
-            raise DimensionError("grid must be a 1-d array with at least one point")
-        if not np.all(np.isfinite(points)):
-            raise DomainError("grid points must be finite")
-        if np.any(np.diff(points) <= 0):
-            raise DomainError("grid points must be strictly increasing")
-        if points[0] < 0.0 or points[-1] > np.pi + 1e-12:
-            raise DomainError("grid points must lie in [0, pi]")
-        if points.size >= 2 and (points[0] != 0.0 or abs(points[-1] - np.pi) > 1e-12):
-            raise DomainError("grids with two or more points must include both endpoints 0 and pi")
-        object.__setattr__(self, "points", as_readonly(points))
-
-    @property
-    def n_points(self) -> int:
-        return self.points.size
-
-    @classmethod
-    def default(cls, n_points: int = DEFAULT_N_POINTS) -> "FrequencyGrid":
-        """Uniform grid of n_points over [0, pi] inclusive."""
-        if n_points < 1:
-            raise DomainError(f"n_points must be >= 1, got {n_points}")
-        if n_points == 1:
-            return cls(np.zeros(1))
-        return cls(np.linspace(0.0, np.pi, n_points))
+        if self.n_points < 1:
+            raise DomainError(f"n_points must be >= 1, got {self.n_points}")
+        object.__setattr__(self, "points", lock(np.linspace(0.0, np.pi, self.n_points)))
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralSet:
     """Per-frequency matrices of a stable model, all shaped (n, K, K).
 
-    The n frequencies are the whole grid, or one block of it in a walk.
+    The n frequencies are a whole grid, or one block of it in a walk.
 
     Attributes
     ----------
@@ -102,7 +83,6 @@ class SpectralSet:
     so its S and S^-1 are written into arrays the next block rewrites.
     """
 
-    grid: FrequencyGrid
     a_bar: np.ndarray
     h_bar: np.ndarray
     sigma: np.ndarray
@@ -198,14 +178,14 @@ def _block_size(k: int) -> int:
 def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterator[SpectralSet]:
     """Walk a grid in consecutive runs of at most ``size`` frequencies, one SpectralSet each.
 
-    The model is validated once, on the first draw. Each block keeps the
-    whole grid but builds A_bar and H_bar for its own points only, and
-    reads each frequency's 1-norm condition number
-    kappa_1 = ||A_bar||_1 ||H_bar||_1 from the two. A_bar and its scratch,
-    and S and S^-1 with theirs, are written into one workspace of
-    ``min(size, n_points)`` frequencies, so a yielded block holds read-only
-    views that stay valid until the next block is drawn; H_bar is the fresh
-    output of ``inv``. The workspace is released when the walk ends.
+    The model is validated once, on the first draw. Each block builds
+    A_bar and H_bar for its own points only, and reads each frequency's
+    1-norm condition number kappa_1 = ||A_bar||_1 ||H_bar||_1 from the two.
+    A_bar and its scratch, and S and S^-1 with theirs, are written into one
+    workspace of ``min(size, n_points)`` frequencies, so a yielded block
+    holds read-only views that stay valid until the next block is drawn;
+    H_bar is the fresh output of ``inv``. The workspace is released when
+    the walk ends.
 
     Refusals do not depend on the block size. A zero pivot in ``inv`` is
     refused at once, at the first frequency whose det is 0. Otherwise, after
@@ -245,7 +225,7 @@ def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterato
         if not np.isnan(worst_kappa) and not kappa[worst] <= worst_kappa:
             worst_omega, worst_kappa = omega[worst], kappa[worst]
         if worst_kappa <= CONDITION_LIMIT:
-            yield SpectralSet(grid=grid, a_bar=a_bar, h_bar=h_bar, sigma=model.sigma, _work=work)
+            yield SpectralSet(a_bar=a_bar, h_bar=h_bar, sigma=model.sigma, _work=work)
     work.close()
     if not worst_kappa <= CONDITION_LIMIT:
         raise _singular(worst_omega, worst_kappa)

@@ -35,8 +35,8 @@ from varconn import (
 
 N_MODELS = 50
 CHANNEL_COUNTS = (2, 3, 4, 5)
-GRID = FrequencyGrid.default(128)
-DEFAULT_GRID = FrequencyGrid.default(512)
+GRID = FrequencyGrid(128)
+DEFAULT_GRID = FrequencyGrid(512)
 
 
 def every_measure(model, grid):
@@ -246,6 +246,6 @@ def test_criterion_12_numerical_conditioning(population):
         ("three_var_alpha_beta", {"alpha": 0.5, "beta": 1.0}),
     ):
         model = fixture(name, **params).model
-        fine = directed_rates(model, FrequencyGrid.default(1024))
+        fine = directed_rates(model, FrequencyGrid(1024))
         for kind, base in directed_rates(model, DEFAULT_GRID).items():
             assert float(np.max(np.abs(base.values - fine[kind].values))) < 1e-8

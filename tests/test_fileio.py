@@ -34,7 +34,7 @@ from varconn import (
 )
 from varconn.fileio import _parse_cells, _parse_vectorised, model_from_document, model_to_document, resolve_output_path
 
-GRID = FrequencyGrid.default(16)
+GRID = FrequencyGrid(16)
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 
 #: Values whose repr takes each of float's forms: signed zero, exponents
@@ -366,7 +366,7 @@ class TestResultWriter:
     @pytest.mark.parametrize("units, sample_rate_hz", [("nats_per_sample", None), ("bits_per_sample", 250.0)])
     def test_text_equals_canonical_json(self, k, n_points, include_mag_sq, units, sample_rate_hz):
         rng = np.random.default_rng([k, n_points])
-        grid = FrequencyGrid.default(n_points)
+        grid = FrequencyGrid(n_points)
         shape = (n_points, k, k)
         measures = {kind: MeasureResult(kind, draw(rng, shape) + 1j * draw(rng, shape)) for kind in (MeasureKind.IPDC, MeasureKind.COHERENCE)}
         mirs = {kind: MirMatrix(kind, np.abs(draw(rng, (k, k))), int(rng.integers(0, 5))) for kind in (MeasureKind.IDTF, MeasureKind.IPDC)}
@@ -376,7 +376,7 @@ class TestResultWriter:
         assert canonical_json(json.loads(text)) == text
 
     def test_empty_blocks(self):
-        text = "".join(render_result(FrequencyGrid.default(3)))
+        text = "".join(render_result(FrequencyGrid(3)))
         assert canonical_json(json.loads(text)) == text
         assert '"measures": {}' in text and '"mir": {}' in text
 

@@ -25,13 +25,14 @@ from varconn import (
     measures_from_spectra,
     random_stable_model,
 )
-from varconn.infotheory import _TrapezoidSum
+import varconn.infotheory
+from varconn.infotheory import RATE_KINDS
 from varconn.measures import _MEASURES
 from varconn.spectral import _block_size
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 has only trapz
 
-GRID = FrequencyGrid.default(512)
+GRID = FrequencyGrid(512)
 
 
 def rate(model, grid, kind):
@@ -105,7 +106,7 @@ class TestMirMatrices:
         # a one-point trapezoid integrates to 0 whatever the measure
         fx = fixture("two_var_alpha", alpha=0.5)
         with pytest.raises(DomainError, match="at least 2 points, got 1"):
-            rate(fx.model, FrequencyGrid.default(1), "ipdc")
+            rate(fx.model, FrequencyGrid(1), "ipdc")
 
     def test_saturated_diagonal_is_clipped_and_counted(self):
         # channel 1 drives nothing, so its own-innovation coherence is exactly
@@ -124,7 +125,7 @@ class TestMirMatrices:
         # uncorrelated innovations: |iPDC_11|^2 and |iDTF_00|^2 are 1 at every
         # point, while the coherence diagonal is left out and clips nothing
         model = VarModel([[[0.5, 0.0], [0.4, 0.3]]], np.diag([1.0, 2.0]))
-        grid = FrequencyGrid.default(65)
+        grid = FrequencyGrid(65)
         rates = information_rates(model, grid, ["ipdc", "idtf", "coh"])
         saturated = -0.5 * math.log(EPS_CLIP)
         for kind, entry in [(MeasureKind.IPDC, [1, 1]), (MeasureKind.IDTF, [0, 0])]:
@@ -165,16 +166,16 @@ class TestMirMatrices:
             ("three_var_alpha_beta", {"alpha": 0.5, "beta": 1.0}),
         ):
             fx = fixture(name, **params)
-            coarse = rate(fx.model, FrequencyGrid.default(256), "ipdc").values
-            base = rate(fx.model, FrequencyGrid.default(512), "ipdc").values
-            fine = rate(fx.model, FrequencyGrid.default(1024), "ipdc").values
+            coarse = rate(fx.model, FrequencyGrid(256), "ipdc").values
+            base = rate(fx.model, FrequencyGrid(512), "ipdc").values
+            fine = rate(fx.model, FrequencyGrid(1024), "ipdc").values
             assert float(np.max(np.abs(base - fine))) < 1e-8
             assert float(np.max(np.abs(base - coarse))) < 1e-8
 
     def test_quadrature_converges_on_random_model(self):
         model = random_stable_model(np.random.default_rng(41), 3, max_radius=0.7)
-        base = rate(model, FrequencyGrid.default(512), "ipdc").values
-        fine = rate(model, FrequencyGrid.default(2048), "ipdc").values
+        base = rate(model, FrequencyGrid(512), "ipdc").values
+        fine = rate(model, FrequencyGrid(2048), "ipdc").values
         assert float(np.max(np.abs(base - fine))) < 1e-5
 
 
@@ -242,7 +243,7 @@ class TestOnePass:
     def test_each_block_builds_s_and_s_inv_once(self, monkeypatch, k, p, n_points, builds):
         model = random_stable_model(np.random.default_rng(k), k, p=p)
         counts = count_builds(monkeypatch)
-        information_rates(model, FrequencyGrid.default(n_points), ["ipdc", "idtf", "coh"])
+        information_rates(model, FrequencyGrid(n_points), ["ipdc", "idtf", "coh"])
         assert counts == {"s": builds, "s_inv": builds}
 
     def test_sigma_is_inverted_once_per_walk(self, monkeypatch):
@@ -253,7 +254,7 @@ class TestOnePass:
             return inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", counted)
-        information_rates(random_stable_model(np.random.default_rng(16), 16, p=4), FrequencyGrid.default(2048), ["ipdc", "idtf", "coh"])
+        information_rates(random_stable_model(np.random.default_rng(16), 16, p=4), FrequencyGrid(2048), ["ipdc", "idtf", "coh"])
         # one inverse of A_bar per block of 64, and one of sigma
         assert sorted(inverted) == [(16, 16)] + [(64, 16, 16)] * 32
 
@@ -261,7 +262,7 @@ class TestOnePass:
         # the walk reuses its arrays from block to block; a set evaluate_spectra
         # returned, and the measures drawn from it, belong to no later walk
         model = random_stable_model(np.random.default_rng(93), 16, p=3)
-        grid = FrequencyGrid.default(200)
+        grid = FrequencyGrid(200)
         spectra = evaluate_spectra(model, grid)
         results = list(measures_from_spectra(spectra, list(MeasureKind)))
         names = ("a_bar", "h_bar", "s", "s_inv")
@@ -276,7 +277,7 @@ class TestOnePass:
     @pytest.mark.parametrize("k, n_points", [(1, 40000), (2, 9000), (16, 1001), (16, 2048)])
     def test_one_call_equals_one_call_per_kind(self, k, n_points):
         model = random_stable_model(np.random.default_rng(80 + k), k, p=3)
-        grid = FrequencyGrid.default(n_points)
+        grid = FrequencyGrid(n_points)
         together = information_rates(model, grid, ["ipdc", "idtf", "coh"])
         for kind, rates in together.items():
             alone = information_rates(model, grid, [kind])[kind]
@@ -298,7 +299,7 @@ class TestOnePass:
         monkeypatch.setitem(_MEASURES, MeasureKind.IPDC, refusing_in_block(MeasureKind.IPDC, ipdc_block))
         monkeypatch.setitem(_MEASURES, MeasureKind.IDTF, refusing_in_block(MeasureKind.IDTF, idtf_block))
         with pytest.raises(NumericalError, match=f"^{refused}$"):
-            information_rates(model, FrequencyGrid.default(200), kinds)
+            information_rates(model, FrequencyGrid(200), kinds)
 
 
 class TestRefusalOrder:
@@ -307,7 +308,7 @@ class TestRefusalOrder:
     @pytest.mark.parametrize("fault, kappa", [(1e20, r"\S+"), (np.nan, "nan"), ("pivot", "inf")], ids=["large", "nan", "pivot"])
     def test_guard_in_a_later_block_beats_a_measure_refusal_in_an_earlier_one(self, monkeypatch, faulty_inverse, fault, kappa):
         # 200 points are four blocks of 64 at K = 16: the measure refuses in block 0, the guard fails in block 2
-        grid = FrequencyGrid.default(200)
+        grid = FrequencyGrid(200)
         monkeypatch.setitem(_MEASURES, MeasureKind.IPDC, refusing_in_block(MeasureKind.IPDC, 0))
         faulty_inverse(64, {150: fault})
         with pytest.raises(NumericalError, match=f"singular at omega = {grid.points[150]:.6g} \\(condition number {kappa} "):
@@ -320,7 +321,7 @@ class TestRefusalOrder:
             built.append(block.a_bar.shape[0])
             return original(block)
 
-        grid = FrequencyGrid.default(200)
+        grid = FrequencyGrid(200)
         monkeypatch.setitem(_MEASURES, MeasureKind.IDTF, counted)
         faulty_inverse(64, {100: np.nan})
         with pytest.raises(NumericalError, match=f"singular at omega = {grid.points[100]:.6g} \\(condition number nan "):
@@ -330,29 +331,63 @@ class TestRefusalOrder:
     def test_guard_beats_the_grid_size(self, faulty_inverse):
         faulty_inverse(1, {0: 1e20})
         with pytest.raises(NumericalError, match="singular at omega = 0 "):
-            information_rates(fixture("two_var_alpha", alpha=0.5).model, FrequencyGrid.default(1), ["ipdc"])
+            information_rates(fixture("two_var_alpha", alpha=0.5).model, FrequencyGrid(1), ["ipdc"])
+
+
+def saturating_rows(kind, every):
+    """A _MEASURES entry for kind whose rows at grid indices 0, every, 2 every, ... are 1 throughout."""
+    original, drawn = _MEASURES[kind], [0]
+
+    def measure(block):
+        values = np.array(original(block).values)
+        rows = np.arange(drawn[0], drawn[0] + values.shape[0])
+        values[rows % every == 0] = 1.0
+        drawn[0] += values.shape[0]
+        return MeasureResult(kind, values)
+
+    return measure
 
 
 class TestBlockBoundaries:
-    """Integrands fed block by block sum to np.trapezoid over the whole grid, bit for bit."""
+    """Rates do not depend on the block size, and whole-grid np.trapezoid is their oracle."""
+
+    @pytest.mark.parametrize("k", [1, 2, 16])
+    def test_rates_do_not_depend_on_the_block_size(self, monkeypatch, k):
+        model = random_stable_model(np.random.default_rng(60 + k), k, p=2)
+        # the walk's own block size, at most 256 so that the walk in blocks of one stays short
+        size = min(_block_size(k), 256)
+        grid = FrequencyGrid(size + 2)
+        found = []
+        for block_size in (1, size - 1, size, size + 1, grid.n_points):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(varconn.infotheory, "_block_size", lambda k, block_size=block_size: block_size)
+                # saturated rows in several blocks of every size above 1
+                for kind in RATE_KINDS:
+                    patch.setitem(_MEASURES, kind, saturating_rows(kind, max(2, size // 2)))
+                rates = information_rates(model, grid, RATE_KINDS)
+            found.append({kind: (rates[kind].values.tobytes(), rates[kind].n_clipped) for kind in RATE_KINDS})
+        assert all(rates == found[0] for rates in found[1:])
+        # the coherence diagonal is left out, so at K = 1 coherence clips nothing
+        assert [n_clipped > 0 for _, n_clipped in found[0].values()] == [True, True, k > 1]
 
     @pytest.mark.parametrize("k", [1, 2, 16])
     def test_accumulator_matches_whole_grid_trapezoid(self, k):
-        size = _block_size(k)
-        rng = np.random.default_rng(70 + k)
-        for n_points in (2, 3, size - 1, size, size + 1, 2 * size + 1):
-            omega = FrequencyGrid.default(n_points).points
-            squared = rng.uniform(0.0, 1.0, size=(n_points, k, k))
-            # saturated rows in several blocks, each entry clipped
-            squared[:: size // 2] = 1.0
-            whole, expected_clipped = geweke_hosoya_bridge(squared)
-            integral, n_clipped = _TrapezoidSum(omega), 0
-            for start in range(0, n_points, size):
-                integrand, clipped = geweke_hosoya_bridge(squared[start : start + size])
-                integral.add(integrand)
-                n_clipped += clipped
-            assert np.array_equal(integral.result(), trapezoid(whole, omega, axis=0)), n_points
-            assert n_clipped == expected_clipped > 0, n_points
+        # a weighted sum in grid order, np.trapezoid's rule summed in another order;
+        # at K = 1 numpy sums the trapezoid terms pairwise, so the orders differ more
+        model = random_stable_model(np.random.default_rng(70 + k), k, p=3)
+        diag = np.arange(k)
+        n_points, rtol = ((2, 3, 1001, 40000), 1e-12) if k == 1 else ((2, 3, 1001, 2048), 1e-14)
+        for n in n_points:
+            grid = FrequencyGrid(n)
+            rates = information_rates(model, grid, RATE_KINDS)
+            for measure in measures_from_spectra(evaluate_spectra(model, grid), RATE_KINDS):
+                squared = np.abs(measure.values) ** 2
+                if measure.kind is MeasureKind.COHERENCE:
+                    squared[:, diag, diag] = 0.0
+                integrand, n_clipped = geweke_hosoya_bridge(squared)
+                expected = trapezoid(integrand, grid.points, axis=0) / (2.0 * np.pi)
+                assert_allclose(rates[measure.kind].values, expected, rtol=rtol, atol=0, err_msg=f"{measure.kind} at {n}")
+                assert rates[measure.kind].n_clipped == n_clipped, (measure.kind, n)
 
 
 class TestPeakMemory:
@@ -363,7 +398,7 @@ class TestPeakMemory:
         # H_bar, S, S^-1, each measure and its integrand stays near 3 MiB, while
         # a single whole-grid array would exceed the bound
         model = random_stable_model(np.random.default_rng(k), k, p=p)
-        grid = FrequencyGrid.default(n_points)
+        grid = FrequencyGrid(n_points)
         tracemalloc.start()
         try:
             information_rates(model, grid, ["ipdc", "idtf", "coh"])

@@ -21,7 +21,7 @@ from varconn import (
     validate,
 )
 
-GRID = FrequencyGrid.default(64)
+GRID = FrequencyGrid(64)
 
 
 def every_measure(model, grid):
@@ -179,7 +179,7 @@ class TestKindNames:
     ENTRY_POINTS = {
         "measures_from_spectra": (lambda spectra: list(measures_from_spectra(spectra, ["foo"])), UNKNOWN_MEASURE),
         "information_rates": (
-            lambda spectra: information_rates(fixture("two_var_alpha", alpha=0.5).model, spectra.grid, ["foo"]),
+            lambda spectra: information_rates(fixture("two_var_alpha", alpha=0.5).model, GRID, ["foo"]),
             "unknown rate kind 'foo', expected one of ipdc, idtf, coh",
         ),
         "pdc_family": (lambda spectra: pdc_family(spectra, "foo"), UNKNOWN_MEASURE),

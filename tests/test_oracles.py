@@ -22,7 +22,7 @@ from varconn import (
 )
 from varconn import oracles
 
-GRID = FrequencyGrid.default(64)
+GRID = FrequencyGrid(64)
 
 IPDC_CHECK = "iPDC equals innovation/partialized-process coherence"
 IDTF_CHECK = "iDTF equals signal/partialized-innovation coherence"
@@ -163,7 +163,7 @@ class TestStructuralIdentities:
 class TestWideModel:
     def test_sampled_pairs_and_inverses_at_32_channels(self):
         rng = np.random.default_rng(56)
-        grid = FrequencyGrid.default(128)
+        grid = FrequencyGrid(128)
         model = random_stable_model(rng, 32)
         spectra = evaluate_spectra(model, grid)
         ipdc_values = ipdc(spectra).values
@@ -227,7 +227,7 @@ class TestRunVerification:
 
     def test_nan_deviation_fails_its_check(self, monkeypatch):
         def nan_ipdc(spectra):
-            return MeasureResult(MeasureKind.IPDC, np.full((spectra.grid.n_points, spectra.K, spectra.K), np.nan, dtype=complex))
+            return MeasureResult(MeasureKind.IPDC, np.full((spectra.a_bar.shape[0], spectra.K, spectra.K), np.nan, dtype=complex))
 
         monkeypatch.setattr(oracles, "ipdc", nan_ipdc)
         report = run_verification(seed=7, n_models=4, n_freq=32)
