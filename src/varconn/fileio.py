@@ -133,7 +133,7 @@ def load_timeseries(path, layout: str = "rows_are_samples") -> TimeSeriesData:
         raise ParseError(f"{path}: not UTF-8: {exc}") from None
     if layout == "rows_are_channels":
         values = values.T
-    return TimeSeriesData(values)
+    return TimeSeriesData._adopt(values)
 
 
 def _parse_vectorised(path: Path) -> np.ndarray | None:

@@ -18,16 +18,25 @@ Squared coherences are clipped just below 1 before taking logs; the number
 of clipped values is reported alongside every result. Each frequency adds
 its own term, so the rates are integrated while the spectra are evaluated
 block by block, and no whole-grid array is ever held.
+
+Only squared magnitudes enter a rate, so they are built in real arithmetic
+(``_RATES``): |iPDC_ij|^2 = |A_bar_ij|^2 / (sigma_ii a_j^H sigma^-1 a_j),
+|iDTF_ij|^2 = rho_j |H_bar_ij|^2 / S_ii and |C_ij|^2 = |S_ij|^2 / (S_ii S_jj),
+from the |A_bar| and |H_bar| the conditioning guard has already computed.
+No S^-1 and no complex measure is built; the complex measures of
+``measures`` are the oracle, and the rates match their integrated squared
+magnitudes to within a few ulps.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._util import lock
 from .errors import DomainError, NumericalError
-from .measures import _MEASURES, MeasureKind
-from .spectral import FrequencyGrid, _block_size, _spectral_blocks
+from .measures import MeasureKind, _autospectra
+from .spectral import FrequencyGrid, SpectralSet, _block_size, _spectral_blocks
 from .var_model import VarModel
 
 #: Squared coherences are clipped to at most 1 - EPS_CLIP before the log.
@@ -106,11 +115,78 @@ def rate_kinds(kinds) -> list[MeasureKind]:
     return list(dict.fromkeys(map(MeasureKind, kinds)))
 
 
+class _RateBlock:
+    """One block of a walk as the rate table reads it.
+
+    spectra is the walk's current set, abs_a_bar and abs_h_bar are |A_bar|
+    and |H_bar| as its guard wrote them, and scratch is a float (n, K, 2K)
+    array the walk lends every block. diag(S) is read once, on first use,
+    and shared by iDTF and coherence; a block that needs neither builds no
+    S.
+    """
+
+    def __init__(self, spectra: SpectralSet, scratch: np.ndarray):
+        self.spectra, self.scratch = spectra, scratch[: spectra.a_bar.shape[0]]
+        self.abs_a_bar, self.abs_h_bar = spectra._magnitudes()
+
+    @cached_property
+    def autospectra(self) -> np.ndarray:
+        return _autospectra(self.spectra)
+
+
+def _ipdc_squared(block: _RateBlock, out: np.ndarray) -> None:
+    """|iPDC_ij|^2 = |A_bar_ij|^2 / (sigma_ii q_j), q_j = Re sum_i conj(A_bar_ij) (sigma^-1 A_bar)_ij.
+
+    q_j is a_j^H sigma^-1 a_j, the diagonal [S^-1]_jj, from one real matmul
+    over A_bar's real and imaginary parts side by side, so no S^-1 is built.
+    """
+    spectra = block.spectra
+    parts = spectra.a_bar.view(float)  # (n, K, 2K): Re and Im of each entry in turn
+    product = np.matmul(spectra.sigma_inv, parts, out=block.scratch)
+    product *= parts
+    summed = np.add.reduce(product, axis=1)
+    quad = summed[:, 0::2] + summed[:, 1::2]
+    if np.any(quad <= 0):
+        raise NumericalError("non-positive column quadratic form: iPDC undefined")
+    np.square(block.abs_a_bar, out=out)
+    out /= np.diag(spectra.sigma)[:, None]
+    out /= quad[:, None, :]
+
+
+def _idtf_squared(block: _RateBlock, out: np.ndarray) -> None:
+    """|iDTF_ij|^2 = rho_j |H_bar_ij|^2 / S_ii, rho_j = 1 / [sigma^-1]_jj."""
+    auto = block.autospectra
+    np.square(block.abs_h_bar, out=out)
+    out /= np.diag(block.spectra.sigma_inv)
+    out /= auto[:, :, None]
+
+
+def _coherence_squared(block: _RateBlock, out: np.ndarray) -> None:
+    """|C_ij|^2 = (Re S_ij^2 + Im S_ij^2) / (S_ii S_jj), with the diagonal zeroed."""
+    auto = block.autospectra
+    squares = np.square(block.spectra.s.view(float), out=block.scratch)  # Re^2 and Im^2 side by side
+    np.add(squares[..., 0::2], squares[..., 1::2], out=out)
+    out /= auto[:, :, None]
+    out /= auto[:, None, :]
+    diag = np.arange(out.shape[1])
+    out[:, diag, diag] = 0.0
+
+
+#: Each rate kind's squared magnitude as fn(block, out): written from a
+#: _RateBlock into the float (n, K, K) array out, or a NumericalError.
+_RATES = {
+    MeasureKind.IPDC: _ipdc_squared,
+    MeasureKind.IDTF: _idtf_squared,
+    MeasureKind.COHERENCE: _coherence_squared,
+}
+
+
 def information_rates(model: VarModel, grid: FrequencyGrid, kinds) -> dict[MeasureKind, MirMatrix]:
     """Rate matrices of the requested kinds, in request order, of a model on a grid.
 
     The grid is walked once, in blocks of ``_block_size(K)`` frequencies:
-    every kind is drawn from each block's A_bar, H_bar, S and S^-1 and
+    every kind writes its squared magnitude (``_RATES``) from each block's
+    A_bar, the guard's |A_bar| and |H_bar|, and S, in real arithmetic, and
     carries its own running sum and clip count on to the next block, so
     only one block is ever held. The bridged rows are added one at a time
     in grid order, the two endpoint rows at half weight, so the rates do
@@ -118,30 +194,29 @@ def information_rates(model: VarModel, grid: FrequencyGrid, kinds) -> dict[Measu
     coherence with itself, is left out. Refusals come in this order,
     whatever the block size: the kinds (``rate_kinds``), the model and a
     singular A_bar (``_spectral_blocks``), a grid of fewer than 2 points,
-    then the first block whose measures or bridge refuse, and within it the
-    first kind in request order.
+    then the first block whose squared magnitudes or bridge refuse, and
+    within it the first kind in request order.
     """
     kinds = rate_kinds(kinds)
     n_points, k = grid.n_points, model.K
     size = _block_size(k)
+    rows = min(size, n_points)
     # row 0 carries a kind's running sum, and the rows after it take the next block's integrand
-    sums = {kind: np.zeros((min(size, n_points) + 1, k, k)) for kind in kinds}
+    sums = {kind: np.zeros((rows + 1, k, k)) for kind in kinds}
+    scratch = np.empty((rows, k, 2 * k))
     n_clipped = dict.fromkeys(kinds, 0)
-    diag = np.arange(k)
     refusal, stop = None, 0
-    for block in _spectral_blocks(model, grid, size):
-        n = block.a_bar.shape[0]
+    for spectra in _spectral_blocks(model, grid, size):
+        n = spectra.a_bar.shape[0]
         start, stop = stop, stop + n
         if refusal is not None:
             continue
+        block = _RateBlock(spectra, scratch)
         try:
             for kind in kinds:
                 stack = sums[kind][: n + 1]
                 squared = stack[1:]
-                np.abs(_MEASURES[kind](block).values, out=squared)
-                np.square(squared, out=squared)
-                if kind is MeasureKind.COHERENCE:
-                    squared[:, diag, diag] = 0.0
+                _RATES[kind](block, squared)
                 n_clipped[kind] += _bridge_in_place(squared)
                 if start == 0:
                     squared[0] /= 2.0

@@ -118,6 +118,16 @@ class SpectralSet:
         product = np.matmul(conj.swapaxes(1, 2), self.sigma_inv, out=take("product", n))
         return lock(np.matmul(product, self.a_bar, out=take("s_inv", n)), dtype=complex)
 
+    def _magnitudes(self) -> tuple[np.ndarray, np.ndarray]:
+        """|A_bar| and |H_bar| as the guard of the block's walk wrote them, read-only.
+
+        Only a block of a walk that is still running has them, and the next
+        block rewrites them; a set read after its walk ended, such as the one
+        set of ``evaluate_spectra``, holds neither.
+        """
+        arrays, n = self._work.arrays, self.a_bar.shape[0]
+        return lock(arrays["abs_a_bar"][:n]), lock(arrays["abs_h_bar"][:n])
+
 
 class _Workspace:
     """The arrays a walk writes its blocks into, lent only while the walk runs.
@@ -181,11 +191,15 @@ def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterato
     The model is validated once, on the first draw. Each block builds
     A_bar and H_bar for its own points only, and reads each frequency's
     1-norm condition number kappa_1 = ||A_bar||_1 ||H_bar||_1 from the two.
-    A_bar and its scratch, and S and S^-1 with theirs, are written into one
-    workspace of ``min(size, n_points)`` frequencies, so a yielded block
-    holds read-only views that stay valid until the next block is drawn;
-    H_bar is the fresh output of ``inv``. The workspace is released when
-    the walk ends.
+    A_bar and its scratch, |A_bar| and |H_bar| as the guard leaves them, and
+    S and S^-1 with their scratch, are written into one workspace of
+    ``min(size, n_points)`` frequencies, so a yielded block holds read-only
+    views that stay valid until the next block is drawn; H_bar is the fresh
+    output of ``inv``. The rate path squares the guard's |A_bar| and |H_bar|
+    (``SpectralSet._magnitudes``) and never reads S^-1, so ``mir`` builds
+    no S^-1 and no complex measure. The workspace is released when the
+    walk ends, so the one set of ``evaluate_spectra`` keeps neither
+    magnitude.
 
     Refusals do not depend on the block size. A zero pivot in ``inv`` is
     refused at once, at the first frequency whose det is 0. Otherwise, after
@@ -218,8 +232,8 @@ def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterato
             # a zero pivot; det factors A_bar by the same LU, so it reads 0 at that frequency
             worst = int(np.argmax(np.linalg.det(a_bar) == 0))
             raise _singular(omega[worst], np.inf) from None
-        magnitude = work.take("magnitude", n, float)
-        kappa = _norm_1(a_bar, magnitude) * _norm_1(h_bar, magnitude)
+        abs_a_bar, abs_h_bar = work.take("abs_a_bar", n, float), work.take("abs_h_bar", n, float)
+        kappa = _norm_1(a_bar, abs_a_bar) * _norm_1(h_bar, abs_h_bar)
         worst = int(np.argmax(kappa))  # the first NaN, if there is one
         # keep the first NaN, else the first frequency of the largest kappa_1
         if not np.isnan(worst_kappa) and not kappa[worst] <= worst_kappa:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_readonly
+from ._util import as_readonly, lock
 from .errors import DimensionError, DomainError, EstimationError, NumericalError
 
 #: Margin by which the companion spectral radius must stay below 1.
@@ -82,19 +82,24 @@ class VarModel:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeriesData:
-    """Multichannel samples; rows are time steps, columns are channels."""
+    """Multichannel samples; rows are time steps, columns are channels.
+
+    values is copied from the caller and locked. ``simulate`` and
+    ``load_timeseries`` hand over the arrays they have just built instead
+    (``_adopt``), locked, not copied.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise DimensionError(f"values must be 2-d (samples x channels), got shape {values.shape}")
-        if values.shape[0] < 1 or values.shape[1] < 1:
-            raise DimensionError("need at least one sample and one channel")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("samples must be finite")
-        object.__setattr__(self, "values", as_readonly(values))
+        object.__setattr__(self, "values", as_readonly(_checked_samples(self.values)))
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> "TimeSeriesData":
+        """Wrap a float array its producer has just built and keeps no other use of, without a copy."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "values", lock(_checked_samples(values)))
+        return data
 
     @property
     def n_samples(self) -> int:
@@ -103,6 +108,17 @@ class TimeSeriesData:
     @property
     def K(self) -> int:
         return self.values.shape[1]
+
+
+def _checked_samples(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise DimensionError(f"values must be 2-d (samples x channels), got shape {values.shape}")
+    if values.shape[0] < 1 or values.shape[1] < 1:
+        raise DimensionError("need at least one sample and one channel")
+    if not np.all(np.isfinite(values)):
+        raise DomainError("samples must be finite")
+    return values
 
 
 @dataclass(frozen=True)
@@ -201,8 +217,8 @@ def simulate(
     innovations = rng.standard_normal((total, model.K)) @ chol.T
     samples = _block_recursion(model, innovations) if model.p else innovations
     return (
-        TimeSeriesData(samples[burn_in:]),
-        TimeSeriesData(innovations[burn_in:]),
+        TimeSeriesData._adopt(samples[burn_in:]),
+        TimeSeriesData._adopt(innovations[burn_in:]),
     )
 
 

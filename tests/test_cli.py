@@ -12,7 +12,7 @@ import pytest
 
 import varconn
 from varconn import EPS_CLIP, MeasureKind, MeasureResult, NumericalError, VarModel, fixture, load_model, random_stable_model, save_model
-from varconn import measures, oracles
+from varconn import infotheory, measures, oracles
 from varconn.cli import main
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -66,10 +66,12 @@ class TestMeasureCommand:
     @pytest.mark.parametrize("command, kinds", [("measure", "coh,idtf"), ("mir", "ipdc,idtf")])
     @pytest.mark.parametrize("to_file", [True, False])
     def test_refusal_mid_request_writes_nothing(self, monkeypatch, tmp_path, capsys, two_channel_model_path, command, kinds, to_file):
-        def refuse(spectra):
+        def refuse(*args):
             raise NumericalError("refused after the first measure")
 
-        monkeypatch.setitem(measures._MEASURES, MeasureKind.IDTF, refuse)
+        # measure draws its measures from _MEASURES, mir its squared magnitudes from _RATES
+        table = measures._MEASURES if command == "measure" else infotheory._RATES
+        monkeypatch.setitem(table, MeasureKind.IDTF, refuse)
         out = tmp_path / "result.json"
         option = "--measures" if command == "measure" else "--kinds"
         argv = [command, "--model", str(two_channel_model_path), option, kinds]
@@ -189,12 +191,14 @@ class TestMirCommand:
         # 1001 points span many frequency blocks at K = 16 and are not a
         # multiple of the block size; digest recorded with numpy 2.4 on x86-64,
         # re-pinned when rates became the uniform weighted sum in grid order
-        # rather than np.trapezoid's terms (rates moved by <= 4e-15 relative)
+        # rather than np.trapezoid's terms (rates moved by <= 4e-15 relative),
+        # and again when they came from real squared magnitudes rather than
+        # |complex measure|^2 (<= 7.7e-16 relative, every n_clipped unchanged)
         model, out = tmp_path / "k16.json", tmp_path / "mir.json"
         save_model(random_stable_model(np.random.default_rng(16), 16, p=3), model)
         argv = ["mir", "--model", str(model), "--kinds", "ipdc,idtf,coh", "--units", "bits", "--nfreq", "1001", "--out", str(out)]
         assert main(argv) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == "9576a87908e53d636154f994bebb1c8c07c7235f1252bb2ce1ea6a201ceb9244"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == "1c73083e8c80c969e761aa2b214fc535404fb217e04cd2c9e15855c26904d2d3"
 
     def test_unknown_kind(self, capsys, two_channel_model_path):
         status = main(["mir", "--model", str(two_channel_model_path), "--kinds", "pdc"])
@@ -340,8 +344,10 @@ class TestReadmeExamples:
     DIGESTS = {
         "measure": "51f93aa99328b5354015dcb8a749bdc1b5669b657d65235c188407273549b6dd",
         # re-pinned when rates became the uniform weighted sum in grid order
-        # rather than np.trapezoid's terms (rates moved by <= 6.1e-15 relative)
-        "mir": "c3f9b3bf416f6962941704150f832429ab7843e31c798b5c5036a44ce6473622",
+        # rather than np.trapezoid's terms (rates moved by <= 6.1e-15 relative),
+        # and again when they came from real squared magnitudes rather than
+        # |complex measure|^2 (<= 1.3e-16 relative, every n_clipped unchanged)
+        "mir": "5f27c5d338c00e5538b93555b35fefbe41aa144910d78c70e1f0eb8b4fccc36f",
     }
 
     def test_outputs_match_recorded_digests(self, tmp_path):

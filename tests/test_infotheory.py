@@ -13,7 +13,6 @@ from varconn import (
     EPS_CLIP,
     FrequencyGrid,
     MeasureKind,
-    MeasureResult,
     NumericalError,
     SpectralSet,
     VarModel,
@@ -26,9 +25,9 @@ from varconn import (
     random_stable_model,
 )
 import varconn.infotheory
-from varconn.infotheory import RATE_KINDS
+from varconn.infotheory import _RATES, RATE_KINDS, _RateBlock
 from varconn.measures import _MEASURES
-from varconn.spectral import _block_size
+from varconn.spectral import _block_size, _spectral_blocks, _Workspace
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 has only trapz
 
@@ -41,11 +40,11 @@ def rate(model, grid, kind):
 
 def constant_profile_rate(s):
     # a 1x1 measure whose squared magnitude is s at every grid point
-    def constant(block):
-        return MeasureResult(MeasureKind.IPDC, np.full((block.a_bar.shape[0], 1, 1), math.sqrt(s), dtype=complex))
+    def constant(block, out):
+        out.fill(s)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(_MEASURES, MeasureKind.IPDC, constant)
+        patch.setitem(_RATES, MeasureKind.IPDC, constant)
         return information_rates(VarModel(np.zeros((0, 1, 1)), np.eye(1)), GRID, ["ipdc"])[MeasureKind.IPDC]
 
 
@@ -188,9 +187,20 @@ class TestInfoDensity:
         measure = coherence(spectra)
         diagonal = np.abs(np.einsum("fii->fi", measure.values)) ** 2
         assert_allclose(diagonal, 1.0, rtol=0, atol=1e-14)
-        # the grid is one block at K = 2, so the rate integrates exactly this measure
-        monkeypatch.setitem(_MEASURES, MeasureKind.COHERENCE, lambda block: measure)
+        # the grid is one block at K = 2, so the rate integrates exactly the rows
+        # the table writes: this measure's squared magnitude, its diagonal zeroed
+        written, original = [], _RATES[MeasureKind.COHERENCE]
+
+        def recording(block, out):
+            original(block, out)
+            written.append(out.copy())
+
+        monkeypatch.setitem(_RATES, MeasureKind.COHERENCE, recording)
         rates = information_rates(fx.model, GRID, ["coh"])[MeasureKind.COHERENCE]
+        expected = np.abs(measure.values) ** 2
+        expected[:, [0, 1], [0, 1]] = 0.0
+        (rows,) = written
+        assert_allclose(rows, expected, rtol=1e-14, atol=0)
         assert rates.values[0, 0] == 0.0
         assert rates.values[1, 1] == 0.0
         assert rates.n_clipped == 0
@@ -203,8 +213,8 @@ class TestInformationRates:
         def refuse(*args, **kwargs):
             raise AssertionError("a measure was built before the kinds were checked")
 
-        for name in ("coherence", "ipdc", "pdc_family"):
-            monkeypatch.setattr(varconn.measures, name, refuse)
+        for kind in RATE_KINDS:
+            monkeypatch.setitem(_RATES, kind, refuse)
         with pytest.raises(DomainError, match="'pdc'"):
             information_rates(fx.model, GRID, ["ipdc", "pdc"])
 
@@ -225,15 +235,15 @@ def count_builds(monkeypatch):
 
 
 def refusing_in_block(kind, failing):
-    """A _MEASURES entry for kind that refuses on its call for block ``failing``, counting from 0."""
-    original, calls = _MEASURES[kind], itertools.count()
+    """A _RATES entry for kind that refuses on its call for block ``failing``, counting from 0."""
+    original, calls = _RATES[kind], itertools.count()
 
-    def measure(block):
+    def squared(block, out):
         if next(calls) == failing:
             raise NumericalError(f"{kind.value} refused in block {failing}")
-        return original(block)
+        original(block, out)
 
-    return measure
+    return squared
 
 
 class TestOnePass:
@@ -241,10 +251,12 @@ class TestOnePass:
 
     @pytest.mark.parametrize("k, p, n_points, builds", [(16, 4, 2048, 32), (5, 3, 512, 1)])
     def test_each_block_builds_s_and_s_inv_once(self, monkeypatch, k, p, n_points, builds):
+        # S once per block, shared by iDTF and coherence; iPDC's normaliser
+        # comes from A_bar and sigma^-1, so no S^-1 is built
         model = random_stable_model(np.random.default_rng(k), k, p=p)
         counts = count_builds(monkeypatch)
         information_rates(model, FrequencyGrid(n_points), ["ipdc", "idtf", "coh"])
-        assert counts == {"s": builds, "s_inv": builds}
+        assert counts == {"s": builds, "s_inv": 0}
 
     def test_sigma_is_inverted_once_per_walk(self, monkeypatch):
         inv, inverted = np.linalg.inv, []
@@ -296,8 +308,8 @@ class TestOnePass:
     def test_refusal_from_first_failing_block_then_request_order(self, monkeypatch, kinds, ipdc_block, idtf_block, refused):
         # 200 points are four blocks at K = 16
         model = random_stable_model(np.random.default_rng(17), 16, p=2)
-        monkeypatch.setitem(_MEASURES, MeasureKind.IPDC, refusing_in_block(MeasureKind.IPDC, ipdc_block))
-        monkeypatch.setitem(_MEASURES, MeasureKind.IDTF, refusing_in_block(MeasureKind.IDTF, idtf_block))
+        monkeypatch.setitem(_RATES, MeasureKind.IPDC, refusing_in_block(MeasureKind.IPDC, ipdc_block))
+        monkeypatch.setitem(_RATES, MeasureKind.IDTF, refusing_in_block(MeasureKind.IDTF, idtf_block))
         with pytest.raises(NumericalError, match=f"^{refused}$"):
             information_rates(model, FrequencyGrid(200), kinds)
 
@@ -309,20 +321,20 @@ class TestRefusalOrder:
     def test_guard_in_a_later_block_beats_a_measure_refusal_in_an_earlier_one(self, monkeypatch, faulty_inverse, fault, kappa):
         # 200 points are four blocks of 64 at K = 16: the measure refuses in block 0, the guard fails in block 2
         grid = FrequencyGrid(200)
-        monkeypatch.setitem(_MEASURES, MeasureKind.IPDC, refusing_in_block(MeasureKind.IPDC, 0))
+        monkeypatch.setitem(_RATES, MeasureKind.IPDC, refusing_in_block(MeasureKind.IPDC, 0))
         faulty_inverse(64, {150: fault})
         with pytest.raises(NumericalError, match=f"singular at omega = {grid.points[150]:.6g} \\(condition number {kappa} "):
             information_rates(random_stable_model(np.random.default_rng(17), 16, p=2), grid, ["ipdc"])
 
     def test_no_measure_is_built_once_the_guard_fails(self, monkeypatch, faulty_inverse):
-        built, original = [], _MEASURES[MeasureKind.IDTF]
+        built, original = [], _RATES[MeasureKind.IDTF]
 
-        def counted(block):
-            built.append(block.a_bar.shape[0])
-            return original(block)
+        def counted(block, out):
+            built.append(out.shape[0])
+            original(block, out)
 
         grid = FrequencyGrid(200)
-        monkeypatch.setitem(_MEASURES, MeasureKind.IDTF, counted)
+        monkeypatch.setitem(_RATES, MeasureKind.IDTF, counted)
         faulty_inverse(64, {100: np.nan})
         with pytest.raises(NumericalError, match=f"singular at omega = {grid.points[100]:.6g} \\(condition number nan "):
             information_rates(random_stable_model(np.random.default_rng(17), 16, p=2), grid, ["idtf"])
@@ -335,17 +347,22 @@ class TestRefusalOrder:
 
 
 def saturating_rows(kind, every):
-    """A _MEASURES entry for kind whose rows at grid indices 0, every, 2 every, ... are 1 throughout."""
-    original, drawn = _MEASURES[kind], [0]
+    """A _RATES entry for kind whose rows at grid indices 0, every, 2 every, ... are 1 throughout.
 
-    def measure(block):
-        values = np.array(original(block).values)
-        rows = np.arange(drawn[0], drawn[0] + values.shape[0])
-        values[rows % every == 0] = 1.0
-        drawn[0] += values.shape[0]
-        return MeasureResult(kind, values)
+    The coherence diagonal, which the rate leaves out, stays 0.
+    """
+    original, drawn = _RATES[kind], [0]
 
-    return measure
+    def squared(block, out):
+        original(block, out)
+        rows = np.arange(drawn[0], drawn[0] + out.shape[0])
+        out[rows % every == 0] = 1.0
+        if kind is MeasureKind.COHERENCE:
+            diag = np.arange(out.shape[1])
+            out[:, diag, diag] = 0.0
+        drawn[0] += out.shape[0]
+
+    return squared
 
 
 class TestBlockBoundaries:
@@ -363,7 +380,7 @@ class TestBlockBoundaries:
                 patch.setattr(varconn.infotheory, "_block_size", lambda k, block_size=block_size: block_size)
                 # saturated rows in several blocks of every size above 1
                 for kind in RATE_KINDS:
-                    patch.setitem(_MEASURES, kind, saturating_rows(kind, max(2, size // 2)))
+                    patch.setitem(_RATES, kind, saturating_rows(kind, max(2, size // 2)))
                 rates = information_rates(model, grid, RATE_KINDS)
             found.append({kind: (rates[kind].values.tobytes(), rates[kind].n_clipped) for kind in RATE_KINDS})
         assert all(rates == found[0] for rates in found[1:])
@@ -390,13 +407,72 @@ class TestBlockBoundaries:
                 assert rates[measure.kind].n_clipped == n_clipped, (measure.kind, n)
 
 
+class TestRateTable:
+    """The real-arithmetic rate table against |measure|^2 of the complex measures it replaced."""
+
+    @pytest.mark.parametrize("k, n_points", [(1, 65), (2, 129), (5, 129), (16, 200), (64, 10)])
+    def test_each_block_matches_the_squared_measure(self, k, n_points):
+        # 200 points are four blocks at K = 16, and 10 are three at K = 64
+        model = random_stable_model(np.random.default_rng(50 + k), k, p=3)
+        size = _block_size(k)
+        scratch = np.empty((min(size, n_points), k, 2 * k))
+        diag = np.arange(k)
+        blocks = 0
+        for spectra in _spectral_blocks(model, FrequencyGrid(n_points), size):
+            block = _RateBlock(spectra, scratch)
+            for kind in RATE_KINDS:
+                squared = np.empty(spectra.a_bar.shape)
+                _RATES[kind](block, squared)
+                expected = np.abs(_MEASURES[kind](spectra).values) ** 2
+                if kind is MeasureKind.COHERENCE:
+                    expected[:, diag, diag] = 0.0
+                assert_allclose(squared, expected, rtol=1e-14, atol=0, err_msg=f"{kind} in block {blocks}")
+            blocks += 1
+        assert blocks == -(-n_points // size)
+
+    def test_saturated_diagonal_clips_as_the_squared_measure_does(self):
+        # the model of test_diagonal_saturates_where_a_channel_drives_or_receives_nothing
+        model = VarModel([[[0.5, 0.0], [0.4, 0.3]]], np.diag([1.0, 2.0]))
+        grid = FrequencyGrid(65)
+        rates = information_rates(model, grid, RATE_KINDS)
+        for measure in measures_from_spectra(evaluate_spectra(model, grid), RATE_KINDS):
+            squared = np.abs(measure.values) ** 2
+            if measure.kind is MeasureKind.COHERENCE:
+                squared[:, [0, 1], [0, 1]] = 0.0
+            assert rates[measure.kind].n_clipped == geweke_hosoya_bridge(squared)[1], measure.kind
+        assert [rates[kind].n_clipped for kind in RATE_KINDS] == [grid.n_points, grid.n_points, 0]
+
+    def test_non_positive_quadratic_form_is_refused_as_by_the_measure(self, monkeypatch):
+        # a negated sigma^-1 makes every q_j = a_j^H sigma^-1 a_j negative
+        monkeypatch.setattr(_Workspace, "sigma_inv", property(lambda work: -np.linalg.inv(work.sigma)))
+        model = fixture("two_var_alpha", alpha=0.5).model
+        message = "^non-positive column quadratic form: iPDC undefined$"
+        with pytest.raises(NumericalError, match=message):
+            information_rates(model, GRID, ["ipdc"])
+        with pytest.raises(NumericalError, match=message):
+            varconn.measures.ipdc(evaluate_spectra(model, GRID))
+
+    @pytest.mark.parametrize("kind", [MeasureKind.IDTF, MeasureKind.COHERENCE])
+    def test_zero_autospectrum_is_refused_as_by_the_measure(self, monkeypatch, kind):
+        zero = cached_property(lambda spectra: np.zeros(spectra.a_bar.shape, dtype=complex))
+        zero.__set_name__(SpectralSet, "s")
+        monkeypatch.setattr(SpectralSet, "s", zero)
+        model = fixture("two_var_alpha", alpha=0.5).model
+        message = "^zero autospectrum: normalization undefined$"
+        with pytest.raises(NumericalError, match=message):
+            information_rates(model, GRID, ["ipdc", kind])
+        with pytest.raises(NumericalError, match=message):
+            _MEASURES[kind](evaluate_spectra(model, GRID))
+
+
 class TestPeakMemory:
     @pytest.mark.parametrize("k, p, n_points", [(16, 4, 2048), (64, 2, 512)])
     def test_rates_hold_one_block(self, k, p, n_points):
         # each complex (n_points, K, K) array is 8 MiB at (16, 2048) and 32 MiB at
         # (64, 512); a block of one is about 256 KiB, so holding a block of A_bar,
-        # H_bar, S, S^-1, each measure and its integrand stays near 3 MiB, while
-        # a single whole-grid array would exceed the bound
+        # H_bar, |A_bar|, |H_bar|, S, the rate scratch and each kind's integrand
+        # stays near 2.5 MiB (no S^-1 and no complex measure is built), while a
+        # single whole-grid array would exceed the bound
         model = random_stable_model(np.random.default_rng(k), k, p=p)
         grid = FrequencyGrid(n_points)
         tracemalloc.start()
@@ -405,7 +481,7 @@ class TestPeakMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2**20
+        assert peak <= 3 * 2**20
 
 
 class TestBridge:

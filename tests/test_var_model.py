@@ -76,6 +76,18 @@ class TestTimeSeriesData:
         with pytest.raises(DomainError):
             TimeSeriesData([[1.0, np.nan]])
 
+    def test_caller_array_is_copied_and_adopted_array_is_not(self):
+        values = np.ones((3, 2))
+        data = TimeSeriesData(values)
+        values[0, 0] = 5.0
+        assert data.values[0, 0] == 1.0
+        assert not data.values.flags.writeable
+        adopted = TimeSeriesData._adopt(values)
+        assert np.shares_memory(adopted.values, values)
+        assert not adopted.values.flags.writeable
+        with pytest.raises(DomainError):
+            TimeSeriesData._adopt(np.full((2, 2), np.inf))
+
 
 class TestValidate:
     def test_nilpotent_model_is_stable_with_zero_radius(self):
@@ -135,8 +147,10 @@ class TestSimulate:
         assert max(t.nbytes, g.nbytes) <= 2**20
 
     def test_peak_memory_stays_near_the_returned_arrays(self):
-        # the draw, the samples and the two returned copies; a whole-series
-        # product or a block operator that grows with n would exceed the bound
+        # the draw and the samples, handed over without a copy: 1.068x the
+        # returned bytes (the burn-in rows stay under the returned views), plus
+        # 5%; a copy of either array, a whole-series product or a block operator
+        # that grows with n would exceed the bound
         model = random_stable_model(np.random.default_rng(5), 5, p=3)
         tracemalloc.start()
         try:
@@ -144,7 +158,7 @@ class TestSimulate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * (samples.values.nbytes + innovations.values.nbytes)
+        assert peak <= 1.12 * (samples.values.nbytes + innovations.values.nbytes)
 
     def test_deterministic_for_fixed_seed(self):
         a, _ = simulate(two_channel_model(), 500, seed=11)
