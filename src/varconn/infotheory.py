@@ -14,10 +14,12 @@ The integrand is 2 pi-periodic, so the rule converges geometrically in n
 (Trefethen & Weideman, SIAM Review 56(3), 2014). iPDC and iDTF are exact
 coherences between suitably partialized processes, so integrating their
 squared magnitudes yields the information rate each directed pair shares.
-Squared coherences are clipped just below 1 before taking logs; the number
-of clipped values is reported alongside every result. Each frequency adds
-its own term, so the rates are integrated while the spectra are evaluated
-block by block, and no whole-grid array is ever held.
+Squared coherences are clipped just below 1 before taking logs, and only
+when one lies outside [0, 1 - EPS_CLIP]; the number of clipped values is
+reported alongside every result. Each frequency adds its own term, so the
+rates are integrated while the spectra are evaluated block by block, and
+no whole-grid array is ever held: a block's log1p(-s) rows take two passes
+after one max and one min, and one row reduce adds them in grid order.
 
 Only squared magnitudes enter a rate, so they are built in real arithmetic
 (``_RATES``): |iPDC_ij|^2 = |A_bar_ij|^2 / (sigma_ii a_j^H sigma^-1 a_j),
@@ -85,23 +87,25 @@ def geweke_hosoya_bridge(measure_sq) -> tuple[np.ndarray, int]:
     fails, not of the whole grid.
     """
     values = np.array(measure_sq, dtype=float)
-    return values, _bridge_in_place(values)
+    n_clipped = _bridge_in_place(values)
+    return np.negative(values, out=values), n_clipped
 
 
 def _bridge_in_place(values: np.ndarray) -> int:
-    """``geweke_hosoya_bridge`` written over its float input; returns n_clipped."""
-    if np.any(values > 1.0 + BOUND_TOL):
-        raise DomainError(
-            f"squared coherence exceeds 1 (max {float(np.max(values)):.6g}); upstream bound violated"
-        )
-    if np.any(values < -BOUND_TOL):
-        raise DomainError(f"squared coherence is negative (min {float(np.min(values)):.6g})")
-    n_clipped = int(np.count_nonzero(values > 1.0 - EPS_CLIP))
-    # -log1p(-clip(values)), one step at a time
-    np.clip(values, 0.0, 1.0 - EPS_CLIP, out=values)
+    """Write log1p(-s), the bridge negated, over float squared coherences s; return n_clipped.
+
+    Counts and clips only if max or min leaves [0, 1 - EPS_CLIP]; NaN bounds fall back to elementwise tests."""
+    top, bottom = np.max(values, initial=-np.inf), np.min(values, initial=np.inf)
+    if not top <= 1.0 + BOUND_TOL and np.any(values > 1.0 + BOUND_TOL):
+        raise DomainError(f"squared coherence exceeds 1 (max {float(top):.6g}); upstream bound violated")
+    if not bottom >= -BOUND_TOL and np.any(values < -BOUND_TOL):
+        raise DomainError(f"squared coherence is negative (min {float(bottom):.6g})")
+    n_clipped = 0
+    if not (bottom >= 0.0 and top <= 1.0 - EPS_CLIP):
+        n_clipped = int(np.count_nonzero(values > 1.0 - EPS_CLIP))
+        np.clip(values, 0.0, 1.0 - EPS_CLIP, out=values)
     np.negative(values, out=values)
     np.log1p(values, out=values)
-    np.negative(values, out=values)
     return n_clipped
 
 
@@ -186,24 +190,22 @@ def information_rates(model: VarModel, grid: FrequencyGrid, kinds) -> dict[Measu
 
     The grid is walked once, in blocks of ``_block_size(K)`` frequencies:
     every kind writes its squared magnitude (``_RATES``) from each block's
-    A_bar, the guard's |A_bar| and |H_bar|, and S, in real arithmetic, and
-    carries its own running sum and clip count on to the next block, so
-    only one block is ever held. The bridged rows are added one at a time
-    in grid order, the two endpoint rows at half weight, so the rates do
-    not depend on the block size. The coherence diagonal, a channel's
-    coherence with itself, is left out. Refusals come in this order,
-    whatever the block size: the kinds (``rate_kinds``), the model and a
-    singular A_bar (``_spectral_blocks``), a grid of fewer than 2 points,
-    then the first block whose squared magnitudes or bridge refuse, and
-    within it the first kind in request order.
+    A_bar, the guard's |A_bar| and |H_bar|, and S, in real arithmetic, into
+    the rows after row 0 of its stack, which carries its running sum, so
+    only one block is ever held. The bridge writes log1p(-s) over them, the
+    endpoint rows are halved, and one reduce adds the rows in grid order
+    across the K x K entries (``np.cumsum`` at K = 1, where the reduce
+    sums pairwise), so the rates do not depend on the block size; the sums
+    are negated once. The coherence diagonal is left out. Refusals come in
+    this order, whatever the block size: the kinds (``rate_kinds``), the
+    model and a singular A_bar (``_spectral_blocks``), a grid of fewer than
+    2 points, then the first block whose squared magnitudes or bridge
+    refuse, and within it the first kind in request order.
     """
     kinds = rate_kinds(kinds)
-    n_points, k = grid.n_points, model.K
-    size = _block_size(k)
-    rows = min(size, n_points)
-    # row 0 carries a kind's running sum, and the rows after it take the next block's integrand
-    sums = {kind: np.zeros((rows + 1, k, k)) for kind in kinds}
-    scratch = np.empty((rows, k, 2 * k))
+    n_points, k, size = grid.n_points, model.K, _block_size(model.K)
+    sums = np.zeros((len(kinds), min(size, n_points) + 1, k, k))
+    scratch = np.empty((min(size, n_points), k, 2 * k))
     n_clipped = dict.fromkeys(kinds, 0)
     refusal, stop = None, 0
     for spectra in _spectral_blocks(model, grid, size):
@@ -211,24 +213,22 @@ def information_rates(model: VarModel, grid: FrequencyGrid, kinds) -> dict[Measu
         start, stop = stop, stop + n
         if refusal is not None:
             continue
-        block = _RateBlock(spectra, scratch)
+        block, stacks = _RateBlock(spectra, scratch), sums[:, : n + 1]
         try:
-            for kind in kinds:
-                stack = sums[kind][: n + 1]
-                squared = stack[1:]
-                _RATES[kind](block, squared)
-                n_clipped[kind] += _bridge_in_place(squared)
-                if start == 0:
-                    squared[0] /= 2.0
-                if stop == n_points:
-                    squared[-1] /= 2.0
-                # accumulate adds strictly in sequence, whatever K is
-                np.cumsum(stack, axis=0, out=stack)
-                stack[0] = stack[-1]
+            for kind, stack in zip(kinds, stacks):
+                _RATES[kind](block, stack[1:])
+                n_clipped[kind] += _bridge_in_place(stack[1:])
+            if start == 0:
+                stacks[:, 1] /= 2.0
+            if stop == n_points:
+                stacks[:, -1] /= 2.0
+            stacks[:, 0] = np.add.reduce(stacks, axis=1) if k > 1 else np.cumsum(stacks, axis=1, out=stacks)[:, -1]
         except (DomainError, NumericalError) as exc:
             refusal = exc
     if n_points < 2:
         raise DomainError(f"rates need a grid of at least 2 points, got {n_points}")
     if refusal is not None:
         raise refusal
-    return {kind: MirMatrix(kind, sums[kind][0] / (2.0 * (n_points - 1)), n_clipped[kind]) for kind in kinds}
+    # 0 - sum negates the summed log1p(-s) and reads a zero sum of either sign as +0.0
+    rates = np.subtract(0.0, sums[:, 0]) / (2.0 * (n_points - 1))
+    return {kind: MirMatrix(kind, rates[index], n_clipped[kind]) for index, kind in enumerate(kinds)}

@@ -25,7 +25,7 @@ from varconn import (
     random_stable_model,
 )
 import varconn.infotheory
-from varconn.infotheory import _RATES, RATE_KINDS, _RateBlock
+from varconn.infotheory import _RATES, BOUND_TOL, RATE_KINDS, _RateBlock
 from varconn.measures import _MEASURES
 from varconn.spectral import _block_size, _spectral_blocks, _Workspace
 
@@ -368,8 +368,13 @@ def saturating_rows(kind, every):
 class TestBlockBoundaries:
     """Rates do not depend on the block size, and whole-grid np.trapezoid is their oracle."""
 
-    @pytest.mark.parametrize("k", [1, 2, 16])
-    def test_rates_do_not_depend_on_the_block_size(self, monkeypatch, k):
+    @pytest.mark.parametrize(
+        "k, kinds",
+        [pytest.param(k, RATE_KINDS, id=str(k)) for k in (1, 2, 16)]
+        # one kind alone: at K = 1 its row is one float, which np.add.reduce would sum pairwise
+        + [pytest.param(k, (MeasureKind.IPDC,), id=f"{k}-ipdc") for k in (1, 2, 16)],
+    )
+    def test_rates_do_not_depend_on_the_block_size(self, monkeypatch, k, kinds):
         model = random_stable_model(np.random.default_rng(60 + k), k, p=2)
         # the walk's own block size, at most 256 so that the walk in blocks of one stays short
         size = min(_block_size(k), 256)
@@ -379,13 +384,15 @@ class TestBlockBoundaries:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(varconn.infotheory, "_block_size", lambda k, block_size=block_size: block_size)
                 # saturated rows in several blocks of every size above 1
-                for kind in RATE_KINDS:
+                for kind in kinds:
                     patch.setitem(_RATES, kind, saturating_rows(kind, max(2, size // 2)))
-                rates = information_rates(model, grid, RATE_KINDS)
-            found.append({kind: (rates[kind].values.tobytes(), rates[kind].n_clipped) for kind in RATE_KINDS})
+                rates = information_rates(model, grid, kinds)
+            found.append({kind: (rates[kind].values.tobytes(), rates[kind].n_clipped) for kind in kinds})
         assert all(rates == found[0] for rates in found[1:])
         # the coherence diagonal is left out, so at K = 1 coherence clips nothing
-        assert [n_clipped > 0 for _, n_clipped in found[0].values()] == [True, True, k > 1]
+        assert {kind: n_clipped > 0 for kind, (_, n_clipped) in found[0].items()} == {
+            kind: kind is not MeasureKind.COHERENCE or k > 1 for kind in kinds
+        }
 
     @pytest.mark.parametrize("k", [1, 2, 16])
     def test_accumulator_matches_whole_grid_trapezoid(self, k):
@@ -500,7 +507,7 @@ class TestBridge:
         assert float(np.max(np.abs(recovered - squared))) < 1e-14
 
     def test_clip_count_reported(self):
-        # a stacked (n_points, K, K) block as rates_from_spectra hands the bridge: the
+        # one kind's (block, K, K) rows as information_rates hands the bridge: the
         # count covers every point and entry, and the shape is kept
         squared = np.full((3, 2, 2), 0.2)
         squared[:, 1, 1] = 1.0
@@ -510,6 +517,105 @@ class TestBridge:
         assert values.shape == (3, 2, 2)
         assert np.all(np.isfinite(values))
         assert abs(values[2, 0, 1] - math.log(1.25)) < 1e-15
+
+
+def reference_bridge(squared):
+    """-log1p(-clip(s)) in one expression, and the count of s above 1 - EPS_CLIP."""
+    squared = np.asarray(squared, dtype=float)
+    return -np.log1p(-np.clip(squared, 0.0, 1.0 - EPS_CLIP)), int(np.count_nonzero(squared > 1.0 - EPS_CLIP))
+
+
+def assert_same_bits(actual, expected):
+    assert np.array_equal(np.isnan(actual), np.isnan(expected))
+    kept = ~np.isnan(expected)
+    assert actual[kept].tobytes() == expected[kept].tobytes(), (actual, expected)
+
+
+#: Each side of every bound the bridge reads from its max and min.
+EDGE_VALUES = {
+    "zero": 0.0,
+    "negative_zero": -0.0,
+    "half_tolerance_below_zero": -BOUND_TOL / 2,
+    "clip_limit": 1.0 - EPS_CLIP,
+    "above_clip_limit": float(np.nextafter(1.0 - EPS_CLIP, 2.0)),
+    "one": 1.0,
+    "tolerance_above_one": 1.0 + BOUND_TOL,
+}
+
+
+class TestBridgeEdges:
+    """The bridge against -log1p(-clip(s)) at and beside each bound, bit for bit."""
+
+    @pytest.mark.parametrize("value", EDGE_VALUES.values(), ids=EDGE_VALUES.keys())
+    def test_edge_value_matches_the_clipped_log(self, value):
+        for squared in ([value], [0.5, value], [value, 0.25, 0.0], np.full((3, 2, 2), value)):
+            values, n_clipped = geweke_hosoya_bridge(squared)
+            expected, count = reference_bridge(squared)
+            assert_same_bits(values, expected)
+            assert n_clipped == count, squared
+
+    def test_all_edge_values_at_once(self):
+        squared = list(EDGE_VALUES.values())
+        values, n_clipped = geweke_hosoya_bridge(squared)
+        expected, count = reference_bridge(squared)
+        assert_same_bits(values, expected)
+        assert n_clipped == count == 3
+
+    def test_refusal_texts(self):
+        with pytest.raises(DomainError, match=r"^squared coherence exceeds 1 \(max 1\); upstream bound violated$"):
+            geweke_hosoya_bridge([0.5, 1.0 + 2 * BOUND_TOL])
+        with pytest.raises(DomainError, match=r"^squared coherence is negative \(min -2e-09\)$"):
+            geweke_hosoya_bridge([0.5, -2 * BOUND_TOL])
+
+    def test_nan_falls_back_to_the_elementwise_tests(self):
+        # max and min of a block with a NaN are NaN, so they bound nothing
+        for squared, count in (([np.nan, 1.0], 1), ([np.nan, 0.5], 0), ([1.0, np.nan, -BOUND_TOL / 2], 1)):
+            values, n_clipped = geweke_hosoya_bridge(squared)
+            assert_same_bits(values, reference_bridge(squared)[0])
+            assert n_clipped == count, squared
+        with pytest.raises(DomainError, match=r"^squared coherence exceeds 1 \(max nan\); upstream bound violated$"):
+            geweke_hosoya_bridge([np.nan, 1.5])
+        with pytest.raises(DomainError, match=r"^squared coherence is negative \(min nan\)$"):
+            geweke_hosoya_bridge([np.nan, -0.5])
+
+    def test_empty_input(self):
+        values, n_clipped = geweke_hosoya_bridge([])
+        assert values.shape == (0,)
+        assert n_clipped == 0
+
+
+def coupled_except_1_to_0(k):
+    """A K-channel model in which channel 1 never drives channel 0, so iPDC_01 is exactly 0."""
+    if k == 2:
+        return fixture("two_var_alpha", alpha=0.5).model
+    model = random_stable_model(np.random.default_rng(90 + k), k, p=2, max_radius=0.7)
+    coeffs = model.coeffs.copy()
+    coeffs[:, 0, 1] = 0.0
+    return VarModel(coeffs, model.sigma)
+
+
+class TestSignedZero:
+    """A rate that is exactly zero is +0.0, rendered as 0.0, never -0.0."""
+
+    @pytest.mark.parametrize("blocks", ["one_point", "own_size"])
+    @pytest.mark.parametrize("k", [1, 2, 16])
+    def test_exact_zero_rates_are_positive_zero(self, monkeypatch, k, blocks):
+        if blocks == "one_point":
+            monkeypatch.setattr(varconn.infotheory, "_block_size", lambda k: 1)
+        model = VarModel([[[0.5]]], [[2.0]]) if k == 1 else coupled_except_1_to_0(k)
+        rates = information_rates(model, FrequencyGrid(130), RATE_KINDS)
+        diag = np.arange(k)
+        zeros = list(rates[MeasureKind.COHERENCE].values[diag, diag])
+        if k > 1:
+            zeros.append(rates[MeasureKind.IPDC].values[0, 1])
+        assert [float.__repr__(float(value)) for value in zeros] == ["0.0"] * len(zeros)
+        assert not np.any(np.signbit(zeros))
+
+    def test_bridge_of_zero_is_positive_zero(self):
+        # -0.0 maps to -0.0, as -log1p(-clip(s)) maps it (TestBridgeEdges)
+        values, n_clipped = geweke_hosoya_bridge([0.0])
+        assert not np.signbit(values[0])
+        assert n_clipped == 0
 
 
 class TestSymmetryCheck:
