@@ -17,22 +17,8 @@ from .errors import (
     ParseError,
     VarconnError,
 )
-from .fileio import (
-    canonical_json,
-    load_model,
-    load_timeseries,
-    render_result,
-    save_model,
-    save_result,
-    save_timeseries,
-)
-from .infotheory import (
-    BOUND_TOL,
-    EPS_CLIP,
-    MirMatrix,
-    geweke_hosoya_bridge,
-    information_rates,
-)
+from .fileio import load_model, load_timeseries, save_model, save_timeseries
+from .infotheory import EPS_CLIP, MirMatrix, information_rates
 from .measures import (
     MeasureKind,
     MeasureResult,
@@ -43,49 +29,17 @@ from .measures import (
     measures_from_spectra,
     pdc_family,
 )
-from .oracles import (
-    CheckResult,
-    Fixture,
-    VerificationReport,
-    fixture,
-    partialized_cross_spectra,
-    partialized_innovation_coherence,
-    partialized_process_coherence,
-    random_stable_model,
-    run_verification,
-)
-from .spectral import (
-    CONDITION_LIMIT,
-    DEFAULT_N_POINTS,
-    FrequencyGrid,
-    SpectralSet,
-    evaluate_spectra,
-)
-from .var_model import (
-    STABILITY_TOL,
-    TimeSeriesData,
-    ValidationReport,
-    VarModel,
-    companion_matrix,
-    estimate,
-    rescale,
-    select_order,
-    simulate,
-    validate,
-)
+from .oracles import fixture, run_verification
+from .spectral import FrequencyGrid, SpectralSet, evaluate_spectra
+from .var_model import TimeSeriesData, VarModel, estimate, select_order, simulate, validate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUND_TOL",
-    "CONDITION_LIMIT",
-    "CheckResult",
-    "DEFAULT_N_POINTS",
     "DataError",
     "DimensionError",
     "DomainError",
     "EstimationError",
-    "Fixture",
     "FrequencyGrid",
     "MeasureKind",
     "MeasureResult",
@@ -93,37 +47,24 @@ __all__ = [
     "NumericalError",
     "ParseError",
     "EPS_CLIP",
-    "STABILITY_TOL",
     "SpectralSet",
     "TimeSeriesData",
-    "ValidationReport",
     "VarconnError",
-    "VerificationReport",
     "VarModel",
-    "canonical_json",
     "coherence",
-    "companion_matrix",
     "dtf_family",
     "estimate",
     "evaluate_spectra",
     "fixture",
-    "geweke_hosoya_bridge",
     "idtf",
     "information_rates",
     "ipdc",
     "load_model",
     "load_timeseries",
     "measures_from_spectra",
-    "partialized_cross_spectra",
-    "partialized_innovation_coherence",
-    "partialized_process_coherence",
     "pdc_family",
-    "random_stable_model",
-    "render_result",
-    "rescale",
     "run_verification",
     "save_model",
-    "save_result",
     "save_timeseries",
     "select_order",
     "simulate",

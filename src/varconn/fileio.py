@@ -1,10 +1,11 @@
 """Model and result documents (JSON) and time-series ingestion (CSV).
 
-Model documents round-trip byte-identically: loading and re-saving a
-document reproduces the file exactly. Result documents are written
-straight from arrays, byte for byte as ``canonical_json`` writes them as
-nested lists ("re"/"im" for complex arrays), and nothing is written when
-one is refused.
+Documents are the text of ``json.dumps(document, sort_keys=True,
+indent=2)`` and a newline. Model documents round-trip byte-identically:
+loading and re-saving a document reproduces the file exactly. Result
+documents are written straight from arrays, byte for byte as
+``json.dumps`` writes them as nested lists ("re"/"im" for complex
+arrays), and nothing is written when one is refused.
 """
 
 import csv
@@ -32,11 +33,6 @@ LAYOUTS = ("rows_are_samples", "rows_are_channels")
 UNITS = ("nats_per_sample", "bits_per_sample")
 
 _LN2 = math.log(2.0)
-
-
-def canonical_json(document: dict) -> str:
-    """Render a document deterministically: sorted keys, 2-space indent."""
-    return json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def resolve_output_path(path) -> Path:
@@ -99,7 +95,8 @@ def _integer(document: dict, key: str) -> int:
 def save_model(model: VarModel, path, name: str | None = None) -> Path:
     """Write a model document; returns the resolved path."""
     target = resolve_output_path(path)
-    target.write_text(canonical_json(model_to_document(model, name=name)), encoding="utf-8")
+    text = json.dumps(model_to_document(model, name=name), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    target.write_text(text, encoding="utf-8")
     return target
 
 
@@ -226,7 +223,7 @@ def render_result(
     units: str = "nats_per_sample",
     sample_rate_hz: float | None = None,
 ) -> Iterator[str]:
-    """Check a result document, then return its ``canonical_json`` text in chunks.
+    """Check a result document, then return its ``json.dumps`` text in chunks.
 
     Keys of `measures` (to MeasureResult) and `mirs` (to MirMatrix) may be
     enums or strings. Every refusal is raised by this call, before any text

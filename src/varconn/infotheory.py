@@ -20,6 +20,9 @@ reported alongside every result. Each frequency adds its own term, so the
 rates are integrated while the spectra are evaluated block by block, and
 no whole-grid array is ever held: a block's log1p(-s) rows take two passes
 after one max and one min, and one row reduce adds them in grid order.
+Every array is reused from block to block: the walk owns A_bar, |A_bar|
+and |H_bar|, and the rate call owns S, its two operands, sigma^-1, the
+scratch and the running sums.
 
 Only squared magnitudes enter a rate, so they are built in real arithmetic
 (``_RATES``): |iPDC_ij|^2 = |A_bar_ij|^2 / (sigma_ii a_j^H sigma^-1 a_j),
@@ -38,7 +41,7 @@ import numpy as np
 from ._util import lock
 from .errors import DomainError, NumericalError
 from .measures import MeasureKind, _autospectra
-from .spectral import FrequencyGrid, SpectralSet, _block_size, _spectral_blocks
+from .spectral import FrequencyGrid, _block_size, _spectral_blocks
 from .var_model import VarModel
 
 #: Squared coherences are clipped to at most 1 - EPS_CLIP before the log.
@@ -71,30 +74,16 @@ class MirMatrix:
         object.__setattr__(self, "values", lock(self.values))
 
 
-def geweke_hosoya_bridge(measure_sq) -> tuple[np.ndarray, int]:
-    """Map squared coherences s to spectral Granger-causality values -log(1 - s).
-
-    Any s above 1 + BOUND_TOL or below -BOUND_TOL raises DomainError: it
-    means an upstream bound was violated, which the clip must not hide.
-    Otherwise s is clipped into [0, 1 - EPS_CLIP] before the log, and
-    n_clipped counts the entries above 1 - EPS_CLIP. Returns (-log(1 - s),
-    n_clipped) elementwise; the inverse map is s = 1 - exp(-f). For two
-    channels this connects the information measures to the classical
-    Geweke and Hosoya frequency-domain causality decompositions.
-
-    The rate path applies it in place, one block of frequencies at a time,
-    so a refusal there quotes the max (or min) of the first block that
-    fails, not of the whole grid.
-    """
-    values = np.array(measure_sq, dtype=float)
-    n_clipped = _bridge_in_place(values)
-    return np.negative(values, out=values), n_clipped
-
-
 def _bridge_in_place(values: np.ndarray) -> int:
-    """Write log1p(-s), the bridge negated, over float squared coherences s; return n_clipped.
+    """Write log1p(-s) over float squared coherences s; return n_clipped.
 
-    Counts and clips only if max or min leaves [0, 1 - EPS_CLIP]; NaN bounds fall back to elementwise tests."""
+    -log1p(-s) is the spectral Granger-causality value of s. An s above
+    1 + BOUND_TOL or below -BOUND_TOL is an upstream bound violated, which
+    the clip must not hide: DomainError quotes the max (or min) of the
+    block. Otherwise s is clipped into [0, 1 - EPS_CLIP], and n_clipped
+    counts the entries above 1 - EPS_CLIP; both run only if max or min
+    leaves [0, 1 - EPS_CLIP], and NaN bounds fall back to elementwise tests.
+    """
     top, bottom = np.max(values, initial=-np.inf), np.min(values, initial=np.inf)
     if not top <= 1.0 + BOUND_TOL and np.any(values > 1.0 + BOUND_TOL):
         raise DomainError(f"squared coherence exceeds 1 (max {float(top):.6g}); upstream bound violated")
@@ -122,20 +111,28 @@ def rate_kinds(kinds) -> list[MeasureKind]:
 class _RateBlock:
     """One block of a walk as the rate table reads it.
 
-    spectra is the walk's current set, abs_a_bar and abs_h_bar are |A_bar|
-    and |H_bar| as its guard wrote them, and scratch is a float (n, K, 2K)
-    array the walk lends every block. diag(S) is read once, on first use,
-    and shared by iDTF and coherence; a block that needs neither builds no
-    S.
+    a_bar, h_bar, abs_a_bar and abs_h_bar are the block the walk yielded.
+    sigma^-1 and ``work``, a float (n, K, 2K) scratch and the complex S and
+    its two operands, belong to the rate call, and the block uses the first
+    n rows of each. S is built on first use, and diag(S) is read once and
+    shared by iDTF and coherence; a block that needs neither builds no S.
     """
 
-    def __init__(self, spectra: SpectralSet, scratch: np.ndarray):
-        self.spectra, self.scratch = spectra, scratch[: spectra.a_bar.shape[0]]
-        self.abs_a_bar, self.abs_h_bar = spectra._magnitudes()
+    def __init__(self, block: tuple, sigma: np.ndarray, sigma_inv: np.ndarray, work: tuple):
+        self.a_bar, self.h_bar, self.abs_a_bar, self.abs_h_bar = block
+        self.sigma, self.sigma_inv = sigma, sigma_inv
+        self.scratch, self._product, self._conj, self._s = (array[: len(self.a_bar)] for array in work)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """H_bar sigma H_bar^H by the steps of ``SpectralSet.s``, written into the rate call's arrays."""
+        product = np.matmul(self.h_bar, self.sigma, out=self._product)
+        conj = np.conjugate(self.h_bar, out=self._conj)
+        return lock(np.matmul(product, conj.swapaxes(1, 2), out=self._s), dtype=complex)
 
     @cached_property
     def autospectra(self) -> np.ndarray:
-        return _autospectra(self.spectra)
+        return _autospectra(self.s)
 
 
 def _ipdc_squared(block: _RateBlock, out: np.ndarray) -> None:
@@ -144,16 +141,15 @@ def _ipdc_squared(block: _RateBlock, out: np.ndarray) -> None:
     q_j is a_j^H sigma^-1 a_j, the diagonal [S^-1]_jj, from one real matmul
     over A_bar's real and imaginary parts side by side, so no S^-1 is built.
     """
-    spectra = block.spectra
-    parts = spectra.a_bar.view(float)  # (n, K, 2K): Re and Im of each entry in turn
-    product = np.matmul(spectra.sigma_inv, parts, out=block.scratch)
+    parts = block.a_bar.view(float)  # (n, K, 2K): Re and Im of each entry in turn
+    product = np.matmul(block.sigma_inv, parts, out=block.scratch)
     product *= parts
     summed = np.add.reduce(product, axis=1)
     quad = summed[:, 0::2] + summed[:, 1::2]
     if np.any(quad <= 0):
         raise NumericalError("non-positive column quadratic form: iPDC undefined")
     np.square(block.abs_a_bar, out=out)
-    out /= np.diag(spectra.sigma)[:, None]
+    out /= np.diag(block.sigma)[:, None]
     out /= quad[:, None, :]
 
 
@@ -161,14 +157,14 @@ def _idtf_squared(block: _RateBlock, out: np.ndarray) -> None:
     """|iDTF_ij|^2 = rho_j |H_bar_ij|^2 / S_ii, rho_j = 1 / [sigma^-1]_jj."""
     auto = block.autospectra
     np.square(block.abs_h_bar, out=out)
-    out /= np.diag(block.spectra.sigma_inv)
+    out /= np.diag(block.sigma_inv)
     out /= auto[:, :, None]
 
 
 def _coherence_squared(block: _RateBlock, out: np.ndarray) -> None:
     """|C_ij|^2 = (Re S_ij^2 + Im S_ij^2) / (S_ii S_jj), with the diagonal zeroed."""
     auto = block.autospectra
-    squares = np.square(block.spectra.s.view(float), out=block.scratch)  # Re^2 and Im^2 side by side
+    squares = np.square(block.s.view(float), out=block.scratch)  # Re^2 and Im^2 side by side
     np.add(squares[..., 0::2], squares[..., 1::2], out=out)
     out /= auto[:, :, None]
     out /= auto[:, None, :]
@@ -204,16 +200,19 @@ def information_rates(model: VarModel, grid: FrequencyGrid, kinds) -> dict[Measu
     """
     kinds = rate_kinds(kinds)
     n_points, k, size = grid.n_points, model.K, _block_size(model.K)
-    sums = np.zeros((len(kinds), min(size, n_points) + 1, k, k))
-    scratch = np.empty((min(size, n_points), k, 2 * k))
+    rows = min(size, n_points)
+    sums = np.zeros((len(kinds), rows + 1, k, k))
+    work = (np.empty((rows, k, 2 * k)), *np.empty((3, rows, k, k), dtype=complex))
     n_clipped = dict.fromkeys(kinds, 0)
     refusal, stop = None, 0
-    for spectra in _spectral_blocks(model, grid, size):
-        n = spectra.a_bar.shape[0]
+    for walked in _spectral_blocks(model, grid, size):
+        n = len(walked[0])
         start, stop = stop, stop + n
+        if start == 0:
+            sigma_inv = lock(np.linalg.inv(model.sigma))
         if refusal is not None:
             continue
-        block, stacks = _RateBlock(spectra, scratch), sums[:, : n + 1]
+        block, stacks = _RateBlock(walked, model.sigma, sigma_inv, work), sums[:, : n + 1]
         try:
             for kind, stack in zip(kinds, stacks):
                 _RATES[kind](block, stack[1:])

@@ -62,8 +62,8 @@ class MeasureResult:
         object.__setattr__(self, "values", lock(self.values, dtype=complex))
 
 
-def _autospectra(spectra: SpectralSet) -> np.ndarray:
-    auto = np.einsum("fii->fi", spectra.s).real
+def _autospectra(s: np.ndarray) -> np.ndarray:
+    auto = np.einsum("fii->fi", s).real
     if np.any(auto <= 0):
         raise NumericalError("zero autospectrum: normalization undefined")
     return auto
@@ -71,7 +71,7 @@ def _autospectra(spectra: SpectralSet) -> np.ndarray:
 
 def coherence(spectra: SpectralSet) -> MeasureResult:
     """Ordinary coherence C_ij = S_ij / sqrt(S_ii S_jj)."""
-    auto = _autospectra(spectra)
+    auto = _autospectra(spectra.s)
     denominator = np.sqrt(auto[:, :, None] * auto[:, None, :])
     return MeasureResult(MeasureKind.COHERENCE, spectra.s / denominator)
 
@@ -127,7 +127,7 @@ def idtf(spectra: SpectralSet) -> MeasureResult:
     and that partialized innovation.
     """
     rho = 1.0 / np.diag(spectra.sigma_inv)
-    values = spectra.h_bar * np.sqrt(rho)[None, None, :] / np.sqrt(_autospectra(spectra))[:, :, None]
+    values = spectra.h_bar * np.sqrt(rho)[None, None, :] / np.sqrt(_autospectra(spectra.s))[:, :, None]
     return MeasureResult(MeasureKind.IDTF, values)
 
 

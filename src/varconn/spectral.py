@@ -8,11 +8,12 @@ A_bar^H sigma^-1 A_bar. Each frequency is evaluated on its own, so the
 grid is walked in blocks (``_spectral_blocks``); ``evaluate_spectra`` is
 the walk in a single block.
 
-A walk allocates its block-sized arrays once and writes every block into
-them, so a block it yields holds read-only views that stay valid only
-until the next block is drawn. A caller that keeps a block past that point
-must copy what it keeps. ``evaluate_spectra`` walks in one block, so its
-arrays are never rewritten.
+A walk owns A_bar, |A_bar| and |H_bar|, one block-sized array each, and
+writes every block into them, so a block it yields holds read-only views
+that stay valid only until the next block is drawn; H_bar is fresh for
+each block. A caller that keeps a block past that point must copy what it
+keeps, and owns whatever else it builds from a block. ``evaluate_spectra``
+walks in one block, so its arrays are never rewritten.
 """
 
 from collections.abc import Iterator
@@ -60,8 +61,6 @@ class FrequencyGrid:
 class SpectralSet:
     """Per-frequency matrices of a stable model, all shaped (n, K, K).
 
-    The n frequencies are a whole grid, or one block of it in a walk.
-
     Attributes
     ----------
     a_bar : ndarray
@@ -77,87 +76,37 @@ class SpectralSet:
         entry [S^-1]_kk is the reciprocal of channel k's partial spectrum,
         the power left after the optimal deduction of all other channels.
 
-    S and S^-1 are assembled on first access and kept; a caller that needs
-    neither never holds them. The arrays are locked, not copied: the set
-    owns what it is given. A block of a walk shares the walk's workspace,
-    so its S and S^-1 are written into arrays the next block rewrites.
+    sigma^-1, S and S^-1 are assembled on first access and kept; a caller
+    that needs none of them never holds them. The arrays are locked, not
+    copied: the set owns what it is given.
     """
 
     a_bar: np.ndarray
     h_bar: np.ndarray
     sigma: np.ndarray
-    _work: "_Workspace | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("a_bar", "h_bar"):
             object.__setattr__(self, name, lock(getattr(self, name), dtype=complex))
         object.__setattr__(self, "sigma", lock(self.sigma))
-        if self._work is None:
-            object.__setattr__(self, "_work", _Workspace(self.sigma))
 
     @property
     def K(self) -> int:
         return self.a_bar.shape[-1]
 
-    @property
-    def sigma_inv(self) -> np.ndarray:
-        """sigma^-1, inverted once per walk."""
-        return self._work.sigma_inv
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        n, take = self.h_bar.shape[0], self._work.take
-        product = np.matmul(self.h_bar, self.sigma, out=take("product", n))
-        conj = np.conjugate(self.h_bar, out=take("conj", n))
-        return lock(np.matmul(product, conj.swapaxes(1, 2), out=take("s", n)), dtype=complex)
-
-    @cached_property
-    def s_inv(self) -> np.ndarray:
-        n, take = self.a_bar.shape[0], self._work.take
-        conj = np.conjugate(self.a_bar, out=take("conj", n))
-        product = np.matmul(conj.swapaxes(1, 2), self.sigma_inv, out=take("product", n))
-        return lock(np.matmul(product, self.a_bar, out=take("s_inv", n)), dtype=complex)
-
-    def _magnitudes(self) -> tuple[np.ndarray, np.ndarray]:
-        """|A_bar| and |H_bar| as the guard of the block's walk wrote them, read-only.
-
-        Only a block of a walk that is still running has them, and the next
-        block rewrites them; a set read after its walk ended, such as the one
-        set of ``evaluate_spectra``, holds neither.
-        """
-        arrays, n = self._work.arrays, self.a_bar.shape[0]
-        return lock(arrays["abs_a_bar"][:n]), lock(arrays["abs_h_bar"][:n])
-
-
-class _Workspace:
-    """The arrays a walk writes its blocks into, lent only while the walk runs.
-
-    Each array is allocated on first use at ``rows`` frequencies, the walk's
-    longest block, and a block of n frequencies takes its first n. A
-    workspace without ``rows``, or one whose walk has ended (``close``),
-    hands out a fresh array on every ``take`` and keeps none, so a set read
-    after its walk, such as the one set of ``evaluate_spectra``, holds only
-    what it built. sigma^-1 is inverted on first use, so a walk refused
-    before it is needed never inverts sigma.
-    """
-
-    def __init__(self, sigma: np.ndarray, rows: int | None = None):
-        self.sigma, self.rows = sigma, rows
-        self.arrays = None if rows is None else {}
-
-    def take(self, name: str, n: int, dtype=complex) -> np.ndarray:
-        if self.arrays is None:
-            return np.empty((n, *self.sigma.shape), dtype)
-        if name not in self.arrays:
-            self.arrays[name] = np.empty((self.rows, *self.sigma.shape), dtype)
-        return self.arrays[name][:n]
-
-    def close(self) -> None:
-        self.arrays = None
-
     @cached_property
     def sigma_inv(self) -> np.ndarray:
         return lock(np.linalg.inv(self.sigma))
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        product = np.matmul(self.h_bar, self.sigma)
+        return lock(np.matmul(product, np.conjugate(self.h_bar).swapaxes(1, 2)), dtype=complex)
+
+    @cached_property
+    def s_inv(self) -> np.ndarray:
+        product = np.matmul(np.conjugate(self.a_bar).swapaxes(1, 2), self.sigma_inv)
+        return lock(np.matmul(product, self.a_bar), dtype=complex)
 
 
 def evaluate_spectra(model: VarModel, grid: FrequencyGrid) -> SpectralSet:
@@ -167,8 +116,9 @@ def evaluate_spectra(model: VarModel, grid: FrequencyGrid) -> SpectralSet:
     truncating a moving-average expansion, so it is exact for any stable
     model. The returned set assembles S from H_bar and sigma, and S^-1 from
     sigma^-1 and A_bar rather than by inverting S, when one is first read.
-    It is the one block of ``_spectral_blocks`` that spans the whole grid,
-    so it is checked and refused exactly as the blocks are.
+    Its A_bar and H_bar are the one block of ``_spectral_blocks`` that
+    spans the whole grid, so they are checked and refused exactly as the
+    blocks are.
 
     Raises
     ------
@@ -176,8 +126,8 @@ def evaluate_spectra(model: VarModel, grid: FrequencyGrid) -> SpectralSet:
         If the model is unstable, sigma is not positive definite, or
         A_bar is numerically singular at some grid frequency.
     """
-    (spectra,) = _spectral_blocks(model, grid, grid.n_points)
-    return spectra
+    ((a_bar, h_bar, _, _),) = _spectral_blocks(model, grid, grid.n_points)
+    return SpectralSet(a_bar, h_bar, model.sigma)
 
 
 def _block_size(k: int) -> int:
@@ -185,21 +135,17 @@ def _block_size(k: int) -> int:
     return max(1, 2**14 // k**2)
 
 
-def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterator[SpectralSet]:
-    """Walk a grid in consecutive runs of at most ``size`` frequencies, one SpectralSet each.
+def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Walk a grid in consecutive runs of at most ``size`` frequencies, yielding (A_bar, H_bar, |A_bar|, |H_bar|).
 
     The model is validated once, on the first draw. Each block builds
     A_bar and H_bar for its own points only, and reads each frequency's
-    1-norm condition number kappa_1 = ||A_bar||_1 ||H_bar||_1 from the two.
-    A_bar and its scratch, |A_bar| and |H_bar| as the guard leaves them, and
-    S and S^-1 with their scratch, are written into one workspace of
-    ``min(size, n_points)`` frequencies, so a yielded block holds read-only
-    views that stay valid until the next block is drawn; H_bar is the fresh
-    output of ``inv``. The rate path squares the guard's |A_bar| and |H_bar|
-    (``SpectralSet._magnitudes``) and never reads S^-1, so ``mir`` builds
-    no S^-1 and no complex measure. The workspace is released when the
-    walk ends, so the one set of ``evaluate_spectra`` keeps neither
-    magnitude.
+    1-norm condition number kappa_1 = ||A_bar||_1 ||H_bar||_1 from the two,
+    leaving |A_bar| and |H_bar| behind. The walk owns three arrays of
+    ``min(size, n_points)`` frequencies, A_bar, |A_bar| and |H_bar|, and
+    writes every block into them, so a block it yields holds read-only
+    views that stay valid until the next block is drawn; H_bar is the
+    fresh output of ``inv``.
 
     Refusals do not depend on the block size. A zero pivot in ``inv`` is
     refused at once, at the first frequency whose det is 0. Otherwise, after
@@ -214,14 +160,14 @@ def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterato
         )
     if not report.sigma_ok:
         raise NumericalError("innovation covariance is not positive definite")
-    k, p = model.K, model.p
+    k, p, rows = model.K, model.p, min(size, grid.n_points)
     lags, coeffs, eye = np.arange(1, p + 1), model.coeffs.reshape(p, k * k), np.eye(k)
-    work = _Workspace(model.sigma, min(size, grid.n_points))
+    a_bars, abs_a_bars, abs_h_bars = np.empty((rows, k, k), complex), np.empty((rows, k, k)), np.empty((rows, k, k))
     worst_omega, worst_kappa = None, 0.0
     for start in range(0, grid.n_points, size):
         omega = grid.points[start : start + size]
         n = omega.size
-        a_bar = work.take("a_bar", n)
+        a_bar, abs_a_bar, abs_h_bar = a_bars[:n], abs_a_bars[:n], abs_h_bars[:n]
         # I - sum_l A(l) exp(-j omega l), as -(the sum) + I: the same bits, signed zeros included
         np.matmul(np.exp(-1j * np.outer(omega, lags)), coeffs, out=a_bar.reshape(n, k * k))
         np.negative(a_bar, out=a_bar)
@@ -232,15 +178,13 @@ def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterato
             # a zero pivot; det factors A_bar by the same LU, so it reads 0 at that frequency
             worst = int(np.argmax(np.linalg.det(a_bar) == 0))
             raise _singular(omega[worst], np.inf) from None
-        abs_a_bar, abs_h_bar = work.take("abs_a_bar", n, float), work.take("abs_h_bar", n, float)
         kappa = _norm_1(a_bar, abs_a_bar) * _norm_1(h_bar, abs_h_bar)
         worst = int(np.argmax(kappa))  # the first NaN, if there is one
         # keep the first NaN, else the first frequency of the largest kappa_1
         if not np.isnan(worst_kappa) and not kappa[worst] <= worst_kappa:
             worst_omega, worst_kappa = omega[worst], kappa[worst]
         if worst_kappa <= CONDITION_LIMIT:
-            yield SpectralSet(a_bar=a_bar, h_bar=h_bar, sigma=model.sigma, _work=work)
-    work.close()
+            yield lock(a_bar, complex), lock(h_bar, complex), lock(abs_a_bar), lock(abs_h_bar)
     if not worst_kappa <= CONDITION_LIMIT:
         raise _singular(worst_omega, worst_kappa)
 

@@ -72,13 +72,6 @@ class VarModel:
         """Model order (number of lags)."""
         return self.coeffs.shape[0]
 
-    @classmethod
-    def white_noise(cls, sigma) -> "VarModel":
-        """Order-zero model with the given innovation covariance."""
-        sigma = np.asarray(sigma, dtype=float)
-        k = sigma.shape[0] if sigma.ndim == 2 else 0
-        return cls(np.zeros((0, k, k)), sigma)
-
 
 @dataclass(frozen=True, eq=False)
 class TimeSeriesData:

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import varconn
-from varconn import EPS_CLIP, MeasureKind, MeasureResult, NumericalError, VarModel, fixture, load_model, random_stable_model, save_model
+from varconn import EPS_CLIP, MeasureKind, MeasureResult, NumericalError, VarModel, fixture, load_model, save_model
 from varconn import infotheory, measures, oracles
 from varconn.cli import main
+from varconn.oracles import random_stable_model
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 

@@ -19,15 +19,14 @@ from varconn import (
     coherence,
     evaluate_spectra,
     fixture,
-    geweke_hosoya_bridge,
     information_rates,
     measures_from_spectra,
-    random_stable_model,
 )
 import varconn.infotheory
-from varconn.infotheory import _RATES, BOUND_TOL, RATE_KINDS, _RateBlock
+from varconn.infotheory import _RATES, BOUND_TOL, RATE_KINDS, _bridge_in_place, _RateBlock
 from varconn.measures import _MEASURES
-from varconn.spectral import _block_size, _spectral_blocks, _Workspace
+from varconn.oracles import random_stable_model
+from varconn.spectral import _block_size, _spectral_blocks
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 has only trapz
 
@@ -48,25 +47,37 @@ def constant_profile_rate(s):
         return information_rates(VarModel(np.zeros((0, 1, 1)), np.eye(1)), GRID, ["ipdc"])[MeasureKind.IPDC]
 
 
+def reference_bridge(squared):
+    """-log1p(-clip(s)) in one expression, and the count of s above 1 - EPS_CLIP."""
+    squared = np.asarray(squared, dtype=float)
+    return -np.log1p(-np.clip(squared, 0.0, 1.0 - EPS_CLIP)), int(np.count_nonzero(squared > 1.0 - EPS_CLIP))
+
+
+def bridged(squared):
+    """log1p(-s) as _bridge_in_place writes it over a float copy of s, and its n_clipped."""
+    values = np.array(squared, dtype=float)
+    return values, _bridge_in_place(values)
+
+
 class TestClip:
     def test_passthrough_below_limit(self):
         values = np.array([0.0, 0.5, 0.9])
-        mapped, n_clipped = geweke_hosoya_bridge(values)
+        mapped, n_clipped = bridged(values)
         assert n_clipped == 0
-        assert_allclose(1.0 - np.exp(-mapped), values, rtol=0, atol=1e-15)
+        assert_allclose(1.0 - np.exp(mapped), values, rtol=0, atol=1e-15)
 
     def test_clips_and_counts(self):
         for values, expected in (([0.5, 1.0, 1.0 + 1e-10], 2), ([0.5, 1.0], 1)):
-            mapped, n_clipped = geweke_hosoya_bridge(values)
+            mapped, n_clipped = bridged(values)
             assert n_clipped == expected
             assert np.all(np.isfinite(mapped))
-            assert float(np.max(mapped)) == -math.log1p(-(1.0 - EPS_CLIP))
+            assert float(np.min(mapped)) == math.log1p(-(1.0 - EPS_CLIP))
 
     def test_rejects_bound_violations(self):
         with pytest.raises(DomainError, match="exceeds 1"):
-            geweke_hosoya_bridge([0.5, 1.5])
+            bridged([0.5, 1.5])
         with pytest.raises(DomainError, match="negative"):
-            geweke_hosoya_bridge([-0.5])
+            bridged([-0.5])
 
 
 class TestMirFromCoherence:
@@ -220,17 +231,19 @@ class TestInformationRates:
 
 
 def count_builds(monkeypatch):
-    """Count the assemblies of S and S^-1 by every SpectralSet from here on."""
-    builds = dict.fromkeys(("s", "s_inv"), 0)
-    for name in builds:
+    """Count the assemblies of S by every _RateBlock, and of S and S^-1 by every SpectralSet, from here on."""
+    builds = {}
+    for owner, name in ((_RateBlock, "s"), (SpectralSet, "s"), (SpectralSet, "s_inv")):
+        key = f"{owner.__name__}.{name}"
+        builds[key] = 0
 
-        def build(self, _name=name, _original=getattr(SpectralSet, name).func):
-            builds[_name] += 1
+        def build(self, _key=key, _original=getattr(owner, name).func):
+            builds[_key] += 1
             return _original(self)
 
         counted = cached_property(build)
-        counted.__set_name__(SpectralSet, name)
-        monkeypatch.setattr(SpectralSet, name, counted)
+        counted.__set_name__(owner, name)
+        monkeypatch.setattr(owner, name, counted)
     return builds
 
 
@@ -251,12 +264,15 @@ class TestOnePass:
 
     @pytest.mark.parametrize("k, p, n_points, builds", [(16, 4, 2048, 32), (5, 3, 512, 1)])
     def test_each_block_builds_s_and_s_inv_once(self, monkeypatch, k, p, n_points, builds):
-        # S once per block, shared by iDTF and coherence; iPDC's normaliser
-        # comes from A_bar and sigma^-1, so no S^-1 is built
+        # S once per block, shared by iDTF and coherence and built by the rate
+        # call itself; iPDC's normaliser comes from A_bar and sigma^-1, so no
+        # S^-1 is built, and a request for iPDC alone builds no S
         model = random_stable_model(np.random.default_rng(k), k, p=p)
         counts = count_builds(monkeypatch)
         information_rates(model, FrequencyGrid(n_points), ["ipdc", "idtf", "coh"])
-        assert counts == {"s": builds, "s_inv": 0}
+        assert counts == {"_RateBlock.s": builds, "SpectralSet.s": 0, "SpectralSet.s_inv": 0}
+        information_rates(model, FrequencyGrid(n_points), ["ipdc"])
+        assert counts["_RateBlock.s"] == builds
 
     def test_sigma_is_inverted_once_per_walk(self, monkeypatch):
         inv, inverted = np.linalg.inv, []
@@ -408,7 +424,7 @@ class TestBlockBoundaries:
                 squared = np.abs(measure.values) ** 2
                 if measure.kind is MeasureKind.COHERENCE:
                     squared[:, diag, diag] = 0.0
-                integrand, n_clipped = geweke_hosoya_bridge(squared)
+                integrand, n_clipped = reference_bridge(squared)
                 expected = trapezoid(integrand, grid.points, axis=0) / (2.0 * np.pi)
                 assert_allclose(rates[measure.kind].values, expected, rtol=rtol, atol=0, err_msg=f"{measure.kind} at {n}")
                 assert rates[measure.kind].n_clipped == n_clipped, (measure.kind, n)
@@ -422,11 +438,13 @@ class TestRateTable:
         # 200 points are four blocks at K = 16, and 10 are three at K = 64
         model = random_stable_model(np.random.default_rng(50 + k), k, p=3)
         size = _block_size(k)
-        scratch = np.empty((min(size, n_points), k, 2 * k))
+        rows = min(size, n_points)
+        work = (np.empty((rows, k, 2 * k)), *np.empty((3, rows, k, k), dtype=complex))
+        sigma_inv = np.linalg.inv(model.sigma)
         diag = np.arange(k)
         blocks = 0
-        for spectra in _spectral_blocks(model, FrequencyGrid(n_points), size):
-            block = _RateBlock(spectra, scratch)
+        for walked in _spectral_blocks(model, FrequencyGrid(n_points), size):
+            block, spectra = _RateBlock(walked, model.sigma, sigma_inv, work), SpectralSet(*walked[:2], model.sigma)
             for kind in RATE_KINDS:
                 squared = np.empty(spectra.a_bar.shape)
                 _RATES[kind](block, squared)
@@ -437,6 +455,25 @@ class TestRateTable:
             blocks += 1
         assert blocks == -(-n_points // size)
 
+    @pytest.mark.parametrize("k, n_points", [(5, 1500), (16, 200), (64, 10)])
+    def test_each_block_s_is_the_whole_grid_s(self, monkeypatch, k, n_points):
+        # the rate call builds S into its own arrays by the steps of SpectralSet.s;
+        # 1500 points are three blocks at K = 5, the last one short
+        model = random_stable_model(np.random.default_rng(50 + k), k, p=3)
+        grid = FrequencyGrid(n_points)
+        whole, original, stop = evaluate_spectra(model, grid).s, _RATES[MeasureKind.COHERENCE], [0]
+
+        def checked(block, out):
+            original(block, out)
+            window = slice(stop[0], stop[0] + out.shape[0])
+            assert block.s.tobytes() == whole[window].tobytes(), window
+            assert not block.s.flags.writeable
+            stop[0] = window.stop
+
+        monkeypatch.setitem(_RATES, MeasureKind.COHERENCE, checked)
+        information_rates(model, grid, ["coh"])
+        assert stop[0] == n_points
+
     def test_saturated_diagonal_clips_as_the_squared_measure_does(self):
         # the model of test_diagonal_saturates_where_a_channel_drives_or_receives_nothing
         model = VarModel([[[0.5, 0.0], [0.4, 0.3]]], np.diag([1.0, 2.0]))
@@ -446,12 +483,13 @@ class TestRateTable:
             squared = np.abs(measure.values) ** 2
             if measure.kind is MeasureKind.COHERENCE:
                 squared[:, [0, 1], [0, 1]] = 0.0
-            assert rates[measure.kind].n_clipped == geweke_hosoya_bridge(squared)[1], measure.kind
+            assert rates[measure.kind].n_clipped == reference_bridge(squared)[1], measure.kind
         assert [rates[kind].n_clipped for kind in RATE_KINDS] == [grid.n_points, grid.n_points, 0]
 
     def test_non_positive_quadratic_form_is_refused_as_by_the_measure(self, monkeypatch):
-        # a negated sigma^-1 makes every q_j = a_j^H sigma^-1 a_j negative
-        monkeypatch.setattr(_Workspace, "sigma_inv", property(lambda work: -np.linalg.inv(work.sigma)))
+        # a negated sigma^-1 makes every q_j = a_j^H sigma^-1 a_j negative; only sigma is a 2-D inverse
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: -inv(a) if a.ndim == 2 else inv(a))
         model = fixture("two_var_alpha", alpha=0.5).model
         message = "^non-positive column quadratic form: iPDC undefined$"
         with pytest.raises(NumericalError, match=message):
@@ -461,9 +499,11 @@ class TestRateTable:
 
     @pytest.mark.parametrize("kind", [MeasureKind.IDTF, MeasureKind.COHERENCE])
     def test_zero_autospectrum_is_refused_as_by_the_measure(self, monkeypatch, kind):
-        zero = cached_property(lambda spectra: np.zeros(spectra.a_bar.shape, dtype=complex))
-        zero.__set_name__(SpectralSet, "s")
-        monkeypatch.setattr(SpectralSet, "s", zero)
+        # the rate call builds its own S, and the measure reads the set's
+        for owner in (_RateBlock, SpectralSet):
+            zero = cached_property(lambda spectra: np.zeros(spectra.a_bar.shape, dtype=complex))
+            zero.__set_name__(owner, "s")
+            monkeypatch.setattr(owner, "s", zero)
         model = fixture("two_var_alpha", alpha=0.5).model
         message = "^zero autospectrum: normalization undefined$"
         with pytest.raises(NumericalError, match=message):
@@ -493,17 +533,17 @@ class TestPeakMemory:
 
 class TestBridge:
     def test_known_value(self):
-        values, n_clipped = geweke_hosoya_bridge(np.array([0.0, 0.2]))
+        values, n_clipped = bridged(np.array([0.0, 0.2]))
         assert n_clipped == 0
         assert values[0] == 0.0
-        assert abs(values[1] - math.log(1.25)) < 1e-15
+        assert abs(values[1] + math.log(1.25)) < 1e-15
 
     def test_round_trip(self):
         rng = np.random.default_rng(43)
         squared = rng.uniform(0.0, 0.99, size=256)
-        values, n_clipped = geweke_hosoya_bridge(squared)
+        values, n_clipped = bridged(squared)
         assert n_clipped == 0
-        recovered = 1.0 - np.exp(-values)
+        recovered = 1.0 - np.exp(values)
         assert float(np.max(np.abs(recovered - squared))) < 1e-14
 
     def test_clip_count_reported(self):
@@ -512,17 +552,11 @@ class TestBridge:
         squared = np.full((3, 2, 2), 0.2)
         squared[:, 1, 1] = 1.0
         squared[0, 0, 1] = 1.0
-        values, n_clipped = geweke_hosoya_bridge(squared)
+        values, n_clipped = bridged(squared)
         assert n_clipped == 4
         assert values.shape == (3, 2, 2)
         assert np.all(np.isfinite(values))
-        assert abs(values[2, 0, 1] - math.log(1.25)) < 1e-15
-
-
-def reference_bridge(squared):
-    """-log1p(-clip(s)) in one expression, and the count of s above 1 - EPS_CLIP."""
-    squared = np.asarray(squared, dtype=float)
-    return -np.log1p(-np.clip(squared, 0.0, 1.0 - EPS_CLIP)), int(np.count_nonzero(squared > 1.0 - EPS_CLIP))
+        assert abs(values[2, 0, 1] + math.log(1.25)) < 1e-15
 
 
 def assert_same_bits(actual, expected):
@@ -544,42 +578,42 @@ EDGE_VALUES = {
 
 
 class TestBridgeEdges:
-    """The bridge against -log1p(-clip(s)) at and beside each bound, bit for bit."""
+    """The bridge's log1p(-s) against -log1p(-clip(s)), negated, at and beside each bound, bit for bit."""
 
     @pytest.mark.parametrize("value", EDGE_VALUES.values(), ids=EDGE_VALUES.keys())
     def test_edge_value_matches_the_clipped_log(self, value):
         for squared in ([value], [0.5, value], [value, 0.25, 0.0], np.full((3, 2, 2), value)):
-            values, n_clipped = geweke_hosoya_bridge(squared)
+            values, n_clipped = bridged(squared)
             expected, count = reference_bridge(squared)
-            assert_same_bits(values, expected)
+            assert_same_bits(-values, expected)
             assert n_clipped == count, squared
 
     def test_all_edge_values_at_once(self):
         squared = list(EDGE_VALUES.values())
-        values, n_clipped = geweke_hosoya_bridge(squared)
+        values, n_clipped = bridged(squared)
         expected, count = reference_bridge(squared)
-        assert_same_bits(values, expected)
+        assert_same_bits(-values, expected)
         assert n_clipped == count == 3
 
     def test_refusal_texts(self):
         with pytest.raises(DomainError, match=r"^squared coherence exceeds 1 \(max 1\); upstream bound violated$"):
-            geweke_hosoya_bridge([0.5, 1.0 + 2 * BOUND_TOL])
+            bridged([0.5, 1.0 + 2 * BOUND_TOL])
         with pytest.raises(DomainError, match=r"^squared coherence is negative \(min -2e-09\)$"):
-            geweke_hosoya_bridge([0.5, -2 * BOUND_TOL])
+            bridged([0.5, -2 * BOUND_TOL])
 
     def test_nan_falls_back_to_the_elementwise_tests(self):
         # max and min of a block with a NaN are NaN, so they bound nothing
         for squared, count in (([np.nan, 1.0], 1), ([np.nan, 0.5], 0), ([1.0, np.nan, -BOUND_TOL / 2], 1)):
-            values, n_clipped = geweke_hosoya_bridge(squared)
-            assert_same_bits(values, reference_bridge(squared)[0])
+            values, n_clipped = bridged(squared)
+            assert_same_bits(-values, reference_bridge(squared)[0])
             assert n_clipped == count, squared
         with pytest.raises(DomainError, match=r"^squared coherence exceeds 1 \(max nan\); upstream bound violated$"):
-            geweke_hosoya_bridge([np.nan, 1.5])
+            bridged([np.nan, 1.5])
         with pytest.raises(DomainError, match=r"^squared coherence is negative \(min nan\)$"):
-            geweke_hosoya_bridge([np.nan, -0.5])
+            bridged([np.nan, -0.5])
 
     def test_empty_input(self):
-        values, n_clipped = geweke_hosoya_bridge([])
+        values, n_clipped = bridged([])
         assert values.shape == (0,)
         assert n_clipped == 0
 
@@ -610,12 +644,6 @@ class TestSignedZero:
             zeros.append(rates[MeasureKind.IPDC].values[0, 1])
         assert [float.__repr__(float(value)) for value in zeros] == ["0.0"] * len(zeros)
         assert not np.any(np.signbit(zeros))
-
-    def test_bridge_of_zero_is_positive_zero(self):
-        # -0.0 maps to -0.0, as -log1p(-clip(s)) maps it (TestBridgeEdges)
-        values, n_clipped = geweke_hosoya_bridge([0.0])
-        assert not np.signbit(values[0])
-        assert n_clipped == 0
 
 
 class TestSymmetryCheck:

@@ -13,14 +13,16 @@ from varconn import (
     fixture,
     idtf,
     ipdc,
-    partialized_cross_spectra,
-    partialized_innovation_coherence,
-    partialized_process_coherence,
-    random_stable_model,
     run_verification,
     validate,
 )
 from varconn import oracles
+from varconn.oracles import (
+    partialized_cross_spectra,
+    partialized_innovation_coherence,
+    partialized_process_coherence,
+    random_stable_model,
+)
 
 GRID = FrequencyGrid(64)
 

@@ -14,9 +14,8 @@ from varconn import (
     evaluate_spectra,
     fixture,
     idtf,
-    partialized_cross_spectra,
-    random_stable_model,
 )
+from varconn.oracles import partialized_cross_spectra, random_stable_model
 from varconn.spectral import _block_size, _spectral_blocks
 
 GRID = FrequencyGrid(64)
@@ -62,7 +61,7 @@ class TestEvaluateSpectra:
 
     def test_order_zero_spectrum_is_sigma(self):
         sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
-        spectra = evaluate_spectra(VarModel.white_noise(sigma), GRID)
+        spectra = evaluate_spectra(VarModel(np.zeros((0, 2, 2)), sigma), GRID)
         assert_allclose(spectra.a_bar, np.broadcast_to(np.eye(2), spectra.a_bar.shape), atol=1e-15)
         assert_allclose(spectra.s, np.broadcast_to(sigma, spectra.s.shape), atol=1e-14)
 
@@ -186,29 +185,34 @@ class TestBlockWalk:
         size = _block_size(k)
         # a block is valid until the next is drawn, so each is compared as it comes
         drawn = 0
-        for index, block in enumerate(_spectral_blocks(model, grid, size)):
+        for index, (a_bar, h_bar, abs_a_bar, abs_h_bar) in enumerate(_spectral_blocks(model, grid, size)):
             window = slice(index * size, (index + 1) * size)
-            for name in ("a_bar", "h_bar", "s", "s_inv"):
-                assert np.array_equal(getattr(block, name), getattr(whole, name)[window]), (index, name)
+            assert np.array_equal(a_bar, whole.a_bar[window]), index
+            assert np.array_equal(h_bar, whole.h_bar[window]), index
+            # the guard's magnitudes are np.abs of the whole-grid slices
+            assert np.array_equal(abs_a_bar, np.abs(whole.a_bar[window])), index
+            assert np.array_equal(abs_h_bar, np.abs(whole.h_bar[window])), index
+            # a set of one block assembles S and S^-1 as the whole grid's set does
+            spectra = SpectralSet(a_bar, h_bar, model.sigma)
+            for name in ("s", "s_inv"):
+                assert np.array_equal(getattr(spectra, name), getattr(whole, name)[window]), (index, name)
             drawn += 1
         assert drawn == math.ceil(n_points / size) > 1
 
     def test_blocks_are_read_only_views_of_one_workspace(self):
         model = random_stable_model(np.random.default_rng(91), 16, p=3)
-        names = ("a_bar", "h_bar", "sigma", "sigma_inv", "s", "s_inv")
+        names = ("a_bar", "h_bar", "abs_a_bar", "abs_h_bar")
         blocks = []
         for block in _spectral_blocks(model, FrequencyGrid(200), _block_size(16)):
-            for name in names:
-                assert not getattr(block, name).flags.writeable, (len(blocks), name)
+            for name, array in zip(names, block):
+                assert not array.flags.writeable, (len(blocks), name)
             blocks.append(block)
         assert len(blocks) == 4
-        # every block is written into the arrays the walk allocated for the first;
-        # H_bar is the fresh output of inv, and sigma^-1 is inverted once
+        # A_bar, |A_bar| and |H_bar| of every block are written into the arrays the
+        # walk allocated for the first; H_bar is the fresh output of inv
         first, last = blocks[0], blocks[-1]
-        for name in ("a_bar", "s", "s_inv"):
-            assert np.shares_memory(getattr(first, name), getattr(last, name)), name
-        assert not np.shares_memory(first.h_bar, last.h_bar)
-        assert first.sigma_inv is last.sigma_inv
+        for name, first_array, last_array in zip(names, first, last):
+            assert np.shares_memory(first_array, last_array) == (name != "h_bar"), name
 
 
 class TestWalkRefusals:
@@ -244,7 +248,7 @@ class TestWalkRefusals:
     def test_no_block_is_yielded_once_the_guard_fails(self, faulty_inverse):
         faulty_inverse(16, {20: 1e20})
         walk = _spectral_blocks(fixture("two_var_alpha", alpha=0.5).model, GRID, 16)
-        assert next(walk).a_bar.shape[0] == 16
+        assert next(walk)[0].shape[0] == 16
         with pytest.raises(NumericalError, match=f"singular at omega = {GRID.points[20]:.6g} "):
             next(walk)
 
@@ -260,9 +264,9 @@ class TestSpectralSet:
         for name, array in given.items():
             assert np.shares_memory(getattr(held, name), array), name
             assert not array.flags.writeable, name
-        # S and S^-1 are assembled on first access, locked, and kept
-        assert not {"s", "s_inv"} & vars(held).keys()
-        for name in ("s", "s_inv"):
+        # sigma^-1, S and S^-1 are assembled on first access, locked, and kept
+        assert not {"sigma_inv", "s", "s_inv"} & vars(held).keys()
+        for name in ("sigma_inv", "s", "s_inv"):
             assembled = getattr(held, name)
             assert not assembled.flags.writeable, name
             assert getattr(held, name) is assembled, name

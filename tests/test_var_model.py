@@ -11,15 +11,14 @@ from varconn import (
     NumericalError,
     TimeSeriesData,
     VarModel,
-    companion_matrix,
     estimate,
-    rescale,
     select_order,
     simulate,
     validate,
 )
 from varconn import var_model
 from varconn.oracles import random_stable_model
+from varconn.var_model import companion_matrix, rescale
 
 
 def two_channel_model(alpha=0.5):
@@ -37,7 +36,7 @@ class TestVarModel:
         assert model.K == 2
 
     def test_white_noise_constructor(self):
-        model = VarModel.white_noise(np.eye(3))
+        model = VarModel(np.zeros((0, 3, 3)), np.eye(3))
         assert model.p == 0
         assert model.K == 3
 
@@ -107,7 +106,7 @@ class TestValidate:
         assert not validate(model).sigma_ok
 
     def test_order_zero_radius(self):
-        report = validate(VarModel.white_noise(np.eye(2)))
+        report = validate(VarModel(np.zeros((0, 2, 2)), np.eye(2)))
         assert report.stable
         assert report.spectral_radius == 0.0
 
@@ -136,7 +135,7 @@ class TestSimulate:
                 assert np.max(np.abs(x[p + t] - lags - innovations.values[t])) <= 1e-12, (k, p, t)
 
     def test_order_zero_output_equals_innovations(self):
-        samples, innovations = simulate(VarModel.white_noise(np.eye(2)), 1, burn_in=0, seed=5)
+        samples, innovations = simulate(VarModel(np.zeros((0, 2, 2)), np.eye(2)), 1, burn_in=0, seed=5)
         assert np.array_equal(samples.values, innovations.values)
 
     @pytest.mark.parametrize("k", [2, 5, 16, 64])
@@ -219,7 +218,7 @@ def simulation_model(case):
     one, or a random one scaled to a near unit root.
     """
     if case == 0:
-        return VarModel.white_noise(np.diag([1.0, 2.0]))
+        return VarModel(np.zeros((0, 2, 2)), np.diag([1.0, 2.0]))
     if isinstance(case, int):
         return random_stable_model(np.random.default_rng(case), 4, p=case)
     name = case
@@ -294,7 +293,7 @@ class TestEstimate:
         assert abs(fitted.sigma[1, 1] - 1.0) < 0.05
 
     def test_white_noise_coefficients_near_zero(self):
-        data, _ = simulate(VarModel.white_noise(np.eye(2)), 20000, burn_in=0, seed=1)
+        data, _ = simulate(VarModel(np.zeros((0, 2, 2)), np.eye(2)), 20000, burn_in=0, seed=1)
         fitted = estimate(data, 2)
         assert float(np.max(np.abs(fitted.coeffs))) < 0.05
 
