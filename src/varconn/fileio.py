@@ -5,7 +5,9 @@ indent=2)`` and a newline. Model documents round-trip byte-identically:
 loading and re-saving a document reproduces the file exactly. Result
 documents are written straight from arrays, byte for byte as
 ``json.dumps`` writes them as nested lists ("re"/"im" for complex
-arrays), and nothing is written when one is refused.
+arrays), and nothing is written when one is refused. The float text of
+result documents and of time-series CSV comes from one vectorised
+shortest-round-trip formatter (``_floattext``), byte-identical to ``repr``.
 """
 
 import csv
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._floattext import float_text
 from .errors import DataError, DomainError, NumericalError, ParseError
 from .spectral import FrequencyGrid
 from .var_model import TimeSeriesData, VarModel
@@ -196,14 +199,16 @@ def _parse_cells(path: Path) -> np.ndarray:
 
 
 def save_timeseries(data: TimeSeriesData, path) -> Path:
-    """Write samples as CSV (rows are samples) under a ch1..chK header; floats use repr precision."""
+    """Write samples as CSV (rows are samples) under a ch1..chK header.
+
+    Floats are written by the vectorised shortest-round-trip formatter,
+    byte-identical to ``repr``, a block of values at a time.
+    """
     target = resolve_output_path(path)
-    rows = 2048  # per write, so the text held at once stays small
     with open(target, "w", newline="", encoding="utf-8") as handle:
         # each line ends in "\r\n" as csv.writer ends it, so the bytes match a csv.writer file
         handle.write(",".join(f"ch{i + 1}" for i in range(data.K)) + "\r\n")
-        for start in range(0, data.n_samples, rows):
-            handle.write("".join(",".join(map(float.__repr__, row)) + "\r\n" for row in data.values[start : start + rows].tolist()))
+        handle.writelines(float_text(data.values, (",", "\r\n", "\r\n")))
     return target
 
 
@@ -268,13 +273,13 @@ def _check_finite(node) -> None:
 def _chunks(node, level: int) -> Iterator[str]:
     """The text of a node at indent `level`, as ``json.dumps(sort_keys=True, indent=2)`` writes it."""
     if isinstance(node, np.ndarray):
-        # one float.__repr__ per value, then the rows of each axis joined at the indent of their depth
-        texts = map(float.__repr__, node.ravel().tolist())
-        for axis in range(node.ndim - 1, -1, -1):
-            pad = "\n" + "  " * (level + axis + 1)
-            close = "\n" + "  " * (level + axis) + "]"
-            texts = ["[" + pad + ("," + pad).join(row) + close for row in zip(*[iter(texts)] * node.shape[axis])]
-        yield texts[0]
+        # a value that closes t axes is followed by t "]", then, unless it is the last, "," and t "["
+        depth = level + node.ndim  # the values' indent
+        closes = ["".join("\n" + "  " * (depth - 1 - j) + "]" for j in range(t)) for t in range(node.ndim + 1)]
+        opens = ["".join("\n" + "  " * (depth - t + j) + "[" for j in range(t)) for t in range(node.ndim)]
+        pad = "\n" + "  " * depth
+        yield "[" + opens[-1] + pad
+        yield from float_text(node, [closes[t] + "," + opens[t] + pad for t in range(node.ndim)] + closes[-1:])
     elif isinstance(node, dict) and node:
         pad = "\n" + "  " * (level + 1)
         for index, key in enumerate(sorted(node)):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from varconn.fileio import (
     resolve_output_path,
     save_result,
 )
+from varconn.oracles import random_stable_model
 
 GRID = FrequencyGrid(16)
 DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -238,6 +240,22 @@ class TestTimeseriesCsv:
         path = save_timeseries(data, tmp_path / "series.csv")
         assert path.read_bytes() == reference.getvalue().encode("utf-8")
 
+    @pytest.mark.parametrize("case", ["rows_are_channels file", "single sample", "uneven row count"])
+    def test_save_writes_what_csv_writer_writes_at_block_edges(self, tmp_path, case):
+        rng = np.random.default_rng(7)
+        if case == "rows_are_channels file":  # loaded transposed: a Fortran-ordered view
+            path = tmp_path / "channels.csv"
+            path.write_text(repr_rows(3, (3, 1500)))
+            data = load_timeseries(path, layout="rows_are_channels")
+            assert not data.values.flags.c_contiguous
+        else:  # 3001 rows of 3: a multiple of neither 2048 rows nor a block of values
+            data = TimeSeriesData(draw(rng, (1, 4) if case == "single sample" else (3001, 3)))
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow([f"ch{i + 1}" for i in range(data.K)])
+        writer.writerows([repr(float(v)) for v in row] for row in data.values)
+        assert save_timeseries(data, tmp_path / "series.csv").read_bytes() == reference.getvalue().encode("utf-8")
+
 
 def repr_rows(seed: int, shape, sep="\n") -> str:
     return "".join(",".join(map(repr, row)) + sep for row in draw(np.random.default_rng(seed), shape).tolist())
@@ -366,7 +384,7 @@ class TestResultWriter:
     or any value it rounds, makes the two texts differ.
     """
 
-    @pytest.mark.parametrize("k, n_points", [(1, 1), (3, 5), (2, 17)])
+    @pytest.mark.parametrize("k, n_points", [(1, 1), (3, 5), (2, 17), (6, 129)])  # 129 x 6 x 6 values cross a block
     @pytest.mark.parametrize("include_mag_sq", [False, True])
     @pytest.mark.parametrize("units, sample_rate_hz", [("nats_per_sample", None), ("bits_per_sample", 250.0)])
     def test_text_equals_canonical_json(self, k, n_points, include_mag_sq, units, sample_rate_hz):
@@ -384,6 +402,20 @@ class TestResultWriter:
         text = "".join(render_result(FrequencyGrid(3)))
         assert json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n" == text
         assert '"measures": {}' in text and '"mir": {}' in text
+
+    def test_dense_document_renders_in_bounded_memory(self, tmp_path):
+        # the dense_measure benchmark's document: all seven measures with mag_sq, K = 8, 512 points
+        grid = FrequencyGrid(512)
+        spectra = evaluate_spectra(random_stable_model(np.random.default_rng(8), 8, 3), grid)
+        measures = {result.kind: result for result in measures_from_spectra(spectra, MeasureKind)}
+        tracemalloc.start()
+        try:
+            save_result(render_result(grid, measures=measures, include_mag_sq=True), tmp_path / "dense.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 5.32 MiB when each array's text was built whole from one repr per value; 2.54 MiB a block at a time
+        assert peak < 5.0 * 2**20
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["re", "im", "mir"])
