@@ -19,16 +19,7 @@ from .errors import (
 )
 from .fileio import load_model, load_timeseries, save_model, save_timeseries
 from .infotheory import EPS_CLIP, MirMatrix, information_rates
-from .measures import (
-    MeasureKind,
-    MeasureResult,
-    coherence,
-    dtf_family,
-    idtf,
-    ipdc,
-    measures_from_spectra,
-    pdc_family,
-)
+from .measures import MeasureKind, MeasureResult, measures_from_spectra
 from .oracles import fixture, run_verification
 from .spectral import FrequencyGrid, SpectralSet, evaluate_spectra
 from .var_model import TimeSeriesData, VarModel, estimate, select_order, simulate, validate
@@ -51,18 +42,13 @@ __all__ = [
     "TimeSeriesData",
     "VarconnError",
     "VarModel",
-    "coherence",
-    "dtf_family",
     "estimate",
     "evaluate_spectra",
     "fixture",
-    "idtf",
     "information_rates",
-    "ipdc",
     "load_model",
     "load_timeseries",
     "measures_from_spectra",
-    "pdc_family",
     "run_verification",
     "save_model",
     "save_timeseries",

@@ -41,7 +41,7 @@ import numpy as np
 from ._util import lock
 from .errors import DomainError, NumericalError
 from .measures import MeasureKind, _autospectra
-from .spectral import FrequencyGrid, _block_size, _spectral_blocks
+from .spectral import FrequencyGrid, _block_size, _spectral_blocks, _spectral_density
 from .var_model import VarModel
 
 #: Squared coherences are clipped to at most 1 - EPS_CLIP before the log.
@@ -49,10 +49,6 @@ EPS_CLIP = 1e-12
 
 #: Inputs above 1 + BOUND_TOL are rejected instead of clipped.
 BOUND_TOL = 1e-9
-
-
-#: The measures whose squared magnitudes integrate into rates.
-RATE_KINDS = (MeasureKind.IPDC, MeasureKind.IDTF, MeasureKind.COHERENCE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,10 +121,8 @@ class _RateBlock:
 
     @cached_property
     def s(self) -> np.ndarray:
-        """H_bar sigma H_bar^H by the steps of ``SpectralSet.s``, written into the rate call's arrays."""
-        product = np.matmul(self.h_bar, self.sigma, out=self._product)
-        conj = np.conjugate(self.h_bar, out=self._conj)
-        return lock(np.matmul(product, conj.swapaxes(1, 2), out=self._s), dtype=complex)
+        """H_bar sigma H_bar^H, written into the rate call's arrays."""
+        return _spectral_density(self.h_bar, self.sigma, self._product, self._conj, self._s)
 
     @cached_property
     def autospectra(self) -> np.ndarray:
@@ -179,6 +173,9 @@ _RATES = {
     MeasureKind.IDTF: _idtf_squared,
     MeasureKind.COHERENCE: _coherence_squared,
 }
+
+#: The measures whose squared magnitudes integrate into rates.
+RATE_KINDS = tuple(_RATES)
 
 
 def information_rates(model: VarModel, grid: FrequencyGrid, kinds) -> dict[MeasureKind, MirMatrix]:

@@ -94,25 +94,20 @@ def ipdc(spectra: SpectralSet) -> MeasureResult:
     return MeasureResult(MeasureKind.IPDC, values)
 
 
-def pdc_family(spectra: SpectralSet, kind: MeasureKind = MeasureKind.PDC) -> MeasureResult:
-    """Classical PDC or its generalized (gPDC) variant.
-
-    Both normalize column j of A_bar so the squared magnitudes over targets
-    sum to 1; gPDC first weights rows by 1 / sigma_ii^1/2, which makes it
-    invariant under channel rescaling.
-    """
-    kind = MeasureKind(kind)
+def pdc(spectra: SpectralSet) -> MeasureResult:
+    """Classical PDC: column j of A_bar over its norm, so the squared magnitudes over targets sum to 1."""
     a_bar = spectra.a_bar
-    if kind is MeasureKind.PDC:
-        quad = np.sum(np.abs(a_bar) ** 2, axis=1)
-        values = a_bar / np.sqrt(quad)[:, None, :]
-    elif kind is MeasureKind.GPDC:
-        variances = np.diag(spectra.sigma)
-        quad = np.einsum("k,fkj->fj", 1.0 / variances, np.abs(a_bar) ** 2)
-        values = a_bar / np.sqrt(variances)[None, :, None] / np.sqrt(quad)[:, None, :]
-    else:
-        raise DomainError(f"pdc_family computes PDC or GPDC, not {kind.value!r}")
-    return MeasureResult(kind, values)
+    quad = np.sum(np.abs(a_bar) ** 2, axis=1)
+    return MeasureResult(MeasureKind.PDC, a_bar / np.sqrt(quad)[:, None, :])
+
+
+def gpdc(spectra: SpectralSet) -> MeasureResult:
+    """Generalized PDC: PDC after weighting rows by 1 / sigma_ii^1/2, which makes it invariant under channel rescaling."""
+    a_bar = spectra.a_bar
+    variances = np.diag(spectra.sigma)
+    quad = np.einsum("k,fkj->fj", 1.0 / variances, np.abs(a_bar) ** 2)
+    values = a_bar / np.sqrt(variances)[None, :, None] / np.sqrt(quad)[:, None, :]
+    return MeasureResult(MeasureKind.GPDC, values)
 
 
 def idtf(spectra: SpectralSet) -> MeasureResult:
@@ -131,36 +126,32 @@ def idtf(spectra: SpectralSet) -> MeasureResult:
     return MeasureResult(MeasureKind.IDTF, values)
 
 
-def dtf_family(spectra: SpectralSet, kind: MeasureKind = MeasureKind.DTF) -> MeasureResult:
-    """Classical DTF or directed coherence (DC).
-
-    Both normalize row i of H_bar so the squared magnitudes over sources
-    sum to 1; DC first weights columns by sigma_jj^1/2.
-    """
-    kind = MeasureKind(kind)
+def dtf(spectra: SpectralSet) -> MeasureResult:
+    """Classical DTF: row i of H_bar over its norm, so the squared magnitudes over sources sum to 1."""
     h_bar = spectra.h_bar
-    if kind is MeasureKind.DTF:
-        quad = np.sum(np.abs(h_bar) ** 2, axis=2)
-        values = h_bar / np.sqrt(quad)[:, :, None]
-    elif kind is MeasureKind.DC:
-        variances = np.diag(spectra.sigma)
-        quad = np.einsum("k,fik->fi", variances, np.abs(h_bar) ** 2)
-        values = h_bar * np.sqrt(variances)[None, None, :] / np.sqrt(quad)[:, :, None]
-    else:
-        raise DomainError(f"dtf_family computes DTF or DC, not {kind.value!r}")
-    return MeasureResult(kind, values)
+    quad = np.sum(np.abs(h_bar) ** 2, axis=2)
+    return MeasureResult(MeasureKind.DTF, h_bar / np.sqrt(quad)[:, :, None])
 
 
-#: Every measure as fn(spectra). Each entry calls its function by module
-#: name, so a function rebound on the module (a tracer, a test double) is
-#: the one that runs.
+def dc(spectra: SpectralSet) -> MeasureResult:
+    """Directed coherence (DC): DTF after weighting columns by sigma_jj^1/2."""
+    h_bar = spectra.h_bar
+    variances = np.diag(spectra.sigma)
+    quad = np.einsum("k,fik->fi", variances, np.abs(h_bar) ** 2)
+    values = h_bar * np.sqrt(variances)[None, None, :] / np.sqrt(quad)[:, :, None]
+    return MeasureResult(MeasureKind.DC, values)
+
+
+#: Every measure as fn(spectra). Each entry looks its function up by module
+#: name when it runs, so a function rebound on the module (a tracer's span,
+#: a test double) is the one that runs.
 _MEASURES = {
     MeasureKind.COHERENCE: lambda spectra: coherence(spectra),
-    MeasureKind.PDC: lambda spectra: pdc_family(spectra, MeasureKind.PDC),
-    MeasureKind.GPDC: lambda spectra: pdc_family(spectra, MeasureKind.GPDC),
+    MeasureKind.PDC: lambda spectra: pdc(spectra),
+    MeasureKind.GPDC: lambda spectra: gpdc(spectra),
     MeasureKind.IPDC: lambda spectra: ipdc(spectra),
-    MeasureKind.DTF: lambda spectra: dtf_family(spectra, MeasureKind.DTF),
-    MeasureKind.DC: lambda spectra: dtf_family(spectra, MeasureKind.DC),
+    MeasureKind.DTF: lambda spectra: dtf(spectra),
+    MeasureKind.DC: lambda spectra: dc(spectra),
     MeasureKind.IDTF: lambda spectra: idtf(spectra),
 }
 

@@ -100,13 +100,19 @@ class SpectralSet:
 
     @cached_property
     def s(self) -> np.ndarray:
-        product = np.matmul(self.h_bar, self.sigma)
-        return lock(np.matmul(product, np.conjugate(self.h_bar).swapaxes(1, 2)), dtype=complex)
+        return _spectral_density(self.h_bar, self.sigma)
 
     @cached_property
     def s_inv(self) -> np.ndarray:
         product = np.matmul(np.conjugate(self.a_bar).swapaxes(1, 2), self.sigma_inv)
         return lock(np.matmul(product, self.a_bar), dtype=complex)
+
+
+def _spectral_density(h_bar: np.ndarray, sigma: np.ndarray, product=None, conj=None, out=None) -> np.ndarray:
+    """S = H_bar sigma H_bar^H, locked, the one route to S; product, conj and out take H_bar sigma, conj(H_bar) and S."""
+    product = np.matmul(h_bar, sigma, out=product)
+    conj = np.conjugate(h_bar, out=conj)
+    return lock(np.matmul(product, conj.swapaxes(1, 2), out=out), dtype=complex)
 
 
 def evaluate_spectra(model: VarModel, grid: FrequencyGrid) -> SpectralSet:

@@ -19,14 +19,13 @@ from varconn import (
     estimate,
     evaluate_spectra,
     fixture,
-    idtf,
     information_rates,
-    ipdc,
     measures_from_spectra,
     simulate,
     validate,
 )
 from varconn.infotheory import _bridge_in_place
+from varconn.measures import idtf, ipdc
 from varconn.oracles import (
     partialized_cross_spectra,
     partialized_innovation_coherence,

@@ -16,7 +16,6 @@ from varconn import (
     NumericalError,
     SpectralSet,
     VarModel,
-    coherence,
     evaluate_spectra,
     fixture,
     information_rates,
@@ -24,7 +23,7 @@ from varconn import (
 )
 import varconn.infotheory
 from varconn.infotheory import _RATES, BOUND_TOL, RATE_KINDS, _bridge_in_place, _RateBlock
-from varconn.measures import _MEASURES
+from varconn.measures import _MEASURES, coherence
 from varconn.oracles import random_stable_model
 from varconn.spectral import _block_size, _spectral_blocks
 

@@ -7,17 +7,13 @@ from varconn import (
     FrequencyGrid,
     MeasureKind,
     VarModel,
-    coherence,
-    dtf_family,
     evaluate_spectra,
     fixture,
-    idtf,
     information_rates,
-    ipdc,
     measures_from_spectra,
-    pdc_family,
     validate,
 )
+from varconn.measures import coherence, dc, dtf, gpdc, idtf, ipdc, pdc
 from varconn.oracles import random_stable_model
 from varconn.var_model import rescale
 
@@ -86,64 +82,44 @@ class TestPdcFamily:
     def test_column_normalization(self):
         model = random_stable_model(np.random.default_rng(22), 3)
         spectra = evaluate_spectra(model, GRID)
-        for kind in (MeasureKind.PDC, MeasureKind.GPDC):
-            values = pdc_family(spectra, kind).values
+        for measure in (pdc, gpdc):
+            values = measure(spectra).values
             totals = np.sum(np.abs(values) ** 2, axis=1)
             assert_allclose(totals, 1.0, atol=1e-12)
 
     def test_identity_sigma_collapses_family(self):
         model = random_stable_model(np.random.default_rng(23), 3, sigma_kind="identity")
         spectra = evaluate_spectra(model, GRID)
-        pdc = pdc_family(spectra, MeasureKind.PDC).values
-        gpdc = pdc_family(spectra, MeasureKind.GPDC).values
-        info = ipdc(spectra).values
-        assert float(np.max(np.abs(pdc - gpdc))) < 1e-14
-        assert float(np.max(np.abs(pdc - info))) < 1e-14
+        classical, generalized, info = pdc(spectra).values, gpdc(spectra).values, ipdc(spectra).values
+        assert float(np.max(np.abs(classical - generalized))) < 1e-14
+        assert float(np.max(np.abs(classical - info))) < 1e-14
 
     def test_diagonal_sigma_collapses_gpdc_and_ipdc(self):
         model = random_stable_model(np.random.default_rng(24), 3, sigma_kind="diagonal")
         spectra = evaluate_spectra(model, GRID)
-        gpdc = pdc_family(spectra, MeasureKind.GPDC).values
-        info = ipdc(spectra).values
-        assert float(np.max(np.abs(gpdc - info))) < 1e-13
-
-    def test_rejects_other_kinds(self):
-        fx = fixture("two_var_alpha", alpha=0.5)
-        spectra = evaluate_spectra(fx.model, GRID)
-        with pytest.raises(DomainError):
-            pdc_family(spectra, MeasureKind.DTF)
+        assert float(np.max(np.abs(gpdc(spectra).values - ipdc(spectra).values))) < 1e-13
 
 
 class TestDtfFamily:
     def test_row_normalization(self):
         model = random_stable_model(np.random.default_rng(25), 3)
         spectra = evaluate_spectra(model, GRID)
-        for kind in (MeasureKind.DTF, MeasureKind.DC):
-            values = dtf_family(spectra, kind).values
+        for measure in (dtf, dc):
+            values = measure(spectra).values
             totals = np.sum(np.abs(values) ** 2, axis=2)
             assert_allclose(totals, 1.0, atol=1e-12)
 
     def test_identity_sigma_collapses_family(self):
         model = random_stable_model(np.random.default_rng(26), 3, sigma_kind="identity")
         spectra = evaluate_spectra(model, GRID)
-        dtf = dtf_family(spectra, MeasureKind.DTF).values
-        dc = dtf_family(spectra, MeasureKind.DC).values
-        info = idtf(spectra).values
-        assert float(np.max(np.abs(dtf - dc))) < 1e-14
-        assert float(np.max(np.abs(dtf - info))) < 1e-14
+        classical, directed, info = dtf(spectra).values, dc(spectra).values, idtf(spectra).values
+        assert float(np.max(np.abs(classical - directed))) < 1e-14
+        assert float(np.max(np.abs(classical - info))) < 1e-14
 
     def test_diagonal_sigma_collapses_dc_and_idtf(self):
         model = random_stable_model(np.random.default_rng(27), 4, sigma_kind="diagonal")
         spectra = evaluate_spectra(model, GRID)
-        dc = dtf_family(spectra, MeasureKind.DC).values
-        info = idtf(spectra).values
-        assert float(np.max(np.abs(dc - info))) < 1e-13
-
-    def test_rejects_other_kinds(self):
-        fx = fixture("two_var_alpha", alpha=0.5)
-        spectra = evaluate_spectra(fx.model, GRID)
-        with pytest.raises(DomainError):
-            dtf_family(spectra, MeasureKind.IPDC)
+        assert float(np.max(np.abs(dc(spectra).values - idtf(spectra).values))) < 1e-13
 
 
 class TestIdtf:
@@ -182,8 +158,6 @@ class TestKindNames:
             lambda spectra: information_rates(fixture("two_var_alpha", alpha=0.5).model, GRID, ["foo"]),
             "unknown rate kind 'foo', expected one of ipdc, idtf, coh",
         ),
-        "pdc_family": (lambda spectra: pdc_family(spectra, "foo"), UNKNOWN_MEASURE),
-        "dtf_family": (lambda spectra: dtf_family(spectra, "foo"), UNKNOWN_MEASURE),
     }
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)

@@ -1,4 +1,5 @@
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -11,12 +12,11 @@ from varconn import (
     MeasureResult,
     evaluate_spectra,
     fixture,
-    idtf,
-    ipdc,
     run_verification,
     validate,
 )
 from varconn import oracles
+from varconn.measures import idtf, ipdc
 from varconn.oracles import (
     partialized_cross_spectra,
     partialized_innovation_coherence,
@@ -218,6 +218,25 @@ class TestColumnForms:
                 deviation = float(np.max(alone[:, i, 0]))
                 assert abs(deviation - float(np.max(ratio[:, i, j]))) <= 1e-15
                 assert abs(loop_ratio - deviation) <= 1e-15
+
+
+class TestPerPairOracleContract:
+    """The per-pair oracles read only grid, a_bar, h_bar, s, s_inv and K from ``spectra``.
+
+    The benchmark's output check passes them a plain namespace with just
+    those attributes, built by its own reference route.
+    """
+
+    def test_a_namespace_of_six_attributes_gives_the_spectral_set_profiles(self):
+        model = random_stable_model(np.random.default_rng(70), 4)
+        spectra = evaluate_spectra(model, GRID)
+        names = ("a_bar", "h_bar", "s", "s_inv", "K")
+        namespace = types.SimpleNamespace(grid=GRID, **{name: getattr(spectra, name) for name in names})
+        for route in (partialized_process_coherence, partialized_innovation_coherence):
+            for i in range(4):
+                for j in range(4):
+                    expected = route(model, GRID, i, j, spectra=spectra)
+                    assert np.array_equal(route(model, namespace.grid, i, j, spectra=namespace), expected)
 
 
 class TestRunVerification:

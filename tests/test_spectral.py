@@ -13,8 +13,8 @@ from varconn import (
     VarModel,
     evaluate_spectra,
     fixture,
-    idtf,
 )
+from varconn.measures import idtf
 from varconn.oracles import partialized_cross_spectra, random_stable_model
 from varconn.spectral import _block_size, _spectral_blocks
 
