@@ -256,6 +256,22 @@ class TestTimeseriesCsv:
         writer.writerows([repr(float(v)) for v in row] for row in data.values)
         assert save_timeseries(data, tmp_path / "series.csv").read_bytes() == reference.getvalue().encode("utf-8")
 
+    def test_save_writes_in_bounded_memory(self, tmp_path):
+        # the CSV counterpart of TestResultWriter.test_dense_document_renders_in_bounded_memory:
+        # the text goes out a block at a time, so the peak does not grow with the sample count
+        rng = np.random.default_rng(5)
+        peaks = {}
+        for n_samples in (20_000, 200_000):
+            data = TimeSeriesData(rng.standard_normal((n_samples, 5)))
+            tracemalloc.start()
+            try:
+                save_timeseries(data, tmp_path / f"series{n_samples}.csv")
+                peaks[n_samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200_000] < 1.5 * 2**20, peaks
+        assert abs(peaks[200_000] - peaks[20_000]) < 0.25 * 2**20, peaks
+
 
 def repr_rows(seed: int, shape, sep="\n") -> str:
     return "".join(",".join(map(repr, row)) + sep for row in draw(np.random.default_rng(seed), shape).tolist())

@@ -1,12 +1,19 @@
 """The vectorised float formatter against its oracle, ``float.__repr__``."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varconn
+from varconn import _floattext
 from varconn._floattext import BLOCK, float_text
 
 
@@ -29,29 +36,60 @@ def from_bits(bits) -> np.ndarray:
     return np.asarray(bits, dtype=np.uint64).view(np.float64)
 
 
+def powers_of_two_and_their_neighbours() -> np.ndarray:
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    return signed(np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]))
+
+
+def subnormals() -> np.ndarray:
+    return signed(from_bits(np.append(np.arange(1, 100_001), 2**52 - 1)))
+
+
+def zeros_and_extremes() -> np.ndarray:
+    return np.array([0.0, -0.0, 5e-324, 8e-323, 1e-322, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308])
+
+
+def powers_of_ten() -> np.ndarray:
+    return signed(10.0 ** np.arange(-323, 308))
+
+
+def integers() -> np.ndarray:
+    return signed(np.append(np.arange(1, 100_001), [2**53 - 1, 2**53 + 1]))
+
+
+def notation_boundaries() -> np.ndarray:
+    return signed([1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05])
+
+
+def random_bit_patterns() -> np.ndarray:
+    values = from_bits(np.random.default_rng(20).integers(0, 2**64, size=1_000_000, dtype=np.uint64))
+    return values[np.isfinite(values)]
+
+
+SWEEP = (powers_of_two_and_their_neighbours, subnormals, zeros_and_extremes, powers_of_ten, integers, notation_boundaries, random_bit_patterns)
+
+
 class TestOracleSweep:
     def test_powers_of_two_and_their_neighbours(self):
-        powers = np.ldexp(1.0, np.arange(-1074, 1024))
-        assert_reprs(signed(np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])))
+        assert_reprs(powers_of_two_and_their_neighbours())
 
     def test_subnormals(self):
-        assert_reprs(signed(from_bits(np.append(np.arange(1, 100_001), 2**52 - 1))))
+        assert_reprs(subnormals())
 
     def test_zeros_and_extremes(self):
-        assert_reprs([0.0, -0.0, 5e-324, 8e-323, 1e-322, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308])
+        assert_reprs(zeros_and_extremes())
 
     def test_powers_of_ten(self):
-        assert_reprs(signed(10.0 ** np.arange(-323, 308)))
+        assert_reprs(powers_of_ten())
 
     def test_integers(self):
-        assert_reprs(signed(np.append(np.arange(1, 100_001), [2**53 - 1, 2**53 + 1])))
+        assert_reprs(integers())
 
     def test_notation_boundaries(self):
-        assert_reprs(signed([1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05]))
+        assert_reprs(notation_boundaries())
 
     def test_random_bit_patterns(self):
-        values = from_bits(np.random.default_rng(20).integers(0, 2**64, size=1_000_000, dtype=np.uint64))
-        assert_reprs(values[np.isfinite(values)])
+        assert_reprs(random_bit_patterns())
 
     @pytest.mark.parametrize("size", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1])
     def test_block_lengths(self, size):
@@ -68,12 +106,55 @@ def test_any_finite_floats_render_as_repr(values):
     assert_reprs(values)
 
 
+def with_separators(values: np.ndarray, separators) -> str:
+    """The oracle: each value's repr, then separators[t] for the t trailing axes it closes."""
+    sizes = np.cumprod(values.shape[::-1]).tolist()
+    return "".join(
+        repr(value) + separators[sum((index + 1) % size == 0 for size in sizes)] for index, value in enumerate(values.ravel().tolist())
+    )
+
+
 @pytest.mark.parametrize("shape", [(1,), (4,), (2, 3), (2, 3, 4), (3, 1, 2), (BLOCK + 1,), (3, BLOCK // 2 + 1), (BLOCK // 8 + 1, 2, 4)])
 def test_separators_follow_the_axes_each_value_closes(shape):
     values = np.random.default_rng(len(shape)).standard_normal(shape)
     separators = [f"<{t}>" for t in range(len(shape) + 1)]
-    sizes = np.cumprod(shape[::-1])
-    expected = "".join(
-        repr(value) + separators[sum((index + 1) % size == 0 for size in sizes)] for index, value in enumerate(values.ravel().tolist())
+    assert "".join(float_text(values, separators)) == with_separators(values, separators)
+
+
+# blocks that start at every offset within each axis, not only at multiples of BLOCK: 7 is
+# coprime with 5 and 8, so one-value blocks (20 s for the two large shapes) would add no offset
+OFFSET_CASES = [((3, 5, 7), 1)] + [(shape, block) for shape in [(512, 8, 8), (20000, 5), (3, 5, 7)] for block in [7, BLOCK - 1, BLOCK]]
+
+
+@pytest.mark.parametrize("shape, block", OFFSET_CASES, ids=[f"{'x'.join(map(str, shape))}-block{block}" for shape, block in OFFSET_CASES])
+def test_separators_at_every_block_offset(monkeypatch, shape, block):
+    monkeypatch.setattr(_floattext, "BLOCK", block)
+    rng = np.random.default_rng(block)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    separators = [f"<{t}>" for t in range(len(shape) + 1)]
+    assert "".join(float_text(values, separators)) == with_separators(values, separators)
+
+
+def test_text_does_not_depend_on_simd_dispatch(tmp_path):
+    # the sweep again, in a process whose NumPy takes its kernels without AVX-512 and whose
+    # OpenBLAS takes Haswell's; NumPy ignores the names of features a CPU lacks
+    values = np.concatenate([build() for build in SWEEP])
+    np.save(tmp_path / "sweep.npy", values)
+    script = (
+        "import hashlib, sys\n"
+        "import numpy as np\n"
+        "from varconn._floattext import float_text\n"
+        "text = ''.join(float_text(np.load(sys.argv[1]), ('\\n', '\\n')))\n"
+        "print(hashlib.sha256(text.encode('ascii')).hexdigest())\n"
     )
-    assert "".join(float_text(values, separators)) == expected
+    src = str(Path(varconn.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+        "OPENBLAS_CORETYPE": "Haswell",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sweep.npy")], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    text = "".join(float_text(values, ("\n", "\n")))
+    assert done.stdout.split()[-1] == hashlib.sha256(text.encode("ascii")).hexdigest()
