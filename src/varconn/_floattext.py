@@ -183,7 +183,7 @@ def _digits8(x):
 
 
 def _text(values, marker, tables) -> bytes:
-    """The repr of each value, each followed by the byte in bits 48..55 of its marker, as ASCII.
+    """The repr of each value as ASCII, each followed by the byte in bits 48..55 of its marker.
 
     Each value gets five words, zero where it writes nothing: 16 integer
     digits aligned right, the point, 20 fraction digits aligned left (the
@@ -256,12 +256,12 @@ def float_text(values: np.ndarray, separators: Sequence[str]) -> Iterator[str]:
         closes = []
         for t, size in enumerate(sizes, 1):  # deeper axes later: a value that closes t axes closes every shallower one
             first = (-start - 1) % size  # the first value in the block that closes t axes
-            marker[first::size] = _U((64 + t) << 48)  # "A" marks a value that closes 1 axis, "B" 2, ...
+            marker[first::size] = _U((128 + t) << 48)  # byte 129 marks a value that closes 1 axis, 130 2, ...
             if first < block.size:
                 closes.append(t)
         text = _text(block, marker, tables)
         if separators[0] != b",":
             text = text.replace(b",", separators[0])
-        for t in closes:
-            text = text.replace(bytes([64 + t]), separators[t])
+        for t in closes:  # above 127, no marker is a byte of the ASCII text or the separators
+            text = text.replace(bytes([128 + t]), separators[t])
         yield text.decode("ascii")

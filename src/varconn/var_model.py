@@ -6,6 +6,7 @@ selection. Entry (i, j) of a coefficient matrix always scales the influence
 of channel j on channel i.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,8 +302,16 @@ def rescale(model: VarModel, gains) -> VarModel:
 def estimate(data: TimeSeriesData, order: int) -> VarModel:
     """Least-squares VAR fit of the demeaned samples.
 
-    The residual covariance uses denominator n - order (the number of
-    regression rows), which keeps it positive semi-definite by construction.
+    The fit is a tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012):
+    R of [regressors | response] is carried over the row chunks of the
+    lagged design (``_design_chunks``), so memory beyond the samples grows
+    with neither n nor the order. With R = [[R_xx, R_xy], [0, R_yy]], the
+    coefficients solve R_xx B = R_xy, and the residual covariance is
+    R_yy^T R_yy / (n - order), denominator the number of regression rows,
+    which keeps it positive semi-definite by construction. The regressors
+    count as rank deficient where ``lstsq(rcond=None)`` would find them so:
+    a singular value of R_xx counts when it exceeds
+    eps * max(n - order, K order) times the largest.
 
     Raises
     ------
@@ -312,26 +321,57 @@ def estimate(data: TimeSeriesData, order: int) -> VarModel:
     """
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
-    x = data.values - data.values.mean(axis=0)
-    n, k = x.shape
+    n, k = data.values.shape
     if n <= k * order + 1:
         raise EstimationError(
             f"need more than K * order + 1 = {k * order + 1} samples to fit order {order}, got {n}"
         )
+    width = k * order
+    mean = data.values.mean(axis=0)
+    r = np.zeros((0, width + k))
+    for chunk in _design_chunks(data.values, order, np.tile(mean, (order + 1, 1))):
+        r = np.linalg.qr(np.vstack([r, chunk]), mode="r")
+    r_yy = r[width:, width:]
+    sigma = r_yy.T @ r_yy / (n - order)
     if order == 0:
-        return VarModel(np.zeros((0, k, k)), x.T @ x / n)
-    response = x[order:]
-    regressors = np.hstack([x[order - lag : n - lag] for lag in range(1, order + 1)])
-    solution, _, rank, _ = np.linalg.lstsq(regressors, response, rcond=None)
-    if rank < k * order:
+        return VarModel(np.zeros((0, k, k)), sigma)
+    singular = np.linalg.svd(r[:width, :width], compute_uv=False)
+    rank = int(np.sum(singular > np.finfo(float).eps * max(n - order, width) * singular[0]))
+    if rank < width:
         raise EstimationError(
-            f"rank-deficient regressor matrix: rank {rank} < {k * order} "
+            f"rank-deficient regressor matrix: rank {rank} < {width} "
             f"({k} channels x {order} lags); the data do not excite every direction"
         )
-    residuals = response - regressors @ solution
-    sigma = residuals.T @ residuals / (n - order)
-    coeffs = np.stack([solution[lag * k : (lag + 1) * k].T for lag in range(order)])
+    solution = np.linalg.solve(r[:width, :width], r[:width, width:])
+    coeffs = solution.reshape(order, k, k).transpose(0, 2, 1)
     return VarModel(coeffs, sigma)
+
+
+#: Bytes of one row chunk of the lagged design, which has at least as many
+#: rows as columns. OpenBLAS keeps the level-2 steps of a QR on one thread
+#: up to about 9,000 entries; chunks above that measured slower per row.
+_CHUNK_BYTES = 2**16
+
+
+def _design_chunks(values: np.ndarray, order: int, means: np.ndarray) -> Iterator[np.ndarray]:
+    """The lagged design [x(t - 1) .. x(t - order) | x(t)], t = order .. n - 1, in row chunks.
+
+    Each block of K columns is centred by its row of means, (order + 1, K),
+    as the chunk is cut. The chunks are views of one buffer that the next
+    chunk overwrites, so a caller folds each one in before taking the next.
+    """
+    n, k = values.shape
+    width = k * (order + 1)
+    rows = min(max(width, _CHUNK_BYTES // (8 * width)), n - order)
+    # windows[s, lag] is x(s + order - lag): each row of the design, response first
+    windows = np.lib.stride_tricks.sliding_window_view(values, order + 1, axis=0).transpose(0, 2, 1)[:, ::-1]
+    buffer = np.empty((rows, order + 1, k))
+    for start in range(0, n - order, rows):
+        stop = min(start + rows, n - order)
+        chunk = buffer[: stop - start]
+        np.subtract(windows[start:stop, 1:], means[:order], out=chunk[:, :order])
+        np.subtract(windows[start:stop, 0], means[order], out=chunk[:, order])
+        yield chunk.reshape(stop - start, width)
 
 
 def select_order(data: TimeSeriesData, p_max: int, criterion: str = "bic") -> int:
@@ -345,8 +385,9 @@ def select_order(data: TimeSeriesData, p_max: int, criterion: str = "bic") -> in
     Each candidate is fitted exactly as ``estimate`` fits the samples from
     row p_max - order on, demeaned by their own mean, but all of them are
     read off one Gram matrix of the p_max-lag design (Lütkepohl 2005,
-    §4.3). A candidate whose Gram route is refused (too few samples, or a
-    regressor block that is not clearly full rank) is fitted by
+    §4.3), summed over row chunks of the design so that no array of n rows
+    is built. A candidate whose Gram route is refused (too few samples, or
+    a regressor block that is not clearly full rank) is fitted by
     ``estimate`` itself, which raises its own errors.
     """
     crit = str(criterion).lower()
@@ -362,19 +403,30 @@ def select_order(data: TimeSeriesData, p_max: int, criterion: str = "bic") -> in
 
 def _criterion_values(x: np.ndarray, p_max: int, crit: str) -> np.ndarray:
     """The criterion of orders 1 .. p_max, inf for an order whose residual
-    covariance is not positive definite."""
+    covariance is not positive definite.
+
+    The Gram of the p_max-lag design is summed over its row chunks
+    (``_design_chunks``), each block of columns centred by its own mean, so
+    memory beyond the samples grows with neither n nor p_max. A block's sum
+    and a window's sum are the column total less the few rows outside them.
+    """
     n, k = x.shape
     n_eff = n - p_max
+    total = x.sum(axis=0)
     if n_eff > k:  # else every order fails the sample check below and estimate refuses order 1
         # [lag 1 .. lag p_max | response] over the rows every candidate regresses on
-        design = np.hstack([x[p_max - lag : n - lag] for lag in range(1, p_max + 1)] + [x[p_max:]])
-        means = design.mean(axis=0)
-        design -= means
-        gram = design.T @ design
+        lags = [*range(1, p_max + 1), 0]
+        means = np.array([total - x[: p_max - lag].sum(axis=0) - x[n - lag :].sum(axis=0) for lag in lags]) / n_eff
+        gram = np.zeros((k * (p_max + 1), k * (p_max + 1)))
+        for chunk in _design_chunks(x, p_max, means):
+            gram += chunk.T @ chunk
+        means = means.ravel()
     values = np.full(p_max, np.inf)
     for order in range(1, p_max + 1):
         window = x[p_max - order :]
-        fit = _gram_slogdet(gram, means, window.mean(axis=0), order, n_eff) if len(window) > k * order + 1 else None
+        fit = None
+        if len(window) > k * order + 1:
+            fit = _gram_slogdet(gram, means, (total - x[: p_max - order].sum(axis=0)) / len(window), order, n_eff)
         if fit is None:
             fit = np.linalg.slogdet(estimate(TimeSeriesData(window), order).sigma)
         sign, logdet = fit
@@ -385,9 +437,10 @@ def _criterion_values(x: np.ndarray, p_max: int, crit: str) -> np.ndarray:
 
 
 #: Smallest accepted ratio of extreme singular values of the regressor
-#: block's Cholesky factor. ``lstsq`` finds rank deficiency only below
-#: eps * max(n, K p), about 4e-12 at n = 20000; the Gram route resolves
-#: the ratio to about sqrt(eps), so it refuses well before that.
+#: block's Cholesky factor. ``estimate`` finds rank deficiency only where a
+#: singular value of its QR factor is below eps * max(n, K p) times the
+#: largest, about 4e-12 at n = 20000; the Gram route resolves the ratio to
+#: about sqrt(eps), so it refuses well before that.
 _GRAM_RATIO_MIN = 1e-6
 
 

@@ -121,6 +121,22 @@ def test_separators_follow_the_axes_each_value_closes(shape):
     assert "".join(float_text(values, separators)) == with_separators(values, separators)
 
 
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="NumPy 1 arrays have at most 32 axes")
+@pytest.mark.parametrize("ndim", [37, 64])
+def test_separators_after_values_that_close_many_axes(ndim):
+    # a value that closes 37 axes was once marked with the byte of "e"
+    values = np.full((1,) * (ndim - 1) + (2,), 1e-05)
+    separators = [f"<{t}>" for t in range(ndim + 1)]
+    assert "".join(float_text(values, separators)) == with_separators(values, separators)
+
+
+def test_separators_may_hold_any_ascii():
+    # letters and digits too, which a marker byte must not be mistaken for
+    values = np.random.default_rng(3).standard_normal((2, 3, 4)) * 1e-7
+    separators = ["A", "B\n", "e", "0]"]
+    assert "".join(float_text(values, separators)) == with_separators(values, separators)
+
+
 # blocks that start at every offset within each axis, not only at multiples of BLOCK: 7 is
 # coprime with 5 and 8, so one-value blocks (20 s for the two large shapes) would add no offset
 OFFSET_CASES = [((3, 5, 7), 1)] + [(shape, block) for shape in [(512, 8, 8), (20000, 5), (3, 5, 7)] for block in [7, BLOCK - 1, BLOCK]]

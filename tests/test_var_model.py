@@ -335,6 +335,71 @@ class TestEstimate:
         centered = values - values.mean(axis=0)
         assert_allclose(fitted.sigma, centered.T @ centered / 1000, atol=1e-12)
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 5, 16])
+    def test_matches_lstsq_on_the_centred_design(self, k, order):
+        # the route estimate left: the whole design and np.linalg.lstsq
+        model = random_stable_model(np.random.default_rng(10 * k + order), k, p=order)
+        data, _ = simulate(model, 3000, seed=order)
+        coeffs, sigma = lstsq_fit(data.values, order)
+        fitted = estimate(data, order)
+        assert relative_gap(fitted.coeffs, coeffs) <= 1e-12
+        assert relative_gap(fitted.sigma, sigma) <= 1e-12
+
+    @pytest.mark.parametrize("rows", [1, 7, "series"])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_results_do_not_depend_on_the_chunk(self, monkeypatch, k, rows):
+        # a chunk of `rows` rows, raised to as many rows as the design has columns
+        data, _ = simulate(random_stable_model(np.random.default_rng(k), k, p=2), 1500, seed=k)
+        p_max = 4
+        fits = [estimate(data, order) for order in range(4)]
+        criteria = var_model._criterion_values(data.values, p_max, "bic")
+
+        def budget(width):
+            return 8 * width * (data.n_samples if rows == "series" else rows)
+
+        for order, fitted in enumerate(fits):
+            monkeypatch.setattr(var_model, "_CHUNK_BYTES", budget(k * (order + 1)))
+            chunked = estimate(data, order)
+            assert relative_gap(chunked.coeffs, fitted.coeffs) <= 1e-13
+            assert relative_gap(chunked.sigma, fitted.sigma) <= 1e-13
+        monkeypatch.setattr(var_model, "_CHUNK_BYTES", budget(k * (p_max + 1)))
+        assert relative_gap(var_model._criterion_values(data.values, p_max, "bic"), criteria) <= 1e-13
+
+
+def lstsq_fit(values, order):
+    """Coefficients and residual covariance of np.linalg.lstsq on the whole centred design."""
+    x = values - values.mean(axis=0)
+    n, k = x.shape
+    regressors = np.hstack([x[order - lag : n - lag] for lag in range(1, order + 1)])
+    solution, _, rank, _ = np.linalg.lstsq(regressors, x[order:], rcond=None)
+    assert rank == k * order
+    residuals = x[order:] - regressors @ solution
+    return solution.reshape(order, k, k).transpose(0, 2, 1), residuals.T @ residuals / (n - order)
+
+
+def relative_gap(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want))) if np.size(want) else 0.0
+
+
+def test_fit_peak_memory_does_not_grow_with_n():
+    # the whole p_max = 10 design alone is about 84 MiB at n = 200,000; the row
+    # chunks keep the peak of either call near a few chunks whatever n is
+    model = random_stable_model(np.random.default_rng(5), 5, p=3)
+    peaks = {}
+    for n in (20_000, 200_000):
+        data, _ = simulate(model, n, seed=1)
+        for name, call in (("select_order", lambda: select_order(data, 10)), ("estimate", lambda: estimate(data, 3))):
+            tracemalloc.start()
+            try:
+                call()
+                peaks[name, n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    for name in ("select_order", "estimate"):
+        assert peaks[name, 200_000] < 4 * 2**20, peaks
+        assert abs(peaks[name, 200_000] - peaks[name, 20_000]) < 0.5 * 2**20, peaks
+
 
 class TestSelectOrder:
     def test_bic_recovers_true_order(self):
@@ -356,7 +421,7 @@ class TestSelectOrder:
             select_order(data, 0)
 
     @pytest.mark.parametrize("criterion", ["aic", "bic"])
-    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 2, 5, 16])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_criterion_values_match_per_order_fits(self, seed, k, criterion):
         model = random_stable_model(np.random.default_rng(seed), k)
