@@ -239,8 +239,8 @@ def _text(values, marker, tables) -> bytes:
     return canvas.tobytes().translate(None, b"\0")
 
 
-def float_text(values: np.ndarray, separators: Sequence[str]) -> Iterator[str]:
-    """The repr of each finite value of `values` in C order, yielded a block at a time.
+def float_text(values: np.ndarray, separators: Sequence[str]) -> Iterator[bytes]:
+    """The repr of each finite value of `values` in C order, as ASCII bytes yielded a block at a time.
 
     After each value comes separators[t], where t is how many trailing axes
     the value closes: separators[0] within a row, separators[values.ndim]
@@ -264,4 +264,4 @@ def float_text(values: np.ndarray, separators: Sequence[str]) -> Iterator[str]:
             text = text.replace(b",", separators[0])
         for t in closes:  # above 127, no marker is a byte of the ASCII text or the separators
             text = text.replace(bytes([128 + t]), separators[t])
-        yield text.decode("ascii")
+        yield text

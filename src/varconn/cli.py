@@ -18,9 +18,9 @@ from .errors import (
     ParseError,
 )
 from .fileio import (
+    ResultWriter,
     load_model,
     load_timeseries,
-    render_result,
     save_model,
     save_result,
     save_timeseries,
@@ -28,7 +28,7 @@ from .fileio import (
 from .infotheory import information_rates, rate_kinds
 from .measures import MeasureKind, measures_from_spectra
 from .oracles import run_verification
-from .spectral import DEFAULT_N_POINTS, FrequencyGrid, evaluate_spectra
+from .spectral import DEFAULT_N_POINTS, FrequencyGrid, SpectralSet, _block_size, _spectral_blocks
 from .var_model import estimate, select_order, simulate, validate
 
 EXIT_OK = 0
@@ -144,12 +144,29 @@ def _parse_kinds(text: str, what: str) -> list[str]:
 
 
 def _cmd_measure(args) -> int:
+    """Walk the grid once, rendering each block's measures into the document's spills.
+
+    A refusal waits for the end of the walk, so the walk's own refusals come
+    first; then the first measure, in request order, that refused in any
+    block, and after that the writer's. No block is rendered after one.
+    """
     model = load_model(args.model)
-    kinds = [MeasureKind(name) for name in _parse_kinds(args.measures, "measure")]
+    kinds = list(dict.fromkeys(MeasureKind(name) for name in _parse_kinds(args.measures, "measure")))
     grid = FrequencyGrid(args.nfreq)
-    spectra = evaluate_spectra(model, grid)
-    results = {result.kind: result for result in measures_from_spectra(spectra, kinds)}
-    return _emit(render_result(grid, measures=results, include_mag_sq=args.mag_sq, sample_rate_hz=args.fs), args.out)
+    with ResultWriter(grid, kinds, args.mag_sq, args.fs) as writer:
+        refusal, drawn = None, kinds
+        for a_bar, h_bar, _, _ in _spectral_blocks(model, grid, _block_size(model.K)):
+            done = 0
+            try:
+                for result in measures_from_spectra(SpectralSet(a_bar, h_bar, model.sigma), drawn):
+                    if refusal is None:
+                        writer.add(result.kind, result.values)
+                    done += 1
+            except (DomainError, NumericalError) as exc:
+                refusal, drawn = exc, drawn[:done]  # only an earlier kind can refuse first now
+        if refusal is not None:
+            raise refusal
+        return _emit(writer.chunks(), args.out)
 
 
 def _cmd_mir(args) -> int:
@@ -158,7 +175,7 @@ def _cmd_mir(args) -> int:
     grid = FrequencyGrid(args.nfreq)
     mirs = information_rates(model, grid, kinds)
     units = "nats_per_sample" if args.units == "nats" else "bits_per_sample"
-    return _emit(render_result(grid, mirs=mirs, units=units), args.out)
+    return _emit(ResultWriter(grid).chunks(mirs, units), args.out)
 
 
 def _cmd_verify(args) -> int:
@@ -173,10 +190,16 @@ def _cmd_verify(args) -> int:
 
 
 def _emit(chunks, out: str | None) -> int:
-    if out is None:
-        sys.stdout.writelines(chunks)
-    else:
+    """Write a result document's bytes to `out`, or to stdout (decoded where stdout takes no bytes)."""
+    if out is not None:
         print(f"wrote {save_result(chunks, out)}")
+        return EXIT_OK
+    stream = getattr(sys.stdout, "buffer", None)
+    if stream is None:
+        sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
+    else:
+        sys.stdout.flush()
+        stream.writelines(chunks)
     return EXIT_OK
 
 

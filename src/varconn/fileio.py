@@ -5,16 +5,19 @@ indent=2)`` and a newline. Model documents round-trip byte-identically:
 loading and re-saving a document reproduces the file exactly. Result
 documents are written straight from arrays, byte for byte as
 ``json.dumps`` writes them as nested lists ("re"/"im" for complex
-arrays), and nothing is written when one is refused. The float text of
-result documents and of time-series CSV comes from one vectorised
-shortest-round-trip formatter (``_floattext``), byte-identical to ``repr``.
+arrays), and nothing is written when one is refused; a measure's arrays
+may arrive a block of frequencies at a time (``ResultWriter``). The float
+text of result documents and of time-series CSV comes from one vectorised
+shortest-round-trip formatter (``_floattext``), byte-identical to ``repr``,
+as ASCII bytes that go to files opened in binary mode.
 """
 
 import csv
-import itertools
+import functools
 import json
 import math
 import os
+import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -205,9 +208,9 @@ def save_timeseries(data: TimeSeriesData, path) -> Path:
     byte-identical to ``repr``, a block of values at a time.
     """
     target = resolve_output_path(path)
-    with open(target, "w", newline="", encoding="utf-8") as handle:
+    with open(target, "wb") as handle:
         # each line ends in "\r\n" as csv.writer ends it, so the bytes match a csv.writer file
-        handle.write(",".join(f"ch{i + 1}" for i in range(data.K)) + "\r\n")
+        handle.write((",".join(f"ch{i + 1}" for i in range(data.K)) + "\r\n").encode("ascii"))
         handle.writelines(float_text(data.values, (",", "\r\n", "\r\n")))
     return target
 
@@ -231,60 +234,153 @@ def render_result(
     """Check a result document, then return its ``json.dumps`` text in chunks.
 
     Keys of `measures` (to MeasureResult) and `mirs` (to MirMatrix) may be
-    enums or strings. Every refusal is raised by this call, before any text
-    exists; a non-finite value raises NumericalError with the message of
+    enums or strings. The measures are the one block of a ``ResultWriter``,
+    so every refusal is raised by this call, before any text exists; a
+    non-finite value raises NumericalError with the message of
     ``allow_nan=False``.
     """
-    if units not in UNITS:
-        raise DomainError(f"unknown units {units!r}, expected one of {UNITS}")
-    grid_block = {"n_points": grid.n_points, "omega": grid.points}
-    if sample_rate_hz is not None:
-        if not (sample_rate_hz > 0 and math.isfinite(math.pi * sample_rate_hz)):
-            raise DomainError(f"sample_rate_hz must be positive with pi * sample_rate_hz finite, got {sample_rate_hz}")
-        grid_block["frequency_hz"] = grid.points * sample_rate_hz / (2.0 * np.pi)
-    document = {"schema_version": RESULT_SCHEMA_VERSION, "grid": grid_block, "measures": {}, "mir": {}}
-    for kind, result in (measures or {}).items():
-        block = document["measures"][str(getattr(kind, "value", kind))] = {"re": result.values.real, "im": result.values.imag}
-        if include_mag_sq:
-            block["mag_sq"] = np.abs(result.values) ** 2
-    for kind, mir in (mirs or {}).items():
-        values = mir.values if units == "nats_per_sample" else mir.values / _LN2
-        document["mir"][str(getattr(kind, "value", kind))] = {"values": values, "units": units, "n_clipped": int(mir.n_clipped)}
-    _check_finite(document)
-    return itertools.chain(_chunks(document, 0), ("\n",))
+    measures = measures or {}
+    writer = ResultWriter(grid, measures, include_mag_sq, sample_rate_hz)
+    for kind, result in measures.items():
+        writer.add(kind, result.values)
+    return (chunk.decode("ascii") for chunk in writer.chunks(mirs, units))
 
 
-def save_result(chunks: Iterable[str], path) -> Path:
-    """Write the chunks of a rendered result document; returns the resolved path."""
+#: Where a measure array sits in a result document: under the document, "measures" and its name.
+_MEASURE_LEVEL = 3
+
+#: Bytes per read when a spill is copied into the document.
+_COPY_BYTES = 2**16
+
+
+class ResultWriter:
+    """A result document whose measures arrive a block of frequencies at a time.
+
+    ``add`` takes the next block of one of `kinds` (enums or strings), a
+    complex (n, K, K) array. A measure's blocks come in grid order and end
+    on whole frequencies. Each array the document holds for the measure
+    ("re", "im" and, with include_mag_sq, "mag_sq") is checked for finite
+    values and the block's text rendered into a spill of its own, an
+    unlinked temporary file in ``tempfile``'s directory. ``chunks`` raises
+    what the blocks left pending, else returns the document's bytes, the
+    spills copied in key order. Refusals come in this order, and no block
+    is rendered once one is pending: ``units``, a ``sample_rate_hz`` the
+    grid cannot be written in, then the first non-finite value of the
+    first array, in request order, that holds one, and last a non-finite
+    rate. The spills are closed when the writer is closed or its chunks
+    have been read to the end.
+    """
+
+    def __init__(self, grid: FrequencyGrid, kinds=(), include_mag_sq: bool = False, sample_rate_hz: float | None = None):
+        self._spills = {}
+        self.grid, self.sample_rate_hz, self._refusal = grid, sample_rate_hz, None
+        self._rows = {_name(kind): 0 for kind in kinds}  # rows added of each measure
+        if sample_rate_hz is not None and not (sample_rate_hz > 0 and math.isfinite(math.pi * sample_rate_hz)):
+            self._refusal = DomainError(f"sample_rate_hz must be positive with pi * sample_rate_hz finite, got {sample_rate_hz}")
+        self._fields = ("re", "im", "mag_sq") if include_mag_sq else ("re", "im")
+        self._first_bad = {}  # (name, field) -> the first non-finite value met
+        head, self._separators = _layout(_MEASURE_LEVEL, 3)
+        for kind in kinds:
+            for field in self._fields:
+                spill = self._spills[_name(kind), field] = tempfile.TemporaryFile()
+                spill.write(head)
+
+    def add(self, kind, values: np.ndarray) -> None:
+        """Check a measure's next block and, unless a refusal is pending, render it into the measure's spills."""
+        name = _name(kind)
+        self._rows[name] += len(values)
+        separators = self._separators
+        if self._rows[name] < self.grid.n_points:  # the block's last value closes a frequency, not the array
+            separators = separators[:3] + separators[2:3]
+        for field in self._fields:
+            key = (name, field)
+            with np.errstate(over="ignore"):  # a squared magnitude that overflows is refused as the inf it leaves
+                part = values.real if field == "re" else values.imag if field == "im" else np.abs(values) ** 2
+            if key not in self._first_bad and not np.all(np.isfinite(part)):
+                self._first_bad[key] = float(part[~np.isfinite(part)][0])
+            if self._refusal is None and not self._first_bad:
+                self._spills[key].writelines(float_text(part, separators))
+
+    def chunks(self, mirs: dict | None = None, units: str = "nats_per_sample") -> Iterator[bytes]:
+        """Raise a pending refusal, else return the document's text in chunks of bytes."""
+        if units not in UNITS:
+            raise DomainError(f"unknown units {units!r}, expected one of {UNITS}")
+        if self._refusal is not None:
+            raise self._refusal
+        for key in self._spills:
+            if key in self._first_bad:
+                raise _non_finite(self._first_bad[key])
+        grid_block = {"n_points": self.grid.n_points, "omega": self.grid.points}
+        if self.sample_rate_hz is not None:
+            grid_block["frequency_hz"] = self.grid.points * self.sample_rate_hz / (2.0 * np.pi)
+        document = {"schema_version": RESULT_SCHEMA_VERSION, "grid": grid_block, "measures": {}, "mir": {}}
+        for (name, field), spill in self._spills.items():
+            document["measures"].setdefault(name, {})[field] = spill
+        for kind, mir in (mirs or {}).items():
+            values = mir.values if units == "nats_per_sample" else mir.values / _LN2
+            if not np.all(np.isfinite(values)):
+                raise _non_finite(float(values[~np.isfinite(values)][0]))
+            document["mir"][_name(kind)] = {"values": values, "units": units, "n_clipped": int(mir.n_clipped)}
+        return self._copy(document)
+
+    def _copy(self, document: dict) -> Iterator[bytes]:
+        with self:
+            yield from _chunks(document, 0)
+            yield b"\n"
+
+    def close(self) -> None:
+        for spill in self._spills.values():
+            spill.close()
+
+    __del__ = close  # a writer whose chunks are never read still closes its spills
+
+    def __enter__(self) -> "ResultWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def save_result(chunks: Iterable[bytes | str], path) -> Path:
+    """Write the chunks of a result document, bytes or ``render_result``'s text; returns the resolved path."""
     target = resolve_output_path(path)
-    with open(target, "w", encoding="utf-8") as handle:
-        handle.writelines(chunks)
+    with open(target, "wb") as handle:
+        handle.writelines(chunk.encode("ascii") if isinstance(chunk, str) else chunk for chunk in chunks)
     return target
 
 
-def _check_finite(node) -> None:
-    if isinstance(node, dict):
-        for value in node.values():
-            _check_finite(value)
-    elif isinstance(node, np.ndarray) and not np.all(np.isfinite(node)):
-        raise NumericalError(f"Out of range float values are not JSON compliant: {float(node[~np.isfinite(node)][0])!r}")
+def _name(kind) -> str:
+    return str(getattr(kind, "value", kind))
 
 
-def _chunks(node, level: int) -> Iterator[str]:
+def _non_finite(value: float) -> NumericalError:
+    return NumericalError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+def _layout(level: int, ndim: int) -> tuple[bytes, list[str]]:
+    """The text before the values of an array at indent `level`, and the separators after them, for ``float_text``."""
+    # a value that closes t axes is followed by t "]", then, unless it is the last, "," and t "["
+    depth = level + ndim  # the values' indent
+    closes = ["".join("\n" + "  " * (depth - 1 - j) + "]" for j in range(t)) for t in range(ndim + 1)]
+    opens = ["".join("\n" + "  " * (depth - t + j) + "[" for j in range(t)) for t in range(ndim)]
+    pad = "\n" + "  " * depth
+    return ("[" + opens[-1] + pad).encode("ascii"), [closes[t] + "," + opens[t] + pad for t in range(ndim)] + closes[-1:]
+
+
+def _chunks(node, level: int) -> Iterator[bytes]:
     """The text of a node at indent `level`, as ``json.dumps(sort_keys=True, indent=2)`` writes it."""
     if isinstance(node, np.ndarray):
-        # a value that closes t axes is followed by t "]", then, unless it is the last, "," and t "["
-        depth = level + node.ndim  # the values' indent
-        closes = ["".join("\n" + "  " * (depth - 1 - j) + "]" for j in range(t)) for t in range(node.ndim + 1)]
-        opens = ["".join("\n" + "  " * (depth - t + j) + "[" for j in range(t)) for t in range(node.ndim)]
-        pad = "\n" + "  " * depth
-        yield "[" + opens[-1] + pad
-        yield from float_text(node, [closes[t] + "," + opens[t] + pad for t in range(node.ndim)] + closes[-1:])
+        head, separators = _layout(level, node.ndim)
+        yield head
+        yield from float_text(node, separators)
+    elif hasattr(node, "read"):  # a spill, which holds an array's whole text
+        node.seek(0)
+        yield from iter(functools.partial(node.read, _COPY_BYTES), b"")
     elif isinstance(node, dict) and node:
         pad = "\n" + "  " * (level + 1)
         for index, key in enumerate(sorted(node)):
-            yield ("," if index else "{") + pad + json.dumps(key) + ": "
+            yield (("," if index else "{") + pad + json.dumps(key) + ": ").encode("ascii")
             yield from _chunks(node[key], level + 1)
-        yield "\n" + "  " * level + "}"
+        yield ("\n" + "  " * level + "}").encode("ascii")
     else:
-        yield json.dumps(node)
+        yield json.dumps(node).encode("ascii")

@@ -5,8 +5,10 @@ evaluates the AR polynomial A_bar(omega) = I - sum_l A(l) exp(-j omega l),
 the transfer matrix H_bar = A_bar^-1, the spectral density
 S = H_bar sigma H_bar^H and its inverse assembled directly as
 A_bar^H sigma^-1 A_bar. Each frequency is evaluated on its own, so the
-grid is walked in blocks (``_spectral_blocks``); ``evaluate_spectra`` is
-the walk in a single block.
+grid is walked in blocks (``_spectral_blocks``), as the ``measure`` and
+``mir`` commands walk it; ``evaluate_spectra`` is the walk in a single
+block, the whole-grid route that ``verify``'s oracles, the library's
+callers and the tests take.
 
 A walk owns A_bar, |A_bar| and |H_bar|, one block-sized array each, and
 writes every block into them, so a block it yields holds read-only views
@@ -147,8 +149,9 @@ def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterato
     The model is validated once, on the first draw. Each block builds
     A_bar and H_bar for its own points only, and reads each frequency's
     1-norm condition number kappa_1 = ||A_bar||_1 ||H_bar||_1 from the two,
-    leaving |A_bar| and |H_bar| behind. The walk owns three arrays of
-    ``min(size, n_points)`` frequencies, A_bar, |A_bar| and |H_bar|, and
+    leaving |A_bar| and |H_bar| behind. A_bar's bits do not depend on the
+    block length. The walk owns three arrays of ``min(size, n_points)``
+    frequencies (two at least for A_bar), A_bar, |A_bar| and |H_bar|, and
     writes every block into them, so a block it yields holds read-only
     views that stay valid until the next block is drawn; H_bar is the
     fresh output of ``inv``.
@@ -168,14 +171,17 @@ def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterato
         raise NumericalError("innovation covariance is not positive definite")
     k, p, rows = model.K, model.p, min(size, grid.n_points)
     lags, coeffs, eye = np.arange(1, p + 1), model.coeffs.reshape(p, k * k), np.eye(k)
-    a_bars, abs_a_bars, abs_h_bars = np.empty((rows, k, k), complex), np.empty((rows, k, k)), np.empty((rows, k, k))
+    a_bars, abs_a_bars, abs_h_bars = np.empty((max(rows, 2), k, k), complex), np.empty((rows, k, k)), np.empty((rows, k, k))
     worst_omega, worst_kappa = None, 0.0
     for start in range(0, grid.n_points, size):
         omega = grid.points[start : start + size]
         n = omega.size
         a_bar, abs_a_bar, abs_h_bar = a_bars[:n], abs_a_bars[:n], abs_h_bars[:n]
-        # I - sum_l A(l) exp(-j omega l), as -(the sum) + I: the same bits, signed zeros included
-        np.matmul(np.exp(-1j * np.outer(omega, lags)), coeffs, out=a_bar.reshape(n, k * k))
+        # I - sum_l A(l) exp(-j omega l), as -(the sum) + I: the same bits, signed zeros included.
+        # A one-row product would take matmul's matrix-vector path, whose last bits differ, so
+        # it is made of two equal rows, and A_bar does not depend on the block length.
+        phases = np.exp(-1j * np.outer(omega.repeat(2) if n == 1 else omega, lags))
+        np.matmul(phases, coeffs, out=a_bars[: len(phases)].reshape(len(phases), k * k))
         np.negative(a_bar, out=a_bar)
         a_bar += eye
         try:

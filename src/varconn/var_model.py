@@ -90,7 +90,7 @@ class TimeSeriesData:
 
     @classmethod
     def _adopt(cls, values: np.ndarray) -> "TimeSeriesData":
-        """Wrap a float array its producer has just built and keeps no other use of, without a copy."""
+        """Wrap, without a copy, a float array its producer has just built and keeps no other use of, or a view of locked samples."""
         data = object.__new__(cls)
         object.__setattr__(data, "values", lock(_checked_samples(values)))
         return data
@@ -428,7 +428,7 @@ def _criterion_values(x: np.ndarray, p_max: int, crit: str) -> np.ndarray:
         if len(window) > k * order + 1:
             fit = _gram_slogdet(gram, means, (total - x[: p_max - order].sum(axis=0)) / len(window), order, n_eff)
         if fit is None:
-            fit = np.linalg.slogdet(estimate(TimeSeriesData(window), order).sigma)
+            fit = np.linalg.slogdet(estimate(TimeSeriesData._adopt(window), order).sigma)
         sign, logdet = fit
         if sign > 0:
             penalty = 2.0 if crit == "aic" else float(np.log(n_eff))

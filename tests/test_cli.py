@@ -1,10 +1,14 @@
+import errno
 import hashlib
+import io
 import json
 import math
 import os
 import platform
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +19,7 @@ from varconn import EPS_CLIP, MeasureKind, MeasureResult, NumericalError, VarMod
 from varconn import infotheory, measures, oracles
 from varconn.cli import main
 from varconn.oracles import random_stable_model
+from varconn.spectral import _block_size
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 
@@ -140,6 +145,138 @@ class TestMeasureCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestMeasureBlocks:
+    """measure walks the grid in blocks: its bytes and its refusals do not depend on the block size."""
+
+    #: 17 points: walks in blocks of 1, 2, 7, 8, 9 and 17 end in blocks of 1 (8 and 1),
+    #: 2, 3 and 8 rows, or take the grid whole; _block_size(3) takes it whole too
+    N_POINTS = 17
+    SIZES = (1, 2, 7, 8, 9, 17)
+
+    @pytest.fixture()
+    def model_path(self, tmp_path):
+        path = tmp_path / "k3.json"
+        save_model(random_stable_model(np.random.default_rng(3), 3, p=3), path)
+        return path
+
+    @pytest.mark.parametrize("options", [[], ["--mag-sq", "--fs", "250"]])
+    def test_same_bytes_at_any_block_size(self, monkeypatch, tmp_path, model_path, options):
+        assert _block_size(3) > self.N_POINTS
+        argv = ["measure", "--model", str(model_path), "--nfreq", str(self.N_POINTS), *options, "--out"]
+        whole = tmp_path / "whole.json"
+        assert main([*argv, str(whole)]) == 0
+        for size in self.SIZES:
+            monkeypatch.setattr(varconn.cli, "_block_size", lambda k, size=size: size)
+            out = tmp_path / f"blocks{size}.json"
+            assert main([*argv, str(out)]) == 0
+            assert out.read_bytes() == whole.read_bytes(), size
+
+    @staticmethod
+    def install_faults(patch, measure_faults, singular_row):
+        """Patch measures (kind -> (grid row, "refuse" or a value for entry (1, 0))) and A_bar's inverse."""
+        for name, (row, fault) in measure_faults.items():
+            kind = MeasureKind(name)
+            original, seen = measures._MEASURES[kind], [0]
+
+            def faulty(spectra, kind=kind, original=original, seen=seen, row=row, fault=fault):
+                start = seen[0]
+                seen[0] += len(spectra.a_bar)
+                result = original(spectra)
+                if not start <= row < seen[0]:
+                    return result
+                if fault == "refuse":
+                    raise NumericalError(f"{kind.value} refused at row {row}")
+                values = result.values.copy()
+                values[row - start, 1, 0] = fault
+                return MeasureResult(kind, values)
+
+            patch.setitem(measures._MEASURES, kind, faulty)
+        if singular_row is not None:  # a zero pivot in the walk's inverse at that grid row
+            inv, seen = np.linalg.inv, [0]
+
+            def broken(a):
+                if a.ndim == 3:
+                    start = seen[0]
+                    seen[0] += len(a)
+                    if start <= singular_row < seen[0]:
+                        a[singular_row - start] = 0.0
+                return inv(a)
+
+            patch.setattr(np.linalg, "inv", broken)
+
+    @pytest.mark.parametrize(
+        "kinds, measure_faults, singular_row, options, refusal",
+        [
+            # a measure that refuses in the first block loses to a singular A_bar in a later one
+            ("pdc", {"pdc": (0, "refuse")}, 16, [], "E_NUMERIC: A_bar is numerically singular at omega = 3.14159 "),
+            # the first measure in request order that refuses anywhere, not the first block's
+            ("coh,pdc", {"pdc": (0, "refuse"), "coh": (16, "refuse")}, None, [], "E_NUMERIC: coh refused at row 16\n"),
+            ("coh,pdc", {"pdc": (0, "refuse")}, None, ["--fs", "inf"], "E_NUMERIC: pdc refused at row 0\n"),
+            # then an unwritable sample rate, then the first array in request order holding a non-finite value
+            ("coh", {"coh": (3, complex(math.nan, 0.0))}, None, ["--fs", "inf"], "E_CONFIG: sample_rate_hz must be positive"),
+            ("coh,pdc", {"pdc": (0, complex(math.nan, 0.0)), "coh": (16, complex(0.0, math.inf))}, None, [], "E_NUMERIC: Out of range float values are not JSON compliant: inf\n"),
+            ("pdc,coh", {"pdc": (16, complex(1e200, 0.0)), "coh": (0, complex(-math.inf, 0.0))}, None, ["--mag-sq"], "E_NUMERIC: Out of range float values are not JSON compliant: inf\n"),
+        ],
+    )
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_same_refusal_at_any_block_size(self, monkeypatch, tmp_path, capsys, model_path, kinds, measure_faults, singular_row, options, refusal, to_file):
+        out = tmp_path / "result.json"
+        argv = ["measure", "--model", str(model_path), "--measures", kinds, "--nfreq", str(self.N_POINTS), *options]
+        argv += ["--out", str(out)] if to_file else []
+        reports = {}
+        for size in (None, *self.SIZES):
+            with monkeypatch.context() as patch:
+                if size is not None:
+                    patch.setattr(varconn.cli, "_block_size", lambda k, size=size: size)
+                self.install_faults(patch, measure_faults, singular_row)
+                status = main(argv)
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists(), size
+            reports[size] = (status, captured.err)
+        assert reports[None][1].startswith(refusal), reports[None]
+        assert all(report == reports[None] for report in reports.values()), reports
+
+    def test_peak_does_not_grow_with_the_grid(self, tmp_path):
+        # the whole-grid route peaked here at 9.6 MiB (1,024 points) and 34.9 MiB (4,096 points);
+        # S and S^-1 (coh, ipdc and idtf) set a block's peak, and three measures keep the spills small
+        model = tmp_path / "k8.json"
+        save_model(random_stable_model(np.random.default_rng(8), 8, p=3), model)
+        peaks = {}
+        for n_points in (1024, 4096):
+            argv = ["measure", "--model", str(model), "--measures", "coh,ipdc,idtf", "--mag-sq", "--nfreq", str(n_points), "--out", os.devnull]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[n_points] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[4096] - peaks[1024]) < 0.5 * 2**20, peaks
+
+    def test_stdout_without_a_byte_buffer(self, monkeypatch, tmp_path, two_channel_model_path):
+        argv = ["measure", "--model", str(two_channel_model_path), "--nfreq", "5", "--mag-sq"]
+        out = tmp_path / "result.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        text = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", text)
+        assert main(argv) == 0
+        assert text.getvalue().encode("ascii") == out.read_bytes()
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_spill_error_is_an_io_refusal(self, monkeypatch, tmp_path, capsys, two_channel_model_path, to_file):
+        class FullSpill(io.BytesIO):
+            def writelines(self, lines):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", FullSpill)
+        out = tmp_path / "result.json"
+        argv = ["measure", "--model", str(two_channel_model_path)]
+        assert main([*argv, "--out", str(out)] if to_file else argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "E_IO: [Errno 28] No space left on device\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestMirCommand:
     def test_rates_in_nats(self, tmp_path, two_channel_model_path):
         out = tmp_path / "mir.json"
@@ -163,7 +300,7 @@ class TestMirCommand:
         assert abs(values[1][0] - 0.5 * math.log(1.25) / math.log(2.0)) < 1e-8
 
     def test_one_spectral_evaluation_per_request(self, monkeypatch, tmp_path, two_channel_model_path):
-        # every spectral evaluation enters the block walker; `measure` enters it through evaluate_spectra
+        # every spectral evaluation enters the block walker; neither command evaluates the whole grid
         originals = {
             "evaluate_spectra": varconn.spectral.evaluate_spectra,
             "_spectral_blocks": varconn.spectral._spectral_blocks,
@@ -180,7 +317,7 @@ class TestMirCommand:
             for module in modules:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting)
-        requests = {"mir": (["--kinds", "ipdc,idtf,coh"], 0), "measure": ([], 1)}
+        requests = {"mir": (["--kinds", "ipdc,idtf,coh"], 0), "measure": ([], 0)}
         for command, (options, whole_grid) in requests.items():
             calls.update(dict.fromkeys(calls, 0))
             argv = [command, "--model", str(two_channel_model_path), *options, "--out", str(tmp_path / f"{command}.json")]

@@ -17,10 +17,15 @@ from varconn import _floattext
 from varconn._floattext import BLOCK, float_text
 
 
+def joined(values, separators) -> str:
+    """All of float_text's ASCII bytes for `values`, as one str."""
+    return b"".join(float_text(values, separators)).decode("ascii")
+
+
 def assert_reprs(values) -> None:
     """float_text writes each value as repr writes it."""
     values = np.asarray(values, dtype=np.float64)
-    got = "".join(float_text(values, ("\n", "\n"))).split("\n")[:-1]
+    got = joined(values, ("\n", "\n")).split("\n")[:-1]
     want = list(map(float.__repr__, values.tolist()))
     if got != want:
         wrong = [(value, g, w) for value, g, w in zip(values.tolist(), got, want) if g != w]
@@ -118,7 +123,7 @@ def with_separators(values: np.ndarray, separators) -> str:
 def test_separators_follow_the_axes_each_value_closes(shape):
     values = np.random.default_rng(len(shape)).standard_normal(shape)
     separators = [f"<{t}>" for t in range(len(shape) + 1)]
-    assert "".join(float_text(values, separators)) == with_separators(values, separators)
+    assert joined(values, separators) == with_separators(values, separators)
 
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="NumPy 1 arrays have at most 32 axes")
@@ -127,14 +132,14 @@ def test_separators_after_values_that_close_many_axes(ndim):
     # a value that closes 37 axes was once marked with the byte of "e"
     values = np.full((1,) * (ndim - 1) + (2,), 1e-05)
     separators = [f"<{t}>" for t in range(ndim + 1)]
-    assert "".join(float_text(values, separators)) == with_separators(values, separators)
+    assert joined(values, separators) == with_separators(values, separators)
 
 
 def test_separators_may_hold_any_ascii():
     # letters and digits too, which a marker byte must not be mistaken for
     values = np.random.default_rng(3).standard_normal((2, 3, 4)) * 1e-7
     separators = ["A", "B\n", "e", "0]"]
-    assert "".join(float_text(values, separators)) == with_separators(values, separators)
+    assert joined(values, separators) == with_separators(values, separators)
 
 
 # blocks that start at every offset within each axis, not only at multiples of BLOCK: 7 is
@@ -148,7 +153,7 @@ def test_separators_at_every_block_offset(monkeypatch, shape, block):
     rng = np.random.default_rng(block)
     values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
     separators = [f"<{t}>" for t in range(len(shape) + 1)]
-    assert "".join(float_text(values, separators)) == with_separators(values, separators)
+    assert joined(values, separators) == with_separators(values, separators)
 
 
 def test_text_does_not_depend_on_simd_dispatch(tmp_path):
@@ -160,8 +165,8 @@ def test_text_does_not_depend_on_simd_dispatch(tmp_path):
         "import hashlib, sys\n"
         "import numpy as np\n"
         "from varconn._floattext import float_text\n"
-        "text = ''.join(float_text(np.load(sys.argv[1]), ('\\n', '\\n')))\n"
-        "print(hashlib.sha256(text.encode('ascii')).hexdigest())\n"
+        "text = b''.join(float_text(np.load(sys.argv[1]), ('\\n', '\\n')))\n"
+        "print(hashlib.sha256(text).hexdigest())\n"
     )
     src = str(Path(varconn.__file__).resolve().parents[1])
     env = {
@@ -172,5 +177,4 @@ def test_text_does_not_depend_on_simd_dispatch(tmp_path):
     }
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sweep.npy")], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    text = "".join(float_text(values, ("\n", "\n")))
-    assert done.stdout.split()[-1] == hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert done.stdout.split()[-1] == hashlib.sha256(joined(values, ("\n", "\n")).encode("ascii")).hexdigest()

@@ -176,13 +176,25 @@ class TestConditionGuard:
 class TestBlockWalk:
     """_spectral_blocks walks the grid in blocks; evaluate_spectra is its one-block walk."""
 
-    @pytest.mark.parametrize("k, n_points", [(1, 20000), (2, 9000), (16, 1001), (64, 103)])
-    def test_blocks_equal_slices_of_the_whole_grid(self, k, n_points):
-        # each n_points leaves a short last block at _block_size(k)
+    @pytest.mark.parametrize(
+        "k, n_points, size",
+        [
+            pytest.param(1, 20000, None, id="1-20000"),
+            pytest.param(2, 9000, None, id="2-9000"),
+            pytest.param(16, 1001, None, id="16-1001"),
+            pytest.param(64, 103, None, id="64-103"),
+            # a last block of one row, whose A_bar product once took matmul's matrix-vector path
+            pytest.param(8, 257, None, id="8-257"),
+            pytest.param(16, 129, None, id="16-129"),
+            pytest.param(8, 33, 1, id="8-33-size1"),
+        ],
+    )
+    def test_blocks_equal_slices_of_the_whole_grid(self, k, n_points, size):
+        # each n_points leaves a short last block at _block_size(k), or the given size
         model = random_stable_model(np.random.default_rng(90 + k), k, p=3)
         grid = FrequencyGrid(n_points)
         whole = evaluate_spectra(model, grid)
-        size = _block_size(k)
+        size = size or _block_size(k)
         # a block is valid until the next is drawn, so each is compared as it comes
         drawn = 0
         for index, (a_bar, h_bar, abs_a_bar, abs_h_bar) in enumerate(_spectral_blocks(model, grid, size)):

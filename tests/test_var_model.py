@@ -456,6 +456,20 @@ class TestSelectOrder:
             select_order(TimeSeriesData(values), 4)
         assert str(caught.value) == str(expected.value)
 
+    def test_refused_candidate_is_fitted_without_copying_the_samples(self):
+        # a duplicated channel sends every candidate to estimate; a copy of its
+        # window would take 4.58 MiB here, as much as the samples
+        x = np.random.default_rng(7).standard_normal((200_000, 2))
+        data = TimeSeriesData(np.column_stack([x, x[:, 0]]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EstimationError, match="rank-deficient"):
+                select_order(data, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.values.nbytes / 4, peak
+
     @pytest.mark.parametrize(
         "n, k, p_max, message",
         [
