@@ -21,6 +21,7 @@ from .fileio import (
     ResultWriter,
     load_model,
     load_timeseries,
+    render_result,
     save_model,
     save_result,
     save_timeseries,
@@ -28,7 +29,7 @@ from .fileio import (
 from .infotheory import information_rates, rate_kinds
 from .measures import MeasureKind, measures_from_spectra
 from .oracles import run_verification
-from .spectral import DEFAULT_N_POINTS, FrequencyGrid, SpectralSet, _block_size, _spectral_blocks
+from .spectral import DEFAULT_N_POINTS, FrequencyGrid, SpectralSet, _block_size, _draw_kinds, _spectral_blocks
 from .var_model import estimate, select_order, simulate, validate
 
 EXIT_OK = 0
@@ -144,28 +145,13 @@ def _parse_kinds(text: str, what: str) -> list[str]:
 
 
 def _cmd_measure(args) -> int:
-    """Walk the grid once, rendering each block's measures into the document's spills.
-
-    A refusal waits for the end of the walk, so the walk's own refusals come
-    first; then the first measure, in request order, that refused in any
-    block, and after that the writer's. No block is rendered after one.
-    """
+    """Walk the grid once, rendering each block's measures into the document's spills; refusals as ``_draw_kinds`` orders them."""
     model = load_model(args.model)
     kinds = list(dict.fromkeys(MeasureKind(name) for name in _parse_kinds(args.measures, "measure")))
     grid = FrequencyGrid(args.nfreq)
     with ResultWriter(grid, kinds, args.mag_sq, args.fs) as writer:
-        refusal, drawn = None, kinds
-        for a_bar, h_bar, _, _ in _spectral_blocks(model, grid, _block_size(model.K)):
-            done = 0
-            try:
-                for result in measures_from_spectra(SpectralSet(a_bar, h_bar, model.sigma), drawn):
-                    if refusal is None:
-                        writer.add(result.kind, result.values)
-                    done += 1
-            except (DomainError, NumericalError) as exc:
-                refusal, drawn = exc, drawn[:done]  # only an earlier kind can refuse first now
-        if refusal is not None:
-            raise refusal
+        blocks = (SpectralSet(a_bar, h_bar, model.sigma) for a_bar, h_bar, _, _ in _spectral_blocks(model, grid, _block_size(model.K)))
+        _draw_kinds(blocks, kinds, lambda spectra, kind: writer.add(kind, next(measures_from_spectra(spectra, [kind])).values))
         return _emit(writer.chunks(), args.out)
 
 
@@ -174,8 +160,7 @@ def _cmd_mir(args) -> int:
     kinds = rate_kinds(_parse_kinds(args.kinds, "rate kind"))
     grid = FrequencyGrid(args.nfreq)
     mirs = information_rates(model, grid, kinds)
-    units = "nats_per_sample" if args.units == "nats" else "bits_per_sample"
-    return _emit(ResultWriter(grid).chunks(mirs, units), args.out)
+    return _emit(render_result(grid, mirs=mirs, units=f"{args.units}_per_sample"), args.out)  # nats or bits
 
 
 def _cmd_verify(args) -> int:

@@ -230,8 +230,8 @@ def render_result(
     include_mag_sq: bool = False,
     units: str = "nats_per_sample",
     sample_rate_hz: float | None = None,
-) -> Iterator[str]:
-    """Check a result document, then return its ``json.dumps`` text in chunks.
+) -> Iterator[bytes]:
+    """Check a result document, then return its ``json.dumps`` text in chunks of bytes.
 
     Keys of `measures` (to MeasureResult) and `mirs` (to MirMatrix) may be
     enums or strings. The measures are the one block of a ``ResultWriter``,
@@ -243,7 +243,7 @@ def render_result(
     writer = ResultWriter(grid, measures, include_mag_sq, sample_rate_hz)
     for kind, result in measures.items():
         writer.add(kind, result.values)
-    return (chunk.decode("ascii") for chunk in writer.chunks(mirs, units))
+    return writer.chunks(mirs, units)
 
 
 #: Where a measure array sits in a result document: under the document, "measures" and its name.
@@ -257,36 +257,30 @@ class ResultWriter:
     """A result document whose measures arrive a block of frequencies at a time.
 
     ``add`` takes the next block of one of `kinds` (enums or strings), a
-    complex (n, K, K) array. A measure's blocks come in grid order and end
-    on whole frequencies. Each array the document holds for the measure
-    ("re", "im" and, with include_mag_sq, "mag_sq") is checked for finite
-    values and the block's text rendered into a spill of its own, an
-    unlinked temporary file in ``tempfile``'s directory. ``chunks`` raises
-    what the blocks left pending, else returns the document's bytes, the
-    spills copied in key order. Refusals come in this order, and no block
-    is rendered once one is pending: ``units``, a ``sample_rate_hz`` the
-    grid cannot be written in, then the first non-finite value of the
-    first array, in request order, that holds one, and last a non-finite
-    rate. The spills are closed when the writer is closed or its chunks
-    have been read to the end.
+    complex (n, K, K) array; a measure's blocks come in grid order and end
+    on whole frequencies. Until an array of the document ("re", "im" and,
+    with include_mag_sq, "mag_sq" of each measure) holds a non-finite value,
+    each block's text goes to the array's spill, an unlinked file in
+    ``tempfile``'s directory, which a spill's OSError names. ``chunks``
+    raises ``units``, a ``sample_rate_hz`` the grid cannot be written in,
+    the first non-finite value of the first array in request order that
+    holds one, then a non-finite rate, all after a walk's refusals
+    (``spectral._draw_kinds``); else it returns the document's bytes, the
+    spills copied in key order. The spills close with the writer or when
+    its chunks have been read to the end.
     """
 
     def __init__(self, grid: FrequencyGrid, kinds=(), include_mag_sq: bool = False, sample_rate_hz: float | None = None):
         self._spills = {}
-        self.grid, self.sample_rate_hz, self._refusal = grid, sample_rate_hz, None
+        self.grid, self.sample_rate_hz = grid, sample_rate_hz
         self._rows = {_name(kind): 0 for kind in kinds}  # rows added of each measure
-        if sample_rate_hz is not None and not (sample_rate_hz > 0 and math.isfinite(math.pi * sample_rate_hz)):
-            self._refusal = DomainError(f"sample_rate_hz must be positive with pi * sample_rate_hz finite, got {sample_rate_hz}")
         self._fields = ("re", "im", "mag_sq") if include_mag_sq else ("re", "im")
         self._first_bad = {}  # (name, field) -> the first non-finite value met
-        head, self._separators = _layout(_MEASURE_LEVEL, 3)
-        for kind in kinds:
-            for field in self._fields:
-                spill = self._spills[_name(kind), field] = tempfile.TemporaryFile()
-                spill.write(head)
+        self._separators = _layout(_MEASURE_LEVEL, 3)[1]
+        self._spills.update(((_name(kind), field), tempfile.TemporaryFile()) for kind in kinds for field in self._fields)
 
     def add(self, kind, values: np.ndarray) -> None:
-        """Check a measure's next block and, unless a refusal is pending, render it into the measure's spills."""
+        """Check a measure's next block and, unless an array holds a non-finite value, render it into the measure's spills."""
         name = _name(kind)
         self._rows[name] += len(values)
         separators = self._separators
@@ -298,21 +292,26 @@ class ResultWriter:
                 part = values.real if field == "re" else values.imag if field == "im" else np.abs(values) ** 2
             if key not in self._first_bad and not np.all(np.isfinite(part)):
                 self._first_bad[key] = float(part[~np.isfinite(part)][0])
-            if self._refusal is None and not self._first_bad:
-                self._spills[key].writelines(float_text(part, separators))
+            if not self._first_bad:
+                try:  # flushed, so that a full disk is met here and not after the document's first byte
+                    self._spills[key].writelines(float_text(part, separators))
+                    self._spills[key].flush()
+                except OSError as exc:  # a spill is an unlinked file: name its directory
+                    raise OSError(exc.errno, exc.strerror, tempfile.gettempdir()) from None
 
     def chunks(self, mirs: dict | None = None, units: str = "nats_per_sample") -> Iterator[bytes]:
-        """Raise a pending refusal, else return the document's text in chunks of bytes."""
+        """Raise a refusal, else return the document's text in chunks of bytes."""
+        rate = self.sample_rate_hz
         if units not in UNITS:
             raise DomainError(f"unknown units {units!r}, expected one of {UNITS}")
-        if self._refusal is not None:
-            raise self._refusal
+        if rate is not None and not (rate > 0 and math.isfinite(math.pi * rate)):
+            raise DomainError(f"sample_rate_hz must be positive with pi * sample_rate_hz finite, got {rate}")
         for key in self._spills:
             if key in self._first_bad:
                 raise _non_finite(self._first_bad[key])
         grid_block = {"n_points": self.grid.n_points, "omega": self.grid.points}
-        if self.sample_rate_hz is not None:
-            grid_block["frequency_hz"] = self.grid.points * self.sample_rate_hz / (2.0 * np.pi)
+        if rate is not None:
+            grid_block["frequency_hz"] = self.grid.points * rate / (2.0 * np.pi)
         document = {"schema_version": RESULT_SCHEMA_VERSION, "grid": grid_block, "measures": {}, "mir": {}}
         for (name, field), spill in self._spills.items():
             document["measures"].setdefault(name, {})[field] = spill
@@ -341,11 +340,11 @@ class ResultWriter:
         self.close()
 
 
-def save_result(chunks: Iterable[bytes | str], path) -> Path:
-    """Write the chunks of a result document, bytes or ``render_result``'s text; returns the resolved path."""
+def save_result(chunks: Iterable[bytes], path) -> Path:
+    """Write the chunks of a result document's bytes; returns the resolved path."""
     target = resolve_output_path(path)
     with open(target, "wb") as handle:
-        handle.writelines(chunk.encode("ascii") if isinstance(chunk, str) else chunk for chunk in chunks)
+        handle.writelines(chunks)
     return target
 
 
@@ -373,7 +372,8 @@ def _chunks(node, level: int) -> Iterator[bytes]:
         head, separators = _layout(level, node.ndim)
         yield head
         yield from float_text(node, separators)
-    elif hasattr(node, "read"):  # a spill, which holds an array's whole text
+    elif hasattr(node, "read"):  # a spill, which holds the text of an (n, K, K) array after its head
+        yield _layout(level, 3)[0]
         node.seek(0)
         yield from iter(functools.partial(node.read, _COPY_BYTES), b"")
     elif isinstance(node, dict) and node:

@@ -41,7 +41,7 @@ import numpy as np
 from ._util import lock
 from .errors import DomainError, NumericalError
 from .measures import MeasureKind, _autospectra
-from .spectral import FrequencyGrid, _block_size, _spectral_blocks, _spectral_density
+from .spectral import FrequencyGrid, _block_size, _draw_kinds, _spectral_blocks, _spectral_density
 from .var_model import VarModel
 
 #: Squared coherences are clipped to at most 1 - EPS_CLIP before the log.
@@ -181,50 +181,45 @@ RATE_KINDS = tuple(_RATES)
 def information_rates(model: VarModel, grid: FrequencyGrid, kinds) -> dict[MeasureKind, MirMatrix]:
     """Rate matrices of the requested kinds, in request order, of a model on a grid.
 
-    The grid is walked once, in blocks of ``_block_size(K)`` frequencies:
-    every kind writes its squared magnitude (``_RATES``) from each block's
-    A_bar, the guard's |A_bar| and |H_bar|, and S, in real arithmetic, into
-    the rows after row 0 of its stack, which carries its running sum, so
-    only one block is ever held. The bridge writes log1p(-s) over them, the
-    endpoint rows are halved, and one reduce adds the rows in grid order
-    across the K x K entries (``np.cumsum`` at K = 1, where the reduce
-    sums pairwise), so the rates do not depend on the block size; the sums
-    are negated once. The coherence diagonal is left out. Refusals come in
-    this order, whatever the block size: the kinds (``rate_kinds``), the
-    model and a singular A_bar (``_spectral_blocks``), a grid of fewer than
-    2 points, then the first block whose squared magnitudes or bridge
-    refuse, and within it the first kind in request order.
+    The grid is walked once, in blocks of ``_block_size(K)`` frequencies.
+    In each block every kind writes its squared magnitude (``_RATES``), in
+    real arithmetic from A_bar, the guard's |A_bar| and |H_bar|, and S, into
+    rows 1.. of its stack, whose row 0 carries its running sum. The bridge
+    writes log1p(-s) over them, the endpoint rows are halved, and one reduce
+    adds the rows in grid order (``np.cumsum`` at K = 1, where the reduce
+    sums pairwise), so the rates do not depend on the block size. The sums
+    are negated once; the coherence diagonal is left out. After the kinds
+    (``rate_kinds``), ``_draw_kinds`` orders the refusals, a grid of fewer
+    than 2 points among the walk's own.
     """
     kinds = rate_kinds(kinds)
     n_points, k, size = grid.n_points, model.K, _block_size(model.K)
     rows = min(size, n_points)
-    sums = np.zeros((len(kinds), rows + 1, k, k))
+    sums = dict(zip(kinds, np.zeros((len(kinds), rows + 1, k, k))))
     work = (np.empty((rows, k, 2 * k)), *np.empty((3, rows, k, k), dtype=complex))
     n_clipped = dict.fromkeys(kinds, 0)
-    refusal, stop = None, 0
-    for walked in _spectral_blocks(model, grid, size):
-        n = len(walked[0])
-        start, stop = stop, stop + n
-        if start == 0:
-            sigma_inv = lock(np.linalg.inv(model.sigma))
-        if refusal is not None:
-            continue
-        block, stacks = _RateBlock(walked, model.sigma, sigma_inv, work), sums[:, : n + 1]
-        try:
-            for kind, stack in zip(kinds, stacks):
-                _RATES[kind](block, stack[1:])
-                n_clipped[kind] += _bridge_in_place(stack[1:])
-            if start == 0:
-                stacks[:, 1] /= 2.0
-            if stop == n_points:
-                stacks[:, -1] /= 2.0
-            stacks[:, 0] = np.add.reduce(stacks, axis=1) if k > 1 else np.cumsum(stacks, axis=1, out=stacks)[:, -1]
-        except (DomainError, NumericalError) as exc:
-            refusal = exc
-    if n_points < 2:
-        raise DomainError(f"rates need a grid of at least 2 points, got {n_points}")
-    if refusal is not None:
-        raise refusal
+
+    def blocks():
+        stop = 0
+        for walked in _spectral_blocks(model, grid, size):
+            if stop == 0:
+                sigma_inv = lock(np.linalg.inv(model.sigma))
+            start, stop = stop, stop + len(walked[0])
+            yield _RateBlock(walked, model.sigma, sigma_inv, work), start == 0, stop == n_points
+        if n_points < 2:
+            raise DomainError(f"rates need a grid of at least 2 points, got {n_points}")
+
+    def draw(walked, kind):
+        block, first, last = walked
+        stack = sums[kind][: len(block.a_bar) + 1]
+        _RATES[kind](block, stack[1:])
+        n_clipped[kind] += _bridge_in_place(stack[1:])
+        if first:
+            stack[1] /= 2.0
+        if last:
+            stack[-1] /= 2.0
+        stack[0] = np.add.reduce(stack) if k > 1 else np.cumsum(stack, axis=0, out=stack)[-1]
+
+    _draw_kinds(blocks(), kinds, draw)
     # 0 - sum negates the summed log1p(-s) and reads a zero sum of either sign as +0.0
-    rates = np.subtract(0.0, sums[:, 0]) / (2.0 * (n_points - 1))
-    return {kind: MirMatrix(kind, rates[index], n_clipped[kind]) for index, kind in enumerate(kinds)}
+    return {kind: MirMatrix(kind, np.subtract(0.0, sums[kind][0]) / (2.0 * (n_points - 1)), n_clipped[kind]) for kind in kinds}

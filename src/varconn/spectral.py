@@ -18,7 +18,7 @@ keeps, and owns whatever else it builds from a block. ``evaluate_spectra``
 walks in one block, so its arrays are never rewritten.
 """
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -199,6 +199,26 @@ def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterato
             yield lock(a_bar, complex), lock(h_bar, complex), lock(abs_a_bar), lock(abs_h_bar)
     if not worst_kappa <= CONDITION_LIMIT:
         raise _singular(worst_omega, worst_kappa)
+
+
+def _draw_kinds(blocks: Iterable, kinds: list, draw: Callable) -> None:
+    """Call ``draw(block, kind)`` for each block and, within it, each kind in request order.
+
+    The one refusal rule of a walk: a draw's DomainError or NumericalError
+    waits until the blocks end, after what ``blocks`` raises, and then the
+    first kind in request order to refuse is raised; later blocks draw only
+    the kinds before it.
+    """
+    refusal = None
+    for block in blocks:
+        for index, kind in enumerate(kinds):
+            try:
+                draw(block, kind)
+            except (DomainError, NumericalError) as exc:
+                refusal, kinds = exc, kinds[:index]  # only an earlier kind can refuse first now
+                break
+    if refusal is not None:
+        raise refusal
 
 
 def _norm_1(x: np.ndarray, magnitude: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import varconn
-from varconn import EPS_CLIP, MeasureKind, MeasureResult, NumericalError, VarModel, fixture, load_model, save_model
+from varconn import EPS_CLIP, MeasureKind, MeasureResult, NumericalError, VarModel, fixture, load_model, save_model, validate
 from varconn import infotheory, measures, oracles
 from varconn.cli import main
 from varconn.oracles import random_stable_model
@@ -272,9 +272,71 @@ class TestMeasureBlocks:
         argv = ["measure", "--model", str(two_channel_model_path)]
         assert main([*argv, "--out", str(out)] if to_file else argv) == 2
         captured = capsys.readouterr()
-        assert captured.err == "E_IO: [Errno 28] No space left on device\n"
+        assert captured.err == f"E_IO: [Errno 28] No space left on device: {tempfile.gettempdir()!r}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_spill_error_met_on_flush_writes_nothing(self, monkeypatch, tmp_path, capsys, two_channel_model_path, to_file):
+        # a spill's last buffered text reaches the disk only when it is flushed; that must happen before the first byte
+        class FullOnFlush(io.BytesIO):
+            def flush(self):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def seek(self, *args):
+                self.flush()
+                return super().seek(*args)
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", FullOnFlush)
+        out = tmp_path / "result.json"
+        argv = ["measure", "--model", str(two_channel_model_path)]
+        assert main([*argv, "--out", str(out)] if to_file else argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"E_IO: [Errno 28] No space left on device: {tempfile.gettempdir()!r}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
+class TestRefusedInputs:
+    """A model document, a request or a fit that is refused, or only warned about, with its exit status and stderr line."""
+
+    @pytest.mark.parametrize("command", ["measure", "mir"])
+    def test_sigma_not_positive_definite(self, tmp_path, capsys, command):
+        path, out = tmp_path / "model.json", tmp_path / "result.json"
+        save_model(VarModel(np.zeros((1, 2, 2)), [[1.0, 2.0], [2.0, 1.0]]), path)  # symmetric, eigenvalues 3 and -1
+        assert main([command, "--model", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "E_NUMERIC: innovation covariance is not positive definite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "document, refusal",
+        [
+            ([], "model document must be a JSON object"),
+            ({"schema_version": 1, "K": 2, "p": 0, "coeffs": [], "sigma": np.eye(3).tolist()}, "sigma has shape (3, 3), declared (K, K) = (2, 2)"),
+        ],
+        ids=["list", "sigma-shape"],
+    )
+    def test_malformed_model_document(self, tmp_path, capsys, document, refusal):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(document))
+        assert main(["measure", "--model", str(path)]) == 2
+        assert capsys.readouterr().err == f"E_PARSE: {refusal}\n"
+
+    @pytest.mark.parametrize("command, option, what", [("measure", "--measures", "measure"), ("mir", "--kinds", "rate kind")])
+    def test_empty_kind_list(self, capsys, two_channel_model_path, command, option, what):
+        assert main([command, "--model", str(two_channel_model_path), option, ","]) == 2
+        assert capsys.readouterr().err == f"E_CONFIG: no {what} requested\n"
+
+    def test_unstable_fit_is_written_with_a_warning(self, tmp_path, capsys):
+        # x_t = 1.02 x_{t-1} + w_t grows without bound, and least squares finds a root outside the unit circle
+        noise, x = np.random.default_rng(0).standard_normal(400), np.zeros(400)
+        for t in range(1, 400):
+            x[t] = 1.02 * x[t - 1] + noise[t]
+        data, out = tmp_path / "explosive.csv", tmp_path / "fitted.json"
+        data.write_text("x\n" + "".join(f"{value!r}\n" for value in x.tolist()))
+        assert main(["fit", "--data", str(data), "--order", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "warning: fitted model is unstable; spectra and measures will be refused\n"
+        assert not validate(load_model(out)).stable
 
 
 class TestMirCommand:

@@ -336,7 +336,7 @@ def every_measure(model) -> dict:
 
 
 def rendered(grid, **kwargs) -> dict:
-    return json.loads("".join(render_result(grid, **kwargs)))
+    return json.loads(b"".join(render_result(grid, **kwargs)))
 
 
 class TestResultDocuments:
@@ -393,7 +393,7 @@ class TestResultDocuments:
 
 
 class TestResultWriter:
-    """render_result's text is what json.dumps writes for the same document.
+    """render_result's bytes are what json.dumps writes for the same document.
 
     The oracle parses the text and renders it again through json.dumps,
     which shares no code with the writer: any byte the writer gets wrong,
@@ -409,15 +409,15 @@ class TestResultWriter:
         shape = (n_points, k, k)
         measures = {kind: MeasureResult(kind, draw(rng, shape) + 1j * draw(rng, shape)) for kind in (MeasureKind.IPDC, MeasureKind.COHERENCE)}
         mirs = {kind: MirMatrix(kind, np.abs(draw(rng, (k, k))), int(rng.integers(0, 5))) for kind in (MeasureKind.IDTF, MeasureKind.IPDC)}
-        text = "".join(
+        text = b"".join(
             render_result(grid, measures=measures, mirs=mirs, include_mag_sq=include_mag_sq, units=units, sample_rate_hz=sample_rate_hz)
         )
-        assert json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n" == text
+        assert (json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n").encode() == text
 
     def test_empty_blocks(self):
-        text = "".join(render_result(FrequencyGrid(3)))
-        assert json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n" == text
-        assert '"measures": {}' in text and '"mir": {}' in text
+        text = b"".join(render_result(FrequencyGrid(3)))
+        assert (json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n").encode() == text
+        assert b'"measures": {}' in text and b'"mir": {}' in text
 
     def test_dense_document_renders_in_bounded_memory(self, tmp_path):
         # the dense_measure benchmark's document: all seven measures with mag_sq, K = 8, 512 points

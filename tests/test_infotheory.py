@@ -246,6 +246,20 @@ def count_builds(monkeypatch):
     return builds
 
 
+def refusing_at_row(kind, row):
+    """A _RATES entry for kind that refuses on the block holding grid row ``row``, counting the rows it is drawn for."""
+    original, seen = _RATES[kind], [0]
+
+    def squared(block, out):
+        start = seen[0]
+        seen[0] += len(out)
+        if start <= row < seen[0]:
+            raise NumericalError(f"{kind.value} refused at row {row}")
+        original(block, out)
+
+    return squared
+
+
 def refusing_in_block(kind, failing):
     """A _RATES entry for kind that refuses on its call for block ``failing``, counting from 0."""
     original, calls = _RATES[kind], itertools.count()
@@ -314,13 +328,15 @@ class TestOnePass:
     @pytest.mark.parametrize(
         "kinds, ipdc_block, idtf_block, refused",
         [
-            (["ipdc", "idtf"], 2, 1, "idtf refused in block 1"),
+            # after iDTF refuses in block 1, iPDC, before it in request order, is still drawn and refuses in block 2
+            (["ipdc", "idtf"], 2, 1, "ipdc refused in block 2"),
             (["ipdc", "idtf"], 1, 2, "ipdc refused in block 1"),
             (["ipdc", "idtf"], 1, 1, "ipdc refused in block 1"),
             (["idtf", "ipdc"], 1, 1, "idtf refused in block 1"),
         ],
+        ids=["earlier-kind-later-block", "first-kind-first", "same-block", "same-block-reversed"],
     )
-    def test_refusal_from_first_failing_block_then_request_order(self, monkeypatch, kinds, ipdc_block, idtf_block, refused):
+    def test_refusal_of_the_first_kind_in_request_order(self, monkeypatch, kinds, ipdc_block, idtf_block, refused):
         # 200 points are four blocks at K = 16
         model = random_stable_model(np.random.default_rng(17), 16, p=2)
         monkeypatch.setitem(_RATES, MeasureKind.IPDC, refusing_in_block(MeasureKind.IPDC, ipdc_block))
@@ -331,6 +347,44 @@ class TestOnePass:
 
 class TestRefusalOrder:
     """validate, then the guard over the whole grid, then the grid size, then the measures."""
+
+    @pytest.mark.parametrize(
+        "kinds, refusing, singular_row, n_points, refusal",
+        [
+            (["ipdc", "idtf"], {"ipdc": 150, "idtf": 10}, None, 200, "ipdc refused at row 150"),
+            (["idtf", "ipdc"], {"ipdc": 150, "idtf": 10}, None, 200, "idtf refused at row 10"),
+            (["ipdc", "idtf"], {"idtf": 10}, 150, 200, "A_bar is numerically singular at omega = "),
+            (["ipdc"], {"ipdc": 0}, None, 1, "rates need a grid of at least 2 points, got 1"),
+        ],
+        ids=["first-kind", "request-order", "singular", "grid-size"],
+    )
+    def test_same_refusal_at_any_block_size(self, monkeypatch, kinds, refusing, singular_row, n_points, refusal):
+        # the mir counterpart of test_cli's TestMeasureBlocks; 64 is the block size at K = 16
+        model = random_stable_model(np.random.default_rng(17), 16, p=2)
+        refusals = {}
+        for size in (None, 1, 7, 63, 64, 65, 200):
+            with monkeypatch.context() as patch:
+                if size is not None:
+                    patch.setattr(varconn.infotheory, "_block_size", lambda k, size=size: size)
+                for name, row in refusing.items():
+                    patch.setitem(_RATES, MeasureKind(name), refusing_at_row(MeasureKind(name), row))
+                if singular_row is not None:  # a zero pivot in the walk's inverse at that grid row
+                    inv, seen = np.linalg.inv, [0]
+
+                    def broken(a, inv=inv, seen=seen):
+                        if a.ndim == 3:
+                            start = seen[0]
+                            seen[0] += len(a)
+                            if start <= singular_row < seen[0]:
+                                a[singular_row - start] = 0.0
+                        return inv(a)
+
+                    patch.setattr(np.linalg, "inv", broken)
+                with pytest.raises((DomainError, NumericalError)) as caught:
+                    information_rates(model, FrequencyGrid(n_points), kinds)
+            refusals[size] = (type(caught.value), str(caught.value))
+        assert refusals[None][1].startswith(refusal), refusals[None]
+        assert all(found == refusals[None] for found in refusals.values()), refusals
 
     @pytest.mark.parametrize("fault, kappa", [(1e20, r"\S+"), (np.nan, "nan"), ("pivot", "inf")], ids=["large", "nan", "pivot"])
     def test_guard_in_a_later_block_beats_a_measure_refusal_in_an_earlier_one(self, monkeypatch, faulty_inverse, fault, kappa):

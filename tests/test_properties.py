@@ -1,10 +1,17 @@
 """Properties of the measures and rates on random stable models, through the public routes."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varconn import FrequencyGrid, MeasureKind, evaluate_spectra, information_rates, measures_from_spectra
+import varconn.cli
+import varconn.infotheory
+from varconn import FrequencyGrid, MeasureKind, evaluate_spectra, information_rates, measures_from_spectra, save_model
+from varconn.cli import main
 from varconn.infotheory import RATE_KINDS
 from varconn.oracles import random_stable_model
 from varconn.var_model import rescale
@@ -59,3 +66,37 @@ def test_channel_gains_change_no_scale_free_measure_and_no_rate(pair):
     base, moved = information_rates(model, GRID, RATE_KINDS), information_rates(scaled, GRID, RATE_KINDS)
     for kind in RATE_KINDS:
         np.testing.assert_allclose(moved[kind].values, base[kind].values, rtol=1e-9, atol=1e-12, err_msg=kind.value)
+
+
+@st.composite
+def walks(draw):
+    """A model of 1 to 4 channels and 0 to 3 lags, a grid of 1 to 40 points and a block size in 1..n."""
+    k, p, n_points = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 40))
+    model = random_stable_model(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), k, p=p)
+    return model, FrequencyGrid(n_points), draw(st.integers(1, n_points))
+
+
+@settings(deadline=None, database=None, max_examples=30)
+@given(walks())
+def test_bytes_and_rates_do_not_depend_on_the_block_size(walk):
+    model, grid, size = walk
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory)
+        save_model(model, path / "model.json")
+        argv = ["measure", "--model", str(path / "model.json"), "--nfreq", str(grid.n_points), "--mag-sq", "--fs", "250", "--out"]
+        found = {}
+        for block in (grid.n_points, size):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(varconn.cli, "_block_size", lambda k: block)
+                assert main([*argv, str(path / f"{block}.json")]) == 0
+            found[block] = (path / f"{block}.json").read_bytes()
+        assert found[size] == found[grid.n_points]
+    if grid.n_points >= 2:
+        rates = {}
+        for block in (grid.n_points, size):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(varconn.infotheory, "_block_size", lambda k: block)
+                rates[block] = information_rates(model, grid, RATE_KINDS)
+        for kind in RATE_KINDS:
+            assert rates[size][kind].values.tobytes() == rates[grid.n_points][kind].values.tobytes(), kind
+            assert rates[size][kind].n_clipped == rates[grid.n_points][kind].n_clipped, kind

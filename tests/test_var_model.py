@@ -44,6 +44,10 @@ class TestVarModel:
         with pytest.raises(DimensionError):
             VarModel(np.zeros((1, 3, 3)), np.eye(2))
 
+    def test_no_channels(self):
+        with pytest.raises(DimensionError, match="need at least one channel"):
+            VarModel(np.zeros((0, 0, 0)), np.zeros((0, 0)))
+
     def test_nonsquare_sigma(self):
         with pytest.raises(DimensionError):
             VarModel(np.zeros((1, 2, 2)), np.zeros((2, 3)))
@@ -291,6 +295,11 @@ class TestEstimate:
         assert abs(fitted.coeffs[0, 0, 1]) < 0.03
         assert abs(fitted.sigma[0, 0] - 1.0) < 0.05
         assert abs(fitted.sigma[1, 1] - 1.0) < 0.05
+
+    def test_negative_order_refused(self):
+        data, _ = simulate(two_channel_model(0.5), 100, burn_in=0, seed=0)
+        with pytest.raises(DomainError, match="order must be >= 0, got -1"):
+            estimate(data, -1)
 
     def test_white_noise_coefficients_near_zero(self):
         data, _ = simulate(VarModel(np.zeros((0, 2, 2)), np.eye(2)), 20000, burn_in=0, seed=1)
