@@ -27,9 +27,9 @@ from .fileio import (
     save_timeseries,
 )
 from .infotheory import information_rates, rate_kinds
-from .measures import MeasureKind, measures_from_spectra
+from .measures import _MEASURES, MeasureKind
 from .oracles import run_verification
-from .spectral import DEFAULT_N_POINTS, FrequencyGrid, SpectralSet, _block_size, _draw_kinds, _spectral_blocks
+from .spectral import DEFAULT_N_POINTS, FrequencyGrid, _block_size, _draw_kinds, _spectral_blocks
 from .var_model import estimate, select_order, simulate, validate
 
 EXIT_OK = 0
@@ -150,8 +150,16 @@ def _cmd_measure(args) -> int:
     kinds = list(dict.fromkeys(MeasureKind(name) for name in _parse_kinds(args.measures, "measure")))
     grid = FrequencyGrid(args.nfreq)
     with ResultWriter(grid, kinds, args.mag_sq, args.fs) as writer:
-        blocks = (SpectralSet(a_bar, h_bar, model.sigma) for a_bar, h_bar, _, _ in _spectral_blocks(model, grid, _block_size(model.K)))
-        _draw_kinds(blocks, kinds, lambda spectra, kind: writer.add(kind, next(measures_from_spectra(spectra, [kind])).values))
+
+        def draw(spectra, kind):
+            try:
+                values = _MEASURES[kind](spectra).values
+            except (DomainError, NumericalError):
+                writer.refused = True  # _draw_kinds holds it and draws on, rendering nothing more
+                raise
+            writer.add(kind, values)
+
+        _draw_kinds(_spectral_blocks(model, grid, _block_size(model.K)), kinds, draw)
         return _emit(writer.chunks(), args.out)
 
 

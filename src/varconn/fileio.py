@@ -258,10 +258,12 @@ class ResultWriter:
 
     ``add`` takes the next block of one of `kinds` (enums or strings), a
     complex (n, K, K) array; a measure's blocks come in grid order and end
-    on whole frequencies. Until an array of the document ("re", "im" and,
-    with include_mag_sq, "mag_sq" of each measure) holds a non-finite value,
-    each block's text goes to the array's spill, an unlinked file in
-    ``tempfile``'s directory, which a spill's OSError names. ``chunks``
+    on whole frequencies. While no refusal is certain, each block's text
+    goes to its array's spill ("re", "im" and, with include_mag_sq,
+    "mag_sq" of each measure), an unlinked file in ``tempfile``'s
+    directory, which a spill's OSError names. A refusal is certain once
+    ``sample_rate_hz`` is bad, a caller sets ``refused`` (a draw refusal
+    it holds) or an array holds a non-finite value. ``chunks``
     raises ``units``, a ``sample_rate_hz`` the grid cannot be written in,
     the first non-finite value of the first array in request order that
     holds one, then a non-finite rate, all after a walk's refusals
@@ -273,6 +275,8 @@ class ResultWriter:
     def __init__(self, grid: FrequencyGrid, kinds=(), include_mag_sq: bool = False, sample_rate_hz: float | None = None):
         self._spills = {}
         self.grid, self.sample_rate_hz = grid, sample_rate_hz
+        self._rate_ok = sample_rate_hz is None or (sample_rate_hz > 0 and math.isfinite(math.pi * sample_rate_hz))
+        self.refused = not self._rate_ok
         self._rows = {_name(kind): 0 for kind in kinds}  # rows added of each measure
         self._fields = ("re", "im", "mag_sq") if include_mag_sq else ("re", "im")
         self._first_bad = {}  # (name, field) -> the first non-finite value met
@@ -280,7 +284,7 @@ class ResultWriter:
         self._spills.update(((_name(kind), field), tempfile.TemporaryFile()) for kind in kinds for field in self._fields)
 
     def add(self, kind, values: np.ndarray) -> None:
-        """Check a measure's next block and, unless an array holds a non-finite value, render it into the measure's spills."""
+        """Check a measure's next block and, unless a refusal is certain, render it into the measure's spills."""
         name = _name(kind)
         self._rows[name] += len(values)
         separators = self._separators
@@ -292,7 +296,8 @@ class ResultWriter:
                 part = values.real if field == "re" else values.imag if field == "im" else np.abs(values) ** 2
             if key not in self._first_bad and not np.all(np.isfinite(part)):
                 self._first_bad[key] = float(part[~np.isfinite(part)][0])
-            if not self._first_bad:
+                self.refused = True
+            if not self.refused:
                 try:  # flushed, so that a full disk is met here and not after the document's first byte
                     self._spills[key].writelines(float_text(part, separators))
                     self._spills[key].flush()
@@ -304,7 +309,7 @@ class ResultWriter:
         rate = self.sample_rate_hz
         if units not in UNITS:
             raise DomainError(f"unknown units {units!r}, expected one of {UNITS}")
-        if rate is not None and not (rate > 0 and math.isfinite(math.pi * rate)):
+        if not self._rate_ok:
             raise DomainError(f"sample_rate_hz must be positive with pi * sample_rate_hz finite, got {rate}")
         for key in self._spills:
             if key in self._first_bad:

@@ -20,28 +20,28 @@ reported alongside every result. Each frequency adds its own term, so the
 rates are integrated while the spectra are evaluated block by block, and
 no whole-grid array is ever held: a block's log1p(-s) rows take two passes
 after one max and one min, and one row reduce adds them in grid order.
-Every array is reused from block to block: the walk owns A_bar, |A_bar|
-and |H_bar|, and the rate call owns S, its two operands, sigma^-1, the
-scratch and the running sums.
+The walk owns A_bar, |A_bar|, |H_bar|, S and sigma^-1 and reuses them
+from block to block, and the rate call owns the running sums; S's two
+operands and the iPDC and coherence scratch are per-block temporaries.
 
 Only squared magnitudes enter a rate, so they are built in real arithmetic
 (``_RATES``): |iPDC_ij|^2 = |A_bar_ij|^2 / (sigma_ii a_j^H sigma^-1 a_j),
 |iDTF_ij|^2 = rho_j |H_bar_ij|^2 / S_ii and |C_ij|^2 = |S_ij|^2 / (S_ii S_jj),
-from the |A_bar| and |H_bar| the conditioning guard has already computed.
+from the |A_bar| and |H_bar| the conditioning guard has already computed,
+each read from the block's ``SpectralSet``.
 No S^-1 and no complex measure is built; the complex measures of
 ``measures`` are the oracle, and the rates match their integrated squared
 magnitudes to within a few ulps.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from ._util import lock
 from .errors import DomainError, NumericalError
-from .measures import MeasureKind, _autospectra
-from .spectral import FrequencyGrid, _block_size, _draw_kinds, _spectral_blocks, _spectral_density
+from .measures import MeasureKind
+from .spectral import FrequencyGrid, SpectralSet, _block_size, _draw_kinds, _spectral_blocks
 from .var_model import VarModel
 
 #: Squared coherences are clipped to at most 1 - EPS_CLIP before the log.
@@ -104,61 +104,36 @@ def rate_kinds(kinds) -> list[MeasureKind]:
     return list(dict.fromkeys(map(MeasureKind, kinds)))
 
 
-class _RateBlock:
-    """One block of a walk as the rate table reads it.
-
-    a_bar, h_bar, abs_a_bar and abs_h_bar are the block the walk yielded.
-    sigma^-1 and ``work``, a float (n, K, 2K) scratch and the complex S and
-    its two operands, belong to the rate call, and the block uses the first
-    n rows of each. S is built on first use, and diag(S) is read once and
-    shared by iDTF and coherence; a block that needs neither builds no S.
-    """
-
-    def __init__(self, block: tuple, sigma: np.ndarray, sigma_inv: np.ndarray, work: tuple):
-        self.a_bar, self.h_bar, self.abs_a_bar, self.abs_h_bar = block
-        self.sigma, self.sigma_inv = sigma, sigma_inv
-        self.scratch, self._product, self._conj, self._s = (array[: len(self.a_bar)] for array in work)
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        """H_bar sigma H_bar^H, written into the rate call's arrays."""
-        return _spectral_density(self.h_bar, self.sigma, self._product, self._conj, self._s)
-
-    @cached_property
-    def autospectra(self) -> np.ndarray:
-        return _autospectra(self.s)
-
-
-def _ipdc_squared(block: _RateBlock, out: np.ndarray) -> None:
+def _ipdc_squared(spectra: SpectralSet, out: np.ndarray) -> None:
     """|iPDC_ij|^2 = |A_bar_ij|^2 / (sigma_ii q_j), q_j = Re sum_i conj(A_bar_ij) (sigma^-1 A_bar)_ij.
 
     q_j is a_j^H sigma^-1 a_j, the diagonal [S^-1]_jj, from one real matmul
     over A_bar's real and imaginary parts side by side, so no S^-1 is built.
     """
-    parts = block.a_bar.view(float)  # (n, K, 2K): Re and Im of each entry in turn
-    product = np.matmul(block.sigma_inv, parts, out=block.scratch)
+    parts = spectra.a_bar.view(float)  # (n, K, 2K): Re and Im of each entry in turn
+    product = np.matmul(spectra.sigma_inv, parts)
     product *= parts
     summed = np.add.reduce(product, axis=1)
     quad = summed[:, 0::2] + summed[:, 1::2]
     if np.any(quad <= 0):
         raise NumericalError("non-positive column quadratic form: iPDC undefined")
-    np.square(block.abs_a_bar, out=out)
-    out /= np.diag(block.sigma)[:, None]
+    np.square(spectra.abs_a_bar, out=out)
+    out /= np.diag(spectra.sigma)[:, None]
     out /= quad[:, None, :]
 
 
-def _idtf_squared(block: _RateBlock, out: np.ndarray) -> None:
+def _idtf_squared(spectra: SpectralSet, out: np.ndarray) -> None:
     """|iDTF_ij|^2 = rho_j |H_bar_ij|^2 / S_ii, rho_j = 1 / [sigma^-1]_jj."""
-    auto = block.autospectra
-    np.square(block.abs_h_bar, out=out)
-    out /= np.diag(block.sigma_inv)
+    auto = spectra.autospectra
+    np.square(spectra.abs_h_bar, out=out)
+    out /= np.diag(spectra.sigma_inv)
     out /= auto[:, :, None]
 
 
-def _coherence_squared(block: _RateBlock, out: np.ndarray) -> None:
+def _coherence_squared(spectra: SpectralSet, out: np.ndarray) -> None:
     """|C_ij|^2 = (Re S_ij^2 + Im S_ij^2) / (S_ii S_jj), with the diagonal zeroed."""
-    auto = block.autospectra
-    squares = np.square(block.s.view(float), out=block.scratch)  # Re^2 and Im^2 side by side
+    auto = spectra.autospectra
+    squares = np.square(spectra.s.view(float))  # Re^2 and Im^2 side by side
     np.add(squares[..., 0::2], squares[..., 1::2], out=out)
     out /= auto[:, :, None]
     out /= auto[:, None, :]
@@ -166,8 +141,8 @@ def _coherence_squared(block: _RateBlock, out: np.ndarray) -> None:
     out[:, diag, diag] = 0.0
 
 
-#: Each rate kind's squared magnitude as fn(block, out): written from a
-#: _RateBlock into the float (n, K, K) array out, or a NumericalError.
+#: Each rate kind's squared magnitude as fn(spectra, out): written from a
+#: block of a walk into the float (n, K, K) array out, or a NumericalError.
 _RATES = {
     MeasureKind.IPDC: _ipdc_squared,
     MeasureKind.IDTF: _idtf_squared,
@@ -183,8 +158,8 @@ def information_rates(model: VarModel, grid: FrequencyGrid, kinds) -> dict[Measu
 
     The grid is walked once, in blocks of ``_block_size(K)`` frequencies.
     In each block every kind writes its squared magnitude (``_RATES``), in
-    real arithmetic from A_bar, the guard's |A_bar| and |H_bar|, and S, into
-    rows 1.. of its stack, whose row 0 carries its running sum. The bridge
+    real arithmetic from the block's A_bar, |A_bar|, |H_bar|, S and sigma^-1,
+    into rows 1.. of its stack, whose row 0 carries its running sum. The bridge
     writes log1p(-s) over them, the endpoint rows are halved, and one reduce
     adds the rows in grid order (``np.cumsum`` at K = 1, where the reduce
     sums pairwise), so the rates do not depend on the block size. The sums
@@ -194,29 +169,22 @@ def information_rates(model: VarModel, grid: FrequencyGrid, kinds) -> dict[Measu
     """
     kinds = rate_kinds(kinds)
     n_points, k, size = grid.n_points, model.K, _block_size(model.K)
-    rows = min(size, n_points)
-    sums = dict(zip(kinds, np.zeros((len(kinds), rows + 1, k, k))))
-    work = (np.empty((rows, k, 2 * k)), *np.empty((3, rows, k, k), dtype=complex))
-    n_clipped = dict.fromkeys(kinds, 0)
+    sums = dict(zip(kinds, np.zeros((len(kinds), min(size, n_points) + 1, k, k))))
+    n_clipped, drawn = dict.fromkeys(kinds, 0), dict.fromkeys(kinds, 0)  # drawn: grid rows of each kind
 
     def blocks():
-        stop = 0
-        for walked in _spectral_blocks(model, grid, size):
-            if stop == 0:
-                sigma_inv = lock(np.linalg.inv(model.sigma))
-            start, stop = stop, stop + len(walked[0])
-            yield _RateBlock(walked, model.sigma, sigma_inv, work), start == 0, stop == n_points
+        yield from _spectral_blocks(model, grid, size)
         if n_points < 2:
             raise DomainError(f"rates need a grid of at least 2 points, got {n_points}")
 
-    def draw(walked, kind):
-        block, first, last = walked
-        stack = sums[kind][: len(block.a_bar) + 1]
-        _RATES[kind](block, stack[1:])
+    def draw(spectra, kind):
+        stack = sums[kind][: len(spectra.a_bar) + 1]
+        _RATES[kind](spectra, stack[1:])
         n_clipped[kind] += _bridge_in_place(stack[1:])
-        if first:
+        if drawn[kind] == 0:
             stack[1] /= 2.0
-        if last:
+        drawn[kind] += len(spectra.a_bar)
+        if drawn[kind] == n_points:
             stack[-1] /= 2.0
         stack[0] = np.add.reduce(stack) if k > 1 else np.cumsum(stack, axis=0, out=stack)[-1]
 

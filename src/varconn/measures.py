@@ -62,16 +62,9 @@ class MeasureResult:
         object.__setattr__(self, "values", lock(self.values, dtype=complex))
 
 
-def _autospectra(s: np.ndarray) -> np.ndarray:
-    auto = np.einsum("fii->fi", s).real
-    if np.any(auto <= 0):
-        raise NumericalError("zero autospectrum: normalization undefined")
-    return auto
-
-
 def coherence(spectra: SpectralSet) -> MeasureResult:
     """Ordinary coherence C_ij = S_ij / sqrt(S_ii S_jj)."""
-    auto = _autospectra(spectra.s)
+    auto = spectra.autospectra
     denominator = np.sqrt(auto[:, :, None] * auto[:, None, :])
     return MeasureResult(MeasureKind.COHERENCE, spectra.s / denominator)
 
@@ -96,17 +89,15 @@ def ipdc(spectra: SpectralSet) -> MeasureResult:
 
 def pdc(spectra: SpectralSet) -> MeasureResult:
     """Classical PDC: column j of A_bar over its norm, so the squared magnitudes over targets sum to 1."""
-    a_bar = spectra.a_bar
-    quad = np.sum(np.abs(a_bar) ** 2, axis=1)
-    return MeasureResult(MeasureKind.PDC, a_bar / np.sqrt(quad)[:, None, :])
+    quad = np.sum(spectra.abs_a_bar**2, axis=1)
+    return MeasureResult(MeasureKind.PDC, spectra.a_bar / np.sqrt(quad)[:, None, :])
 
 
 def gpdc(spectra: SpectralSet) -> MeasureResult:
     """Generalized PDC: PDC after weighting rows by 1 / sigma_ii^1/2, which makes it invariant under channel rescaling."""
-    a_bar = spectra.a_bar
     variances = np.diag(spectra.sigma)
-    quad = np.einsum("k,fkj->fj", 1.0 / variances, np.abs(a_bar) ** 2)
-    values = a_bar / np.sqrt(variances)[None, :, None] / np.sqrt(quad)[:, None, :]
+    quad = np.einsum("k,fkj->fj", 1.0 / variances, spectra.abs_a_bar**2)
+    values = spectra.a_bar / np.sqrt(variances)[None, :, None] / np.sqrt(quad)[:, None, :]
     return MeasureResult(MeasureKind.GPDC, values)
 
 
@@ -122,23 +113,21 @@ def idtf(spectra: SpectralSet) -> MeasureResult:
     and that partialized innovation.
     """
     rho = 1.0 / np.diag(spectra.sigma_inv)
-    values = spectra.h_bar * np.sqrt(rho)[None, None, :] / np.sqrt(_autospectra(spectra.s))[:, :, None]
+    values = spectra.h_bar * np.sqrt(rho)[None, None, :] / np.sqrt(spectra.autospectra)[:, :, None]
     return MeasureResult(MeasureKind.IDTF, values)
 
 
 def dtf(spectra: SpectralSet) -> MeasureResult:
     """Classical DTF: row i of H_bar over its norm, so the squared magnitudes over sources sum to 1."""
-    h_bar = spectra.h_bar
-    quad = np.sum(np.abs(h_bar) ** 2, axis=2)
-    return MeasureResult(MeasureKind.DTF, h_bar / np.sqrt(quad)[:, :, None])
+    quad = np.sum(spectra.abs_h_bar**2, axis=2)
+    return MeasureResult(MeasureKind.DTF, spectra.h_bar / np.sqrt(quad)[:, :, None])
 
 
 def dc(spectra: SpectralSet) -> MeasureResult:
     """Directed coherence (DC): DTF after weighting columns by sigma_jj^1/2."""
-    h_bar = spectra.h_bar
     variances = np.diag(spectra.sigma)
-    quad = np.einsum("k,fik->fi", variances, np.abs(h_bar) ** 2)
-    values = h_bar * np.sqrt(variances)[None, None, :] / np.sqrt(quad)[:, :, None]
+    quad = np.einsum("k,fik->fi", variances, spectra.abs_h_bar**2)
+    values = spectra.h_bar * np.sqrt(variances)[None, None, :] / np.sqrt(quad)[:, :, None]
     return MeasureResult(MeasureKind.DC, values)
 
 

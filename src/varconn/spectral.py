@@ -10,12 +10,16 @@ grid is walked in blocks (``_spectral_blocks``), as the ``measure`` and
 block, the whole-grid route that ``verify``'s oracles, the library's
 callers and the tests take.
 
-A walk owns A_bar, |A_bar| and |H_bar|, one block-sized array each, and
-writes every block into them, so a block it yields holds read-only views
+Every block of a walk is a ``SpectralSet``, the one block type that
+``measures``, ``infotheory`` and the CLI read. The walk owns A_bar,
+|A_bar|, |H_bar| and S, one block-sized array each, and sigma^-1, and
+writes every block into them, so a set it yields holds read-only views
 that stay valid only until the next block is drawn; H_bar is fresh for
-each block. A caller that keeps a block past that point must copy what it
-keeps, and owns whatever else it builds from a block. ``evaluate_spectra``
-walks in one block, so its arrays are never rewritten.
+each block. What a reader builds from a block (S's operands, a measure,
+a rate's scratch) is a per-block temporary of its own. A caller that
+keeps a block past that point must copy what it keeps.
+``evaluate_spectra`` walks in one block, so its arrays are never
+rewritten.
 """
 
 from collections.abc import Callable, Iterable, Iterator
@@ -71,14 +75,22 @@ class SpectralSet:
         Transfer matrix, the inverse of a_bar.
     sigma : ndarray
         Innovation covariance of the model, shaped (K, K).
+    s_out : ndarray or None
+        The walk's complex array that S is written into; None outside a
+        walk, where S is a new array.
+    abs_a_bar, abs_h_bar : ndarray
+        |A_bar| and |H_bar|, real.
     s : ndarray
         Spectral density h_bar sigma h_bar^H (Hermitian, positive definite).
+    autospectra : ndarray
+        diag(S), real and shaped (n, K); NumericalError if one is not positive.
     s_inv : ndarray
         Inverse spectral density a_bar^H sigma^-1 a_bar. Its diagonal
         entry [S^-1]_kk is the reciprocal of channel k's partial spectrum,
         the power left after the optimal deduction of all other channels.
 
-    sigma^-1, S and S^-1 are assembled on first access and kept; a caller
+    Every derived array (sigma^-1 too) is assembled on first access, locked
+    and kept, unless the walk that made the set already holds it; a caller
     that needs none of them never holds them. The arrays are locked, not
     copied: the set owns what it is given.
     """
@@ -86,6 +98,7 @@ class SpectralSet:
     a_bar: np.ndarray
     h_bar: np.ndarray
     sigma: np.ndarray
+    s_out: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("a_bar", "h_bar"):
@@ -101,20 +114,29 @@ class SpectralSet:
         return lock(np.linalg.inv(self.sigma))
 
     @cached_property
+    def abs_a_bar(self) -> np.ndarray:
+        return lock(np.abs(self.a_bar))
+
+    @cached_property
+    def abs_h_bar(self) -> np.ndarray:
+        return lock(np.abs(self.h_bar))
+
+    @cached_property
     def s(self) -> np.ndarray:
-        return _spectral_density(self.h_bar, self.sigma)
+        product = np.matmul(self.h_bar, self.sigma)
+        return lock(np.matmul(product, np.conjugate(self.h_bar).swapaxes(1, 2), out=self.s_out), dtype=complex)
+
+    @cached_property
+    def autospectra(self) -> np.ndarray:
+        auto = np.einsum("fii->fi", self.s).real
+        if np.any(auto <= 0):
+            raise NumericalError("zero autospectrum: normalization undefined")
+        return lock(auto)
 
     @cached_property
     def s_inv(self) -> np.ndarray:
         product = np.matmul(np.conjugate(self.a_bar).swapaxes(1, 2), self.sigma_inv)
         return lock(np.matmul(product, self.a_bar), dtype=complex)
-
-
-def _spectral_density(h_bar: np.ndarray, sigma: np.ndarray, product=None, conj=None, out=None) -> np.ndarray:
-    """S = H_bar sigma H_bar^H, locked, the one route to S; product, conj and out take H_bar sigma, conj(H_bar) and S."""
-    product = np.matmul(h_bar, sigma, out=product)
-    conj = np.conjugate(h_bar, out=conj)
-    return lock(np.matmul(product, conj.swapaxes(1, 2), out=out), dtype=complex)
 
 
 def evaluate_spectra(model: VarModel, grid: FrequencyGrid) -> SpectralSet:
@@ -134,8 +156,8 @@ def evaluate_spectra(model: VarModel, grid: FrequencyGrid) -> SpectralSet:
         If the model is unstable, sigma is not positive definite, or
         A_bar is numerically singular at some grid frequency.
     """
-    ((a_bar, h_bar, _, _),) = _spectral_blocks(model, grid, grid.n_points)
-    return SpectralSet(a_bar, h_bar, model.sigma)
+    (spectra,) = _spectral_blocks(model, grid, grid.n_points)
+    return spectra
 
 
 def _block_size(k: int) -> int:
@@ -143,18 +165,20 @@ def _block_size(k: int) -> int:
     return max(1, 2**14 // k**2)
 
 
-def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """Walk a grid in consecutive runs of at most ``size`` frequencies, yielding (A_bar, H_bar, |A_bar|, |H_bar|).
+def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterator[SpectralSet]:
+    """Walk a grid in consecutive runs of at most ``size`` frequencies, yielding one SpectralSet each.
 
     The model is validated once, on the first draw. Each block builds
     A_bar and H_bar for its own points only, and reads each frequency's
     1-norm condition number kappa_1 = ||A_bar||_1 ||H_bar||_1 from the two,
-    leaving |A_bar| and |H_bar| behind. A_bar's bits do not depend on the
-    block length. The walk owns three arrays of ``min(size, n_points)``
-    frequencies (two at least for A_bar), A_bar, |A_bar| and |H_bar|, and
-    writes every block into them, so a block it yields holds read-only
-    views that stay valid until the next block is drawn; H_bar is the
-    fresh output of ``inv``.
+    leaving |A_bar| and |H_bar| behind for the set. A_bar's bits do not
+    depend on the block length. Once the first block passes the guard,
+    sigma is inverted, once for the walk. The walk owns A_bar, |A_bar|,
+    |H_bar| and S, one array of ``min(size, n_points)`` frequencies each
+    (two at least for A_bar), and writes every block into them (S when a
+    block's is first read), so a set it yields holds read-only views that
+    stay valid until the next block is drawn; H_bar is the fresh output of
+    ``inv``, and S's operands are the set's temporaries.
 
     Refusals do not depend on the block size. A zero pivot in ``inv`` is
     refused at once, at the first frequency whose det is 0. Otherwise, after
@@ -171,8 +195,9 @@ def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterato
         raise NumericalError("innovation covariance is not positive definite")
     k, p, rows = model.K, model.p, min(size, grid.n_points)
     lags, coeffs, eye = np.arange(1, p + 1), model.coeffs.reshape(p, k * k), np.eye(k)
-    a_bars, abs_a_bars, abs_h_bars = np.empty((max(rows, 2), k, k), complex), np.empty((rows, k, k)), np.empty((rows, k, k))
-    worst_omega, worst_kappa = None, 0.0
+    a_bars, s_all = np.empty((max(rows, 2), k, k), complex), np.empty((rows, k, k), complex)
+    abs_a_bars, abs_h_bars = np.empty((2, rows, k, k))
+    worst_omega, worst_kappa, sigma_inv = None, 0.0, None
     for start in range(0, grid.n_points, size):
         omega = grid.points[start : start + size]
         n = omega.size
@@ -196,7 +221,12 @@ def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterato
         if not np.isnan(worst_kappa) and not kappa[worst] <= worst_kappa:
             worst_omega, worst_kappa = omega[worst], kappa[worst]
         if worst_kappa <= CONDITION_LIMIT:
-            yield lock(a_bar, complex), lock(h_bar, complex), lock(abs_a_bar), lock(abs_h_bar)
+            if sigma_inv is None:
+                sigma_inv = lock(np.linalg.inv(model.sigma))
+            spectra = SpectralSet(a_bar, h_bar, model.sigma)
+            # the arrays the walk holds, as if each had been read, and where S goes
+            vars(spectra).update(abs_a_bar=lock(abs_a_bar), abs_h_bar=lock(abs_h_bar), sigma_inv=sigma_inv, s_out=s_all[:n])
+            yield spectra
     if not worst_kappa <= CONDITION_LIMIT:
         raise _singular(worst_omega, worst_kappa)
 

@@ -128,11 +128,9 @@ def companion_matrix(model: VarModel) -> np.ndarray:
     """Stack the lag matrices into the (K p, K p) companion form.
 
     The model is stable exactly when every eigenvalue of this matrix lies
-    strictly inside the unit circle. For p = 0 the result is empty.
+    strictly inside the unit circle. Needs p >= 1.
     """
     k, p = model.K, model.p
-    if p == 0:
-        return np.zeros((0, 0))
     top = model.coeffs.transpose(1, 0, 2).reshape(k, k * p)
     if p == 1:
         return top

@@ -18,7 +18,7 @@ def faulty_inverse(monkeypatch):
         inv, calls = np.linalg.inv, itertools.count()
 
         def broken(a):
-            if a.ndim != 3:  # sigma, inverted by the measures
+            if a.ndim != 3:  # sigma, inverted once by the walk
                 return inv(a)
             start = next(calls) * size
             here = {index - start: fault for index, fault in faults.items() if start <= index < start + a.shape[0]}

@@ -236,6 +236,37 @@ class TestMeasureBlocks:
         assert reports[None][1].startswith(refusal), reports[None]
         assert all(report == reports[None] for report in reports.values()), reports
 
+    @staticmethod
+    def count_float_text(patch):
+        """Count the arrays fileio renders from here on, one float_text call each."""
+        calls, float_text = [], varconn.fileio.float_text
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return float_text(*args)
+
+        patch.setattr(varconn.fileio, "float_text", counted)
+        return calls
+
+    def test_unwritable_sample_rate_renders_nothing(self, monkeypatch, tmp_path, capsys):
+        # the refusal is certain before the walk, so no block is rendered into a spill
+        model = tmp_path / "k8.json"
+        save_model(random_stable_model(np.random.default_rng(8), 8, p=3), model)
+        calls = self.count_float_text(monkeypatch)
+        assert main(["measure", "--model", str(model), "--mag-sq", "--fs", "inf", "--nfreq", "512"]) == 2
+        assert capsys.readouterr().err.startswith("E_CONFIG: sample_rate_hz must be positive")
+        assert calls == []
+
+    def test_nothing_is_rendered_after_a_draw_refusal(self, monkeypatch, capsys, model_path):
+        # in blocks of one frequency pdc refuses in block 1; coh is still drawn in every
+        # later block, since it could yet refuse first, but nothing more is rendered
+        monkeypatch.setattr(varconn.cli, "_block_size", lambda k: 1)
+        self.install_faults(monkeypatch, {"pdc": (1, "refuse")}, None)
+        calls = self.count_float_text(monkeypatch)
+        assert main(["measure", "--model", str(model_path), "--measures", "coh,pdc", "--nfreq", str(self.N_POINTS)]) == 3
+        assert capsys.readouterr().err == "E_NUMERIC: pdc refused at row 1\n"
+        assert len(calls) == 6  # "re" and "im" of coh and pdc in block 0, then of coh in block 1
+
     def test_peak_does_not_grow_with_the_grid(self, tmp_path):
         # the whole-grid route peaked here at 9.6 MiB (1,024 points) and 34.9 MiB (4,096 points);
         # S and S^-1 (coh, ipdc and idtf) set a block's peak, and three measures keep the spills small

@@ -20,9 +20,11 @@ from varconn import (
     fixture,
     information_rates,
     measures_from_spectra,
+    save_model,
 )
 import varconn.infotheory
-from varconn.infotheory import _RATES, BOUND_TOL, RATE_KINDS, _bridge_in_place, _RateBlock
+from varconn.cli import main
+from varconn.infotheory import _RATES, BOUND_TOL, RATE_KINDS, _bridge_in_place
 from varconn.measures import _MEASURES, coherence
 from varconn.oracles import random_stable_model
 from varconn.spectral import _block_size, _spectral_blocks
@@ -230,19 +232,18 @@ class TestInformationRates:
 
 
 def count_builds(monkeypatch):
-    """Count the assemblies of S by every _RateBlock, and of S and S^-1 by every SpectralSet, from here on."""
+    """Count the assemblies of S, diag(S) and S^-1 by every SpectralSet, a walk's blocks included, from here on."""
     builds = {}
-    for owner, name in ((_RateBlock, "s"), (SpectralSet, "s"), (SpectralSet, "s_inv")):
-        key = f"{owner.__name__}.{name}"
-        builds[key] = 0
+    for name in ("s", "autospectra", "s_inv"):
+        builds[name] = 0
 
-        def build(self, _key=key, _original=getattr(owner, name).func):
-            builds[_key] += 1
+        def build(self, _name=name, _original=getattr(SpectralSet, name).func):
+            builds[_name] += 1
             return _original(self)
 
         counted = cached_property(build)
-        counted.__set_name__(owner, name)
-        monkeypatch.setattr(owner, name, counted)
+        counted.__set_name__(SpectralSet, name)
+        monkeypatch.setattr(SpectralSet, name, counted)
     return builds
 
 
@@ -277,25 +278,32 @@ class TestOnePass:
 
     @pytest.mark.parametrize("k, p, n_points, builds", [(16, 4, 2048, 32), (5, 3, 512, 1)])
     def test_each_block_builds_s_and_s_inv_once(self, monkeypatch, k, p, n_points, builds):
-        # S once per block, shared by iDTF and coherence and built by the rate
-        # call itself; iPDC's normaliser comes from A_bar and sigma^-1, so no
-        # S^-1 is built, and a request for iPDC alone builds no S
+        # S and diag(S) once per block, shared by iDTF and coherence and written
+        # into the walk's S array; iPDC's normaliser comes from A_bar and
+        # sigma^-1, so no S^-1 is built, and a request for iPDC alone builds no S
         model = random_stable_model(np.random.default_rng(k), k, p=p)
         counts = count_builds(monkeypatch)
         information_rates(model, FrequencyGrid(n_points), ["ipdc", "idtf", "coh"])
-        assert counts == {"_RateBlock.s": builds, "SpectralSet.s": 0, "SpectralSet.s_inv": 0}
+        assert counts == {"s": builds, "autospectra": builds, "s_inv": 0}
         information_rates(model, FrequencyGrid(n_points), ["ipdc"])
-        assert counts["_RateBlock.s"] == builds
+        assert counts["s"] == builds
 
-    def test_sigma_is_inverted_once_per_walk(self, monkeypatch):
+    @pytest.mark.parametrize("command", ["mir", "measure"])
+    def test_sigma_is_inverted_once_per_walk(self, monkeypatch, tmp_path, command):
         inv, inverted = np.linalg.inv, []
 
         def counted(a):
             inverted.append(a.shape)
             return inv(a)
 
+        model = random_stable_model(np.random.default_rng(16), 16, p=4)
         monkeypatch.setattr(np.linalg, "inv", counted)
-        information_rates(random_stable_model(np.random.default_rng(16), 16, p=4), FrequencyGrid(2048), ["ipdc", "idtf", "coh"])
+        if command == "mir":
+            information_rates(model, FrequencyGrid(2048), ["ipdc", "idtf", "coh"])
+        else:  # both measures read sigma^-1, iPDC through S^-1
+            path = save_model(model, tmp_path / "k16.json")
+            argv = ["measure", "--model", str(path), "--measures", "ipdc,idtf", "--nfreq", "2048", "--out", str(tmp_path / "out.json")]
+            assert main(argv) == 0
         # one inverse of A_bar per block of 64, and one of sigma
         assert sorted(inverted) == [(16, 16)] + [(64, 16, 16)] * 32
 
@@ -491,17 +499,13 @@ class TestRateTable:
         # 200 points are four blocks at K = 16, and 10 are three at K = 64
         model = random_stable_model(np.random.default_rng(50 + k), k, p=3)
         size = _block_size(k)
-        rows = min(size, n_points)
-        work = (np.empty((rows, k, 2 * k)), *np.empty((3, rows, k, k), dtype=complex))
-        sigma_inv = np.linalg.inv(model.sigma)
         diag = np.arange(k)
         blocks = 0
-        for walked in _spectral_blocks(model, FrequencyGrid(n_points), size):
-            block, spectra = _RateBlock(walked, model.sigma, sigma_inv, work), SpectralSet(*walked[:2], model.sigma)
+        for block in _spectral_blocks(model, FrequencyGrid(n_points), size):
             for kind in RATE_KINDS:
-                squared = np.empty(spectra.a_bar.shape)
+                squared = np.empty(block.a_bar.shape)
                 _RATES[kind](block, squared)
-                expected = np.abs(_MEASURES[kind](spectra).values) ** 2
+                expected = np.abs(_MEASURES[kind](block).values) ** 2
                 if kind is MeasureKind.COHERENCE:
                     expected[:, diag, diag] = 0.0
                 assert_allclose(squared, expected, rtol=1e-14, atol=0, err_msg=f"{kind} in block {blocks}")
@@ -510,7 +514,7 @@ class TestRateTable:
 
     @pytest.mark.parametrize("k, n_points", [(5, 1500), (16, 200), (64, 10)])
     def test_each_block_s_is_the_whole_grid_s(self, monkeypatch, k, n_points):
-        # the rate call builds S into its own arrays by the steps of SpectralSet.s;
+        # each block writes S into the walk's array by the steps of the whole grid's set;
         # 1500 points are three blocks at K = 5, the last one short
         model = random_stable_model(np.random.default_rng(50 + k), k, p=3)
         grid = FrequencyGrid(n_points)
@@ -552,11 +556,10 @@ class TestRateTable:
 
     @pytest.mark.parametrize("kind", [MeasureKind.IDTF, MeasureKind.COHERENCE])
     def test_zero_autospectrum_is_refused_as_by_the_measure(self, monkeypatch, kind):
-        # the rate call builds its own S, and the measure reads the set's
-        for owner in (_RateBlock, SpectralSet):
-            zero = cached_property(lambda spectra: np.zeros(spectra.a_bar.shape, dtype=complex))
-            zero.__set_name__(owner, "s")
-            monkeypatch.setattr(owner, "s", zero)
+        # the rate call reads a block's S, and the measure the whole grid's
+        zero = cached_property(lambda spectra: np.zeros(spectra.a_bar.shape, dtype=complex))
+        zero.__set_name__(SpectralSet, "s")
+        monkeypatch.setattr(SpectralSet, "s", zero)
         model = fixture("two_var_alpha", alpha=0.5).model
         message = "^zero autospectrum: normalization undefined$"
         with pytest.raises(NumericalError, match=message):

@@ -197,34 +197,35 @@ class TestBlockWalk:
         size = size or _block_size(k)
         # a block is valid until the next is drawn, so each is compared as it comes
         drawn = 0
-        for index, (a_bar, h_bar, abs_a_bar, abs_h_bar) in enumerate(_spectral_blocks(model, grid, size)):
+        for index, block in enumerate(_spectral_blocks(model, grid, size)):
             window = slice(index * size, (index + 1) * size)
-            assert np.array_equal(a_bar, whole.a_bar[window]), index
-            assert np.array_equal(h_bar, whole.h_bar[window]), index
+            assert np.array_equal(block.a_bar, whole.a_bar[window]), index
+            assert np.array_equal(block.h_bar, whole.h_bar[window]), index
             # the guard's magnitudes are np.abs of the whole-grid slices
-            assert np.array_equal(abs_a_bar, np.abs(whole.a_bar[window])), index
-            assert np.array_equal(abs_h_bar, np.abs(whole.h_bar[window])), index
-            # a set of one block assembles S and S^-1 as the whole grid's set does
-            spectra = SpectralSet(a_bar, h_bar, model.sigma)
-            for name in ("s", "s_inv"):
-                assert np.array_equal(getattr(spectra, name), getattr(whole, name)[window]), (index, name)
+            assert np.array_equal(block.abs_a_bar, np.abs(whole.a_bar[window])), index
+            assert np.array_equal(block.abs_h_bar, np.abs(whole.h_bar[window])), index
+            # a set of one block assembles S, diag(S) and S^-1 as the whole grid's set does
+            for name in ("s", "autospectra", "s_inv"):
+                assert np.array_equal(getattr(block, name), getattr(whole, name)[window]), (index, name)
             drawn += 1
         assert drawn == math.ceil(n_points / size) > 1
 
     def test_blocks_are_read_only_views_of_one_workspace(self):
         model = random_stable_model(np.random.default_rng(91), 16, p=3)
-        names = ("a_bar", "h_bar", "abs_a_bar", "abs_h_bar")
+        names = ("a_bar", "h_bar", "abs_a_bar", "abs_h_bar", "s")
         blocks = []
         for block in _spectral_blocks(model, FrequencyGrid(200), _block_size(16)):
-            for name, array in zip(names, block):
-                assert not array.flags.writeable, (len(blocks), name)
+            for name in names:  # S is written when first read
+                assert not getattr(block, name).flags.writeable, (len(blocks), name)
             blocks.append(block)
         assert len(blocks) == 4
-        # A_bar, |A_bar| and |H_bar| of every block are written into the arrays the
-        # walk allocated for the first; H_bar is the fresh output of inv
+        # A_bar, |A_bar|, |H_bar| and S of every block are written into the arrays
+        # the walk allocated for the first; H_bar is the fresh output of inv
         first, last = blocks[0], blocks[-1]
-        for name, first_array, last_array in zip(names, first, last):
-            assert np.shares_memory(first_array, last_array) == (name != "h_bar"), name
+        for name in names:
+            assert np.shares_memory(getattr(first, name), getattr(last, name)) == (name != "h_bar"), name
+        # one sigma^-1 serves the walk
+        assert all(block.sigma_inv is first.sigma_inv for block in blocks)
 
 
 class TestWalkRefusals:
@@ -260,7 +261,7 @@ class TestWalkRefusals:
     def test_no_block_is_yielded_once_the_guard_fails(self, faulty_inverse):
         faulty_inverse(16, {20: 1e20})
         walk = _spectral_blocks(fixture("two_var_alpha", alpha=0.5).model, GRID, 16)
-        assert next(walk)[0].shape[0] == 16
+        assert next(walk).a_bar.shape[0] == 16
         with pytest.raises(NumericalError, match=f"singular at omega = {GRID.points[20]:.6g} "):
             next(walk)
 
@@ -276,9 +277,10 @@ class TestSpectralSet:
         for name, array in given.items():
             assert np.shares_memory(getattr(held, name), array), name
             assert not array.flags.writeable, name
-        # sigma^-1, S and S^-1 are assembled on first access, locked, and kept
-        assert not {"sigma_inv", "s", "s_inv"} & vars(held).keys()
-        for name in ("sigma_inv", "s", "s_inv"):
+        # sigma^-1, |A_bar|, |H_bar|, S, diag(S) and S^-1 are assembled on first access, locked, and kept
+        derived = ("sigma_inv", "abs_a_bar", "abs_h_bar", "s", "autospectra", "s_inv")
+        assert not set(derived) & vars(held).keys()
+        for name in derived:
             assembled = getattr(held, name)
             assert not assembled.flags.writeable, name
             assert getattr(held, name) is assembled, name
