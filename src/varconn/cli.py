@@ -7,6 +7,8 @@ stderr start with a stable E_* code.
 """
 
 import argparse
+import contextlib
+import os
 import sys
 
 from .errors import (
@@ -19,18 +21,19 @@ from .errors import (
 )
 from .fileio import (
     ResultWriter,
+    TimeseriesWriter,
     load_model,
     load_timeseries,
     render_result,
+    resolve_output_path,
     save_model,
     save_result,
-    save_timeseries,
 )
 from .infotheory import information_rates, rate_kinds
 from .measures import _MEASURES, MeasureKind
 from .oracles import run_verification
 from .spectral import DEFAULT_N_POINTS, FrequencyGrid, _block_size, _draw_kinds, _spectral_blocks
-from .var_model import estimate, select_order, simulate, validate
+from .var_model import _simulation_chunks, estimate, select_order, validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,13 +114,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
+    """Walk the draw once, writing each chunk to the CSVs; a refusal met once a file is open removes the files."""
     model = load_model(args.model)
-    samples, innovations = simulate(model, args.n, burn_in=args.burn_in, seed=args.seed)
-    out = save_timeseries(samples, args.out)
-    print(f"wrote {out} ({samples.n_samples} samples x {samples.K} channels)")
+    chunks = _simulation_chunks(model, args.n, args.burn_in, args.seed)
+    paths = [args.out] + ([args.innovations_out] if args.innovations_out else [])
+    if len({os.path.realpath(resolve_output_path(path)) for path in paths}) < len(paths):
+        raise DomainError("--out and --innovations-out name the same file")
+    with contextlib.ExitStack() as stack:
+        writers = [stack.enter_context(TimeseriesWriter(path, model.K)) for path in paths]
+        for pair in chunks:
+            for writer, rows in zip(writers, pair):
+                writer.add(rows)
+    print(f"wrote {writers[0].path} ({args.n} samples x {model.K} channels)")
     if args.innovations_out:
-        extra = save_timeseries(innovations, args.innovations_out)
-        print(f"wrote {extra}")
+        print(f"wrote {writers[1].path}")
     return EXIT_OK
 
 

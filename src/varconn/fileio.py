@@ -1,4 +1,4 @@
-"""Model and result documents (JSON) and time-series ingestion (CSV).
+"""Model and result documents (JSON) and time series (CSV).
 
 Documents are the text of ``json.dumps(document, sort_keys=True,
 indent=2)`` and a newline. Model documents round-trip byte-identically:
@@ -6,7 +6,8 @@ loading and re-saving a document reproduces the file exactly. Result
 documents are written straight from arrays, byte for byte as
 ``json.dumps`` writes them as nested lists ("re"/"im" for complex
 arrays), and nothing is written when one is refused; a measure's arrays
-may arrive a block of frequencies at a time (``ResultWriter``). The float
+may arrive a block of frequencies at a time (``ResultWriter``), as a CSV's
+rows may arrive a block of samples at a time (``TimeseriesWriter``). The float
 text of result documents and of time-series CSV comes from one vectorised
 shortest-round-trip formatter (``_floattext``), byte-identical to ``repr``,
 as ASCII bytes that go to files opened in binary mode.
@@ -17,6 +18,7 @@ import functools
 import json
 import math
 import os
+import stat
 import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -202,17 +204,50 @@ def _parse_cells(path: Path) -> np.ndarray:
 
 
 def save_timeseries(data: TimeSeriesData, path) -> Path:
-    """Write samples as CSV (rows are samples) under a ch1..chK header.
+    """Write samples as CSV (rows are samples) under a ch1..chK header; returns the resolved path.
 
-    Floats are written by the vectorised shortest-round-trip formatter,
-    byte-identical to ``repr``, a block of values at a time.
+    The one-block case of ``TimeseriesWriter``: floats are written by the
+    vectorised shortest-round-trip formatter, byte-identical to ``repr``, a
+    block of values at a time.
     """
-    target = resolve_output_path(path)
-    with open(target, "wb") as handle:
+    with TimeseriesWriter(path, data.K) as writer:
+        writer.add(data.values)
+    return writer.path
+
+
+class TimeseriesWriter:
+    """A CSV of samples (rows are samples) under a ch1..chK header, whose rows arrive a block at a time.
+
+    The file is opened, and its header written, when the writer is made.
+    ``add`` refuses a block holding a non-finite value (DomainError) and
+    writes the others' text. A writer whose ``with`` block ends in an
+    exception removes its file when it is a regular file, one it created or
+    one whose old text it truncated, so no partial CSV remains.
+    """
+
+    def __init__(self, path, k: int):
+        self.path = resolve_output_path(path)
+        self._handle = open(self.path, "wb")
         # each line ends in "\r\n" as csv.writer ends it, so the bytes match a csv.writer file
-        handle.write((",".join(f"ch{i + 1}" for i in range(data.K)) + "\r\n").encode("ascii"))
-        handle.writelines(float_text(data.values, (",", "\r\n", "\r\n")))
-    return target
+        self._handle.write((",".join(f"ch{i + 1}" for i in range(k)) + "\r\n").encode("ascii"))
+
+    def add(self, rows: np.ndarray) -> None:
+        # a nan propagates through both reductions, which allocate nothing of the block's size
+        if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
+            raise DomainError("samples must be finite")
+        self._handle.writelines(float_text(rows, (",", "\r\n", "\r\n")))
+        self._handle.flush()  # so that a full disk is met here, inside the caller's with block, and not on close
+
+    def __enter__(self) -> "TimeseriesWriter":
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        regular = stat.S_ISREG(os.fstat(self._handle.fileno()).st_mode)
+        try:
+            self._handle.close()
+        finally:
+            if exc_type is not None and regular:
+                self.path.unlink(missing_ok=True)
 
 
 def _is_not_number(cell: str) -> bool:

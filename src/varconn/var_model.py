@@ -186,11 +186,30 @@ def simulate(
         Two aligned TimeSeriesData objects: ``innovations.values[t]`` is the
         draw that produced ``samples.values[t]``.
 
-    The recursion starts from a zero history and advances a block of
-    samples at a time (see ``_block_recursion``), so a sample may differ in
-    its last digit from the same sum taken one step and one lag at a time;
-    a seed gives the same samples on every run. For p = 0 the samples are
-    the innovations.
+    The chunks of ``_simulation_chunks`` are copied into the two arrays
+    returned, so memory beyond them does not grow with n. The recursion
+    starts from a zero history and advances a block of samples at a time,
+    so a sample may differ in its last digit from the same sum taken one
+    step and one lag at a time; a seed gives the same samples on every
+    run. For p = 0 the samples are the innovations.
+    """
+    chunks = _simulation_chunks(model, n_samples, burn_in, seed)
+    samples, innovations = np.empty((n_samples, model.K)), np.empty((n_samples, model.K))
+    row = 0
+    for x, w in chunks:
+        samples[row : row + len(x)] = x
+        innovations[row : row + len(w)] = w
+        row += len(x)
+    return TimeSeriesData._adopt(samples), TimeSeriesData._adopt(innovations)
+
+
+def _simulation_chunks(model: VarModel, n_samples: int, burn_in: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Raise ``simulate``'s refusals, then return a walk over the kept samples as (samples, innovations) row chunks.
+
+    The chunks are consecutive views of the walk's per-chunk workspace, so
+    a caller folds or writes each one before taking the next; the burn-in
+    rows are dropped as they pass. The values are not checked for
+    finiteness.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
@@ -203,20 +222,19 @@ def simulate(
         )
     if not report.sigma_ok:
         raise NumericalError("innovation covariance is not positive definite")
-    chol = np.linalg.cholesky(model.sigma)
-    rng = np.random.default_rng(seed)
-    total = burn_in + n_samples
-    innovations = rng.standard_normal((total, model.K)) @ chol.T
-    samples = _block_recursion(model, innovations) if model.p else innovations
-    return (
-        TimeSeriesData._adopt(samples[burn_in:]),
-        TimeSeriesData._adopt(innovations[burn_in:]),
-    )
+    return _simulation_walk(model, np.linalg.cholesky(model.sigma), burn_in + n_samples, burn_in, seed)
 
 
 #: Blocks whose zero-state part one product computes; 64 blocks of the
-#: largest block are 128 KiB of samples.
+#: largest block are 128 KiB of samples. A chunk of the walk holds whole
+#: runs of them, so every product is the one a single walk over the whole
+#: series would form.
 _CHUNK_BLOCKS = 64
+
+#: Bytes of each of a chunk's three arrays (draw, innovations, samples),
+#: rounded up to whole runs of ``_CHUNK_BLOCKS`` blocks: 4,096 samples at
+#: K = 5.
+_SIMULATION_CHUNK_BYTES = 5 * 2**15
 
 
 def _simulation_block(k: int) -> int:
@@ -224,35 +242,72 @@ def _simulation_block(k: int) -> int:
     return max(1, min(16, 256 // k))
 
 
-def _block_recursion(model: VarModel, innovations: np.ndarray) -> np.ndarray:
-    """The samples of x(n) = sum_l A(l) x(n - l) + w(n) from a zero history.
+def _simulation_walk(model: VarModel, chol: np.ndarray, total: int, burn_in: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The chunks of ``_simulation_chunks``: x(n) = sum_l A(l) x(n - l) + w(n) from a zero history.
+
+    Each chunk draws its rows of one Generator stream, which equal the same
+    rows of a one-call draw, and multiplies them by chol^T as the one-call
+    product would. BLAS may sum a row in another order when the product has
+    few rows, or when the row is among the last M mod U rows of a product
+    of M rows (U the kernel's row unroll, which divides a run's 64 m rows).
+    So each product spans the whole buffer but for less than a run, and a
+    short chunk's rows sit at its bottom, after zeros, so that its last row
+    ends the product as the series' last row ends the one-call product,
+    whose row count it shares modulo a run.
+
+    Each chunk fills a fresh workspace, and the first chunk is one run of
+    blocks in a full-size one. That workspace, mapped above glibc's mmap
+    threshold, is freed once the first run has been taken, which raises
+    glibc's trim threshold to twice its size: above the ~0.7 MiB of
+    temporaries the CSV writer takes per 2,048 values, which would
+    otherwise be trimmed and faulted back in for every block.
 
     A block of m samples is x_b = T w_b + G h_b, where w_b are the block's
     innovations and h_b its p-sample history (``_block_operators``). T w_b
     of a run of ``_CHUNK_BLOCKS`` blocks is one product; only the G h_b
     terms walk the blocks in order, one per block.
     """
-    total, k = innovations.shape
-    p = model.p
+    k, p = model.K, model.p
     m = _simulation_block(k)
-    t, g = _block_operators(model, m)
-    # row p + n of x is sample n and the first p rows are the zero
-    # pre-sample history, so rows b m .. b m + p - 1 are block b's history
-    x = np.zeros((p + total, k))
-    n_full = total // m
-    w_blocks = innovations[: n_full * m].reshape(n_full, m * k)
-    x_blocks = x[p : p + n_full * m].reshape(n_full, m * k)
-    for start in range(0, n_full, _CHUNK_BLOCKS):
-        stop = min(start + _CHUNK_BLOCKS, n_full)
-        np.matmul(w_blocks[start:stop], t.T, out=x_blocks[start:stop])
-        for b in range(start, stop):
-            x_blocks[b] += g @ x[b * m : b * m + p].ravel()
-    s = n_full * m
-    if s < total:
-        tail, r = x[p + s :].reshape(-1), (total - s) * k
-        np.matmul(t[:r, :r], innovations[s:].reshape(-1), out=tail)
-        tail += g[:r] @ x[s : s + p].ravel()
-    return x[p:]
+    run = _CHUNK_BLOCKS * m
+    rows = min(run * -(-_SIMULATION_CHUNK_BYTES // (8 * k * run)), total)
+    rng = np.random.default_rng(seed)
+    if p:
+        t, g = _block_operators(model, m)
+    history = np.zeros((p, k))  # the zero pre-sample history
+    start, size = 0, min(run, total)
+    while start < total:
+        work = np.empty((3 * rows + p if p else 2 * rows, k))
+        draw, w = work[:rows], work[rows : 2 * rows]
+        pad = rows - size  # a short chunk's rows sit at the bottom, after zeros
+        lead = pad % run  # the product spans the rest: its row count is the series' modulo a run
+        rng.standard_normal(out=draw[pad:])
+        draw[lead:pad] = 0
+        np.matmul(draw[lead:], chol.T, out=w[lead:])
+        w = w[pad:]
+        if p:
+            # p rows of history, then the chunk's samples, so rows b m .. b m + p - 1 are block b's history
+            x = work[2 * rows :]
+            x[:p] = history
+            n_full = size // m
+            w_blocks = w[: n_full * m].reshape(n_full, m * k)
+            x_blocks = x[p : p + n_full * m].reshape(n_full, m * k)
+            for first in range(0, n_full, _CHUNK_BLOCKS):
+                stop = min(first + _CHUNK_BLOCKS, n_full)
+                np.matmul(w_blocks[first:stop], t.T, out=x_blocks[first:stop])
+                for b in range(first, stop):
+                    x_blocks[b] += g @ x[b * m : b * m + p].ravel()
+            s = n_full * m
+            if s < size:  # only the last chunk ends inside a block
+                tail, r = x[p + s : p + size].reshape(-1), (size - s) * k
+                np.matmul(t[:r, :r], w[s:size].reshape(-1), out=tail)
+                tail += g[:r] @ x[s : s + p].ravel()
+            history = x[size : size + p]
+        samples = x[p : p + size] if p else w
+        keep = max(burn_in - start, 0)
+        if keep < size:
+            yield samples[keep:], w[keep:]
+        start, size = start + size, min(rows, total - start - size)
 
 
 def _block_operators(model: VarModel, m: int) -> tuple[np.ndarray, np.ndarray]:

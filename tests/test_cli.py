@@ -1,6 +1,8 @@
+import contextlib
 import errno
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -16,6 +18,7 @@ import pytest
 
 import varconn
 from varconn import EPS_CLIP, MeasureKind, MeasureResult, NumericalError, VarModel, fixture, load_model, save_model, validate
+from varconn import save_timeseries, simulate
 from varconn import infotheory, measures, oracles
 from varconn.cli import main
 from varconn.oracles import random_stable_model
@@ -722,11 +725,107 @@ class TestSimulateAndFit:
     def test_simulate_unstable_model(self, tmp_path, capsys):
         path = tmp_path / "unstable.json"
         save_model(VarModel([[[1.2]]], np.eye(1)), path)
+        (tmp_path / "x.csv").write_bytes(b"ch1\r\n1.0\r\n")  # a refusal before the walk leaves it untouched
         status = main(
             ["simulate", "--model", str(path), "--n", "10", "--out", str(tmp_path / "x.csv")]
         )
         assert status == 3
         assert "E_NUMERIC" in capsys.readouterr().err
+        assert (tmp_path / "x.csv").read_bytes() == b"ch1\r\n1.0\r\n"
+
+
+class TestSimulateChunks:
+    """``simulate`` writes each chunk of the walk to both CSVs, and a refusal leaves no file behind."""
+
+    @pytest.fixture()
+    def k5_model_path(self, tmp_path):
+        path = tmp_path / "k5.json"
+        save_model(random_stable_model(np.random.default_rng(5), 5, p=3), path)
+        return path
+
+    @pytest.mark.parametrize("n, burn_in", [(9000, 1000), (12_000, 5120), (1, 0)])
+    def test_bytes_equal_the_library_arrays(self, tmp_path, k5_model_path, n, burn_in):
+        # 10,000 rows are chunks of 1,024, 4,096, 4,096 and 784 at K = 5; 5,120 ends on a chunk edge
+        out, extra = tmp_path / "x.csv", tmp_path / "w.csv"
+        argv = ["simulate", "--model", str(k5_model_path), "--n", str(n), "--burn-in", str(burn_in), "--seed", "9"]
+        assert main([*argv, "--out", str(out), "--innovations-out", str(extra)]) == 0
+        samples, innovations = simulate(load_model(k5_model_path), n, burn_in=burn_in, seed=9)
+        assert out.read_bytes() == save_timeseries(samples, tmp_path / "ref_x.csv").read_bytes()
+        assert extra.read_bytes() == save_timeseries(innovations, tmp_path / "ref_w.csv").read_bytes()
+
+    def test_unopenable_innovations_file_leaves_no_output(self, tmp_path, capsys, two_channel_model_path):
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--model", str(two_channel_model_path), "--n", "100"]
+        status = main([*argv, "--out", str(out), "--innovations-out", str(tmp_path / "missing_dir" / "w.csv")])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err.startswith("E_IO: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("innovations", [False, True])
+    @pytest.mark.parametrize("fault", ["inf", "nan", "full disk"])
+    def test_refusal_in_the_second_chunk_leaves_no_files(self, monkeypatch, tmp_path, capsys, k5_model_path, fault, innovations):
+        chunks = varconn.cli._simulation_chunks
+        if fault == "full disk":
+
+            def add(self, rows, calls=itertools.count()):
+                if next(calls) == 1 + innovations:  # the second chunk's first file
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                write(self, rows)
+
+            write = varconn.fileio.TimeseriesWriter.add
+            monkeypatch.setattr(varconn.fileio.TimeseriesWriter, "add", add)
+        else:
+
+            def faulty(*args):
+                for index, (samples, noise) in enumerate(chunks(*args)):
+                    if index == 1:
+                        samples[-1, 2] = float(fault)
+                    yield samples, noise
+
+            monkeypatch.setattr(varconn.cli, "_simulation_chunks", faulty)
+        out, extra = tmp_path / "x.csv", tmp_path / "w.csv"
+        argv = ["simulate", "--model", str(k5_model_path), "--n", "9000", "--out", str(out)]
+        status = main([*argv, *(["--innovations-out", str(extra)] if innovations else [])])
+        captured = capsys.readouterr()
+        assert status == 2
+        if fault == "full disk":
+            assert captured.err == f"E_IO: [Errno {errno.ENOSPC}] No space left on device\n"
+        else:
+            assert captured.err == "E_CONFIG: samples must be finite\n"
+        assert captured.out == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["k5.json"]
+
+    def test_one_path_for_both_outputs_is_refused(self, tmp_path, capsys, two_channel_model_path):
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--model", str(two_channel_model_path), "--n", "10", "--out", str(out)]
+        assert main([*argv, "--innovations-out", str(tmp_path / "." / "x.csv")]) == 2
+        assert capsys.readouterr().err == "E_CONFIG: --out and --innovations-out name the same file\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("innovations", [False, True])
+    def test_simulate_writes_in_bounded_memory(self, tmp_path, k5_model_path, innovations):
+        # the command counterpart of TestTimeseriesCsv.test_save_writes_in_bounded_memory:
+        # one chunk of the draw at a time, so the peak does not grow with the sample count
+        extra = ["--innovations-out", str(tmp_path / "w.csv")] if innovations else []
+
+        def run(n):
+            argv = ["simulate", "--model", str(k5_model_path), "--n", str(n), "--seed", "1", "--out", str(tmp_path / "x.csv")]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, *extra]) == 0
+
+        run(1000)  # warm-up: the float-text tables and first-use imports
+        peaks = {}
+        for n in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                run(n)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) < 1.5 * 2**20, peaks
+        assert abs(peaks[200_000] - peaks[20_000]) < 0.25 * 2**20, peaks
 
 
 class TestVerifyCommand:

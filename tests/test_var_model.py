@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,26 @@ def two_channel_model(alpha=0.5):
 
 #: Samples per block of simulate's recursion at K = 4.
 M4 = var_model._simulation_block(4)
+
+
+def chunk_edges(k):
+    """Where the first two chunks of simulate's walk end at K = k: after one run of blocks, then after a full chunk."""
+    chunks = var_model._simulation_chunks(VarModel(np.zeros((0, k, k)), np.eye(k)), 10**7, 0, 0)
+    first, second = (len(w) for _, w in itertools.islice(chunks, 2))
+    return first, first + second
+
+
+def chunk_edge_cases(case, k):
+    """(case, n_samples, burn_in) around the chunk edges at K = k."""
+    first, second = chunk_edges(k)
+    return [
+        (case, first + 1, 0),  # a one-sample second chunk
+        (case, second - 1, 0),
+        (case, second, 0),
+        (case, second + 1, 0),
+        (case, 300, second),  # the burn-in ends on a chunk edge
+        (case, 300, second - 7),  # the burn-in ends inside a chunk
+    ]
 
 
 class TestVarModel:
@@ -203,6 +224,10 @@ class TestSimulate:
             ("non_normal", 20000, 1000),
             ("K2p1_near_unit_root", 20000, 1000),
             ("K5p3_near_unit_root", 20000, 1000),
+            # the walk draws and recurses a chunk at a time
+            *chunk_edge_cases("K1p5", 1),
+            *chunk_edge_cases("K5p3", 5),
+            *chunk_edge_cases("K64p2", 64),
         ],
     )
     def test_flat_recursion_matches_per_lag_loop(self, case, n_samples, burn_in):
