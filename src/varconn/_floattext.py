@@ -18,9 +18,10 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-#: Values per step. Each step's temporaries stay below 128 KiB, which glibc
-#: serves from the heap it keeps, so memory does not grow with the array;
-#: larger steps measured slower, as their temporaries leave the caches.
+#: Values per step. Each array is 16 KiB, which glibc serves from the heap it
+#: keeps, and a step holds about 280 KiB of them at once, so memory does not
+#: grow with the array; larger steps measured slower, as their temporaries
+#: leave the caches.
 BLOCK = 2048
 
 _U = np.uint64  # all digit arithmetic is in uint64: mixed with int64, NumPy promotes to float64
@@ -125,39 +126,74 @@ def _shortest(bits, exponents):
     """
     m = bits & _U(2**52 - 1)
     i = ((bits >> _U(51)) & _U(0xFFE) | (m == 0)).view(np.int64)
-    top, bottom = np.take(exponents[:6], i, axis=1), np.take(exponents[6:], i, axis=1)
-    if not bottom[6].all():
-        _fill(exponents, i[bottom[6] == 0])
-        top, bottom = np.take(exponents[:6], i, axis=1), np.take(exponents[6:], i, axis=1)
+    column = np.take(exponents[12], i)
+    if not column.all():
+        _fill(exponents, i[column == 0])
+        column = np.take(exponents[12], i)
+    # Each array is dropped once its last use is behind, and most steps are in place, so
+    # that a block holds about 280 KiB at once, not 700: glibc's heap keeps that much
+    # between blocks, where it trimmed the larger peak and faulted it in again per block.
     # rop of the value: A = floor(g1 * cp / 2) + floor(g0 * cp / 2**64) for cp = c << (h + 2),
     # on both g's at once, each 64 x 59 bits as four 32 x 32-bit products
-    cp = (m + top[5]) << top[4]
-    cp_hi, cp_lo = cp >> _U(32), cp & _M32
-    cross = top[2:4] * cp_hi + top[0:2] * cp_lo  # below 2**59 + 2**63, so it does not wrap
-    lo = top[2:4] * cp_lo
-    hi = top[0:2] * cp_hi + (cross >> _U(32)) + (((lo >> _U(32)) + (cross & _M32)) >> _U(32))
-    lo += cross << _U(32)  # g1 * cp and g0 * cp mod 2**64
-    x0 = lo[1]
-    z = (lo[0] >> _U(1)) + hi[1]
-    a_hi, a_lo = hi[0] + (z >> _U(63)), z & _M63
+    shift, implicit = np.take(exponents[4:6], i, axis=1)
+    cp = m + implicit
+    cp <<= shift
+    del shift, implicit
+    cp_hi = cp >> _U(32)
+    cp &= _M32  # the low limb
+    top = np.take(exponents[:4], i, axis=1)
+    cross = top[2:4] * cp_hi
+    cross += top[0:2] * cp  # below 2**59 + 2**63, so it does not wrap
+    lo, hi = top[2:4] * cp, top[0:2] * cp_hi
+    del top, cp, cp_hi
+    hi += cross >> _U(32)
+    hi += ((lo >> _U(32)) + (cross & _M32)) >> _U(32)
+    cross <<= _U(32)
+    lo += cross  # g1 * cp and g0 * cp mod 2**64
+    del cross
+    z = lo[0] >> _U(1)
+    z += hi[1]
+    a_hi = hi[0] + (z >> _U(63))
+    del hi
+    a_lo = z
+    a_lo &= _M63
     vb = a_hi | ((a_lo + _M63) >> _U(63))
     # the upper and lower ends of the interval, the same rop of A moved by the table's amounts
-    t = a_lo + bottom[2:4] + (x0 > bottom[4:6])
-    ends = bottom[0:2] + a_hi + (t >> _U(63))
-    ends |= ((t & _M63) + _M63) >> _U(63)
+    bottom = np.take(exponents[8:12], i, axis=1)
+    t = a_lo + bottom[0:2]
+    t += lo[1] > bottom[2:4]  # lo[1] is x0
+    del bottom, lo, a_lo
+    ends = np.take(exponents[6:8], i, axis=1)
+    ends += a_hi
+    del a_hi
+    ends += t >> _U(63)
+    t &= _M63
+    t += _M63
+    t >>= _U(63)
+    ends |= t
+    del t
     odd = m & _U(1)  # an odd c's interval excludes its ends
-    high, low = ends[0] - odd, ends[1] + odd
+    ends[0] -= odd
+    ends[1] += odd
+    high, low = ends
+    del m, odd
     s = vb >> _U(2)
     # one digit fewer: at most one multiple of 10 * 10**k is in the interval
     tens = s // _U(10)
     tens4 = tens * _U(40)
-    down, up = low <= tens4, tens4 + _U(40) <= high
+    down = low <= tens4
+    tens4 += _U(40)
+    up = tens4 <= high
+    del tens4
     # else s or s + 1, whichever is in the interval, or the nearer, ties to even
     s4 = s << _U(2)
-    s_in, t_in = low <= s4, s4 + _U(4) <= high
-    s4 += _U(2)
+    s_in = low <= s4
+    s4 += _U(4)
+    t_in = s4 <= high
+    s4 -= _U(2)
+    del ends, high, low
     plus_one = np.where(s_in == t_in, vb + (s & _U(1)) > s4, t_in)
-    return np.where(down != up, (tens + up) * _U(10), s + plus_one), bottom[6], i
+    return np.where(down != up, (tens + up) * _U(10), s + plus_one), column, i
 
 
 def _digits8(x):
@@ -167,7 +203,7 @@ def _digits8(x):
     each quotient q a multiply and shift, and x * 2**width - q * (base * 2**width - 1) puts
     the remainder above it. In place: fresh arrays per step make it three times slower.
     """
-    q, t = np.empty_like(x), np.empty_like(x)
+    q = np.empty_like(x)
     for base, width, magic, shift, mask in (
         (10000, 32, 109951163, 40, None),  # x < 10**8 has one lane: nothing to mask
         (100, 16, 10486, 20, 0x7F_0000_007F),
@@ -177,9 +213,9 @@ def _digits8(x):
         q >>= _U(shift)
         if mask:
             q &= _U(mask)
-        np.multiply(q, _U((base << width) - 1), out=t)
+        q *= _U((base << width) - 1)
         x <<= _U(width)
-        x -= t
+        x -= q
 
 
 def _text(values, marker, tables) -> bytes:
@@ -197,24 +233,33 @@ def _text(values, marker, tables) -> bytes:
     f, column, i = _shortest(bits, exponents)
     big = f >= _POW10[16]  # a normal double's f has 16 or 17 digits
     f17 = np.where(big, f, f * _U(10))  # the digits, 17 of them
-    column = (column + big).view(np.int64)
+    column += big
+    column = column.view(np.int64)
     if not i.all():  # a subnormal's f has 1 to 17
         sub = i == 0
         length = np.searchsorted(_POW10[:18], f[sub], side="right")
         f17[sub] = f[sub] * _POW10[17 - length]
         column[sub] += length - 16 - big[sub]
+    del f, big, i  # dropped as in _shortest, so that a block's temporaries stay small
     div, mul, low, scale = np.take(layout[:4], column, axis=1)
     integer = f17 // div
-    fraction = (f17 - integer * div) * mul  # the fraction's digits, left-aligned in 17 places
+    fraction = f17
+    fraction -= integer * div
+    fraction *= mul  # the fraction's digits, left-aligned in 17 places
     words = np.empty((5, bits.size), np.uint64)
     np.floor_divide(integer, _U(10**8), out=words[0])
     np.subtract(integer, words[0] * _U(10**8), out=words[1])
+    del integer
     tail = fraction // low  # the 20 fraction places, `shift` zeros first, as 7 + 8 + 5 digits
     np.floor_divide(tail, _U(10**8), out=words[2])
     np.subtract(tail, words[2] * _U(10**8), out=words[3])
-    np.multiply(fraction - tail * low, scale, out=words[4])
+    tail *= low
+    fraction -= tail
+    np.multiply(fraction, scale, out=words[4])
+    del div, mul, low, scale, f17, fraction, tail
     _digits8(words)
     rows = np.take(layout[4:], column, axis=1)
+    del column
     written, first, suffix = rows[:2], rows[2], rows[3]
     # fraction digits written: up to the last nonzero one, and one at least in fixed notation
     shown = words[2:] + _U(0x7F7F_7F7F_7F7F_7F7F)
@@ -229,14 +274,19 @@ def _text(values, marker, tables) -> bytes:
     shown *= _U(0x30)
     shown[0] -= (shown[0] & _U(0x10)) >> _U(3)  # "." in byte 0, before any fraction digit
     words[2:] += shown
+    del shown
     words[:2] += written
     words[4] |= suffix
     words[4] |= marker
+    del rows, written, first, suffix
     canvas = np.empty(5 * bits.size + 1, np.uint64)
     canvas[1:].reshape(-1, 5)[:] = words.T
+    del words
     canvas[0] = 0
     canvas[: 5 * bits.size : 5] |= (bits >> _U(63)) * _U(0x2D << 56)
-    return canvas.tobytes().translate(None, b"\0")
+    text = canvas.tobytes()
+    del canvas
+    return text.translate(None, b"\0")
 
 
 def float_text(values: np.ndarray, separators: Sequence[str]) -> Iterator[bytes]:

@@ -8,7 +8,6 @@ stderr start with a stable E_* code.
 
 import argparse
 import contextlib
-import os
 import sys
 
 from .errors import (
@@ -25,7 +24,6 @@ from .fileio import (
     load_model,
     load_timeseries,
     render_result,
-    resolve_output_path,
     save_model,
     save_result,
 )
@@ -118,10 +116,10 @@ def _cmd_simulate(args) -> int:
     model = load_model(args.model)
     chunks = _simulation_chunks(model, args.n, args.burn_in, args.seed)
     paths = [args.out] + ([args.innovations_out] if args.innovations_out else [])
-    if len({os.path.realpath(resolve_output_path(path)) for path in paths}) < len(paths):
-        raise DomainError("--out and --innovations-out name the same file")
     with contextlib.ExitStack() as stack:
         writers = [stack.enter_context(TimeseriesWriter(path, model.K)) for path in paths]
+        if len(writers) == 2 and writers[0].shares_file(writers[1]):
+            raise DomainError("--out and --innovations-out name the same file")
         for pair in chunks:
             for writer, rows in zip(writers, pair):
                 writer.add(rows)

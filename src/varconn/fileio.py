@@ -221,15 +221,23 @@ class TimeseriesWriter:
     The file is opened, and its header written, when the writer is made.
     ``add`` refuses a block holding a non-finite value (DomainError) and
     writes the others' text. A writer whose ``with`` block ends in an
-    exception removes its file when it is a regular file, one it created or
-    one whose old text it truncated, so no partial CSV remains.
+    exception removes the file it opened when that is a regular file, one
+    it created or one whose old text it truncated (through a symbolic link
+    too), so no partial CSV remains.
     """
 
     def __init__(self, path, k: int):
         self.path = resolve_output_path(path)
         self._handle = open(self.path, "wb")
+        # the file opened, links resolved, so that a refusal removes it and not a link to it
+        self._target = Path(os.path.realpath(self.path))
+        self._stat = os.fstat(self._handle.fileno())
         # each line ends in "\r\n" as csv.writer ends it, so the bytes match a csv.writer file
         self._handle.write((",".join(f"ch{i + 1}" for i in range(k)) + "\r\n").encode("ascii"))
+
+    def shares_file(self, other: "TimeseriesWriter") -> bool:
+        """Whether both writers write one regular file, by any names (a device such as /dev/null is never shared)."""
+        return stat.S_ISREG(self._stat.st_mode) and os.path.samestat(self._stat, other._stat)
 
     def add(self, rows: np.ndarray) -> None:
         # a nan propagates through both reductions, which allocate nothing of the block's size
@@ -242,12 +250,11 @@ class TimeseriesWriter:
         return self
 
     def __exit__(self, exc_type, *exc) -> None:
-        regular = stat.S_ISREG(os.fstat(self._handle.fileno()).st_mode)
         try:
             self._handle.close()
         finally:
-            if exc_type is not None and regular:
-                self.path.unlink(missing_ok=True)
+            if exc_type is not None and stat.S_ISREG(self._stat.st_mode):
+                self._target.unlink(missing_ok=True)
 
 
 def _is_not_number(cell: str) -> bool:

@@ -187,11 +187,12 @@ def simulate(
         draw that produced ``samples.values[t]``.
 
     The chunks of ``_simulation_chunks`` are copied into the two arrays
-    returned, so memory beyond them does not grow with n. The recursion
-    starts from a zero history and advances a block of samples at a time,
-    so a sample may differ in its last digit from the same sum taken one
-    step and one lag at a time; a seed gives the same samples on every
-    run. For p = 0 the samples are the innovations.
+    returned, so memory beyond them does not grow with n. The innovations
+    have the same bits on every host (see ``_simulation_walk``). The
+    recursion starts from a zero history and advances a block of samples
+    at a time, so a sample may differ in its last digit from the same sum
+    taken one step and one lag at a time; a seed gives the same samples on
+    every run. For p = 0 the samples are the innovations.
     """
     chunks = _simulation_chunks(model, n_samples, burn_in, seed)
     samples, innovations = np.empty((n_samples, model.K)), np.empty((n_samples, model.K))
@@ -206,10 +207,10 @@ def simulate(
 def _simulation_chunks(model: VarModel, n_samples: int, burn_in: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Raise ``simulate``'s refusals, then return a walk over the kept samples as (samples, innovations) row chunks.
 
-    The chunks are consecutive views of the walk's per-chunk workspace, so
-    a caller folds or writes each one before taking the next; the burn-in
-    rows are dropped as they pass. The values are not checked for
-    finiteness.
+    The chunks are consecutive views of the walk's buffers, which the next
+    chunk overwrites, so a caller folds or writes each one before taking
+    the next; the burn-in rows are dropped as they pass. The values are
+    not checked for finiteness.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
@@ -222,18 +223,36 @@ def _simulation_chunks(model: VarModel, n_samples: int, burn_in: int, seed: int)
         )
     if not report.sigma_ok:
         raise NumericalError("innovation covariance is not positive definite")
-    return _simulation_walk(model, np.linalg.cholesky(model.sigma), burn_in + n_samples, burn_in, seed)
+    return _simulation_walk(model, _cholesky(model.sigma), burn_in + n_samples, burn_in, seed)
+
+
+def _cholesky(sigma: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of sigma, with the same bits on every host (LAPACK's move with the BLAS kernels).
+
+    Right-looking: column j of what is left, over the square root of its
+    pivot, is column j of the factor, and what is left loses that column's
+    outer product, one IEEE multiply and subtract per entry, column by column.
+    """
+    rest, k = np.array(sigma, dtype=np.float64), len(sigma)
+    chol = np.zeros((k, k))
+    for j in range(k):
+        if not rest[j, j] > 0:  # validate's LAPACK test passed, but this sum may round a pivot to 0 or below
+            raise NumericalError("innovation covariance is not positive definite")
+        chol[j, j] = np.sqrt(rest[j, j])
+        chol[j + 1 :, j] = rest[j + 1 :, j] / chol[j, j]
+        rest[j + 1 :, j + 1 :] -= np.multiply.outer(chol[j + 1 :, j], chol[j + 1 :, j])
+    return chol
 
 
 #: Blocks whose zero-state part one product computes; 64 blocks of the
-#: largest block are 128 KiB of samples. A chunk of the walk holds whole
-#: runs of them, so every product is the one a single walk over the whole
-#: series would form.
+#: largest block are 128 KiB of samples. A chunk of ``_simulation_walk``
+#: holds whole runs of them, so its runs start where those of a walk over
+#: the whole series would.
 _CHUNK_BLOCKS = 64
 
-#: Bytes of each of a chunk's three arrays (draw, innovations, samples),
-#: rounded up to whole runs of ``_CHUNK_BLOCKS`` blocks: 4,096 samples at
-#: K = 5.
+#: Bytes of each of a chunk's four arrays (innovations, the draw and the
+#: innovations by channel, samples), rounded up to whole runs of
+#: ``_CHUNK_BLOCKS`` blocks: 4,096 samples at K = 5.
 _SIMULATION_CHUNK_BYTES = 5 * 2**15
 
 
@@ -246,26 +265,17 @@ def _simulation_walk(model: VarModel, chol: np.ndarray, total: int, burn_in: int
     """The chunks of ``_simulation_chunks``: x(n) = sum_l A(l) x(n - l) + w(n) from a zero history.
 
     Each chunk draws its rows of one Generator stream, which equal the same
-    rows of a one-call draw, and multiplies them by chol^T as the one-call
-    product would. BLAS may sum a row in another order when the product has
-    few rows, or when the row is among the last M mod U rows of a product
-    of M rows (U the kernel's row unroll, which divides a run's 64 m rows).
-    So each product spans the whole buffer but for less than a run, and a
-    short chunk's rows sit at its bottom, after zeros, so that its last row
-    ends the product as the series' last row ends the one-call product,
-    whose row count it shares modulo a run.
-
-    Each chunk fills a fresh workspace, and the first chunk is one run of
-    blocks in a full-size one. That workspace, mapped above glibc's mmap
-    threshold, is freed once the first run has been taken, which raises
-    glibc's trim threshold to twice its size: above the ~0.7 MiB of
-    temporaries the CSV writer takes per 2,048 values, which would
-    otherwise be trimmed and faulted back in for every block.
+    rows of a one-call draw. Row n of the innovations is chol z(n) (chol
+    from ``_cholesky``), summed column by column of chol, term j = 0, 1,
+    ... in turn, with no fused multiply-add: the bits of a row depend on
+    that row alone, not on the chunk it falls in, the thread count or the
+    BLAS kernels, as a BLAS product's may.
 
     A block of m samples is x_b = T w_b + G h_b, where w_b are the block's
     innovations and h_b its p-sample history (``_block_operators``). T w_b
     of a run of ``_CHUNK_BLOCKS`` blocks is one product; only the G h_b
-    terms walk the blocks in order, one per block.
+    terms walk the blocks in order, one per block. The walk holds one set
+    of chunk buffers and overwrites them chunk by chunk.
     """
     k, p = model.K, model.p
     m = _simulation_block(k)
@@ -274,24 +284,29 @@ def _simulation_walk(model: VarModel, chol: np.ndarray, total: int, burn_in: int
     rng = np.random.default_rng(seed)
     if p:
         t, g = _block_operators(model, m)
-    history = np.zeros((p, k))  # the zero pre-sample history
-    start, size = 0, min(run, total)
-    while start < total:
-        work = np.empty((3 * rows + p if p else 2 * rows, k))
-        draw, w = work[:rows], work[rows : 2 * rows]
-        pad = rows - size  # a short chunk's rows sit at the bottom, after zeros
-        lead = pad % run  # the product spans the rest: its row count is the series' modulo a run
-        rng.standard_normal(out=draw[pad:])
-        draw[lead:pad] = 0
-        np.matmul(draw[lead:], chol.T, out=w[lead:])
-        w = w[pad:]
+    innovations = np.empty((rows, k))  # the chunk's draw, then its innovations
+    # the draw and chol z(n) by channel: each term of the sum is one product of contiguous rows
+    z_t, w_t = np.empty((k, rows)), np.empty((k, rows))
+    # p rows of history, then the chunk's samples, so rows b m .. b m + p - 1 are block b's
+    # history; the first history is zero
+    x = np.zeros((p + rows, k))
+    for start in range(0, total, rows):
+        size = min(rows, total - start)
+        w, samples = innovations[:size], x[p : p + size]
+        if start:
+            x[:p] = x[rows:]  # the last p samples of the previous chunk
+        rng.standard_normal(out=w)
+        z, acc, term = z_t[:, :size], w_t[:, :size], samples.reshape(k, size)  # term: scratch until the recursion
+        z[...] = w.T
+        np.multiply(chol[:, :1], z[0], out=acc)
+        for j in range(1, k):
+            np.multiply(chol[j:, j : j + 1], z[j], out=term[j:])
+            acc[j:] += term[j:]
+        w[...] = acc.T
         if p:
-            # p rows of history, then the chunk's samples, so rows b m .. b m + p - 1 are block b's history
-            x = work[2 * rows :]
-            x[:p] = history
             n_full = size // m
             w_blocks = w[: n_full * m].reshape(n_full, m * k)
-            x_blocks = x[p : p + n_full * m].reshape(n_full, m * k)
+            x_blocks = samples[: n_full * m].reshape(n_full, m * k)
             for first in range(0, n_full, _CHUNK_BLOCKS):
                 stop = min(first + _CHUNK_BLOCKS, n_full)
                 np.matmul(w_blocks[first:stop], t.T, out=x_blocks[first:stop])
@@ -299,15 +314,14 @@ def _simulation_walk(model: VarModel, chol: np.ndarray, total: int, burn_in: int
                     x_blocks[b] += g @ x[b * m : b * m + p].ravel()
             s = n_full * m
             if s < size:  # only the last chunk ends inside a block
-                tail, r = x[p + s : p + size].reshape(-1), (size - s) * k
-                np.matmul(t[:r, :r], w[s:size].reshape(-1), out=tail)
+                tail, r = samples[s:].reshape(-1), (size - s) * k
+                np.matmul(t[:r, :r], w[s:].reshape(-1), out=tail)
                 tail += g[:r] @ x[s : s + p].ravel()
-            history = x[size : size + p]
-        samples = x[p : p + size] if p else w
+        else:
+            samples = w
         keep = max(burn_in - start, 0)
         if keep < size:
             yield samples[keep:], w[keep:]
-        start, size = start + size, min(rows, total - start - size)
 
 
 def _block_operators(model: VarModel, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -753,6 +753,23 @@ class TestSimulateChunks:
         assert out.read_bytes() == save_timeseries(samples, tmp_path / "ref_x.csv").read_bytes()
         assert extra.read_bytes() == save_timeseries(innovations, tmp_path / "ref_w.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "k, p, n, digest",
+        [
+            (5, 3, 9000, "e009823d02cd7155096b4477f412d0998694d38158cac9841e36adf089cc86b2"),
+            (64, 2, 1200, "0d73538a17b92f74513cdbec9ce4cf8e502807d70cbeeac600d026ebe14c19a3"),
+        ],
+    )
+    def test_innovations_match_recorded_digest_on_every_host(self, tmp_path, k, p, n, digest):
+        # Cholesky factor and product are summed without BLAS, so these bytes do not move
+        # with the kernels or the thread count: the simulated-host CI job checks the same
+        # digests. Both totals span three chunks; recorded with numpy 2.4 on x86-64
+        model, innovations = tmp_path / "model.json", tmp_path / "w.csv"
+        save_model(random_stable_model(np.random.default_rng(k), k, p=p), model)
+        argv = ["simulate", "--model", str(model), "--n", str(n), "--burn-in", "100", "--seed", "9", "--out", str(tmp_path / "x.csv")]
+        assert main([*argv, "--innovations-out", str(innovations)]) == 0
+        assert hashlib.sha256(innovations.read_bytes()).hexdigest() == digest
+
     def test_unopenable_innovations_file_leaves_no_output(self, tmp_path, capsys, two_channel_model_path):
         out = tmp_path / "x.csv"
         argv = ["simulate", "--model", str(two_channel_model_path), "--n", "100"]
@@ -797,12 +814,46 @@ class TestSimulateChunks:
         assert captured.out == ""
         assert sorted(path.name for path in tmp_path.iterdir()) == ["k5.json"]
 
-    def test_one_path_for_both_outputs_is_refused(self, tmp_path, capsys, two_channel_model_path):
+    @pytest.mark.parametrize("alias", ["same path", "hard link"])
+    def test_one_file_for_both_outputs_is_refused(self, tmp_path, capsys, two_channel_model_path, alias):
         out = tmp_path / "x.csv"
+        if alias == "same path":
+            other = tmp_path / "." / "x.csv"
+        else:
+            out.write_bytes(b"old")
+            other = tmp_path / "w.csv"
+            os.link(out, other)
         argv = ["simulate", "--model", str(two_channel_model_path), "--n", "10", "--out", str(out)]
-        assert main([*argv, "--innovations-out", str(tmp_path / "." / "x.csv")]) == 2
-        assert capsys.readouterr().err == "E_CONFIG: --out and --innovations-out name the same file\n"
-        assert not out.exists()
+        assert main([*argv, "--innovations-out", str(other)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "E_CONFIG: --out and --innovations-out name the same file\n"
+        assert captured.out == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["two_var_alpha.json"]
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
+    def test_one_device_for_both_outputs_is_written(self, capsys, two_channel_model_path):
+        # a device is never one file that the two streams could corrupt, and is never removed
+        argv = ["simulate", "--model", str(two_channel_model_path), "--n", "10", "--out", os.devnull]
+        assert main([*argv, "--innovations-out", os.devnull]) == 0
+        assert capsys.readouterr().out == f"wrote {os.devnull} (10 samples x 2 channels)\nwrote {os.devnull}\n"
+        assert os.path.exists(os.devnull)
+
+    def test_refusal_removes_the_file_behind_a_link(self, monkeypatch, tmp_path, capsys, k5_model_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        chunks = varconn.cli._simulation_chunks
+
+        def faulty(*args):
+            for index, (samples, noise) in enumerate(chunks(*args)):
+                if index == 1:
+                    samples[0, 0] = np.inf
+                yield samples, noise
+
+        monkeypatch.setattr(varconn.cli, "_simulation_chunks", faulty)
+        assert main(["simulate", "--model", str(k5_model_path), "--n", "9000", "--out", str(link)]) == 2
+        assert capsys.readouterr().err == "E_CONFIG: samples must be finite\n"
+        assert not target.exists()  # opening it had truncated it; no partial CSV is left behind the link
 
     @pytest.mark.parametrize("innovations", [False, True])
     def test_simulate_writes_in_bounded_memory(self, tmp_path, k5_model_path, innovations):

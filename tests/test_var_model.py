@@ -1,4 +1,4 @@
-import itertools
+import functools
 import tracemalloc
 
 import numpy as np
@@ -30,23 +30,22 @@ def two_channel_model(alpha=0.5):
 M4 = var_model._simulation_block(4)
 
 
-def chunk_edges(k):
-    """Where the first two chunks of simulate's walk end at K = k: after one run of blocks, then after a full chunk."""
+def chunk_rows(k):
+    """Samples per chunk of simulate's walk at K = k, read off the walk."""
     chunks = var_model._simulation_chunks(VarModel(np.zeros((0, k, k)), np.eye(k)), 10**7, 0, 0)
-    first, second = (len(w) for _, w in itertools.islice(chunks, 2))
-    return first, first + second
+    return len(next(chunks)[1])
 
 
 def chunk_edge_cases(case, k):
     """(case, n_samples, burn_in) around the chunk edges at K = k."""
-    first, second = chunk_edges(k)
+    rows = chunk_rows(k)
     return [
-        (case, first + 1, 0),  # a one-sample second chunk
-        (case, second - 1, 0),
-        (case, second, 0),
-        (case, second + 1, 0),
-        (case, 300, second),  # the burn-in ends on a chunk edge
-        (case, 300, second - 7),  # the burn-in ends inside a chunk
+        (case, rows - 1, 0),
+        (case, rows, 0),
+        (case, rows + 1, 0),  # a one-sample second chunk
+        (case, 2 * rows + 1, 0),
+        (case, 300, rows),  # the burn-in ends on a chunk edge
+        (case, 300, 2 * rows - 7),  # the burn-in ends inside a chunk
     ]
 
 
@@ -205,6 +204,22 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(two_channel_model(), 10, burn_in=-1)
 
+    @pytest.mark.parametrize("k", [1, 5, 64])
+    def test_cholesky_factor_matches_lapack(self, k):
+        # simulate's own factor, whose bits do not move with the BLAS kernels as LAPACK's do
+        sigma = random_stable_model(np.random.default_rng(k), k, p=1).sigma
+        chol = var_model._cholesky(sigma)
+        assert np.array_equal(chol, np.tril(chol))
+        assert np.max(np.abs(chol - np.linalg.cholesky(sigma))) <= 1e-14 * np.max(np.abs(chol))
+
+    def test_cholesky_of_a_diagonal_is_its_square_root(self):
+        variances = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(var_model._cholesky(np.diag(variances)), np.diag(np.sqrt(variances)))
+
+    def test_cholesky_refuses_an_indefinite_sigma(self):
+        with pytest.raises(NumericalError, match="positive definite"):
+            var_model._cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
     @pytest.mark.parametrize(
         "case, n_samples, burn_in",
         [
@@ -266,7 +281,9 @@ def per_lag_simulation(model, n_samples, burn_in, seed):
     """The recursion one lag at a time, with simulate's draws."""
     k, p = model.K, model.p
     total = burn_in + n_samples
-    innovations = np.random.default_rng(seed).standard_normal((total, k)) @ np.linalg.cholesky(model.sigma).T
+    draw, chol = np.random.default_rng(seed).standard_normal((total, k)), var_model._cholesky(model.sigma)
+    # chol z(n) one column of chol at a time, unfused, in a single pass over the whole draw
+    innovations = functools.reduce(np.add, [draw[:, j : j + 1] * chol[:, j] for j in range(k)])
     x = np.zeros((total, k))
     for t in range(total):
         acc = innovations[t].copy()
