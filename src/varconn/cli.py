@@ -23,7 +23,6 @@ from .fileio import (
     TimeseriesWriter,
     load_model,
     load_timeseries,
-    render_result,
     save_model,
     save_result,
 )
@@ -176,7 +175,7 @@ def _cmd_mir(args) -> int:
     kinds = rate_kinds(_parse_kinds(args.kinds, "rate kind"))
     grid = FrequencyGrid(args.nfreq)
     mirs = information_rates(model, grid, kinds)
-    return _emit(render_result(grid, mirs=mirs, units=f"{args.units}_per_sample"), args.out)  # nats or bits
+    return _emit(ResultWriter(grid).chunks(mirs, f"{args.units}_per_sample"), args.out)  # nats or bits
 
 
 def _cmd_verify(args) -> int:

@@ -81,12 +81,13 @@ def model_from_document(document: dict) -> VarModel:
         raise ParseError(f"model document is missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"model document has malformed arrays: {exc}") from None
+    # sigma first: its shape vouches for K before K shapes the empty coeffs of p = 0
+    if sigma.shape != (k, k):
+        raise ParseError(f"sigma has shape {sigma.shape}, declared (K, K) = ({k}, {k})")
     if p == 0 and coeffs.shape == (0,):  # no lag matrices: JSON has no shape for an empty list
         coeffs = coeffs.reshape(0, k, k)
     if coeffs.shape != (p, k, k):
         raise ParseError(f"coeffs have shape {coeffs.shape}, declared (p, K, K) = ({p}, {k}, {k})")
-    if sigma.shape != (k, k):
-        raise ParseError(f"sigma has shape {sigma.shape}, declared (K, K) = ({k}, {k})")
     if float(np.max(np.abs(sigma - sigma.T), initial=0.0)) > 1e-9:
         raise ParseError("sigma is not symmetric within 1e-9")
     return VarModel(coeffs, sigma)
@@ -136,6 +137,8 @@ def load_timeseries(path, layout: str = "rows_are_samples") -> TimeSeriesData:
             values = _parse_cells(path)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8: {exc}") from None
+    except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
+        raise ParseError(f"{path}: {exc}") from None
     if layout == "rows_are_channels":
         values = values.T
     return TimeSeriesData._adopt(values)
@@ -263,29 +266,6 @@ def _is_not_number(cell: str) -> bool:
     except ValueError:
         return True
     return False
-
-
-def render_result(
-    grid: FrequencyGrid,
-    measures: dict | None = None,
-    mirs: dict | None = None,
-    include_mag_sq: bool = False,
-    units: str = "nats_per_sample",
-    sample_rate_hz: float | None = None,
-) -> Iterator[bytes]:
-    """Check a result document, then return its ``json.dumps`` text in chunks of bytes.
-
-    Keys of `measures` (to MeasureResult) and `mirs` (to MirMatrix) may be
-    enums or strings. The measures are the one block of a ``ResultWriter``,
-    so every refusal is raised by this call, before any text exists; a
-    non-finite value raises NumericalError with the message of
-    ``allow_nan=False``.
-    """
-    measures = measures or {}
-    writer = ResultWriter(grid, measures, include_mag_sq, sample_rate_hz)
-    for kind, result in measures.items():
-        writer.add(kind, result.values)
-    return writer.chunks(mirs, units)
 
 
 #: Where a measure array sits in a result document: under the document, "measures" and its name.

@@ -20,9 +20,8 @@ reported alongside every result. Each frequency adds its own term, so the
 rates are integrated while the spectra are evaluated block by block, and
 no whole-grid array is ever held: a block's log1p(-s) rows take two passes
 after one max and one min, and one row reduce adds them in grid order.
-The walk owns A_bar, |A_bar|, |H_bar|, S and sigma^-1 and reuses them
-from block to block, and the rate call owns the running sums; S's two
-operands and the iPDC and coherence scratch are per-block temporaries.
+The rate call owns the running sums; S's two operands and the iPDC and
+coherence scratch are per-block temporaries.
 
 Only squared magnitudes enter a rate, so they are built in real arithmetic
 (``_RATES``): |iPDC_ij|^2 = |A_bar_ij|^2 / (sigma_ii a_j^H sigma^-1 a_j),

@@ -11,14 +11,25 @@ block, the whole-grid route that ``verify``'s oracles, the library's
 callers and the tests take.
 
 Every block of a walk is a ``SpectralSet``, the one block type that
-``measures``, ``infotheory`` and the CLI read. The walk owns A_bar,
-|A_bar|, |H_bar| and S, one block-sized array each, and sigma^-1, and
-writes every block into them, so a set it yields holds read-only views
-that stay valid only until the next block is drawn; H_bar is fresh for
-each block. What a reader builds from a block (S's operands, a measure,
-a rate's scratch) is a per-block temporary of its own. A caller that
-keeps a block past that point must copy what it keeps.
-``evaluate_spectra`` walks in one block, so its arrays are never
+``measures``, ``infotheory`` and the CLI read: a record of what the walk
+holds for the block's frequencies, each array (n, K, K) but sigma's:
+
+- ``a_bar``, the AR polynomial, and ``h_bar``, its inverse, complex;
+- ``abs_a_bar`` and ``abs_h_bar``, their magnitudes, which the
+  conditioning guard computes;
+- ``sigma`` and ``sigma_inv``, the innovation covariance and its inverse,
+  (K, K), one sigma^-1 for the walk;
+- ``s_out``, the complex array S is written into.
+
+Only ``s`` (S = h_bar sigma h_bar^H), ``autospectra`` (diag(S), checked
+positive) and ``s_inv`` (S^-1 = a_bar^H sigma^-1 a_bar) are assembled, on
+first read, locked and kept. The walk owns A_bar, |A_bar|, |H_bar| and S,
+one block-sized array each, and writes every block into them, so a set it
+yields holds read-only views that stay valid only until the next block is
+drawn; H_bar is fresh for each block. What a reader builds from a block
+(S's operands, a measure, a rate's scratch) is a per-block temporary of
+its own. A caller that keeps a block past that point must copy what it
+keeps. ``evaluate_spectra`` walks in one block, so its arrays are never
 rewritten.
 """
 
@@ -30,7 +41,7 @@ import numpy as np
 
 from ._util import lock
 from .errors import DomainError, NumericalError
-from .var_model import VarModel, validate
+from .var_model import VarModel, require_valid
 
 #: Grid points over [0, pi] of the measure and mir commands unless --nfreq says otherwise.
 DEFAULT_N_POINTS = 512
@@ -65,61 +76,23 @@ class FrequencyGrid:
 
 @dataclass(frozen=True, eq=False)
 class SpectralSet:
-    """Per-frequency matrices of a stable model, all shaped (n, K, K).
+    """One block of a walk, as ``_spectral_blocks`` builds it: the read-only arrays the module docstring lists.
 
-    Attributes
-    ----------
-    a_bar : ndarray
-        AR polynomial I - sum_l A(l) exp(-j omega l).
-    h_bar : ndarray
-        Transfer matrix, the inverse of a_bar.
-    sigma : ndarray
-        Innovation covariance of the model, shaped (K, K).
-    s_out : ndarray or None
-        The walk's complex array that S is written into; None outside a
-        walk, where S is a new array.
-    abs_a_bar, abs_h_bar : ndarray
-        |A_bar| and |H_bar|, real.
-    s : ndarray
-        Spectral density h_bar sigma h_bar^H (Hermitian, positive definite).
-    autospectra : ndarray
-        diag(S), real and shaped (n, K); NumericalError if one is not positive.
-    s_inv : ndarray
-        Inverse spectral density a_bar^H sigma^-1 a_bar. Its diagonal
-        entry [S^-1]_kk is the reciprocal of channel k's partial spectrum,
-        the power left after the optimal deduction of all other channels.
-
-    Every derived array (sigma^-1 too) is assembled on first access, locked
-    and kept, unless the walk that made the set already holds it; a caller
-    that needs none of them never holds them. The arrays are locked, not
-    copied: the set owns what it is given.
+    S, diag(S) and S^-1 are assembled on first read and kept, so a caller
+    that needs none of them never holds them.
     """
 
     a_bar: np.ndarray
     h_bar: np.ndarray
+    abs_a_bar: np.ndarray
+    abs_h_bar: np.ndarray
     sigma: np.ndarray
-    s_out: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        for name in ("a_bar", "h_bar"):
-            object.__setattr__(self, name, lock(getattr(self, name), dtype=complex))
-        object.__setattr__(self, "sigma", lock(self.sigma))
+    sigma_inv: np.ndarray
+    s_out: np.ndarray
 
     @property
     def K(self) -> int:
         return self.a_bar.shape[-1]
-
-    @cached_property
-    def sigma_inv(self) -> np.ndarray:
-        return lock(np.linalg.inv(self.sigma))
-
-    @cached_property
-    def abs_a_bar(self) -> np.ndarray:
-        return lock(np.abs(self.a_bar))
-
-    @cached_property
-    def abs_h_bar(self) -> np.ndarray:
-        return lock(np.abs(self.h_bar))
 
     @cached_property
     def s(self) -> np.ndarray:
@@ -170,15 +143,11 @@ def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterato
 
     The model is validated once, on the first draw. Each block builds
     A_bar and H_bar for its own points only, and reads each frequency's
-    1-norm condition number kappa_1 = ||A_bar||_1 ||H_bar||_1 from the two,
-    leaving |A_bar| and |H_bar| behind for the set. A_bar's bits do not
-    depend on the block length. Once the first block passes the guard,
-    sigma is inverted, once for the walk. The walk owns A_bar, |A_bar|,
-    |H_bar| and S, one array of ``min(size, n_points)`` frequencies each
-    (two at least for A_bar), and writes every block into them (S when a
-    block's is first read), so a set it yields holds read-only views that
-    stay valid until the next block is drawn; H_bar is the fresh output of
-    ``inv``, and S's operands are the set's temporaries.
+    1-norm condition number kappa_1 = ||A_bar||_1 ||H_bar||_1 from the two.
+    A_bar's bits do not depend on the block length. Once the first block
+    passes the guard, sigma is inverted, once for the walk. The arrays the
+    walk owns (see the module docstring) hold ``min(size, n_points)``
+    frequencies, two at least for A_bar.
 
     Refusals do not depend on the block size. A zero pivot in ``inv`` is
     refused at once, at the first frequency whose det is 0. Otherwise, after
@@ -186,13 +155,7 @@ def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterato
     CONDITION_LIMIT, or the first non-finite one (an inverse that
     overflowed). No block is yielded once the guard has failed.
     """
-    report = validate(model)
-    if not report.stable:
-        raise NumericalError(
-            f"spectra require a stable model (spectral radius {report.spectral_radius:.6g})"
-        )
-    if not report.sigma_ok:
-        raise NumericalError("innovation covariance is not positive definite")
+    require_valid(model, "spectra require a stable model")
     k, p, rows = model.K, model.p, min(size, grid.n_points)
     lags, coeffs, eye = np.arange(1, p + 1), model.coeffs.reshape(p, k * k), np.eye(k)
     a_bars, s_all = np.empty((max(rows, 2), k, k), complex), np.empty((rows, k, k), complex)
@@ -223,10 +186,7 @@ def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterato
         if worst_kappa <= CONDITION_LIMIT:
             if sigma_inv is None:
                 sigma_inv = lock(np.linalg.inv(model.sigma))
-            spectra = SpectralSet(a_bar, h_bar, model.sigma)
-            # the arrays the walk holds, as if each had been read, and where S goes
-            vars(spectra).update(abs_a_bar=lock(abs_a_bar), abs_h_bar=lock(abs_h_bar), sigma_inv=sigma_inv, s_out=s_all[:n])
-            yield spectra
+            yield SpectralSet(lock(a_bar, complex), lock(h_bar, complex), lock(abs_a_bar), lock(abs_h_bar), model.sigma, sigma_inv, s_all[:n])
     if not worst_kappa <= CONDITION_LIMIT:
         raise _singular(worst_omega, worst_kappa)
 

@@ -142,22 +142,32 @@ def validate(model: VarModel) -> ValidationReport:
     """Check stability and innovation-covariance positive definiteness.
 
     ``stable`` requires the companion spectral radius below 1 - STABILITY_TOL;
-    ``sigma_ok`` is a Cholesky test.
+    ``sigma_ok`` is the Cholesky factorization ``simulate`` draws with, so
+    every command that accepts a sigma can also simulate it.
     """
     if model.p == 0:
         radius = 0.0
     else:
         radius = float(np.max(np.abs(np.linalg.eigvals(companion_matrix(model)))))
     try:
-        np.linalg.cholesky(model.sigma)
+        _cholesky(model.sigma)
         sigma_ok = True
-    except np.linalg.LinAlgError:
+    except NumericalError:
         sigma_ok = False
     return ValidationReport(
         stable=bool(radius < 1.0 - STABILITY_TOL),
         spectral_radius=radius,
         sigma_ok=sigma_ok,
     )
+
+
+def require_valid(model: VarModel, unstable: str) -> None:
+    """Refuse, with NumericalError, a model that ``validate`` finds unstable (``unstable`` opens the message) or whose sigma is not positive definite."""
+    report = validate(model)
+    if not report.stable:
+        raise NumericalError(f"{unstable} (spectral radius {report.spectral_radius:.6g})")
+    if not report.sigma_ok:
+        raise NumericalError("innovation covariance is not positive definite")
 
 
 def simulate(
@@ -216,13 +226,7 @@ def _simulation_chunks(model: VarModel, n_samples: int, burn_in: int, seed: int)
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     if burn_in < 0:
         raise DomainError(f"burn_in must be >= 0, got {burn_in}")
-    report = validate(model)
-    if not report.stable:
-        raise NumericalError(
-            f"refusing to simulate an unstable model (spectral radius {report.spectral_radius:.6g})"
-        )
-    if not report.sigma_ok:
-        raise NumericalError("innovation covariance is not positive definite")
+    require_valid(model, "refusing to simulate an unstable model")
     return _simulation_walk(model, _cholesky(model.sigma), burn_in + n_samples, burn_in, seed)
 
 
@@ -232,11 +236,14 @@ def _cholesky(sigma: np.ndarray) -> np.ndarray:
     Right-looking: column j of what is left, over the square root of its
     pivot, is column j of the factor, and what is left loses that column's
     outer product, one IEEE multiply and subtract per entry, column by column.
+    A pivot this sum leaves at 0 or below is a sigma that is not positive
+    definite, NumericalError; ``validate`` decides ``sigma_ok`` by this
+    factorization too, so the two cannot disagree.
     """
     rest, k = np.array(sigma, dtype=np.float64), len(sigma)
     chol = np.zeros((k, k))
     for j in range(k):
-        if not rest[j, j] > 0:  # validate's LAPACK test passed, but this sum may round a pivot to 0 or below
+        if not rest[j, j] > 0:
             raise NumericalError("innovation covariance is not positive definite")
         chol[j, j] = np.sqrt(rest[j, j])
         chol[j + 1 :, j] = rest[j + 1 :, j] / chol[j, j]
@@ -462,6 +469,8 @@ def select_order(data: TimeSeriesData, p_max: int, criterion: str = "bic") -> in
         raise DomainError(f"unknown criterion {criterion!r}, expected 'aic' or 'bic'")
     if p_max < 1:
         raise DomainError(f"p_max must be >= 1, got {p_max}")
+    if p_max > data.n_samples:  # order 1 would be fitted on no samples
+        raise EstimationError(f"need at least p_max = {p_max} samples to select an order, got {data.n_samples}")
     values = _criterion_values(data.values, p_max, crit)
     if not np.min(values) < np.inf:
         raise EstimationError("no candidate order produced a usable residual covariance")

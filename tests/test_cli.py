@@ -342,6 +342,18 @@ class TestRefusedInputs:
         assert capsys.readouterr().err == "E_NUMERIC: innovation covariance is not positive definite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["measure", "mir", "simulate"])
+    def test_sigma_singular_to_rounding_is_refused_by_every_command(self, tmp_path, capsys, command):
+        # rank 2 in exact arithmetic: LAPACK's Cholesky factors it on x86-64, simulate's
+        # column-by-column one leaves its last pivot at 0 or below, and validate asks the latter
+        sigma = [[16.11111111111111, -3.75, 2.6666666666666665], [-3.75, 1.5625, -1.5], [2.6666666666666665, -1.5, 1.5625]]
+        path, out = tmp_path / "model.json", tmp_path / "out"
+        save_model(VarModel(np.zeros((1, 3, 3)), sigma), path)
+        extra = ["--n", "10"] if command == "simulate" else []
+        assert main([command, "--model", str(path), *extra, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "E_NUMERIC: innovation covariance is not positive definite\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "document, refusal",
         [
@@ -713,6 +725,15 @@ class TestSimulateAndFit:
         assert status == 2
         assert captured.err.startswith(f"E_PARSE: {path}: not UTF-8: ")
         assert captured.err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("order", [["--order", "1"], ["--max-order", "4"]], ids=["order", "max-order"])
+    def test_fit_too_few_samples_is_a_numerical_refusal(self, tmp_path, capsys, order):
+        path = tmp_path / "short.csv"
+        path.write_text("1.0,2.0\n3.0,4.5\n", encoding="utf-8")
+        status = main(["fit", "--data", str(path), *order, "--out", str(tmp_path / "m.json")])
+        assert status == 3
+        assert capsys.readouterr().err.startswith("E_NUMERIC: need ")
         assert not (tmp_path / "m.json").exists()
 
     def test_fit_nan_csv_fails_with_data_code(self, tmp_path, capsys):

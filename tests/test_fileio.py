@@ -31,11 +31,11 @@ from varconn import (
     save_timeseries,
 )
 from varconn.fileio import (
+    ResultWriter,
     _parse_cells,
     _parse_vectorised,
     model_from_document,
     model_to_document,
-    render_result,
     resolve_output_path,
     save_result,
 )
@@ -128,19 +128,24 @@ class TestModelDocuments:
             load_model(path)
 
     @pytest.mark.parametrize("key", ["K", "p"])
-    @pytest.mark.parametrize("value", [1, 1.0, 1.9, 2.7, True, False, "1", None, [1], math.nan, math.inf], ids=repr)
+    @pytest.mark.parametrize("value", [1, 1.0, 1.9, 2.7, True, False, "1", None, [1], math.nan, math.inf, -1, 0, 1e20], ids=repr)
     def test_counts_accepted_exactly_as_the_schema_accepts_them(self, key, value):
+        # the schema checks a count's type and range, not the arrays' shapes, so a count it
+        # accepts is refused when the arrays do not match it
         jsonschema = pytest.importorskip("jsonschema")
-        document = model_to_document(VarModel([[[0.5]]], np.eye(1)))
-        document[key] = value
-        schema_accepts = jsonschema.Draft202012Validator(json.loads((DOCS / "model.schema.json").read_text())).is_valid(document)
-        try:
-            model = model_from_document(document)
-        except ParseError:
-            assert not schema_accepts
-        else:
-            assert schema_accepts
-            assert (model.K, model.p) == (1, 1)
+        validator = jsonschema.Draft202012Validator(json.loads((DOCS / "model.schema.json").read_text()))
+        for p in (1, 0):  # at p = 0 coeffs is [], which has no shape to check K against
+            document = model_to_document(VarModel(np.full((p, 1, 1), 0.5), np.eye(1)))
+            accepts = value == document[key]
+            document[key] = value
+            accepts = accepts and validator.is_valid(document)
+            try:
+                model = model_from_document(document)
+            except ParseError:
+                assert not accepts, p
+            else:
+                assert accepts, p
+                assert (model.K, model.p) == (1, p)
 
 
 class TestTimeseriesCsv:
@@ -156,6 +161,16 @@ class TestTimeseriesCsv:
         data = load_timeseries(path)
         assert data.K == 3
         assert data.n_samples == 1000
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_cell_beyond_the_csv_field_limit_is_a_parse_error(self, tmp_path, row):
+        lines = ["1.0,2.0"] * 3
+        # header detection meets it in row 0; later, loadtxt reads the nines as inf and the file is read cell by cell
+        lines[row] = "9" * (csv.field_size_limit() + 1) + ",2.0"
+        path = self.write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="field larger than field limit") as caught:
+            load_timeseries(path)
+        assert str(caught.value).startswith(f"{path}: ")
 
     def test_headerless_file(self, tmp_path):
         path = self.write(tmp_path, "1.0,2.0\n3.0,4.0\n")
@@ -335,8 +350,17 @@ def every_measure(model) -> dict:
     return {result.kind: result for result in measures_from_spectra(evaluate_spectra(model, GRID), MeasureKind)}
 
 
+def render(grid, measures=None, mirs=None, include_mag_sq=False, units="nats_per_sample", sample_rate_hz=None):
+    """A result document's chunks from a ResultWriter that takes each measure as one block."""
+    measures = measures or {}
+    writer = ResultWriter(grid, measures, include_mag_sq, sample_rate_hz)
+    for kind, result in measures.items():
+        writer.add(kind, result.values)
+    return writer.chunks(mirs, units)
+
+
 def rendered(grid, **kwargs) -> dict:
-    return json.loads(b"".join(render_result(grid, **kwargs)))
+    return json.loads(b"".join(render(grid, **kwargs)))
 
 
 class TestResultDocuments:
@@ -374,7 +398,7 @@ class TestResultDocuments:
         fx = fixture("two_var_alpha", alpha=0.5)
         rates = information_rates(fx.model, GRID, ["ipdc"])[MeasureKind.IPDC]
         with pytest.raises(DomainError, match="units"):
-            render_result(GRID, mirs={"ipdc": rates}, units="hartleys")
+            render(GRID, mirs={"ipdc": rates}, units="hartleys")
 
     def test_frequency_annotation(self):
         document = rendered(GRID, sample_rate_hz=200.0)
@@ -386,14 +410,14 @@ class TestResultDocuments:
         fx = fixture("two_var_alpha", alpha=0.5)
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        assert save_result(render_result(GRID, measures=every_measure(fx.model)), a) == a
-        save_result(render_result(GRID, measures=every_measure(fx.model)), b)
+        assert save_result(render(GRID, measures=every_measure(fx.model)), a) == a
+        save_result(render(GRID, measures=every_measure(fx.model)), b)
         assert a.read_bytes() == b.read_bytes()
         json.loads(a.read_text())  # stays valid JSON
 
 
 class TestResultWriter:
-    """render_result's bytes are what json.dumps writes for the same document.
+    """ResultWriter's bytes are what json.dumps writes for the same document.
 
     The oracle parses the text and renders it again through json.dumps,
     which shares no code with the writer: any byte the writer gets wrong,
@@ -410,12 +434,12 @@ class TestResultWriter:
         measures = {kind: MeasureResult(kind, draw(rng, shape) + 1j * draw(rng, shape)) for kind in (MeasureKind.IPDC, MeasureKind.COHERENCE)}
         mirs = {kind: MirMatrix(kind, np.abs(draw(rng, (k, k))), int(rng.integers(0, 5))) for kind in (MeasureKind.IDTF, MeasureKind.IPDC)}
         text = b"".join(
-            render_result(grid, measures=measures, mirs=mirs, include_mag_sq=include_mag_sq, units=units, sample_rate_hz=sample_rate_hz)
+            render(grid, measures=measures, mirs=mirs, include_mag_sq=include_mag_sq, units=units, sample_rate_hz=sample_rate_hz)
         )
         assert (json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n").encode() == text
 
     def test_empty_blocks(self):
-        text = b"".join(render_result(FrequencyGrid(3)))
+        text = b"".join(render(FrequencyGrid(3)))
         assert (json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n").encode() == text
         assert b'"measures": {}' in text and b'"mir": {}' in text
 
@@ -426,7 +450,7 @@ class TestResultWriter:
         measures = {result.kind: result for result in measures_from_spectra(spectra, MeasureKind)}
         tracemalloc.start()
         try:
-            save_result(render_result(grid, measures=measures, include_mag_sq=True), tmp_path / "dense.json")
+            save_result(render(grid, measures=measures, include_mag_sq=True), tmp_path / "dense.json")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -445,7 +469,7 @@ class TestResultWriter:
         out = tmp_path / "result.json"
         with pytest.raises(NumericalError, match="not JSON compliant"):
             save_result(
-                render_result(
+                render(
                     GRID,
                     measures={"pdc": MeasureResult(MeasureKind.PDC, values)},
                     mirs={"ipdc": MirMatrix(MeasureKind.IPDC, rates)},

@@ -9,7 +9,6 @@ from varconn import (
     DomainError,
     FrequencyGrid,
     NumericalError,
-    SpectralSet,
     VarModel,
     evaluate_spectra,
     fixture,
@@ -268,22 +267,17 @@ class TestWalkRefusals:
 
 class TestSpectralSet:
     def test_arrays_are_locked_not_copied(self):
-        names = ("a_bar", "h_bar", "s", "s_inv")
-        model = fixture("two_var_alpha", alpha=0.5).model
-        spectra = evaluate_spectra(model, GRID)
-        assert not any(getattr(spectra, name).flags.writeable for name in names)
-        given = {name: np.array(getattr(spectra, name)) for name in ("a_bar", "h_bar")}
-        held = SpectralSet(sigma=model.sigma, **given)
-        for name, array in given.items():
-            assert np.shares_memory(getattr(held, name), array), name
-            assert not array.flags.writeable, name
-        # sigma^-1, |A_bar|, |H_bar|, S, diag(S) and S^-1 are assembled on first access, locked, and kept
-        derived = ("sigma_inv", "abs_a_bar", "abs_h_bar", "s", "autospectra", "s_inv")
-        assert not set(derived) & vars(held).keys()
+        spectra = evaluate_spectra(fixture("two_var_alpha", alpha=0.5).model, GRID)
+        held = ("a_bar", "h_bar", "abs_a_bar", "abs_h_bar", "sigma", "sigma_inv")
+        assert not any(getattr(spectra, name).flags.writeable for name in held)
+        # S, diag(S) and S^-1 are assembled on first access, locked, and kept; S in the walk's array
+        derived = ("s", "autospectra", "s_inv")
+        assert not set(derived) & vars(spectra).keys()
         for name in derived:
-            assembled = getattr(held, name)
+            assembled = getattr(spectra, name)
             assert not assembled.flags.writeable, name
-            assert getattr(held, name) is assembled, name
+            assert getattr(spectra, name) is assembled, name
+        assert np.shares_memory(spectra.s, spectra.s_out)
 
 
 def partial_spectra(spectra):

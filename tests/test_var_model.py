@@ -527,6 +527,8 @@ class TestSelectOrder:
             (5, 2, 4, "need more than K * order + 1 = 3 samples to fit order 1, got 2"),
             (3, 1, 2, "need more than K * order + 1 = 2 samples to fit order 1, got 2"),
             (6, 2, 6, "need more than K * order + 1 = 3 samples to fit order 1, got 1"),
+            # order 1's window would be empty
+            (2, 2, 4, "need at least p_max = 4 samples to select an order, got 2"),
         ],
     )
     def test_too_few_samples_for_p_max(self, n, k, p_max, message):
