@@ -1,8 +1,11 @@
 """Model and result documents (JSON) and time series (CSV).
 
 Documents are the text of ``json.dumps(document, sort_keys=True,
-indent=2)`` and a newline. Model documents round-trip byte-identically:
-loading and re-saving a document reproduces the file exactly. Result
+indent=2)`` and a newline. A model document in that form, as
+``save_model`` writes it, round-trips byte-identically: loading and
+re-saving it reproduces the file exactly. Another valid document may
+re-save with other bytes: an integer 1 re-saves as 1.0, and a sigma whose
+mirrored entries differ in the last digit re-saves symmetrized. Result
 documents are written straight from arrays, byte for byte as
 ``json.dumps`` writes them as nested lists ("re"/"im" for complex
 arrays), and nothing is written when one is refused; a measure's arrays
@@ -11,6 +14,11 @@ rows may arrive a block of samples at a time (``TimeseriesWriter``). The float
 text of result documents and of time-series CSV comes from one vectorised
 shortest-round-trip formatter (``_floattext``), byte-identical to ``repr``,
 as ASCII bytes that go to files opened in binary mode.
+
+Every file written here, model document, result document or CSV, is an
+``OutputFile``. A refusal met before it is opened leaves an existing file
+untouched; one met after it is opened, an I/O error included, removes it
+when it is a regular file, so no partial file remains.
 """
 
 import csv
@@ -103,10 +111,10 @@ def _integer(document: dict, key: str) -> int:
 
 def save_model(model: VarModel, path, name: str | None = None) -> Path:
     """Write a model document; returns the resolved path."""
-    target = resolve_output_path(path)
     text = json.dumps(model_to_document(model, name=name), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    target.write_text(text, encoding="utf-8")
-    return target
+    with OutputFile(path) as out:
+        out.writelines([text.encode("utf-8")])
+    return out.path
 
 
 def load_model(path) -> VarModel:
@@ -218,38 +226,32 @@ def save_timeseries(data: TimeSeriesData, path) -> Path:
     return writer.path
 
 
-class TimeseriesWriter:
-    """A CSV of samples (rows are samples) under a ch1..chK header, whose rows arrive a block at a time.
+class OutputFile:
+    """A file a command writes: `path`, resolved against VARCONN_OUT_DIR, opened for binary writing.
 
-    The file is opened, and its header written, when the writer is made.
-    ``add`` refuses a block holding a non-finite value (DomainError) and
-    writes the others' text. A writer whose ``with`` block ends in an
-    exception removes the file it opened when that is a regular file, one
-    it created or one whose old text it truncated (through a symbolic link
-    too), so no partial CSV remains.
+    ``writelines`` flushes what it wrote, so that a full disk is met inside
+    the caller's ``with`` block and not on close. A file whose ``with``
+    block ends in an exception is removed when it is a regular file, one it
+    created or one whose old text it truncated (through a symbolic link
+    too), so no partial file remains; a device such as /dev/null is kept.
     """
 
-    def __init__(self, path, k: int):
+    def __init__(self, path):
         self.path = resolve_output_path(path)
         self._handle = open(self.path, "wb")
         # the file opened, links resolved, so that a refusal removes it and not a link to it
         self._target = Path(os.path.realpath(self.path))
         self._stat = os.fstat(self._handle.fileno())
-        # each line ends in "\r\n" as csv.writer ends it, so the bytes match a csv.writer file
-        self._handle.write((",".join(f"ch{i + 1}" for i in range(k)) + "\r\n").encode("ascii"))
 
-    def shares_file(self, other: "TimeseriesWriter") -> bool:
-        """Whether both writers write one regular file, by any names (a device such as /dev/null is never shared)."""
+    def shares_file(self, other: "OutputFile") -> bool:
+        """Whether both write one regular file, by any names (a device such as /dev/null is never shared)."""
         return stat.S_ISREG(self._stat.st_mode) and os.path.samestat(self._stat, other._stat)
 
-    def add(self, rows: np.ndarray) -> None:
-        # a nan propagates through both reductions, which allocate nothing of the block's size
-        if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
-            raise DomainError("samples must be finite")
-        self._handle.writelines(float_text(rows, (",", "\r\n", "\r\n")))
-        self._handle.flush()  # so that a full disk is met here, inside the caller's with block, and not on close
+    def writelines(self, chunks: Iterable[bytes]) -> None:
+        self._handle.writelines(chunks)
+        self._handle.flush()
 
-    def __enter__(self) -> "TimeseriesWriter":
+    def __enter__(self) -> "OutputFile":
         return self
 
     def __exit__(self, exc_type, *exc) -> None:
@@ -258,6 +260,26 @@ class TimeseriesWriter:
         finally:
             if exc_type is not None and stat.S_ISREG(self._stat.st_mode):
                 self._target.unlink(missing_ok=True)
+
+
+class TimeseriesWriter(OutputFile):
+    """A CSV of samples (rows are samples) under a ch1..chK header, whose rows arrive a block at a time.
+
+    The file is opened, and its header written, when the writer is made.
+    ``add`` refuses a block holding a non-finite value (DomainError) and
+    writes the others' text.
+    """
+
+    def __init__(self, path, k: int):
+        super().__init__(path)
+        # each line ends in "\r\n" as csv.writer ends it, so the bytes match a csv.writer file
+        self._handle.write((",".join(f"ch{i + 1}" for i in range(k)) + "\r\n").encode("ascii"))
+
+    def add(self, rows: np.ndarray) -> None:
+        # a nan propagates through both reductions, which allocate nothing of the block's size
+        if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
+            raise DomainError("samples must be finite")
+        self.writelines(float_text(rows, (",", "\r\n", "\r\n")))
 
 
 def _is_not_number(cell: str) -> bool:
@@ -369,10 +391,9 @@ class ResultWriter:
 
 def save_result(chunks: Iterable[bytes], path) -> Path:
     """Write the chunks of a result document's bytes; returns the resolved path."""
-    target = resolve_output_path(path)
-    with open(target, "wb") as handle:
-        handle.writelines(chunks)
-    return target
+    with OutputFile(path) as out:
+        out.writelines(chunks)
+    return out.path
 
 
 def _name(kind) -> str:

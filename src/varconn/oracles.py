@@ -62,6 +62,9 @@ def fixture(name: str, **params) -> Fixture:
     names = {"two_var_alpha": ("alpha",), "three_var_alpha_beta": ("alpha", "beta")}.get(name)
     if names is None:
         raise DomainError(f"unknown fixture {name!r}")
+    missing = [key for key in names if key not in params]
+    if missing:
+        raise DomainError(f"missing parameters {missing} for {name}")
     values = {key: float(params.pop(key)) for key in names}
     if params:
         raise DomainError(f"unexpected parameters {sorted(params)} for {name}")

@@ -460,17 +460,19 @@ def select_order(data: TimeSeriesData, p_max: int, criterion: str = "bic") -> in
     row p_max - order on, demeaned by their own mean, but all of them are
     read off one Gram matrix of the p_max-lag design (Lütkepohl 2005,
     §4.3), summed over row chunks of the design so that no array of n rows
-    is built. A candidate whose Gram route is refused (too few samples, or
-    a regressor block that is not clearly full rank) is fitted by
-    ``estimate`` itself, which raises its own errors.
+    is built. A candidate whose regressor block the Gram route does not find
+    clearly full rank is fitted by ``estimate`` itself, which raises its own
+    errors. Order o is fitted on n - p_max + o rows, more than the K o + 1
+    ``estimate`` needs for every o exactly when n > K p_max + 1; fewer
+    samples are refused up front.
     """
     crit = str(criterion).lower()
     if crit not in ("aic", "bic"):
         raise DomainError(f"unknown criterion {criterion!r}, expected 'aic' or 'bic'")
     if p_max < 1:
         raise DomainError(f"p_max must be >= 1, got {p_max}")
-    if p_max > data.n_samples:  # order 1 would be fitted on no samples
-        raise EstimationError(f"need at least p_max = {p_max} samples to select an order, got {data.n_samples}")
+    if data.n_samples <= data.K * p_max + 1:  # order p_max is the tightest candidate
+        raise EstimationError(f"need more than K * p_max + 1 = {data.K * p_max + 1} samples to select an order, got {data.n_samples}")
     values = _criterion_values(data.values, p_max, crit)
     if not np.min(values) < np.inf:
         raise EstimationError("no candidate order produced a usable residual covariance")
@@ -485,24 +487,22 @@ def _criterion_values(x: np.ndarray, p_max: int, crit: str) -> np.ndarray:
     (``_design_chunks``), each block of columns centred by its own mean, so
     memory beyond the samples grows with neither n nor p_max. A block's sum
     and a window's sum are the column total less the few rows outside them.
+    Needs n > K p_max + 1, which ``select_order`` checks.
     """
     n, k = x.shape
     n_eff = n - p_max
     total = x.sum(axis=0)
-    if n_eff > k:  # else every order fails the sample check below and estimate refuses order 1
-        # [lag 1 .. lag p_max | response] over the rows every candidate regresses on
-        lags = [*range(1, p_max + 1), 0]
-        means = np.array([total - x[: p_max - lag].sum(axis=0) - x[n - lag :].sum(axis=0) for lag in lags]) / n_eff
-        gram = np.zeros((k * (p_max + 1), k * (p_max + 1)))
-        for chunk in _design_chunks(x, p_max, means):
-            gram += chunk.T @ chunk
-        means = means.ravel()
+    # [lag 1 .. lag p_max | response] over the rows every candidate regresses on
+    lags = [*range(1, p_max + 1), 0]
+    means = np.array([total - x[: p_max - lag].sum(axis=0) - x[n - lag :].sum(axis=0) for lag in lags]) / n_eff
+    gram = np.zeros((k * (p_max + 1), k * (p_max + 1)))
+    for chunk in _design_chunks(x, p_max, means):
+        gram += chunk.T @ chunk
+    means = means.ravel()
     values = np.full(p_max, np.inf)
     for order in range(1, p_max + 1):
         window = x[p_max - order :]
-        fit = None
-        if len(window) > k * order + 1:
-            fit = _gram_slogdet(gram, means, (total - x[: p_max - order].sum(axis=0)) / len(window), order, n_eff)
+        fit = _gram_slogdet(gram, means, (total - x[: p_max - order].sum(axis=0)) / len(window), order, n_eff)
         if fit is None:
             fit = np.linalg.slogdet(estimate(TimeSeriesData._adopt(window), order).sigma)
         sign, logdet = fit

@@ -900,6 +900,58 @@ class TestSimulateChunks:
         assert abs(peaks[200_000] - peaks[20_000]) < 0.25 * 2**20, peaks
 
 
+class TestFailedWrites:
+    """Every command's --out is written one way: a write that fails leaves no file, and a refusal before it leaves an old one."""
+
+    @pytest.fixture()
+    def model_path(self, tmp_path):
+        path = tmp_path / "k3.json"
+        save_model(random_stable_model(np.random.default_rng(3), 3, p=2), path)
+        return path
+
+    @pytest.mark.parametrize("command", ["measure", "mir", "fit", "simulate"])
+    def test_write_failing_after_the_first_byte_leaves_no_file(self, tmp_path, run_with_file_limit, model_path, command):
+        out = tmp_path / "out"
+        if command == "fit":
+            data = tmp_path / "data.csv"
+            save_timeseries(simulate(load_model(model_path), 500, seed=0)[0], data)
+            argv, limit = ["fit", "--data", str(data), "--order", "2"], 100
+        elif command == "simulate":  # the guard: its CSV was removed before one class wrote every file
+            argv, limit = ["simulate", "--model", str(model_path), "--n", "1000"], 1000
+        elif command == "mir":
+            argv, limit = ["mir", "--model", str(model_path)], 100
+        else:
+            argv = ["measure", "--model", str(model_path), "--nfreq", "256"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, "--out", str(out)]) == 0
+            # above each of the 14 spills' sizes, below the document's: the spills are
+            # written, and the copy into --out fails
+            limit = out.stat().st_size // 2
+            out.unlink()
+        inputs = sorted(path.name for path in tmp_path.iterdir())
+        done = run_with_file_limit(limit, "sys.exit(varconn.cli.main(sys.argv[1:]))\n", *argv, "--out", str(out))
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == f"E_IO: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+        assert done.stdout == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == inputs
+
+    @pytest.mark.parametrize("command", ["measure", "mir", "fit"])
+    def test_refusal_before_the_file_is_opened_leaves_it_untouched(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.write_bytes(b"old")
+        if command == "fit":
+            data = tmp_path / "short.csv"
+            data.write_text("1.0,2.0\n3.0,4.5\n", encoding="utf-8")
+            argv = ["fit", "--data", str(data), "--order", "1"]
+        else:
+            model = tmp_path / "unstable.json"
+            save_model(VarModel([[[1.2]]], np.eye(1)), model)
+            argv = [command, "--model", str(model)]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("E_NUMERIC: ")
+        assert out.read_bytes() == b"old"
+
+
 class TestVerifyCommand:
     def test_verify_passes_and_prints_checks(self, capsys):
         status = main(["verify", "--seed", "7", "--models", "6", "--nfreq", "48"])

@@ -1,7 +1,9 @@
 import csv
+import errno
 import io
 import json
 import math
+import os
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -67,6 +69,27 @@ class TestModelDocuments:
         reloaded = load_model(path)
         save_model(reloaded, path, name="chain")
         assert path.read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "sigma, resaved",
+        [
+            # mirrored entries 1 ulp apart load, and are symmetrized to their mean
+            ([[1.0, 0.3], [0.30000000000000004, 1.0]], [[1.0, 0.30000000000000004], [0.30000000000000004, 1.0]]),
+            ([[1, 0], [0, 1]], [[1.0, 0.0], [0.0, 1.0]]),  # integers re-save as floats
+        ],
+        ids=["one-ulp-asymmetry", "integers"],
+    )
+    def test_round_trip_holds_only_for_documents_in_varconn_form(self, tmp_path, sigma, resaved):
+        path = tmp_path / "model.json"
+        document = {"schema_version": 1, "K": 2, "p": 0, "coeffs": [], "sigma": sigma}
+        path.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        first = path.read_bytes()
+        save_model(load_model(path), path)
+        assert path.read_bytes() != first
+        assert json.loads(path.read_text(encoding="utf-8")) == {**document, "sigma": resaved}
+        second = path.read_bytes()
+        save_model(load_model(path), path)  # the re-saved document is in varconn's form
+        assert path.read_bytes() == second
 
     def test_round_trip_without_lags(self, tmp_path):
         # a p = 0 document writes coeffs as [], which carries no (0, K, K) shape
@@ -496,3 +519,43 @@ class TestOutputDir:
         written = save_model(fx.model, "model.json")
         assert written == tmp_path / "model.json"
         assert written.exists()
+
+
+#: A call of each saver, with ``path`` its target, in ``run_with_file_limit``'s child.
+SAVER_CALLS = {
+    "save_model": "varconn.save_model(varconn.fixture('two_var_alpha', alpha=0.5).model, path)",
+    "save_result": "varconn.fileio.save_result(varconn.fileio.ResultWriter(varconn.FrequencyGrid(16)).chunks(), path)",
+    "save_timeseries": "varconn.save_timeseries(varconn.TimeSeriesData(np.ones((10, 2))), path)",
+}
+
+
+class TestFailedWrites:
+    """A write that fails after the file is opened leaves no partial file, whichever saver writes it."""
+
+    @pytest.mark.parametrize("through_link", [False, True], ids=["file", "link"])
+    @pytest.mark.parametrize("saver", sorted(SAVER_CALLS))
+    def test_write_failing_after_the_first_byte_leaves_no_file(self, tmp_path, run_with_file_limit, saver, through_link):
+        target = path = tmp_path / "out"
+        if through_link:  # opening the target truncates its old text, so it goes too
+            target.write_bytes(b"old")
+            path = tmp_path / "link"
+            path.symlink_to(target)
+        code = f"path = sys.argv[1]\ntry:\n    {SAVER_CALLS[saver]}\nexcept OSError as exc:\n    print(exc.errno)\n"
+        done = run_with_file_limit(1, code, str(path))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{errno.EFBIG}\n"
+        assert not target.exists()
+
+    @pytest.mark.parametrize("device", [False, True], ids=["file", "device"])
+    def test_failing_chunks_remove_a_file_and_keep_a_device(self, tmp_path, device):
+        if device and not os.path.exists(os.devnull):
+            pytest.skip("needs a null device")
+        path = os.devnull if device else tmp_path / "out.json"
+
+        def chunks():
+            yield b"{"
+            raise OSError(errno.EIO, "Input/output error")
+
+        with pytest.raises(OSError, match="Input/output error"):
+            save_result(chunks(), path)
+        assert os.path.exists(path) == device

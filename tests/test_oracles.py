@@ -40,6 +40,16 @@ class TestFixtures:
         with pytest.raises(DomainError, match="unexpected"):
             fixture("two_var_alpha", alpha=0.5, gamma=1.0)
 
+    @pytest.mark.parametrize(
+        "name, params, missing",
+        [("two_var_alpha", {}, "['alpha']"), ("three_var_alpha_beta", {"alpha": 0.5}, "['beta']")],
+        ids=["two_var_alpha", "three_var_alpha_beta"],
+    )
+    def test_missing_parameter_is_named(self, name, params, missing):
+        with pytest.raises(DomainError) as caught:
+            fixture(name, **params)
+        assert str(caught.value) == f"missing parameters {missing} for {name}"
+
     def test_models_are_stable(self):
         for fx in (
             fixture("two_var_alpha", alpha=0.5),

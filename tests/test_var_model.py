@@ -524,11 +524,11 @@ class TestSelectOrder:
     @pytest.mark.parametrize(
         "n, k, p_max, message",
         [
-            (5, 2, 4, "need more than K * order + 1 = 3 samples to fit order 1, got 2"),
-            (3, 1, 2, "need more than K * order + 1 = 2 samples to fit order 1, got 2"),
-            (6, 2, 6, "need more than K * order + 1 = 3 samples to fit order 1, got 1"),
+            (5, 2, 4, "need more than K * p_max + 1 = 9 samples to select an order, got 5"),
+            (3, 1, 2, "need more than K * p_max + 1 = 3 samples to select an order, got 3"),
+            (6, 2, 6, "need more than K * p_max + 1 = 13 samples to select an order, got 6"),
             # order 1's window would be empty
-            (2, 2, 4, "need at least p_max = 4 samples to select an order, got 2"),
+            (2, 2, 4, "need more than K * p_max + 1 = 9 samples to select an order, got 2"),
         ],
     )
     def test_too_few_samples_for_p_max(self, n, k, p_max, message):
