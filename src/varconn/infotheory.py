@@ -27,10 +27,10 @@ Only squared magnitudes enter a rate, so they are built in real arithmetic
 (``_RATES``): |iPDC_ij|^2 = |A_bar_ij|^2 / (sigma_ii a_j^H sigma^-1 a_j),
 |iDTF_ij|^2 = rho_j |H_bar_ij|^2 / S_ii and |C_ij|^2 = |S_ij|^2 / (S_ii S_jj),
 from the |A_bar| and |H_bar| the conditioning guard has already computed,
-each read from the block's ``SpectralSet``.
-No S^-1 and no complex measure is built; the complex measures of
-``measures`` are the oracle, and the rates match their integrated squared
-magnitudes to within a few ulps.
+each read from the block's ``SpectralSet`` with diag(S) and diag(S^-1).
+No complex measure is built; the complex measures of ``measures`` are the
+oracle, and the rates match their integrated squared magnitudes to within
+a few ulps.
 """
 
 from dataclasses import dataclass
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import lock
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .measures import MeasureKind
 from .spectral import FrequencyGrid, SpectralSet, _block_size, _draw_kinds, _spectral_blocks
 from .var_model import VarModel
@@ -104,21 +104,10 @@ def rate_kinds(kinds) -> list[MeasureKind]:
 
 
 def _ipdc_squared(spectra: SpectralSet, out: np.ndarray) -> None:
-    """|iPDC_ij|^2 = |A_bar_ij|^2 / (sigma_ii q_j), q_j = Re sum_i conj(A_bar_ij) (sigma^-1 A_bar)_ij.
-
-    q_j is a_j^H sigma^-1 a_j, the diagonal [S^-1]_jj, from one real matmul
-    over A_bar's real and imaginary parts side by side, so no S^-1 is built.
-    """
-    parts = spectra.a_bar.view(float)  # (n, K, 2K): Re and Im of each entry in turn
-    product = np.matmul(spectra.sigma_inv, parts)
-    product *= parts
-    summed = np.add.reduce(product, axis=1)
-    quad = summed[:, 0::2] + summed[:, 1::2]
-    if np.any(quad <= 0):
-        raise NumericalError("non-positive column quadratic form: iPDC undefined")
+    """|iPDC_ij|^2 = |A_bar_ij|^2 / (sigma_ii q_j), q_j = [S^-1]_jj the normaliser ``measures.ipdc`` reads too."""
     np.square(spectra.abs_a_bar, out=out)
     out /= np.diag(spectra.sigma)[:, None]
-    out /= quad[:, None, :]
+    out /= spectra.inverse_autospectra[:, None, :]
 
 
 def _idtf_squared(spectra: SpectralSet, out: np.ndarray) -> None:

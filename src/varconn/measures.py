@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from ._util import lock
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .spectral import SpectralSet
 
 
@@ -74,16 +74,13 @@ def ipdc(spectra: SpectralSet) -> MeasureResult:
 
     Entry (i, j) is A_bar_ij / (sigma_ii^1/2 sqrt(a_j^H sigma^-1 a_j)) with
     a_j the j-th column of A_bar, whose quadratic form is exactly the
-    diagonal entry [S^-1]_jj. It equals the coherence between the
-    innovation of target i and the partialized process of source j, so its
-    squared magnitude never exceeds 1 and integrates to a mutual
-    information rate.
+    diagonal entry [S^-1]_jj, read from ``spectra.inverse_autospectra`` as
+    the rates read it. It equals the coherence between the innovation of
+    target i and the partialized process of source j, so its squared
+    magnitude never exceeds 1 and integrates to a mutual information rate.
     """
-    quad = np.diagonal(spectra.s_inv, axis1=1, axis2=2).real
-    if np.any(quad <= 0):
-        raise NumericalError("non-positive column quadratic form: iPDC undefined")
     row_weight = 1.0 / np.sqrt(np.diag(spectra.sigma))
-    values = spectra.a_bar * row_weight[None, :, None] / np.sqrt(quad)[:, None, :]
+    values = spectra.a_bar * row_weight[None, :, None] / np.sqrt(spectra.inverse_autospectra)[:, None, :]
     return MeasureResult(MeasureKind.IPDC, values)
 
 

@@ -125,6 +125,11 @@ def partialized_cross_spectra(spectra: SpectralSet, j: int) -> np.ndarray:
     return column - np.einsum("flm,fm->fl", s[:, :, others], projection)
 
 
+def _inverse_spectrum(spectra: SpectralSet) -> np.ndarray:
+    """S^-1 = A_bar^H sigma^-1 A_bar in full, complex (n, K, K): the inverse the pipeline never forms."""
+    return np.conjugate(spectra.a_bar).swapaxes(1, 2) @ spectra.sigma_inv @ spectra.a_bar
+
+
 def _process_columns(model: VarModel, spectra: SpectralSet, cross: np.ndarray, sources: list) -> tuple[np.ndarray, np.ndarray]:
     """The innovation/partialized-process coherences and |A_bar_ij - S_{w_i eta_j} / S_{eta_j eta_j}|.
 
@@ -217,17 +222,18 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128) -> Ve
 
     Checks, in order: the fixture closed forms, the two coherence
     identities behind iPDC and iDTF, the dual route to the partial
-    spectrum, the partialized ratio recovering A_bar, the orthogonality of
-    partialized processes, and the two inverse reconstructions. The random
-    population cycles through K = 2, 3, 4, 5 channels.
+    spectrum (against 1 / q_j, q_j the iPDC normaliser of ``measure`` and
+    ``mir``), the partialized ratio recovering A_bar, the orthogonality of
+    partialized processes, and the two inverse reconstructions, with an
+    S^-1 no command forms. The random population cycles through K = 2..5.
 
     A NumericalError raised while computing a check's quantity is that
     check's failure, recorded as deviation inf: ``ipdc`` and ``idtf`` feed
-    the two coherence identities, ``evaluate_spectra`` the inverse
-    reconstruction (and, for a fixture, every quantity feeds the closed
-    forms). Checks that need a refused quantity skip that model. A NaN
-    deviation is recorded as inf too, and so is a check that no model
-    reached.
+    the two coherence identities, the normaliser the partial spectrum,
+    ``evaluate_spectra`` the inverse reconstruction (and, for a fixture,
+    every quantity feeds the closed forms). Checks that need a refused
+    quantity skip that model. A NaN deviation is recorded as inf too, and
+    so is a check that no model reached.
     """
     if n_models < 1 or n_freq < 2:
         raise DomainError("need n_models >= 1 and n_freq >= 2")
@@ -236,16 +242,11 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128) -> Ve
     fixture_check = "fixture closed forms"
     ipdc_check = "iPDC equals innovation/partialized-process coherence"
     idtf_check = "iDTF equals signal/partialized-innovation coherence"
+    partial_check = "partial spectrum: block elimination vs quadratic form"
+    ratio_check = "A_bar equals partialized cross-spectral ratio"
+    orthogonality_check = "partialized-process orthogonality"
     inverse_check = "inverse reconstruction: A_bar H_bar = I and S S^-1 = I"
-    names = (
-        fixture_check,
-        ipdc_check,
-        idtf_check,
-        "partial spectrum: block elimination vs quadratic form",
-        "A_bar equals partialized cross-spectral ratio",
-        "partialized-process orthogonality",
-        inverse_check,
-    )
+    names = (fixture_check, ipdc_check, idtf_check, partial_check, ratio_check, orthogonality_check, inverse_check)
     bounds = {name: 1e-10 for name in names}
     bounds[fixture_check] = 1e-12
     worst = {name: 0.0 for name in names}
@@ -283,28 +284,28 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128) -> Ve
         spectra = attempt(inverse_check, evaluate_spectra, model, grid)
         if spectra is None:
             continue
-        # the partial spectra iPDC divides by, 1 / [S^-1]_jj
-        partial_spectra = 1.0 / np.diagonal(spectra.s_inv, axis1=1, axis2=2).real
+        normaliser = attempt(partial_check, lambda: spectra.inverse_autospectra)  # 1 / the partial spectra
         ipdc_result = attempt(ipdc_check, ipdc, spectra)
         idtf_result = attempt(idtf_check, idtf, spectra)
         eye = np.eye(k)
         record(
             inverse_check,
             float(np.max(np.abs(spectra.a_bar @ spectra.h_bar - eye))),
-            float(np.max(np.abs(spectra.s @ spectra.s_inv - eye))),
+            float(np.max(np.abs(spectra.s @ _inverse_spectrum(spectra) - eye))),
         )
         # every pair at once, from one Schur solve per source
         sources = list(range(k))
         cross = np.stack([partialized_cross_spectra(spectra, j) for j in sources], axis=-1)
         covariances = np.stack([partialized_innovation_covariances(model.sigma, j) for j in sources], axis=-1)
         process, ratio = _process_columns(model, spectra, cross, sources)
-        record("partial spectrum: block elimination vs quadratic form", float(np.max(np.abs(np.diagonal(cross, axis1=1, axis2=2).real - partial_spectra))))
-        record("partialized-process orthogonality", _orthogonality(cross, sources))
+        if normaliser is not None:
+            record(partial_check, float(np.max(np.abs(np.diagonal(cross, axis1=1, axis2=2).real - 1.0 / normaliser))))
+        record(orthogonality_check, _orthogonality(cross, sources))
         if ipdc_result is not None:
             record(ipdc_check, float(np.max(np.abs(process - ipdc_result.values))))
         if idtf_result is not None:
             record(idtf_check, float(np.max(np.abs(_innovation_columns(spectra, covariances, sources) - idtf_result.values))))
-        record("A_bar equals partialized cross-spectral ratio", float(np.max(ratio)))
+        record(ratio_check, float(np.max(ratio)))
 
     checks = tuple(CheckResult(name, worst[name] if reached[name] else math.inf, bounds[name]) for name in names)
     return VerificationReport(checks)

@@ -3,12 +3,12 @@
 For a grid of normalized angular frequencies omega in [0, pi] this module
 evaluates the AR polynomial A_bar(omega) = I - sum_l A(l) exp(-j omega l),
 the transfer matrix H_bar = A_bar^-1, the spectral density
-S = H_bar sigma H_bar^H and its inverse assembled directly as
-A_bar^H sigma^-1 A_bar. Each frequency is evaluated on its own, so the
-grid is walked in blocks (``_spectral_blocks``), as the ``measure`` and
-``mir`` commands walk it; ``evaluate_spectra`` is the walk in a single
-block, the whole-grid route that ``verify``'s oracles, the library's
-callers and the tests take.
+S = H_bar sigma H_bar^H and the diagonal of its inverse, with no S^-1
+formed. Each frequency is evaluated on its own, so the grid is walked in
+blocks (``_spectral_blocks``), as the ``measure`` and ``mir`` commands
+walk it; ``evaluate_spectra`` is the walk in a single block, the
+whole-grid route that ``verify``'s oracles, the library's callers and the
+tests take.
 
 Every block of a walk is a ``SpectralSet``, the one block type that
 ``measures``, ``infotheory`` and the CLI read: a record of what the walk
@@ -21,16 +21,16 @@ holds for the block's frequencies, each array (n, K, K) but sigma's:
   (K, K), one sigma^-1 for the walk;
 - ``s_out``, the complex array S is written into.
 
-Only ``s`` (S = h_bar sigma h_bar^H), ``autospectra`` (diag(S), checked
-positive) and ``s_inv`` (S^-1 = a_bar^H sigma^-1 a_bar) are assembled, on
-first read, locked and kept. The walk owns A_bar, |A_bar|, |H_bar| and S,
-one block-sized array each, and writes every block into them, so a set it
-yields holds read-only views that stay valid only until the next block is
-drawn; H_bar is fresh for each block. What a reader builds from a block
-(S's operands, a measure, a rate's scratch) is a per-block temporary of
-its own. A caller that keeps a block past that point must copy what it
-keeps. ``evaluate_spectra`` walks in one block, so its arrays are never
-rewritten.
+Only ``s`` (S = h_bar sigma h_bar^H), ``autospectra`` (diag(S)) and
+``inverse_autospectra`` (diag(S^-1), a_j^H sigma^-1 a_j, the iPDC
+normaliser) are assembled, on first read, checked, locked and kept. The
+walk owns A_bar, |A_bar|, |H_bar| and S, one block-sized array each, and
+writes every block into them, so a set it yields holds read-only views
+that stay valid only until the next block is drawn; H_bar is fresh for
+each block. What a reader builds from a block (the operands of S or
+diag(S^-1), a measure, a rate's scratch) is a per-block temporary of its
+own; a caller that keeps a block past that point must copy what it keeps.
+``evaluate_spectra`` walks in one block, so its arrays are not rewritten.
 """
 
 from collections.abc import Callable, Iterable, Iterator
@@ -78,8 +78,8 @@ class FrequencyGrid:
 class SpectralSet:
     """One block of a walk, as ``_spectral_blocks`` builds it: the read-only arrays the module docstring lists.
 
-    S, diag(S) and S^-1 are assembled on first read and kept, so a caller
-    that needs none of them never holds them.
+    S, diag(S) and diag(S^-1) are assembled on first read and kept, so a
+    caller that needs none of them never holds them.
     """
 
     a_bar: np.ndarray
@@ -107,21 +107,26 @@ class SpectralSet:
         return lock(auto)
 
     @cached_property
-    def s_inv(self) -> np.ndarray:
-        product = np.matmul(np.conjugate(self.a_bar).swapaxes(1, 2), self.sigma_inv)
-        return lock(np.matmul(product, self.a_bar), dtype=complex)
+    def inverse_autospectra(self) -> np.ndarray:
+        parts = self.a_bar.view(float)  # (n, K, 2K): q_j = Re sum_i conj(A_bar_ij) (sigma^-1 A_bar)_ij in real arithmetic
+        product = np.matmul(self.sigma_inv, parts)
+        product *= parts  # in place: a second (n, K, 2K) temporary would raise the peak memory of mir
+        summed = np.add.reduce(product, axis=1)
+        quad = summed[:, 0::2] + summed[:, 1::2]
+        if np.any(quad <= 0):
+            raise NumericalError("non-positive column quadratic form: iPDC undefined")
+        return lock(quad)
 
 
 def evaluate_spectra(model: VarModel, grid: FrequencyGrid) -> SpectralSet:
-    """Evaluate A_bar and H_bar on a grid; S and S^-1 follow on first access.
+    """Evaluate A_bar and H_bar on a grid; S and the diagonals follow on first access.
 
     H_bar is obtained by inverting A_bar at each frequency, never by
     truncating a moving-average expansion, so it is exact for any stable
-    model. The returned set assembles S from H_bar and sigma, and S^-1 from
-    sigma^-1 and A_bar rather than by inverting S, when one is first read.
-    Its A_bar and H_bar are the one block of ``_spectral_blocks`` that
-    spans the whole grid, so they are checked and refused exactly as the
-    blocks are.
+    model. The returned set assembles S from H_bar and sigma, and diag(S^-1)
+    from sigma^-1 and A_bar, when one is first read. Its A_bar and H_bar are
+    the one block of ``_spectral_blocks`` that spans the whole grid, so they
+    are checked and refused exactly as the blocks are.
 
     Raises
     ------

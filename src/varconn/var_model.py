@@ -390,16 +390,13 @@ def estimate(data: TimeSeriesData, order: int) -> VarModel:
     Raises
     ------
     EstimationError
-        If there are too few samples (need n > K * order + 1) or the
-        regressor matrix is rank deficient.
+        If there are too few samples (``_require_rows``) or the regressor
+        matrix is rank deficient.
     """
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
     n, k = data.values.shape
-    if n <= k * order + 1:
-        raise EstimationError(
-            f"need more than K * order + 1 = {k * order + 1} samples to fit order {order}, got {n}"
-        )
+    _require_rows(n, k, order, "order", f"to fit order {order}")
     width = k * order
     mean = data.values.mean(axis=0)
     r = np.zeros((0, width + k))
@@ -419,6 +416,18 @@ def estimate(data: TimeSeriesData, order: int) -> VarModel:
     solution = np.linalg.solve(r[:width, :width], r[:width, width:])
     coeffs = solution.reshape(order, k, k).transpose(0, 2, 1)
     return VarModel(coeffs, sigma)
+
+
+def _require_rows(n: int, k: int, order: int, symbol: str, task: str) -> None:
+    """The sample rule of both fits: order o regresses n - o rows on K o lags, so n - o >= K o + 1 + K.
+
+    The mean takes one degree of freedom, as an intercept would (Lütkepohl
+    2005, ch. 3), and a K x K residual covariance of full rank needs K more.
+    """
+    rows, regressors = max(n - order, 0), k * order + 1
+    if rows < regressors + k:
+        raise EstimationError(f"need more than K * {symbol} + K + {symbol} = {regressors + k + order - 1} samples {task}, got {n}: regression "
+                              f"rows {rows}, fewer than regressors {regressors} (K * {symbol} lags and the mean) plus K = {k} for the residual covariance")
 
 
 #: Bytes of one row chunk of the lagged design, which has at least as many
@@ -462,17 +471,15 @@ def select_order(data: TimeSeriesData, p_max: int, criterion: str = "bic") -> in
     §4.3), summed over row chunks of the design so that no array of n rows
     is built. A candidate whose regressor block the Gram route does not find
     clearly full rank is fitted by ``estimate`` itself, which raises its own
-    errors. Order o is fitted on n - p_max + o rows, more than the K o + 1
-    ``estimate`` needs for every o exactly when n > K p_max + 1; fewer
-    samples are refused up front.
+    errors. Every candidate regresses on the same n - p_max rows, so samples
+    too few for order p_max (``_require_rows``) are refused up front.
     """
     crit = str(criterion).lower()
     if crit not in ("aic", "bic"):
         raise DomainError(f"unknown criterion {criterion!r}, expected 'aic' or 'bic'")
     if p_max < 1:
         raise DomainError(f"p_max must be >= 1, got {p_max}")
-    if data.n_samples <= data.K * p_max + 1:  # order p_max is the tightest candidate
-        raise EstimationError(f"need more than K * p_max + 1 = {data.K * p_max + 1} samples to select an order, got {data.n_samples}")
+    _require_rows(data.n_samples, data.K, p_max, "p_max", "to select an order")
     values = _criterion_values(data.values, p_max, crit)
     if not np.min(values) < np.inf:
         raise EstimationError("no candidate order produced a usable residual covariance")
@@ -487,7 +494,7 @@ def _criterion_values(x: np.ndarray, p_max: int, crit: str) -> np.ndarray:
     (``_design_chunks``), each block of columns centred by its own mean, so
     memory beyond the samples grows with neither n nor p_max. A block's sum
     and a window's sum are the column total less the few rows outside them.
-    Needs n > K p_max + 1, which ``select_order`` checks.
+    ``select_order`` has checked the samples (``_require_rows``).
     """
     n, k = x.shape
     n_eff = n - p_max

@@ -232,9 +232,9 @@ class TestInformationRates:
 
 
 def count_builds(monkeypatch):
-    """Count the assemblies of S, diag(S) and S^-1 by every SpectralSet, a walk's blocks included, from here on."""
+    """Count the assemblies of S, diag(S) and diag(S^-1) by every SpectralSet, a walk's blocks included, from here on."""
     builds = {}
-    for name in ("s", "autospectra", "s_inv"):
+    for name in ("s", "autospectra", "inverse_autospectra"):
         builds[name] = 0
 
         def build(self, _name=name, _original=getattr(SpectralSet, name).func):
@@ -276,17 +276,31 @@ def refusing_in_block(kind, failing):
 class TestOnePass:
     """One walk over the blocks serves every requested kind."""
 
-    @pytest.mark.parametrize("k, p, n_points, builds", [(16, 4, 2048, 32), (5, 3, 512, 1)])
-    def test_each_block_builds_s_and_s_inv_once(self, monkeypatch, k, p, n_points, builds):
-        # S and diag(S) once per block, shared by iDTF and coherence and written
-        # into the walk's S array; iPDC's normaliser comes from A_bar and
-        # sigma^-1, so no S^-1 is built, and a request for iPDC alone builds no S
-        model = random_stable_model(np.random.default_rng(k), k, p=p)
+    @pytest.mark.parametrize(
+        "command, kinds, s_builds",
+        [("mir", "ipdc", 0), ("measure", "ipdc", 0), ("mir", "ipdc,idtf,coh", 32), ("measure", "ipdc,idtf,coh", 32)],
+    )
+    def test_normaliser_once_per_block(self, monkeypatch, tmp_path, command, kinds, s_builds):
+        # iPDC's normaliser diag(S^-1) once per block of 64, from A_bar and sigma^-1
+        # by a real product; S and diag(S) once per block when iDTF or coherence
+        # asks, written into the walk's S array; iPDC alone builds no S
+        matmul, complex_products = np.matmul, []
+
+        def spied(*args, **kwargs):
+            product = matmul(*args, **kwargs)
+            if product.ndim == 3 and np.iscomplexobj(product):
+                complex_products.append(product.shape)
+            return product
+
+        path = save_model(random_stable_model(np.random.default_rng(16), 16, p=4), tmp_path / "k16.json")
         counts = count_builds(monkeypatch)
-        information_rates(model, FrequencyGrid(n_points), ["ipdc", "idtf", "coh"])
-        assert counts == {"s": builds, "autospectra": builds, "s_inv": 0}
-        information_rates(model, FrequencyGrid(n_points), ["ipdc"])
-        assert counts["s"] == builds
+        monkeypatch.setattr(np, "matmul", spied)
+        option = "--kinds" if command == "mir" else "--measures"
+        argv = [command, "--model", str(path), option, kinds, "--nfreq", "2048", "--out", str(tmp_path / "out.json")]
+        assert main(argv) == 0
+        assert counts == {"s": s_builds, "autospectra": s_builds, "inverse_autospectra": 32}
+        # no (n, K, K) S^-1 = A_bar^H sigma^-1 A_bar: S's two products are the only complex ones
+        assert complex_products == [(64, 16, 16)] * (2 * s_builds)
 
     @pytest.mark.parametrize("command", ["mir", "measure"])
     def test_sigma_is_inverted_once_per_walk(self, monkeypatch, tmp_path, command):
@@ -300,7 +314,7 @@ class TestOnePass:
         monkeypatch.setattr(np.linalg, "inv", counted)
         if command == "mir":
             information_rates(model, FrequencyGrid(2048), ["ipdc", "idtf", "coh"])
-        else:  # both measures read sigma^-1, iPDC through S^-1
+        else:  # both measures read sigma^-1, iPDC through diag(S^-1)
             path = save_model(model, tmp_path / "k16.json")
             argv = ["measure", "--model", str(path), "--measures", "ipdc,idtf", "--nfreq", "2048", "--out", str(tmp_path / "out.json")]
             assert main(argv) == 0
@@ -314,7 +328,7 @@ class TestOnePass:
         grid = FrequencyGrid(200)
         spectra = evaluate_spectra(model, grid)
         results = list(measures_from_spectra(spectra, list(MeasureKind)))
-        names = ("a_bar", "h_bar", "s", "s_inv")
+        names = ("a_bar", "h_bar", "s", "inverse_autospectra")
         kept = {name: getattr(spectra, name).copy() for name in names}
         kept_values = [result.values.copy() for result in results]
         information_rates(model, grid, ["ipdc", "idtf", "coh"])

@@ -1,5 +1,6 @@
 import sys
 import types
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from varconn import (
     FrequencyGrid,
     MeasureKind,
     MeasureResult,
+    SpectralSet,
     evaluate_spectra,
     fixture,
+    information_rates,
     run_verification,
     validate,
 )
@@ -182,7 +185,7 @@ class TestWideModel:
         idtf_values = idtf(spectra).values
         eye = np.eye(32)
         assert float(np.max(np.abs(spectra.a_bar @ spectra.h_bar - eye))) < 1e-10
-        assert float(np.max(np.abs(spectra.s @ spectra.s_inv - eye))) < 1e-10
+        assert float(np.max(np.abs(spectra.s @ oracles._inverse_spectrum(spectra) - eye))) < 1e-10
         for i, j in rng.integers(0, 32, size=(8, 2)):
             reference = partialized_process_coherence(model, grid, i, j, spectra=spectra)
             assert float(np.max(np.abs(reference - ipdc_values[:, i, j]))) < 1e-10
@@ -231,16 +234,16 @@ class TestColumnForms:
 
 
 class TestPerPairOracleContract:
-    """The per-pair oracles read only grid, a_bar, h_bar, s, s_inv and K from ``spectra``.
+    """The per-pair oracles read only grid, a_bar, h_bar, s and K from ``spectra``.
 
-    The benchmark's output check passes them a plain namespace with just
-    those attributes, built by its own reference route.
+    The benchmark's output check passes them a plain namespace built by its
+    own reference route, which carries these attributes among others.
     """
 
-    def test_a_namespace_of_six_attributes_gives_the_spectral_set_profiles(self):
+    def test_a_namespace_of_five_attributes_suffices(self):
         model = random_stable_model(np.random.default_rng(70), 4)
         spectra = evaluate_spectra(model, GRID)
-        names = ("a_bar", "h_bar", "s", "s_inv", "K")
+        names = ("a_bar", "h_bar", "s", "K")
         namespace = types.SimpleNamespace(grid=GRID, **{name: getattr(spectra, name) for name in names})
         for route in (partialized_process_coherence, partialized_innovation_coherence):
             for i in range(4):
@@ -264,6 +267,23 @@ class TestRunVerification:
         report = run_verification(seed=7, n_models=4, n_freq=32)
         failed = {check.name: check.max_deviation for check in report.checks if not check.passed}
         assert failed == {"fixture closed forms": np.inf, "iPDC equals innovation/partialized-process coherence": np.inf}
+
+    def test_checks_the_normaliser_the_rates_use(self, monkeypatch):
+        # a normaliser off by 1e-6 relative moves the iPDC rates, and verify's partial
+        # spectrum check, which compares the Schur route with 1 / diag(S^-1), sees it
+        model = random_stable_model(np.random.default_rng(71), 3)
+        grid = FrequencyGrid(64)
+        rates = information_rates(model, grid, ["ipdc"])[MeasureKind.IPDC].values
+        normaliser = SpectralSet.inverse_autospectra.func
+        scaled = cached_property(lambda spectra: normaliser(spectra) * (1.0 + 1e-6))
+        scaled.__set_name__(SpectralSet, "inverse_autospectra")
+        monkeypatch.setattr(SpectralSet, "inverse_autospectra", scaled)
+        moved = information_rates(model, grid, ["ipdc"])[MeasureKind.IPDC].values
+        off_diagonal = ~np.eye(3, dtype=bool)
+        assert_allclose(moved[off_diagonal], rates[off_diagonal], rtol=2e-6)
+        assert not np.any(moved[off_diagonal] == rates[off_diagonal])
+        failed = {check.name for check in run_verification(seed=7, n_models=4, n_freq=32).checks if not check.passed}
+        assert "partial spectrum: block elimination vs quadratic form" in failed
 
     def test_rejects_degenerate_configuration(self):
         with pytest.raises(DomainError):

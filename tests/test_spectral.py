@@ -14,7 +14,7 @@ from varconn import (
     fixture,
 )
 from varconn.measures import idtf
-from varconn.oracles import partialized_cross_spectra, random_stable_model
+from varconn.oracles import _inverse_spectrum, partialized_cross_spectra, random_stable_model
 from varconn.spectral import _block_size, _spectral_blocks
 
 GRID = FrequencyGrid(64)
@@ -72,7 +72,7 @@ class TestEvaluateSpectra:
             spectra = evaluate_spectra(model, GRID)
             eye = np.eye(k)
             assert float(np.max(np.abs(spectra.a_bar @ spectra.h_bar - eye))) < 1e-12
-            assert float(np.max(np.abs(spectra.s @ spectra.s_inv - eye))) < 1e-10
+            assert float(np.max(np.abs(spectra.s @ _inverse_spectrum(spectra) - eye))) < 1e-10
 
     def test_spectrum_is_hermitian_with_positive_diagonal(self):
         model = random_stable_model(np.random.default_rng(11), 4)
@@ -203,8 +203,8 @@ class TestBlockWalk:
             # the guard's magnitudes are np.abs of the whole-grid slices
             assert np.array_equal(block.abs_a_bar, np.abs(whole.a_bar[window])), index
             assert np.array_equal(block.abs_h_bar, np.abs(whole.h_bar[window])), index
-            # a set of one block assembles S, diag(S) and S^-1 as the whole grid's set does
-            for name in ("s", "autospectra", "s_inv"):
+            # a set of one block assembles S, diag(S) and diag(S^-1) as the whole grid's set does
+            for name in ("s", "autospectra", "inverse_autospectra"):
                 assert np.array_equal(getattr(block, name), getattr(whole, name)[window]), (index, name)
             drawn += 1
         assert drawn == math.ceil(n_points / size) > 1
@@ -270,8 +270,8 @@ class TestSpectralSet:
         spectra = evaluate_spectra(fixture("two_var_alpha", alpha=0.5).model, GRID)
         held = ("a_bar", "h_bar", "abs_a_bar", "abs_h_bar", "sigma", "sigma_inv")
         assert not any(getattr(spectra, name).flags.writeable for name in held)
-        # S, diag(S) and S^-1 are assembled on first access, locked, and kept; S in the walk's array
-        derived = ("s", "autospectra", "s_inv")
+        # S, diag(S) and diag(S^-1) are assembled on first access, locked, and kept; S in the walk's array
+        derived = ("s", "autospectra", "inverse_autospectra")
         assert not set(derived) & vars(spectra).keys()
         for name in derived:
             assembled = getattr(spectra, name)
@@ -282,7 +282,7 @@ class TestSpectralSet:
 
 def partial_spectra(spectra):
     # the partial spectrum of each channel, 1 / [S^-1]_kk
-    return 1.0 / np.diagonal(spectra.s_inv, axis1=1, axis2=2).real
+    return 1.0 / spectra.inverse_autospectra
 
 
 class TestPartialize:
@@ -318,7 +318,7 @@ class TestPartialize:
         model = VarModel(np.array([[[0.5]]]), np.eye(1))
         spectra = evaluate_spectra(model, GRID)
         # nothing to deduct: the partial spectrum is the autospectrum
-        assert_allclose(spectra.s_inv[:, 0, 0] * spectra.s[:, 0, 0], 1.0, rtol=0, atol=1e-14)
+        assert_allclose(spectra.inverse_autospectra[:, 0] * spectra.s[:, 0, 0], 1.0, rtol=0, atol=1e-14)
         # nothing to partialize against: rho = sigma, so |iDTF| is 1
         assert_allclose(np.abs(idtf(spectra).values), 1.0, atol=1e-14)
 

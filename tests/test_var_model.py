@@ -1,4 +1,5 @@
 import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -524,11 +525,15 @@ class TestSelectOrder:
     @pytest.mark.parametrize(
         "n, k, p_max, message",
         [
-            (5, 2, 4, "need more than K * p_max + 1 = 9 samples to select an order, got 5"),
-            (3, 1, 2, "need more than K * p_max + 1 = 3 samples to select an order, got 3"),
-            (6, 2, 6, "need more than K * p_max + 1 = 13 samples to select an order, got 6"),
+            (5, 2, 4, "need more than K * p_max + K + p_max = 14 samples to select an order, got 5: regression rows 1, "
+             "fewer than regressors 9 (K * p_max lags and the mean) plus K = 2 for the residual covariance"),
+            (3, 1, 2, "need more than K * p_max + K + p_max = 5 samples to select an order, got 3: regression rows 1, "
+             "fewer than regressors 3 (K * p_max lags and the mean) plus K = 1 for the residual covariance"),
+            (6, 2, 6, "need more than K * p_max + K + p_max = 20 samples to select an order, got 6: regression rows 0, "
+             "fewer than regressors 13 (K * p_max lags and the mean) plus K = 2 for the residual covariance"),
             # order 1's window would be empty
-            (2, 2, 4, "need more than K * p_max + 1 = 9 samples to select an order, got 2"),
+            (2, 2, 4, "need more than K * p_max + K + p_max = 14 samples to select an order, got 2: regression rows 0, "
+             "fewer than regressors 9 (K * p_max lags and the mean) plus K = 2 for the residual covariance"),
         ],
     )
     def test_too_few_samples_for_p_max(self, n, k, p_max, message):
@@ -536,3 +541,20 @@ class TestSelectOrder:
         with pytest.raises(EstimationError) as caught:
             select_order(data, p_max)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("n", [10, 12, 14, 15])
+    def test_one_sample_rule_for_both_fits(self, n):
+        # at K = 2, order 4: 10 samples once read as rank-deficient data, 12 gave
+        # sigma = 0 and an order picked off rounding noise; 15 is the first count
+        # with n - 4 >= 2 * 4 + 1 + 2 regression rows
+        data = TimeSeriesData(np.random.default_rng(0).standard_normal((n, 2)))
+        if n < 15:
+            tail = f"got {n}: regression rows {n - 4}, fewer than regressors 9"
+            with pytest.raises(EstimationError, match=re.escape(f"= 14 samples to fit order 4, {tail}")):
+                estimate(data, 4)
+            with pytest.raises(EstimationError, match=re.escape(f"= 14 samples to select an order, {tail}")):
+                select_order(data, 4)
+        else:
+            sign, logdet = np.linalg.slogdet(estimate(data, 4).sigma)
+            assert sign > 0 and logdet > -10
+            assert select_order(data, 4) in range(1, 5)
