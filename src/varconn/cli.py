@@ -26,7 +26,7 @@ from .fileio import (
     save_model,
     save_result,
 )
-from .infotheory import information_rates, rate_kinds
+from .infotheory import information_rates
 from .measures import _MEASURES, MeasureKind
 from .oracles import run_verification
 from .spectral import DEFAULT_N_POINTS, FrequencyGrid, _block_size, _draw_kinds, _spectral_blocks
@@ -152,7 +152,7 @@ def _parse_kinds(text: str, what: str) -> list[str]:
 
 
 def _cmd_measure(args) -> int:
-    """Walk the grid once, rendering each block's measures into the document's spills; refusals as ``_draw_kinds`` orders them."""
+    """Walk the grid once, rendering each block's measures into the document's spills; arguments are refused before the walk."""
     model = load_model(args.model)
     kinds = list(dict.fromkeys(MeasureKind(name) for name in _parse_kinds(args.measures, "measure")))
     grid = FrequencyGrid(args.nfreq)
@@ -172,9 +172,8 @@ def _cmd_measure(args) -> int:
 
 def _cmd_mir(args) -> int:
     model = load_model(args.model)
-    kinds = rate_kinds(_parse_kinds(args.kinds, "rate kind"))
     grid = FrequencyGrid(args.nfreq)
-    mirs = information_rates(model, grid, kinds)
+    mirs = information_rates(model, grid, _parse_kinds(args.kinds, "rate kind"))
     return _emit(ResultWriter(grid).chunks(mirs, f"{args.units}_per_sample"), args.out)  # nats or bits
 
 

@@ -136,8 +136,6 @@ def load_timeseries(path, layout: str = "rows_are_samples") -> TimeSeriesData:
     first row); a UTF-8 byte-order mark is skipped. Errors cite the
     position as line:column, one-based, counting physical file lines.
     """
-    if layout not in LAYOUTS:
-        raise DomainError(f"unknown layout {layout!r}, expected one of {LAYOUTS}")
     path = Path(path)
     try:
         values = _parse_vectorised(path)
@@ -147,6 +145,8 @@ def load_timeseries(path, layout: str = "rows_are_samples") -> TimeSeriesData:
         raise ParseError(f"{path}: not UTF-8: {exc}") from None
     except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
         raise ParseError(f"{path}: {exc}") from None
+    if layout not in LAYOUTS:  # an argument: judged after the document, as every command judges them
+        raise DomainError(f"unknown layout {layout!r}, expected one of {LAYOUTS}")
     if layout == "rows_are_channels":
         values = values.T
     return TimeSeriesData._adopt(values)
@@ -305,22 +305,22 @@ class ResultWriter:
     on whole frequencies. While no refusal is certain, each block's text
     goes to its array's spill ("re", "im" and, with include_mag_sq,
     "mag_sq" of each measure), an unlinked file in ``tempfile``'s
-    directory, which a spill's OSError names. A refusal is certain once
-    ``sample_rate_hz`` is bad, a caller sets ``refused`` (a draw refusal
-    it holds) or an array holds a non-finite value. ``chunks``
-    raises ``units``, a ``sample_rate_hz`` the grid cannot be written in,
-    the first non-finite value of the first array in request order that
-    holds one, then a non-finite rate, all after a walk's refusals
-    (``spectral._draw_kinds``); else it returns the document's bytes, the
-    spills copied in key order. The spills close with the writer or when
-    its chunks have been read to the end.
+    directory, which a spill's OSError names. A ``sample_rate_hz`` the
+    grid cannot be written in is refused when the writer is made. A
+    refusal is certain once a caller sets ``refused`` (a draw refusal it
+    holds) or an array holds a non-finite value. ``chunks`` raises a bad
+    ``units`` or a value refusal, in the order the README's refusal
+    paragraph states; else it returns the document's bytes, the spills
+    copied in key order. The spills close with the writer or when its
+    chunks have been read to the end.
     """
 
     def __init__(self, grid: FrequencyGrid, kinds=(), include_mag_sq: bool = False, sample_rate_hz: float | None = None):
-        self._spills = {}
+        self._spills = {}  # first: close, which __del__ runs on a writer whose __init__ raised, reads it
+        if not (sample_rate_hz is None or (sample_rate_hz > 0 and math.isfinite(math.pi * sample_rate_hz))):
+            raise DomainError(f"sample_rate_hz must be positive with pi * sample_rate_hz finite, got {sample_rate_hz}")
         self.grid, self.sample_rate_hz = grid, sample_rate_hz
-        self._rate_ok = sample_rate_hz is None or (sample_rate_hz > 0 and math.isfinite(math.pi * sample_rate_hz))
-        self.refused = not self._rate_ok
+        self.refused = False
         self._rows = {_name(kind): 0 for kind in kinds}  # rows added of each measure
         self._fields = ("re", "im", "mag_sq") if include_mag_sq else ("re", "im")
         self._first_bad = {}  # (name, field) -> the first non-finite value met
@@ -350,17 +350,14 @@ class ResultWriter:
 
     def chunks(self, mirs: dict | None = None, units: str = "nats_per_sample") -> Iterator[bytes]:
         """Raise a refusal, else return the document's text in chunks of bytes."""
-        rate = self.sample_rate_hz
         if units not in UNITS:
             raise DomainError(f"unknown units {units!r}, expected one of {UNITS}")
-        if not self._rate_ok:
-            raise DomainError(f"sample_rate_hz must be positive with pi * sample_rate_hz finite, got {rate}")
         for key in self._spills:
             if key in self._first_bad:
                 raise _non_finite(self._first_bad[key])
         grid_block = {"n_points": self.grid.n_points, "omega": self.grid.points}
-        if rate is not None:
-            grid_block["frequency_hz"] = self.grid.points * rate / (2.0 * np.pi)
+        if self.sample_rate_hz is not None:
+            grid_block["frequency_hz"] = self.grid.points * self.sample_rate_hz / (2.0 * np.pi)
         document = {"schema_version": RESULT_SCHEMA_VERSION, "grid": grid_block, "measures": {}, "mir": {}}
         for (name, field), spill in self._spills.items():
             document["measures"].setdefault(name, {})[field] = spill

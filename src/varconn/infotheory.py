@@ -151,19 +151,16 @@ def information_rates(model: VarModel, grid: FrequencyGrid, kinds) -> dict[Measu
     writes log1p(-s) over them, the endpoint rows are halved, and one reduce
     adds the rows in grid order (``np.cumsum`` at K = 1, where the reduce
     sums pairwise), so the rates do not depend on the block size. The sums
-    are negated once; the coherence diagonal is left out. After the kinds
-    (``rate_kinds``), ``_draw_kinds`` orders the refusals, a grid of fewer
-    than 2 points among the walk's own.
+    are negated once; the coherence diagonal is left out. Refusals come in
+    the order the README's refusal paragraph states: the kinds
+    (``rate_kinds``) and the grid size before the model is touched.
     """
     kinds = rate_kinds(kinds)
     n_points, k, size = grid.n_points, model.K, _block_size(model.K)
+    if n_points < 2:
+        raise DomainError(f"rates need a grid of at least 2 points, got {n_points}")
     sums = dict(zip(kinds, np.zeros((len(kinds), min(size, n_points) + 1, k, k))))
     n_clipped, drawn = dict.fromkeys(kinds, 0), dict.fromkeys(kinds, 0)  # drawn: grid rows of each kind
-
-    def blocks():
-        yield from _spectral_blocks(model, grid, size)
-        if n_points < 2:
-            raise DomainError(f"rates need a grid of at least 2 points, got {n_points}")
 
     def draw(spectra, kind):
         stack = sums[kind][: len(spectra.a_bar) + 1]
@@ -176,6 +173,6 @@ def information_rates(model: VarModel, grid: FrequencyGrid, kinds) -> dict[Measu
             stack[-1] /= 2.0
         stack[0] = np.add.reduce(stack) if k > 1 else np.cumsum(stack, axis=0, out=stack)[-1]
 
-    _draw_kinds(blocks(), kinds, draw)
+    _draw_kinds(_spectral_blocks(model, grid, size), kinds, draw)
     # 0 - sum negates the summed log1p(-s) and reads a zero sum of either sign as +0.0
     return {kind: MirMatrix(kind, np.subtract(0.0, sums[kind][0]) / (2.0 * (n_points - 1)), n_clipped[kind]) for kind in kinds}

@@ -33,10 +33,11 @@ class Fixture:
     def expected(self, grid: FrequencyGrid) -> dict[tuple[str, int, int], np.ndarray]:
         """Closed-form off-diagonal measure values on the grid.
 
-        Keys are (kind, target, source) with kind "ipdc" or "idtf".
+        Keys are (kind, target, source) with kind "ipdc" or "idtf". Every
+        coupling acts at lag L = p, so each link carries exp(-j omega L).
         """
-        omega = grid.points
-        phase = np.exp(-1j * omega)
+        omega, lag = grid.points, self.model.p
+        phase = np.exp(-1j * omega * lag)
         k = self.model.K
         off_diagonal = [(kind, i, j) for kind in ("ipdc", "idtf") for i in range(k) for j in range(k) if i != j]
         out = dict.fromkeys(off_diagonal, np.zeros(omega.size, dtype=complex))
@@ -48,17 +49,20 @@ class Fixture:
             chain = np.sqrt(1.0 + beta**2 + (alpha * beta) ** 2)
             out[("ipdc", 2, 1)] = -beta * phase / np.sqrt(1.0 + beta**2)
             out[("idtf", 2, 1)] = beta * phase / chain
-            out[("idtf", 2, 0)] = alpha * beta * np.exp(-2j * omega) / chain
+            out[("idtf", 2, 0)] = alpha * beta * np.exp(-2j * omega * lag) / chain
         return out
 
 
-def fixture(name: str, **params) -> Fixture:
+def fixture(name: str, lag: int = 1, **params) -> Fixture:
     """Build a named fixture model.
 
     "two_var_alpha" (parameter alpha) couples channel 0 into channel 1 at
-    lag 1 with identity innovation covariance. "three_var_alpha_beta"
-    (parameters alpha, beta) chains 0 -> 1 -> 2 the same way.
+    lag `lag` only, with zero lag matrices before it and identity
+    innovation covariance. "three_var_alpha_beta" (parameters alpha, beta)
+    chains 0 -> 1 -> 2 the same way.
     """
+    if not (isinstance(lag, int) and lag >= 1):
+        raise DomainError(f"lag must be an integer >= 1, got {lag!r}")
     names = {"two_var_alpha": ("alpha",), "three_var_alpha_beta": ("alpha", "beta")}.get(name)
     if names is None:
         raise DomainError(f"unknown fixture {name!r}")
@@ -69,9 +73,9 @@ def fixture(name: str, **params) -> Fixture:
     if params:
         raise DomainError(f"unexpected parameters {sorted(params)} for {name}")
     k = len(names) + 1
-    coeffs = np.zeros((1, k, k))
+    coeffs = np.zeros((lag, k, k))
     for c, value in enumerate(values.values()):
-        coeffs[0, c + 1, c] = value
+        coeffs[-1, c + 1, c] = value
     return Fixture(name, values, VarModel(coeffs, np.eye(k)))
 
 
@@ -79,8 +83,11 @@ def random_stable_model(rng, k: int, p: int | None = None, max_radius: float = 0
     """Rejection-sample a stable VAR(p) with a well-conditioned covariance.
 
     sigma_kind selects the innovation covariance: "full" (random SPD),
-    "diagonal" (random positive diagonal) or "identity".
+    "diagonal" (random positive diagonal) or "identity"; another is refused
+    before anything is drawn from rng.
     """
+    if sigma_kind not in ("full", "diagonal", "identity"):
+        raise DomainError(f"unknown sigma_kind {sigma_kind!r}")
     if p is None:
         p = int(rng.integers(1, 4))
     scale = 0.4 / np.sqrt(k * max(p, 1))
@@ -97,11 +104,9 @@ def random_stable_model(rng, k: int, p: int | None = None, max_radius: float = 0
         sigma = np.eye(k)
     elif sigma_kind == "diagonal":
         sigma = np.diag(rng.uniform(0.3, 3.0, size=k))
-    elif sigma_kind == "full":
+    else:
         factor = rng.standard_normal((k, k))
         sigma = factor @ factor.T + 0.1 * np.eye(k)
-    else:
-        raise DomainError(f"unknown sigma_kind {sigma_kind!r}")
     return VarModel(coeffs, sigma)
 
 
@@ -114,8 +119,8 @@ def partialized_cross_spectra(spectra: SpectralSet, j: int) -> np.ndarray:
     vanishes in exact arithmetic because the deduction removes precisely
     the part of x_j predictable from the other channels.
     """
+    k = _channels(spectra.K, j)
     s = spectra.s
-    k = spectra.K
     others = [l for l in range(k) if l != j]
     column = s[:, :, j]
     if not others:
@@ -123,6 +128,14 @@ def partialized_cross_spectra(spectra: SpectralSet, j: int) -> np.ndarray:
     block = s[:, others, :][:, :, others]
     projection = np.linalg.solve(block, s[:, others, j][:, :, None])[:, :, 0]
     return column - np.einsum("flm,fm->fl", s[:, :, others], projection)
+
+
+def _channels(k: int, *indices: int) -> int:
+    """K, after a DomainError for an index outside 0..K-1."""
+    for index in indices:
+        if not 0 <= index < k:
+            raise DomainError(f"channel index {index} is outside 0..{k - 1} (K = {k})")
+    return k
 
 
 def _inverse_spectrum(spectra: SpectralSet) -> np.ndarray:
@@ -161,6 +174,7 @@ def partialized_process_coherence(model: VarModel, grid: FrequencyGrid, i: int, 
     nothing is cancelled analytically, so agreement with iPDC is an
     end-to-end check rather than a reimplementation.
     """
+    _channels(model.K, i, j)
     if spectra is None:
         spectra = evaluate_spectra(model, grid)
     return _process_columns(model, spectra, partialized_cross_spectra(spectra, j)[:, :, None], [j])[0][:, i, 0]
@@ -168,7 +182,7 @@ def partialized_process_coherence(model: VarModel, grid: FrequencyGrid, i: int, 
 
 def partialized_innovation_covariances(sigma: np.ndarray, j: int) -> np.ndarray:
     """Covariance of each innovation with the partialized innovation of j, by a Schur solve on sigma."""
-    others = [l for l in range(sigma.shape[0]) if l != j]
+    others = [l for l in range(_channels(sigma.shape[0], j)) if l != j]
     if not others:
         return sigma[:, j].copy()
     return sigma[:, j] - sigma[:, others] @ np.linalg.solve(sigma[np.ix_(others, others)], sigma[others, j])
@@ -181,6 +195,7 @@ def partialized_innovation_coherence(model: VarModel, grid: FrequencyGrid, i: in
     is formed explicitly from sigma, pushed through the transfer matrix for
     the cross-spectrum, and normalized by the autospectrum read off S.
     """
+    _channels(model.K, i, j)
     if spectra is None:
         spectra = evaluate_spectra(model, grid)
     return _innovation_columns(spectra, partialized_innovation_covariances(model.sigma, j)[:, None], [j])[:, i, 0]
@@ -266,7 +281,7 @@ def run_verification(seed: int = 0, n_models: int = 50, n_freq: int = 128) -> Ve
             return None
 
     fixtures = (
-        fixture("two_var_alpha", alpha=0.5),
+        fixture("two_var_alpha", alpha=0.5, lag=2),  # p = 2: a wrong lag order of A_bar fails here
         fixture("three_var_alpha_beta", alpha=0.5, beta=1.0),
     )
     for fx in fixtures:

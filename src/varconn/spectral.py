@@ -199,10 +199,11 @@ def _spectral_blocks(model: VarModel, grid: FrequencyGrid, size: int) -> Iterato
 def _draw_kinds(blocks: Iterable, kinds: list, draw: Callable) -> None:
     """Call ``draw(block, kind)`` for each block and, within it, each kind in request order.
 
-    The one refusal rule of a walk: a draw's DomainError or NumericalError
-    waits until the blocks end, after what ``blocks`` raises, and then the
-    first kind in request order to refuse is raised; later blocks draw only
-    the kinds before it.
+    A draw's DomainError or NumericalError waits until the blocks end, after
+    what ``blocks`` raises, and then the first kind in request order to
+    refuse is raised; later blocks draw only the kinds before it. This is
+    the walk's part of the order the README's ``measure``/``mir`` refusal
+    paragraph states.
     """
     refusal = None
     for block in blocks:

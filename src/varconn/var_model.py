@@ -132,8 +132,6 @@ def companion_matrix(model: VarModel) -> np.ndarray:
     """
     k, p = model.K, model.p
     top = model.coeffs.transpose(1, 0, 2).reshape(k, k * p)
-    if p == 1:
-        return top
     below = np.hstack([np.eye(k * (p - 1)), np.zeros((k * (p - 1), k))])
     return np.vstack([top, below])
 

@@ -34,6 +34,19 @@ def two_channel_model_path(tmp_path):
     return path
 
 
+def spy_walks(patch) -> list:
+    """Record the grid of each walk that measure or mir starts (a call of ``_spectral_blocks``)."""
+    walks = []
+    for module in (varconn.cli, infotheory):
+
+        def spy(model, grid, size, original=module._spectral_blocks):
+            walks.append(grid.n_points)
+            return original(model, grid, size)
+
+        patch.setattr(module, "_spectral_blocks", spy)
+    return walks
+
+
 class TestMeasureCommand:
     def test_measure_writes_expected_magnitudes(self, tmp_path, two_channel_model_path):
         out = tmp_path / "result.json"
@@ -214,9 +227,10 @@ class TestMeasureBlocks:
             ("pdc", {"pdc": (0, "refuse")}, 16, [], "E_NUMERIC: A_bar is numerically singular at omega = 3.14159 "),
             # the first measure in request order that refuses anywhere, not the first block's
             ("coh,pdc", {"pdc": (0, "refuse"), "coh": (16, "refuse")}, None, [], "E_NUMERIC: coh refused at row 16\n"),
-            ("coh,pdc", {"pdc": (0, "refuse")}, None, ["--fs", "inf"], "E_NUMERIC: pdc refused at row 0\n"),
-            # then an unwritable sample rate, then the first array in request order holding a non-finite value
+            # no refusal of the walk is met after an unwritable sample rate, which is refused before it
+            ("coh,pdc", {"pdc": (0, "refuse")}, None, ["--fs", "inf"], "E_CONFIG: sample_rate_hz must be positive"),
             ("coh", {"coh": (3, complex(math.nan, 0.0))}, None, ["--fs", "inf"], "E_CONFIG: sample_rate_hz must be positive"),
+            # after the walk, the first array in request order holding a non-finite value
             ("coh,pdc", {"pdc": (0, complex(math.nan, 0.0)), "coh": (16, complex(0.0, math.inf))}, None, [], "E_NUMERIC: Out of range float values are not JSON compliant: inf\n"),
             ("pdc,coh", {"pdc": (16, complex(1e200, 0.0)), "coh": (0, complex(-math.inf, 0.0))}, None, ["--mag-sq"], "E_NUMERIC: Out of range float values are not JSON compliant: inf\n"),
         ],
@@ -250,6 +264,17 @@ class TestMeasureBlocks:
 
         patch.setattr(varconn.fileio, "float_text", counted)
         return calls
+
+    def test_unwritable_sample_rate_refused_before_the_unstable_model(self, monkeypatch, tmp_path, capsys):
+        # every argument is judged before the model is touched, so no walk starts
+        path = tmp_path / "unstable.json"
+        save_model(VarModel([[[1.2]]], np.eye(1)), path)
+        walks = spy_walks(monkeypatch)
+        assert main(["measure", "--model", str(path), "--mag-sq", "--fs", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "E_CONFIG: sample_rate_hz must be positive with pi * sample_rate_hz finite, got inf\n"
+        assert walks == []
 
     def test_unwritable_sample_rate_renders_nothing(self, monkeypatch, tmp_path, capsys):
         # the refusal is certain before the walk, so no block is rendered into a spill
@@ -461,13 +486,16 @@ class TestMirCommand:
         assert main(["measure", "--model", str(two_channel_model_path), "--nfreq", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["grid"]["n_points"] == 1
 
-    def test_unstable_model_refused_before_the_grid_size(self, tmp_path, capsys):
+    def test_grid_size_refused_before_the_unstable_model(self, monkeypatch, tmp_path, capsys):
+        # every argument is judged before the model is touched, so no walk starts
         path = tmp_path / "unstable.json"
         save_model(VarModel([[[1.2]]], np.eye(1)), path)
-        assert main(["mir", "--model", str(path), "--nfreq", "1"]) == 3
+        walks = spy_walks(monkeypatch)
+        assert main(["mir", "--model", str(path), "--nfreq", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "E_NUMERIC: spectra require a stable model (spectral radius 1.2)\n"
+        assert captured.err == "E_CONFIG: rates need a grid of at least 2 points, got 1\n"
+        assert walks == []
 
     def test_resident_peak_stays_near_the_import_floor(self, tmp_path):
         # tracemalloc misses BLAS/LAPACK workspace and allocator slack, so read the

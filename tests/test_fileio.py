@@ -258,6 +258,12 @@ class TestTimeseriesCsv:
         with pytest.raises(DomainError, match="layout"):
             load_timeseries(path, layout="columns")
 
+    def test_document_refused_before_the_layout(self, tmp_path):
+        # the CSV is the document of fit, and a document is refused before the arguments
+        path = self.write(tmp_path, "1.0,2.0\n3.0,x\n")
+        with pytest.raises(ParseError, match="2:2: cannot parse 'x' as a number$"):
+            load_timeseries(path, layout="columns")
+
     def test_save_load_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         data = TimeSeriesData(rng.standard_normal((50, 2)))

@@ -368,7 +368,7 @@ class TestOnePass:
 
 
 class TestRefusalOrder:
-    """validate, then the guard over the whole grid, then the grid size, then the measures."""
+    """The kinds and the grid size, then validate, then the guard over the whole grid, then the measures."""
 
     @pytest.mark.parametrize(
         "kinds, refusing, singular_row, n_points, refusal",
@@ -431,9 +431,9 @@ class TestRefusalOrder:
             information_rates(random_stable_model(np.random.default_rng(17), 16, p=2), grid, ["idtf"])
         assert built == [64]
 
-    def test_guard_beats_the_grid_size(self, faulty_inverse):
+    def test_grid_size_beats_the_guard(self, faulty_inverse):
         faulty_inverse(1, {0: 1e20})
-        with pytest.raises(NumericalError, match="singular at omega = 0 "):
+        with pytest.raises(DomainError, match="^rates need a grid of at least 2 points, got 1$"):
             information_rates(fixture("two_var_alpha", alpha=0.5).model, FrequencyGrid(1), ["ipdc"])
 
 

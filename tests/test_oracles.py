@@ -32,6 +32,12 @@ GRID = FrequencyGrid(64)
 IPDC_CHECK = "iPDC equals innovation/partialized-process coherence"
 IDTF_CHECK = "iDTF equals signal/partialized-innovation coherence"
 PER_PAIR = ("partialized_process_coherence", "partialized_innovation_coherence")
+#: Both fixtures at lags 1 to 3; from lag 2 on, only the last lag matrix is nonzero, so the closed forms check A_bar's lag order
+FIXTURES = [
+    fixture(name, lag=lag, **params)
+    for lag in (1, 2, 3)
+    for name, params in (("two_var_alpha", {"alpha": 0.5}), ("three_var_alpha_beta", {"alpha": 0.5, "beta": 1.0}))
+]
 
 
 class TestFixtures:
@@ -54,17 +60,11 @@ class TestFixtures:
         assert str(caught.value) == f"missing parameters {missing} for {name}"
 
     def test_models_are_stable(self):
-        for fx in (
-            fixture("two_var_alpha", alpha=0.5),
-            fixture("three_var_alpha_beta", alpha=0.5, beta=1.0),
-        ):
+        for fx in FIXTURES:
             assert validate(fx.model).stable
 
     def test_expected_tables_match_pipeline(self):
-        for fx in (
-            fixture("two_var_alpha", alpha=0.5),
-            fixture("three_var_alpha_beta", alpha=0.5, beta=1.0),
-        ):
+        for fx in FIXTURES:
             spectra = evaluate_spectra(fx.model, GRID)
             computed = {
                 "ipdc": ipdc(spectra).values,
@@ -73,6 +73,11 @@ class TestFixtures:
             for (kind, i, j), expected in fx.expected(GRID).items():
                 deviation = float(np.max(np.abs(computed[kind][:, i, j] - expected)))
                 assert deviation < 1e-12, (fx.name, kind, i, j)
+
+    @pytest.mark.parametrize("lag", [0, -1, 1.0, "2"])
+    def test_bad_lag(self, lag):
+        with pytest.raises(DomainError, match="lag must be an integer >= 1"):
+            fixture("two_var_alpha", alpha=0.5, lag=lag)
 
     def test_chain_magnitudes(self):
         fx = fixture("three_var_alpha_beta", alpha=0.5, beta=1.0)
@@ -93,6 +98,13 @@ class TestRandomStableModel:
         with pytest.raises(DomainError):
             random_stable_model(rng, 3, sigma_kind="sparse")
 
+    def test_unknown_sigma_kind_refused_before_any_draw(self):
+        rng = np.random.default_rng(55)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="^unknown sigma_kind 'bogus'$"):
+            random_stable_model(rng, 3, sigma_kind="bogus")
+        assert rng.bit_generator.state == state
+
     def test_order_argument(self):
         model = random_stable_model(np.random.default_rng(51), 2, p=3)
         assert model.p == 3
@@ -103,6 +115,31 @@ class TestRandomStableModel:
         model = random_stable_model(np.random.default_rng(52), k, p=0)
         assert model.coeffs.shape == (0, k, k)
         assert validate(model).stable
+
+
+class TestChannelIndex:
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_out_of_range_index_refused_before_any_solve(self, monkeypatch, index):
+        model = fixture("two_var_alpha", alpha=0.5).model
+        spectra = evaluate_spectra(model, GRID)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the index was checked")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(oracles, "evaluate_spectra", refuse)
+        calls = {
+            "cross spectra": lambda: partialized_cross_spectra(spectra, index),
+            "innovation covariances": lambda: oracles.partialized_innovation_covariances(model.sigma, index),
+            "process coherence target": lambda: partialized_process_coherence(model, GRID, index, 0),
+            "process coherence source": lambda: partialized_process_coherence(model, GRID, 0, index),
+            "innovation coherence target": lambda: partialized_innovation_coherence(model, GRID, index, 1),
+            "innovation coherence source": lambda: partialized_innovation_coherence(model, GRID, 1, index),
+        }
+        for name, call in calls.items():
+            with pytest.raises(DomainError) as caught:
+                call()
+            assert str(caught.value) == f"channel index {index} is outside 0..1 (K = 2)", name
 
 
 class TestProcessCoherenceIdentity:

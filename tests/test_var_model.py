@@ -141,6 +141,12 @@ class TestValidate:
         eigs = sorted(np.linalg.eigvals(companion_matrix(model)).real)
         assert_allclose(eigs, [-0.25, 0.5], atol=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_companion_of_order_one_is_the_lag_matrix(self, k):
+        coeffs = np.random.default_rng(k).standard_normal((1, k, k))
+        companion = companion_matrix(VarModel(coeffs, np.eye(k)))
+        assert companion.shape == (k, k) and companion.tobytes() == coeffs[0].tobytes()
+
 
 class TestSimulate:
     def test_stationary_variance_matches_theory(self):
@@ -507,6 +513,18 @@ class TestSelectOrder:
         with pytest.raises(EstimationError) as caught:
             select_order(TimeSeriesData(values), 4)
         assert str(caught.value) == str(expected.value)
+
+    def test_no_usable_residual_covariance(self):
+        # x(t) = -x(t - 1) leaves order 1 no residual. Every step is exact on any host: the
+        # design means are +-1 and the window mean 0, so the Gram block shifted to the window
+        # mean is 729 * [[1, -1], [-1, 1]] with 729 = 9 * 81 = 27^2, and the Cholesky factor 27,
+        # the solve -27 and the residual 729 - 27^2 = 0 are exact. At p_max = 2 the lags are
+        # collinear, and estimate's refusal comes first
+        data = TimeSeriesData(np.where(np.arange(10) % 2 == 0, 9.0, -9.0)[:, None])
+        with pytest.raises(EstimationError, match="^no candidate order produced a usable residual covariance$"):
+            select_order(data, 1)
+        with pytest.raises(EstimationError, match="^rank-deficient regressor matrix"):
+            select_order(data, 2)
 
     def test_refused_candidate_is_fitted_without_copying_the_samples(self):
         # a duplicated channel sends every candidate to estimate; a copy of its
