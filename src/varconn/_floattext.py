@@ -11,18 +11,24 @@ addition. What depends only on a value's binary exponent, or only on where
 its decimal point falls, is read from a table. The text is laid out as
 ``repr`` lays it out: fixed notation for decimal exponents -4 <= e < 16
 (``.0`` on integers), ``d.ddde±XX`` otherwise.
+
+Each ``float_text`` call renders its blocks in one workspace, allocated
+when the call starts: every intermediate is written with ``out=`` into its
+rows, and the text is laid out on a canvas that a ``bytearray`` backs, so
+that its zero bytes are dropped without first copying the canvas out.
 """
 
 import functools
+import math
 from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-#: Values per step. Each array is 16 KiB, which glibc serves from the heap it
-#: keeps, and a step holds about 280 KiB of them at once, so memory does not
-#: grow with the array; larger steps measured slower, as their temporaries
-#: leave the caches.
-BLOCK = 2048
+#: Values per step. A call's workspace is 133 B a value of a step (532 KiB), and
+#: the memory a call holds does not grow with the array. Each step pays a fixed
+#: cost in NumPy calls: steps of 2,048 values measured 9% slower, and steps of
+#: 8,192 about 3% faster for a workspace twice the size.
+BLOCK = 4096
 
 _U = np.uint64  # all digit arithmetic is in uint64: mixed with int64, NumPy promotes to float64
 _M32, _M63 = _U(2**32 - 1), _U(2**63 - 1)
@@ -80,7 +86,7 @@ def _exponent_column(i: int) -> list[int]:
 
 @functools.cache
 def _tables() -> tuple[np.ndarray, np.ndarray]:
-    """Tables made on first use, before any block's temporaries, so that they pin none of them in the heap.
+    """Tables made on first use.
 
     By exponent column (see `_ZERO`): the rows of `_exponent_column`, filled
     as blocks first need them; a column's last row is 0 until it is filled.
@@ -104,8 +110,9 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
     suffix = _U(0x6500) | np.where(point < 1, _U(0x2D_0000), _U(0x2B_0000)) | digits << _U(24)
     layout = [_POW10[17 - whole], _POW10[whole], _POW10[2 + shift], _POW10[6 - shift]]
     layout += [_LAST[np.maximum(before - 8, 0)], _LAST[np.minimum(before, 8)], fixed * _U(0x100), np.where(fixed, _U(0), suffix)]
-    # in a mapping of its own, not the heap: there its 416 KiB would sit above the
-    # blocks' temporaries and keep glibc from handing them back. Imported here, as
+    # in a mapping of its own, whose pages are resident only once a column in them is
+    # filled: as a heap array (np.zeros, or np.empty with its last row zeroed) its
+    # 416 KiB raised model_fit's peak RSS by 0.17 to 0.45 MiB. Imported here, as
     # loading mmap adds 40 KiB to every command, also those that write no float text.
     import mmap
 
@@ -118,92 +125,112 @@ def _fill(exponents, columns) -> None:
     exponents[:, columns] = np.array([_exponent_column(i) for i in columns], np.uint64).T
 
 
-def _shortest(bits, exponents):
-    """(f, column, i): the shortest f * 10**k that reads back as each finite double, nearest to it, ties to even.
+def _shortest(w, c, flags, exponents):
+    """(f, column, i) in rows 2, 4 and 3 of the workspace `w`, whose row 0 holds each value's bits.
 
-    f is 0 for a zero. column = k + 339 is the point-table column of f
-    written with 16 digits, and i the exponent column (0 for a subnormal).
+    f is the shortest f * 10**k that reads back as each finite double,
+    nearest to it, ties to even, and 0 for a zero. column = k + 339 is the
+    point-table column of f written with 16 digits, and i the exponent
+    column (0 for a subnormal). Rows 5 to 10 of `w`, the five rows `c` and
+    the `flags` are scratch.
     """
-    m = bits & _U(2**52 - 1)
-    i = ((bits >> _U(51)) & _U(0xFFE) | (m == 0)).view(np.int64)
-    column = np.take(exponents[12], i)
+    bits, m, i, column, cp, cp_hi = w[0], w[2], w[3], w[4], w[5], w[6]
+    top, vb, lo, cross = c[:4], c[4], w[7:9], w[9:11]
+    index = i.view(np.int64)
+    np.bitwise_and(bits, _U(2**52 - 1), out=m)
+    np.right_shift(bits, _U(51), out=i)
+    i &= _U(0xFFE)
+    i |= np.equal(m, 0, out=flags[0])
+    np.take(exponents[12], index, out=column, mode="clip")
     if not column.all():
-        _fill(exponents, i[column == 0])
-        column = np.take(exponents[12], i)
-    # Each array is dropped once its last use is behind, and most steps are in place, so
-    # that a block holds about 280 KiB at once, not 700: glibc's heap keeps that much
-    # between blocks, where it trimmed the larger peak and faulted it in again per block.
+        _fill(exponents, index[column == 0])
+        np.take(exponents[12], index, out=column, mode="clip")
     # rop of the value: A = floor(g1 * cp / 2) + floor(g0 * cp / 2**64) for cp = c << (h + 2),
     # on both g's at once, each 64 x 59 bits as four 32 x 32-bit products
-    shift, implicit = np.take(exponents[4:6], i, axis=1)
-    cp = m + implicit
-    cp <<= shift
-    del shift, implicit
-    cp_hi = cp >> _U(32)
+    np.take(exponents[4:6], index, axis=1, out=top[:2], mode="clip")  # the shift and the implicit bit
+    np.add(m, top[1], out=cp)
+    cp <<= top[0]
+    np.right_shift(cp, _U(32), out=cp_hi)
     cp &= _M32  # the low limb
-    top = np.take(exponents[:4], i, axis=1)
-    cross = top[2:4] * cp_hi
-    cross += top[0:2] * cp  # below 2**59 + 2**63, so it does not wrap
-    lo, hi = top[2:4] * cp, top[0:2] * cp_hi
-    del top, cp, cp_hi
-    hi += cross >> _U(32)
-    hi += ((lo >> _U(32)) + (cross & _M32)) >> _U(32)
+    np.take(exponents[:4], index, axis=1, out=top, mode="clip")  # g1 and g0's high limbs, then their low limbs
+    np.multiply(top[2:], cp, out=lo)
+    np.multiply(top[2:], cp_hi, out=cross)
+    hi, t = top[:2], top[2:]
+    np.multiply(hi, cp, out=t)
+    cross += t  # below 2**59 + 2**63, so it does not wrap
+    hi *= cp_hi
+    np.right_shift(cross, _U(32), out=t)
+    hi += t
+    cross &= _M32
+    np.right_shift(lo, _U(32), out=t)
+    t += cross
+    t >>= _U(32)
+    hi += t
     cross <<= _U(32)
     lo += cross  # g1 * cp and g0 * cp mod 2**64
-    del cross
-    z = lo[0] >> _U(1)
+    z, a_hi = cp, cp_hi
+    np.right_shift(lo[0], _U(1), out=z)
     z += hi[1]
-    a_hi = hi[0] + (z >> _U(63))
-    del hi
+    np.right_shift(z, _U(63), out=a_hi)
+    a_hi += hi[0]
     a_lo = z
     a_lo &= _M63
-    vb = a_hi | ((a_lo + _M63) >> _U(63))
+    np.add(a_lo, _M63, out=vb)
+    vb >>= _U(63)
+    vb |= a_hi
     # the upper and lower ends of the interval, the same rop of A moved by the table's amounts
-    bottom = np.take(exponents[8:12], i, axis=1)
-    t = a_lo + bottom[0:2]
-    t += lo[1] > bottom[2:4]  # lo[1] is x0
-    del bottom, lo, a_lo
-    ends = np.take(exponents[6:8], i, axis=1)
+    bottom, t, ends = top, cross, lo
+    np.take(exponents[8:12], index, axis=1, out=bottom, mode="clip")
+    np.add(a_lo, bottom[:2], out=t)
+    t += np.greater(lo[1], bottom[2:], out=flags[:2])  # lo[1] is x0
+    np.take(exponents[6:8], index, axis=1, out=ends, mode="clip")
     ends += a_hi
-    del a_hi
-    ends += t >> _U(63)
+    np.right_shift(t, _U(63), out=bottom[:2])
+    ends += bottom[:2]
     t &= _M63
     t += _M63
     t >>= _U(63)
     ends |= t
-    del t
-    odd = m & _U(1)  # an odd c's interval excludes its ends
+    odd = m
+    odd &= _U(1)  # an odd c's interval excludes its ends
     ends[0] -= odd
     ends[1] += odd
     high, low = ends
-    del m, odd
-    s = vb >> _U(2)
+    s = m
+    np.right_shift(vb, _U(2), out=s)
+    tens, tens4, s4, scratch = top
+    down, up, s_in, t_in, nearer = flags
     # one digit fewer: at most one multiple of 10 * 10**k is in the interval
-    tens = s // _U(10)
-    tens4 = tens * _U(40)
-    down = low <= tens4
+    np.floor_divide(s, _U(10), out=tens)
+    np.multiply(tens, _U(40), out=tens4)
+    np.less_equal(low, tens4, out=down)
     tens4 += _U(40)
-    up = tens4 <= high
-    del tens4
+    np.less_equal(tens4, high, out=up)
     # else s or s + 1, whichever is in the interval, or the nearer, ties to even
-    s4 = s << _U(2)
-    s_in = low <= s4
+    np.left_shift(s, _U(2), out=s4)
+    np.less_equal(low, s4, out=s_in)
     s4 += _U(4)
-    t_in = s4 <= high
+    np.less_equal(s4, high, out=t_in)
     s4 -= _U(2)
-    del ends, high, low
-    plus_one = np.where(s_in == t_in, vb + (s & _U(1)) > s4, t_in)
-    return np.where(down != up, (tens + up) * _U(10), s + plus_one), column, i
+    np.bitwise_and(s, _U(1), out=scratch)
+    scratch += vb
+    np.greater(scratch, s4, out=nearer)
+    plus_one = t_in
+    np.copyto(plus_one, nearer, where=np.equal(s_in, t_in, out=s_in))
+    s += plus_one
+    tens += up
+    tens *= _U(10)
+    np.copyto(s, tens, where=np.not_equal(down, up, out=down))
+    return s, column, i
 
 
-def _digits8(x):
+def _digits8(x, q) -> None:
     """Replace each x < 10**8 by its eight decimal digits, one per byte, the most significant lowest.
 
     D. Lemire's SWAR split: 4 + 4 digits in the two 32-bit halves, then 2 + 2, then 1 + 1,
     each quotient q a multiply and shift, and x * 2**width - q * (base * 2**width - 1) puts
-    the remainder above it. In place: fresh arrays per step make it three times slower.
+    the remainder above it. In place, with q an array of x's shape for the quotients.
     """
-    q = np.empty_like(x)
     for base, width, magic, shift, mask in (
         (10000, 32, 109951163, 40, None),  # x < 10**8 has one lane: nothing to mask
         (100, 16, 10486, 20, 0x7F_0000_007F),
@@ -218,21 +245,26 @@ def _digits8(x):
         x -= q
 
 
-def _text(values, marker, tables) -> bytes:
-    """The repr of each value as ASCII, each followed by the byte in bits 48..55 of its marker.
+def _text(w, flags, tables, canvas) -> None:
+    """Lay out the repr of each value in row 0 of `w` in `canvas`, each followed by the byte in bits 48..55 of row 1.
 
     Each value gets five words, zero where it writes nothing: 16 integer
     digits aligned right, the point, 20 fraction digits aligned left (the
     zeros of 0.000ddd included), then the exponent from byte 1 of the last
     word and the marker in its byte 6. A sign goes in byte 7 of the
     previous value's last word. The text is what is left once the zero
-    bytes are dropped.
+    bytes are dropped; the canvas past the block's words is zeroed. Until
+    the words are laid out, its first 5 * n words are five rows of scratch.
     """
     exponents, layout = tables
-    bits = values.view(np.uint64)
-    f, column, i = _shortest(bits, exponents)
-    big = f >= _POW10[16]  # a normal double's f has 16 or 17 digits
-    f17 = np.where(big, f, f * _U(10))  # the digits, 17 of them
+    bits, marker = w[0], w[1]
+    n = bits.size
+    c = canvas[: 5 * n].reshape(5, n)
+    f, column, i = _shortest(w, c, flags, exponents)
+    f17, big = w[5], flags[0]
+    np.greater_equal(f, _POW10[16], out=big)  # a normal double's f has 16 or 17 digits
+    np.multiply(f, _U(10), out=f17)
+    np.copyto(f17, f, where=big)  # the digits, 17 of them
     column += big
     column = column.view(np.int64)
     if not i.all():  # a subnormal's f has 1 to 17
@@ -240,78 +272,112 @@ def _text(values, marker, tables) -> bytes:
         length = np.searchsorted(_POW10[:18], f[sub], side="right")
         f17[sub] = f[sub] * _POW10[17 - length]
         column[sub] += length - 16 - big[sub]
-    del f, big, i  # dropped as in _shortest, so that a block's temporaries stay small
-    div, mul, low, scale = np.take(layout[:4], column, axis=1)
-    integer = f17 // div
-    fraction = f17
-    fraction -= integer * div
+    div, mul, low, scale = c[:4]
+    np.take(layout[:4], column, axis=1, out=c[:4], mode="clip")
+    integer, scratch, fraction, words = w[2], w[3], f17, w[6:11]
+    np.floor_divide(f17, div, out=integer)
+    np.multiply(integer, div, out=scratch)
+    fraction -= scratch
     fraction *= mul  # the fraction's digits, left-aligned in 17 places
-    words = np.empty((5, bits.size), np.uint64)
     np.floor_divide(integer, _U(10**8), out=words[0])
-    np.subtract(integer, words[0] * _U(10**8), out=words[1])
-    del integer
-    tail = fraction // low  # the 20 fraction places, `shift` zeros first, as 7 + 8 + 5 digits
+    np.multiply(words[0], _U(10**8), out=scratch)
+    np.subtract(integer, scratch, out=words[1])
+    tail = integer
+    np.floor_divide(fraction, low, out=tail)  # the 20 fraction places, `shift` zeros first, as 7 + 8 + 5 digits
     np.floor_divide(tail, _U(10**8), out=words[2])
-    np.subtract(tail, words[2] * _U(10**8), out=words[3])
+    np.multiply(words[2], _U(10**8), out=scratch)
+    np.subtract(tail, scratch, out=words[3])
     tail *= low
     fraction -= tail
     np.multiply(fraction, scale, out=words[4])
-    del div, mul, low, scale, f17, fraction, tail
-    _digits8(words)
-    rows = np.take(layout[4:], column, axis=1)
-    del column
-    written, first, suffix = rows[:2], rows[2], rows[3]
+    _digits8(words, c)
+    np.take(layout[4:], column, axis=1, out=c[:4], mode="clip")
+    written, first, suffix = c[:2], c[2], c[3]
+    words[:2] += written
     # fraction digits written: up to the last nonzero one, and one at least in fixed notation
-    shown = words[2:] + _U(0x7F7F_7F7F_7F7F_7F7F)
+    shown, scratch = w[2:5], c[:3]
+    np.add(words[2:], _U(0x7F7F_7F7F_7F7F_7F7F), out=shown)
     shown[0] += first
     shown &= _U(0x8080_8080_8080_8080)  # 0x80 in the byte of each nonzero digit
-    shown[1] |= (shown[2] != 0) * _U(0x80 << 56)
-    shown[0] |= (shown[1] != 0) * _U(0x80 << 56)
-    shown |= shown >> _U(8)
-    shown |= shown >> _U(16)
-    shown |= shown >> _U(32)
+    for later in (1, 0):
+        shown[later] |= np.multiply(np.not_equal(shown[later + 1], 0, out=flags[0]), _U(0x80 << 56), out=scratch[0])
+    for width in (8, 16, 32):
+        shown |= np.right_shift(shown, _U(width), out=scratch)
     shown >>= _U(7)
     shown *= _U(0x30)
-    shown[0] -= (shown[0] & _U(0x10)) >> _U(3)  # "." in byte 0, before any fraction digit
+    np.bitwise_and(shown[0], _U(0x10), out=scratch[0])
+    scratch[0] >>= _U(3)
+    shown[0] -= scratch[0]  # "." in byte 0, before any fraction digit
     words[2:] += shown
-    del shown
-    words[:2] += written
     words[4] |= suffix
     words[4] |= marker
-    del rows, written, first, suffix
-    canvas = np.empty(5 * bits.size + 1, np.uint64)
-    canvas[1:].reshape(-1, 5)[:] = words.T
-    del words
+    canvas[1 : 5 * n + 1].reshape(n, 5)[:] = words.T
     canvas[0] = 0
-    canvas[: 5 * bits.size : 5] |= (bits >> _U(63)) * _U(0x2D << 56)
-    text = canvas.tobytes()
-    del canvas
-    return text.translate(None, b"\0")
+    canvas[5 * n + 1 :] = 0
+    sign = w[5]
+    np.right_shift(bits, _U(63), out=sign)
+    sign *= _U(0x2D << 56)
+    canvas[: 5 * n : 5] |= sign
 
 
-def float_text(values: np.ndarray, separators: Sequence[str]) -> Iterator[bytes]:
+#: Rows of a workspace: the bits, the markers and the intermediates of `_shortest` and `_text`
+#: that the canvas does not hold.
+_ROWS = 11
+
+
+def float_text(values, separators: Sequence[str]) -> Iterator[bytearray]:
     """The repr of each finite value of `values` in C order, as ASCII bytes yielded a block at a time.
 
     After each value comes separators[t], where t is how many trailing axes
     the value closes: separators[0] within a row, separators[values.ndim]
-    after the last value.
+    after the last value. `values` is an array, or any object with a
+    ``shape`` and a ``readinto(out)`` that writes the next len(out) values
+    into the float64 array out. Every block is rendered in one workspace,
+    allocated when the call starts.
     """
     tables = _tables()
     separators = [separator.encode("ascii") for separator in separators]  # bytes.replace is twice as fast
-    flat = np.asarray(values, dtype=np.float64).reshape(-1)
     sizes = [int(size) for size in np.cumprod(values.shape[::-1])]
-    for start in range(0, flat.size, BLOCK):
-        block = flat[start : start + BLOCK]
-        marker = np.full(block.size, _U(44 << 48))  # ","
+    total = math.prod(values.shape)
+    readinto = getattr(values, "readinto", None) or _reader(values)
+    block = BLOCK
+    width = min(block, total)
+    space, flags = np.empty(_ROWS * width, np.uint64), np.empty(5 * width, np.bool_)
+    buffer = bytearray(8 * (5 * width + 1))
+    canvas = np.frombuffer(buffer, np.uint64)
+    for start in range(0, total, block):
+        n = min(block, total - start)
+        w = space[: _ROWS * n].reshape(_ROWS, n)
+        readinto(w[0].view(np.float64))
+        marker = w[1]
+        marker.fill(_U(44 << 48))  # ","
         closes = []
         for t, size in enumerate(sizes, 1):  # deeper axes later: a value that closes t axes closes every shallower one
             first = (-start - 1) % size  # the first value in the block that closes t axes
             marker[first::size] = _U((128 + t) << 48)  # byte 129 marks a value that closes 1 axis, 130 2, ...
-            if first < block.size:
+            if first < n:
                 closes.append(t)
-        text = _text(block, marker, tables)
-        if separators[0] != b",":
-            text = text.replace(b",", separators[0])
-        for t in closes:  # above 127, no marker is a byte of the ASCII text or the separators
-            text = text.replace(bytes([128 + t]), separators[t])
-        yield text
+        _text(w, flags[: 5 * n].reshape(5, n), tables, canvas)
+        yield _separated(buffer.translate(None, b"\0"), separators, closes)
+
+
+def _separated(text: bytearray, separators: list[bytes], closes: list[int]) -> bytearray:
+    """The text with each marker replaced by its separator; only the text returned outlives the call."""
+    if separators[0] != b",":
+        text = text.replace(b",", separators[0])
+    for t in closes:  # above 127, no marker is a byte of the ASCII text or the separators
+        text = text.replace(bytes([128 + t]), separators[t])
+    return text
+
+
+def _reader(values):
+    """A ``readinto`` for an array: each call copies its next values, in C order."""
+    flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    start = 0
+
+    def readinto(out) -> None:
+        nonlocal start
+        np.copyto(out, flat[start : start + out.size])
+        start += out.size
+
+    return readinto

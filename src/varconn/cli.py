@@ -152,21 +152,13 @@ def _parse_kinds(text: str, what: str) -> list[str]:
 
 
 def _cmd_measure(args) -> int:
-    """Walk the grid once, rendering each block's measures into the document's spills; arguments are refused before the walk."""
+    """Walk the grid once, spilling each block's measures; arguments are refused before the walk, and the document rendered after it."""
     model = load_model(args.model)
     kinds = list(dict.fromkeys(MeasureKind(name) for name in _parse_kinds(args.measures, "measure")))
     grid = FrequencyGrid(args.nfreq)
     with ResultWriter(grid, kinds, args.mag_sq, args.fs) as writer:
-
-        def draw(spectra, kind):
-            try:
-                values = _MEASURES[kind](spectra).values
-            except (DomainError, NumericalError):
-                writer.refused = True  # _draw_kinds holds it and draws on, rendering nothing more
-                raise
-            writer.add(kind, values)
-
-        _draw_kinds(_spectral_blocks(model, grid, _block_size(model.K)), kinds, draw)
+        blocks = _spectral_blocks(model, grid, _block_size(model.K))
+        _draw_kinds(blocks, kinds, lambda spectra, kind: writer.add(kind, _MEASURES[kind](spectra).values))
         return _emit(writer.chunks(), args.out)
 
 

@@ -23,6 +23,7 @@ when it is a regular file, so no partial file remains.
 
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -133,7 +134,8 @@ def load_timeseries(path, layout: str = "rows_are_samples") -> TimeSeriesData:
     """Read a CSV of numbers into TimeSeriesData.
 
     A header row is detected automatically (any non-numeric cell in the
-    first row); a UTF-8 byte-order mark is skipped. Errors cite the
+    first row); a UTF-8 byte-order mark is skipped. A cell longer than
+    ``csv.field_size_limit()`` is refused in any row. Errors cite the
     position as line:column, one-based, counting physical file lines.
     """
     path = Path(path)
@@ -143,7 +145,7 @@ def load_timeseries(path, layout: str = "rows_are_samples") -> TimeSeriesData:
             values = _parse_cells(path)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8: {exc}") from None
-    except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
+    except csv.Error as exc:  # such as a NUL byte
         raise ParseError(f"{path}: {exc}") from None
     if layout not in LAYOUTS:  # an argument: judged after the document, as every command judges them
         raise DomainError(f"unknown layout {layout!r}, expected one of {LAYOUTS}")
@@ -160,15 +162,24 @@ def _parse_vectorised(path: Path) -> np.ndarray | None:
     it cannot parse (quotes, underscores, whitespace-only lines, ragged
     rows) or parses to a non-finite value is left to ``_parse_cells``,
     which reports the error or reads what it accepts. ``comments=None``
-    keeps a "#" a parse error.
+    keeps a "#" a parse error. So is a file that may hold a cell longer than
+    ``csv.field_size_limit()``, which loadtxt would read: one whose line
+    runs past the limit.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        rows = (row for row in reader if any(cell.strip() for cell in row))
-        first = next(rows, None)
-        header = first is not None and any(_is_not_number(cell) for cell in first)
-        skip = reader.line_num if header else 0
-        row = next(rows, None) if header else first
+    step = csv.field_size_limit() // 2
+    with open(path, "rb") as handle:  # a line longer than the limit holds a whole aligned run of `step` bytes
+        if any(len(run) == step and b"\n" not in run for run in iter(functools.partial(handle.read, step), b"")):
+            return None
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            rows = (row for row in reader if any(cell.strip() for cell in row))
+            first = next(rows, None)
+            header = first is not None and any(_is_not_number(cell) for cell in first)
+            skip = reader.line_num if header else 0
+            row = next(rows, None) if header else first
+    except csv.Error:  # _parse_cells raises it, or names the cell beyond the limit, as a quoted one spanning lines
+        return None
     if row is None:  # no data rows: _parse_cells says which error
         return None
     try:
@@ -183,15 +194,24 @@ def _parse_vectorised(path: Path) -> np.ndarray | None:
 def _parse_cells(path: Path) -> np.ndarray:
     """The CSV's values read cell by cell with ``float``, raising at the first bad cell.
 
-    A row is numbered by the physical line its record starts on.
+    A row is numbered by the physical line its record starts on. ``csv``
+    reads cells of any length here, its limit lifted while the file is
+    read, so that a cell beyond it is refused with its line and column.
     """
     rows, start = [], 1
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        for row in reader:
-            if any(cell.strip() for cell in row):
-                rows.append((start, row))
-            start = reader.line_num + 1
+    limit = csv.field_size_limit(2**31 - 1)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            for row in reader:
+                for c, cell in enumerate(row):
+                    if len(cell) > limit:
+                        raise ParseError(f"{path}: {start}:{c + 1}: field larger than field limit ({limit})")
+                if any(cell.strip() for cell in row):
+                    rows.append((start, row))
+                start = reader.line_num + 1
+    finally:
+        csv.field_size_limit(limit)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     if any(_is_not_number(cell) for cell in rows[0][1]):
@@ -290,29 +310,22 @@ def _is_not_number(cell: str) -> bool:
     return False
 
 
-#: Where a measure array sits in a result document: under the document, "measures" and its name.
-_MEASURE_LEVEL = 3
-
-#: Bytes per read when a spill is copied into the document.
-_COPY_BYTES = 2**16
-
-
 class ResultWriter:
     """A result document whose measures arrive a block of frequencies at a time.
 
     ``add`` takes the next block of one of `kinds` (enums or strings), a
     complex (n, K, K) array; a measure's blocks come in grid order and end
-    on whole frequencies. While no refusal is certain, each block's text
-    goes to its array's spill ("re", "im" and, with include_mag_sq,
-    "mag_sq" of each measure), an unlinked file in ``tempfile``'s
-    directory, which a spill's OSError names. A ``sample_rate_hz`` the
-    grid cannot be written in is refused when the writer is made. A
-    refusal is certain once a caller sets ``refused`` (a draw refusal it
-    holds) or an array holds a non-finite value. ``chunks`` raises a bad
-    ``units`` or a value refusal, in the order the README's refusal
-    paragraph states; else it returns the document's bytes, the spills
-    copied in key order. The spills close with the writer or when its
-    chunks have been read to the end.
+    on whole frequencies. Each block's arrays ("re", "im" and, with
+    include_mag_sq, "mag_sq") are checked for finite values, and its
+    complex values go as raw bytes, 16 per entry, to the measure's spill:
+    an unlinked file in ``tempfile``'s directory, which a spill's OSError
+    names. A ``sample_rate_hz`` the grid cannot be written in is refused
+    when the writer is made. ``chunks`` raises a bad ``units`` or a value
+    refusal, in the order the README's refusal paragraph states; else it
+    returns the document's bytes, each array rendered from its spill in
+    key order, so nothing is rendered before every check has passed. The
+    spills close with the writer or when its chunks have been read to the
+    end.
     """
 
     def __init__(self, grid: FrequencyGrid, kinds=(), include_mag_sq: bool = False, sample_rate_hz: float | None = None):
@@ -320,47 +333,41 @@ class ResultWriter:
         if not (sample_rate_hz is None or (sample_rate_hz > 0 and math.isfinite(math.pi * sample_rate_hz))):
             raise DomainError(f"sample_rate_hz must be positive with pi * sample_rate_hz finite, got {sample_rate_hz}")
         self.grid, self.sample_rate_hz = grid, sample_rate_hz
-        self.refused = False
-        self._rows = {_name(kind): 0 for kind in kinds}  # rows added of each measure
         self._fields = ("re", "im", "mag_sq") if include_mag_sq else ("re", "im")
         self._first_bad = {}  # (name, field) -> the first non-finite value met
-        self._separators = _layout(_MEASURE_LEVEL, 3)[1]
-        self._spills.update(((_name(kind), field), tempfile.TemporaryFile()) for kind in kinds for field in self._fields)
+        self._shape = None  # every measure's (n_points, K, K), known from the first block
+        self._spills.update((_name(kind), tempfile.TemporaryFile()) for kind in kinds)
 
     def add(self, kind, values: np.ndarray) -> None:
-        """Check a measure's next block and, unless a refusal is certain, render it into the measure's spills."""
+        """Check a measure's next block and append its values to the measure's spill."""
         name = _name(kind)
-        self._rows[name] += len(values)
-        separators = self._separators
-        if self._rows[name] < self.grid.n_points:  # the block's last value closes a frequency, not the array
-            separators = separators[:3] + separators[2:3]
+        values = np.ascontiguousarray(values, np.complex128)
+        self._shape = (self.grid.n_points, *values.shape[1:])
         for field in self._fields:
-            key = (name, field)
-            with np.errstate(over="ignore"):  # a squared magnitude that overflows is refused as the inf it leaves
-                part = values.real if field == "re" else values.imag if field == "im" else np.abs(values) ** 2
-            if key not in self._first_bad and not np.all(np.isfinite(part)):
-                self._first_bad[key] = float(part[~np.isfinite(part)][0])
-                self.refused = True
-            if not self.refused:
-                try:  # flushed, so that a full disk is met here and not after the document's first byte
-                    self._spills[key].writelines(float_text(part, separators))
-                    self._spills[key].flush()
-                except OSError as exc:  # a spill is an unlinked file: name its directory
-                    raise OSError(exc.errno, exc.strerror, tempfile.gettempdir()) from None
+            if (name, field) not in self._first_bad:
+                with np.errstate(over="ignore"):  # a squared magnitude that overflows is refused as the inf it leaves
+                    part = _part(values, field)
+                if not np.all(np.isfinite(part)):
+                    self._first_bad[name, field] = float(part[~np.isfinite(part)][0])
+        try:  # flushed, so that a full disk is met here and not after the document's first byte
+            self._spills[name].write(values)
+            self._spills[name].flush()
+        except OSError as exc:  # a spill is an unlinked file: name its directory
+            raise OSError(exc.errno, exc.strerror, tempfile.gettempdir()) from None
 
     def chunks(self, mirs: dict | None = None, units: str = "nats_per_sample") -> Iterator[bytes]:
         """Raise a refusal, else return the document's text in chunks of bytes."""
         if units not in UNITS:
             raise DomainError(f"unknown units {units!r}, expected one of {UNITS}")
-        for key in self._spills:
+        for key in itertools.product(self._spills, self._fields):
             if key in self._first_bad:
                 raise _non_finite(self._first_bad[key])
         grid_block = {"n_points": self.grid.n_points, "omega": self.grid.points}
         if self.sample_rate_hz is not None:
             grid_block["frequency_hz"] = self.grid.points * self.sample_rate_hz / (2.0 * np.pi)
         document = {"schema_version": RESULT_SCHEMA_VERSION, "grid": grid_block, "measures": {}, "mir": {}}
-        for (name, field), spill in self._spills.items():
-            document["measures"].setdefault(name, {})[field] = spill
+        for name, spill in self._spills.items():
+            document["measures"][name] = {field: _SpilledPart(spill, self._shape, field) for field in self._fields}
         for kind, mir in (mirs or {}).items():
             values = mir.values if units == "nats_per_sample" else mir.values / _LN2
             if not np.all(np.isfinite(values)):
@@ -384,6 +391,31 @@ class ResultWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _part(values: np.ndarray, field: str, out: np.ndarray | None = None) -> np.ndarray:
+    """The "re", "im" or "mag_sq" array of complex values, written into `out` when it is given."""
+    if field == "mag_sq":
+        return np.square(np.abs(values, out=out), out=out)  # what np.abs(values) ** 2 computes
+    part = values.real if field == "re" else values.imag
+    if out is None:
+        return part
+    np.copyto(out, part)
+    return out
+
+
+class _SpilledPart:
+    """One array of a measure, which ``float_text`` reads a block at a time from the measure's spill."""
+
+    def __init__(self, spill, shape: tuple, field: str):
+        self.shape, self._spill, self._field = shape, spill, field
+        self._offset = 0  # bytes read: the spill's other arrays read it too
+
+    def readinto(self, out: np.ndarray) -> None:
+        self._spill.seek(self._offset)
+        values = self._spill.read(16 * out.size)
+        self._offset += len(values)
+        _part(np.frombuffer(values, np.complex128), self._field, out)
 
 
 def save_result(chunks: Iterable[bytes], path) -> Path:
@@ -413,14 +445,10 @@ def _layout(level: int, ndim: int) -> tuple[bytes, list[str]]:
 
 def _chunks(node, level: int) -> Iterator[bytes]:
     """The text of a node at indent `level`, as ``json.dumps(sort_keys=True, indent=2)`` writes it."""
-    if isinstance(node, np.ndarray):
-        head, separators = _layout(level, node.ndim)
+    if hasattr(node, "shape"):  # an array, or a measure's array read back from its spill
+        head, separators = _layout(level, len(node.shape))
         yield head
         yield from float_text(node, separators)
-    elif hasattr(node, "read"):  # a spill, which holds the text of an (n, K, K) array after its head
-        yield _layout(level, 3)[0]
-        node.seek(0)
-        yield from iter(functools.partial(node.read, _COPY_BYTES), b"")
     elif isinstance(node, dict) and node:
         pad = "\n" + "  " * (level + 1)
         for index, key in enumerate(sorted(node)):

@@ -255,11 +255,11 @@ class TestMeasureBlocks:
 
     @staticmethod
     def count_float_text(patch):
-        """Count the arrays fileio renders from here on, one float_text call each."""
+        """Record the shape of each array fileio renders from here on, one float_text call each."""
         calls, float_text = [], varconn.fileio.float_text
 
         def counted(*args):
-            calls.append(len(args[0]))
+            calls.append(args[0].shape)
             return float_text(*args)
 
         patch.setattr(varconn.fileio, "float_text", counted)
@@ -287,13 +287,40 @@ class TestMeasureBlocks:
 
     def test_nothing_is_rendered_after_a_draw_refusal(self, monkeypatch, capsys, model_path):
         # in blocks of one frequency pdc refuses in block 1; coh is still drawn in every
-        # later block, since it could yet refuse first, but nothing more is rendered
+        # later block, since it could yet refuse first, and nothing is rendered at all:
+        # the blocks go to the spills as values, and the document is rendered after the checks
         monkeypatch.setattr(varconn.cli, "_block_size", lambda k: 1)
         self.install_faults(monkeypatch, {"pdc": (1, "refuse")}, None)
         calls = self.count_float_text(monkeypatch)
         assert main(["measure", "--model", str(model_path), "--measures", "coh,pdc", "--nfreq", str(self.N_POINTS)]) == 3
         assert capsys.readouterr().err == "E_NUMERIC: pdc refused at row 1\n"
-        assert len(calls) == 6  # "re" and "im" of coh and pdc in block 0, then of coh in block 1
+        assert calls == []
+
+    def test_one_spill_of_values_per_measure(self, monkeypatch, tmp_path, model_path):
+        # with --mag-sq too, each measure spills its complex values once, 16 B per (omega, i, j) entry,
+        # whatever the block size; the three arrays of a measure are rendered from that one spill
+        spills, temporary_file = [], tempfile.TemporaryFile
+
+        class CountedSpill:
+            def __init__(self, *args, **kwargs):
+                self.file, self.written = temporary_file(*args, **kwargs), 0
+                spills.append(self)
+
+            def write(self, data):
+                self.written += memoryview(data).nbytes
+                return self.file.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.file, name)
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", CountedSpill)
+        monkeypatch.setattr(varconn.cli, "_block_size", lambda k: 2)
+        out = tmp_path / "result.json"
+        assert main(["measure", "--model", str(model_path), "--mag-sq", "--nfreq", str(self.N_POINTS), "--out", str(out)]) == 0
+        measures = json.loads(out.read_text())["measures"]
+        assert len(spills) == len(measures) == len(MeasureKind)
+        assert [spill.written for spill in spills] == [16 * self.N_POINTS * 3 * 3] * len(MeasureKind)
+        assert all(sorted(arrays) == ["im", "mag_sq", "re"] for arrays in measures.values())
 
     def test_peak_does_not_grow_with_the_grid(self, tmp_path):
         # the whole-grid route peaked here at 9.6 MiB (1,024 points) and 34.9 MiB (4,096 points);
@@ -323,7 +350,7 @@ class TestMeasureBlocks:
     @pytest.mark.parametrize("to_file", [True, False])
     def test_spill_error_is_an_io_refusal(self, monkeypatch, tmp_path, capsys, two_channel_model_path, to_file):
         class FullSpill(io.BytesIO):
-            def writelines(self, lines):
+            def write(self, values):
                 raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(tempfile, "TemporaryFile", FullSpill)
@@ -955,7 +982,7 @@ class TestFailedWrites:
             argv = ["measure", "--model", str(model_path), "--nfreq", "256"]
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main([*argv, "--out", str(out)]) == 0
-            # above each of the 14 spills' sizes, below the document's: the spills are
+            # above each of the 7 spills' sizes, below the document's: the spills are
             # written, and the copy into --out fails
             limit = out.stat().st_size // 2
             out.unlink()

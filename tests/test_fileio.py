@@ -188,12 +188,35 @@ class TestTimeseriesCsv:
     @pytest.mark.parametrize("row", [0, 2])
     def test_cell_beyond_the_csv_field_limit_is_a_parse_error(self, tmp_path, row):
         lines = ["1.0,2.0"] * 3
-        # header detection meets it in row 0; later, loadtxt reads the nines as inf and the file is read cell by cell
+        # its line runs past the limit, so the file is read cell by cell in any row
         lines[row] = "9" * (csv.field_size_limit() + 1) + ",2.0"
         path = self.write(tmp_path, "\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="field larger than field limit") as caught:
             load_timeseries(path)
         assert str(caught.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_valid_number_beyond_the_csv_field_limit_is_refused_in_any_row(self, tmp_path, row):
+        # "1." and then zeros is 1.0 to float and to np.loadtxt alike; in the first row and in a later one it is
+        # refused by one rule, at its line and column
+        limit = csv.field_size_limit()
+        lines = ["1.0,2.0"] * 3
+        lines[row] = "1.0,1." + "0" * limit
+        path = self.write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as caught:
+            load_timeseries(path)
+        assert str(caught.value) == f"{path}: {row + 1}:2: field larger than field limit ({limit})"
+        assert csv.field_size_limit() == limit
+
+    def test_lines_longer_than_the_field_limit_are_read_cell_by_cell(self, tmp_path):
+        # rows_are_channels puts every sample of a channel on one line: its cells are short, so it is read,
+        # with the values np.loadtxt gives
+        values = np.random.default_rng(4).standard_normal((2, 30_000))
+        path = self.write(tmp_path, "".join(",".join(map(repr, row.tolist())) + "\n" for row in values))
+        assert min(map(len, path.read_text().splitlines())) > csv.field_size_limit()
+        assert _parse_vectorised(path) is None
+        data = load_timeseries(path, layout="rows_are_channels")
+        assert np.array_equal(data.values, np.loadtxt(path, delimiter=",").T)
 
     def test_headerless_file(self, tmp_path):
         path = self.write(tmp_path, "1.0,2.0\n3.0,4.0\n")

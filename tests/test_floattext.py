@@ -1,10 +1,12 @@
 """The vectorised float formatter against its oracle, ``float.__repr__``."""
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -178,3 +180,54 @@ def test_text_does_not_depend_on_simd_dispatch(tmp_path):
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sweep.npy")], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split()[-1] == hashlib.sha256(joined(values, ("\n", "\n")).encode("ascii")).hexdigest()
+
+
+def long_then_short(seed: int, shape) -> np.ndarray:
+    """Values of 17 digits and a 3-digit exponent, then, in the last block, the shortest texts: zeros and subnormals."""
+    rng = np.random.default_rng(seed)
+    values = -rng.uniform(1.0, 2.0, shape) * 1e-300
+    flat = values.reshape(-1)
+    last = flat[(flat.size - 1) // BLOCK * BLOCK :]
+    last[0::3], last[1::3] = -0.0, 0.0
+    last[2::3] = from_bits(rng.integers(1, 2**12, last[2::3].size))
+    return values
+
+
+def test_a_workspace_reused_block_after_block_leaks_no_bytes():
+    # each call renders all its blocks in one workspace: a short last block after long texts,
+    # arrays of other shapes and separators back to back, and two calls whose blocks interleave
+    cases = [
+        (long_then_short(1, (3, BLOCK // 2 + 1)), ["A", "B\n", "e]"]),
+        (long_then_short(2, (2 * BLOCK + 5,)), [",", "\r\n"]),
+        (long_then_short(3, (BLOCK // 8 + 1, 2, 4)), [f"<{t}>" for t in range(4)]),
+        (np.array([-0.0, 5e-324, -1e-310]), ["\n", "\n"]),
+    ]
+    for values, separators in cases + cases[::-1]:
+        assert joined(values, separators) == with_separators(values, separators)
+    (a, separators_a), (b, separators_b) = cases[:2]
+    texts = ([], [])
+    for pair in itertools.zip_longest(float_text(a, separators_a), float_text(b, separators_b)):
+        for text, chunk in zip(texts, pair):
+            if chunk is not None:
+                text.append(bytes(chunk))
+    assert b"".join(texts[0]).decode("ascii") == with_separators(a, separators_a)
+    assert b"".join(texts[1]).decode("ascii") == with_separators(b, separators_b)
+
+
+@pytest.mark.parametrize("blocks", [4, 64])
+def test_one_call_peaks_within_a_bound_of_one_block(blocks):
+    # the workspace (11 rows of uint64, 5 of flags and the 5-word canvas: 133 B a value) is
+    # allocated once per call, so the peak is one block's, whatever the array's length: with
+    # the canvas-sized text translate makes (40 B a value) and a block's text before and after
+    # its separators (up to 26 and 40 B a value here), about 240 B a value; 1.02 MB measured
+    _floattext._tables()
+    values = long_then_short(blocks, (blocks * BLOCK - 5,))
+    separators = (",\n            ", "\n          ]")  # as long as a measure array's within a row
+    tracemalloc.start()
+    try:
+        for _ in float_text(values, separators):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 320 * BLOCK, peak
