@@ -98,7 +98,8 @@ class TestOracleSweep:
     def test_random_bit_patterns(self):
         assert_reprs(random_bit_patterns())
 
-    @pytest.mark.parametrize("size", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1])
+    # 2,047 to 2,049 straddle a half block, where the block was 2,048 values before it rose to 4,096
+    @pytest.mark.parametrize("size", [1, 2, 2047, 2048, 2049, BLOCK - 1, BLOCK, BLOCK + 1])
     def test_block_lengths(self, size):
         rng = np.random.default_rng(size)
         assert_reprs(rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size))
@@ -146,7 +147,7 @@ def test_separators_may_hold_any_ascii():
 
 # blocks that start at every offset within each axis, not only at multiples of BLOCK: 7 is
 # coprime with 5 and 8, so one-value blocks (20 s for the two large shapes) would add no offset
-OFFSET_CASES = [((3, 5, 7), 1)] + [(shape, block) for shape in [(512, 8, 8), (20000, 5), (3, 5, 7)] for block in [7, BLOCK - 1, BLOCK]]
+OFFSET_CASES = [((3, 5, 7), 1)] + [(shape, block) for shape in [(512, 8, 8), (20000, 5), (3, 5, 7)] for block in [7, 2047, 2048, BLOCK - 1, BLOCK]]
 
 
 @pytest.mark.parametrize("shape, block", OFFSET_CASES, ids=[f"{'x'.join(map(str, shape))}-block{block}" for shape, block in OFFSET_CASES])
