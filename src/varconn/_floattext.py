@@ -332,8 +332,9 @@ def float_text(values, separators: Sequence[str]) -> Iterator[bytearray]:
     the value closes: separators[0] within a row, separators[values.ndim]
     after the last value. `values` is an array, or any object with a
     ``shape`` and a ``readinto(out)`` that writes the next len(out) values
-    into the float64 array out. Every block is rendered in one workspace,
-    allocated when the call starts.
+    into the float64 array out and returns the bytes written, as a binary
+    file's does; values that end early are a ValueError. Every block is
+    rendered in one workspace, allocated when the call starts.
     """
     tables = _tables()
     separators = [separator.encode("ascii") for separator in separators]  # bytes.replace is twice as fast
@@ -348,7 +349,8 @@ def float_text(values, separators: Sequence[str]) -> Iterator[bytearray]:
     for start in range(0, total, block):
         n = min(block, total - start)
         w = space[: _ROWS * n].reshape(_ROWS, n)
-        readinto(w[0].view(np.float64))
+        if readinto(w[0].view(np.float64)) != 8 * n:
+            raise ValueError(f"values end before the {total} their shape {tuple(values.shape)} holds")
         marker = w[1]
         marker.fill(_U(44 << 48))  # ","
         closes = []
@@ -375,9 +377,10 @@ def _reader(values):
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
     start = 0
 
-    def readinto(out) -> None:
+    def readinto(out) -> int:
         nonlocal start
         np.copyto(out, flat[start : start + out.size])
         start += out.size
+        return out.nbytes
 
     return readinto

@@ -9,8 +9,9 @@ mirrored entries differ in the last digit re-saves symmetrized. Result
 documents are written straight from arrays, byte for byte as
 ``json.dumps`` writes them as nested lists ("re"/"im" for complex
 arrays), and nothing is written when one is refused; a measure's arrays
-may arrive a block of frequencies at a time (``ResultWriter``), as a CSV's
-rows may arrive a block of samples at a time (``TimeseriesWriter``). The float
+may arrive a block of frequencies at a time (``ResultWriter``, which spills
+each array it prints as float64), as a CSV's rows may arrive a block of samples
+at a time (``TimeseriesWriter``); both check finiteness by one rule. The float
 text of result documents and of time-series CSV comes from one vectorised
 shortest-round-trip formatter (``_floattext``), byte-identical to ``repr``,
 as ASCII bytes that go to files opened in binary mode.
@@ -23,12 +24,12 @@ when it is a regular file, so no partial file remains.
 
 import csv
 import functools
-import itertools
 import json
 import math
 import os
 import stat
 import tempfile
+import types
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -296,8 +297,7 @@ class TimeseriesWriter(OutputFile):
         self._handle.write((",".join(f"ch{i + 1}" for i in range(k)) + "\r\n").encode("ascii"))
 
     def add(self, rows: np.ndarray) -> None:
-        # a nan propagates through both reductions, which allocate nothing of the block's size
-        if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
+        if _first_non_finite(rows) is not None:
             raise DomainError("samples must be finite")
         self.writelines(float_text(rows, (",", "\r\n", "\r\n")))
 
@@ -315,17 +315,17 @@ class ResultWriter:
 
     ``add`` takes the next block of one of `kinds` (enums or strings), a
     complex (n, K, K) array; a measure's blocks come in grid order and end
-    on whole frequencies. Each block's arrays ("re", "im" and, with
-    include_mag_sq, "mag_sq") are checked for finite values, and its
-    complex values go as raw bytes, 16 per entry, to the measure's spill:
+    on whole frequencies. Each array it will print ("re", "im" and, with
+    include_mag_sq, "mag_sq") is computed once a block, checked for finite
+    values, and appended as float64, 8 B per entry, to a spill of its own:
     an unlinked file in ``tempfile``'s directory, which a spill's OSError
     names. A ``sample_rate_hz`` the grid cannot be written in is refused
     when the writer is made. ``chunks`` raises a bad ``units`` or a value
     refusal, in the order the README's refusal paragraph states; else it
-    returns the document's bytes, each array rendered from its spill in
-    key order, so nothing is rendered before every check has passed. The
-    spills close with the writer or when its chunks have been read to the
-    end.
+    returns the document's bytes, each array rendered in key order from its
+    spill, read once from its start, so nothing is rendered before every
+    check has passed. The spills close with the writer or when its chunks
+    have been read to the end.
     """
 
     def __init__(self, grid: FrequencyGrid, kinds=(), include_mag_sq: bool = False, sample_rate_hz: float | None = None):
@@ -336,42 +336,47 @@ class ResultWriter:
         self._fields = ("re", "im", "mag_sq") if include_mag_sq else ("re", "im")
         self._first_bad = {}  # (name, field) -> the first non-finite value met
         self._shape = None  # every measure's (n_points, K, K), known from the first block
-        self._spills.update((_name(kind), tempfile.TemporaryFile()) for kind in kinds)
+        self._spills.update(((_name(kind), field), tempfile.TemporaryFile()) for kind in kinds for field in self._fields)
 
     def add(self, kind, values: np.ndarray) -> None:
-        """Check a measure's next block and append its values to the measure's spill."""
+        """Check a measure's next block and append each of its arrays to that array's spill."""
         name = _name(kind)
-        values = np.ascontiguousarray(values, np.complex128)
+        values = np.asarray(values, np.complex128)
         self._shape = (self.grid.n_points, *values.shape[1:])
         for field in self._fields:
-            if (name, field) not in self._first_bad:
+            if field == "mag_sq":
                 with np.errstate(over="ignore"):  # a squared magnitude that overflows is refused as the inf it leaves
-                    part = _part(values, field)
-                if not np.all(np.isfinite(part)):
-                    self._first_bad[name, field] = float(part[~np.isfinite(part)][0])
-        try:  # flushed, so that a full disk is met here and not after the document's first byte
-            self._spills[name].write(values)
-            self._spills[name].flush()
-        except OSError as exc:  # a spill is an unlinked file: name its directory
-            raise OSError(exc.errno, exc.strerror, tempfile.gettempdir()) from None
+                    part = np.square(np.abs(values))  # what np.abs(values) ** 2 computes
+            else:
+                part = np.ascontiguousarray(values.real if field == "re" else values.imag)
+            bad = _first_non_finite(part)
+            if bad is not None:
+                self._first_bad.setdefault((name, field), bad)
+            try:  # flushed, so that a full disk is met here and not after the document's first byte
+                self._spills[name, field].write(part)
+                self._spills[name, field].flush()
+            except OSError as exc:  # a spill is an unlinked file: name its directory
+                raise OSError(exc.errno, exc.strerror, tempfile.gettempdir()) from None
 
     def chunks(self, mirs: dict | None = None, units: str = "nats_per_sample") -> Iterator[bytes]:
         """Raise a refusal, else return the document's text in chunks of bytes."""
         if units not in UNITS:
             raise DomainError(f"unknown units {units!r}, expected one of {UNITS}")
-        for key in itertools.product(self._spills, self._fields):
+        for key in self._spills:
             if key in self._first_bad:
                 raise _non_finite(self._first_bad[key])
         grid_block = {"n_points": self.grid.n_points, "omega": self.grid.points}
         if self.sample_rate_hz is not None:
             grid_block["frequency_hz"] = self.grid.points * self.sample_rate_hz / (2.0 * np.pi)
         document = {"schema_version": RESULT_SCHEMA_VERSION, "grid": grid_block, "measures": {}, "mir": {}}
-        for name, spill in self._spills.items():
-            document["measures"][name] = {field: _SpilledPart(spill, self._shape, field) for field in self._fields}
+        for (name, field), spill in self._spills.items():
+            spill.seek(0)
+            document["measures"].setdefault(name, {})[field] = types.SimpleNamespace(shape=self._shape, readinto=spill.readinto)
         for kind, mir in (mirs or {}).items():
             values = mir.values if units == "nats_per_sample" else mir.values / _LN2
-            if not np.all(np.isfinite(values)):
-                raise _non_finite(float(values[~np.isfinite(values)][0]))
+            bad = _first_non_finite(values)
+            if bad is not None:
+                raise _non_finite(bad)
             document["mir"][_name(kind)] = {"values": values, "units": units, "n_clipped": int(mir.n_clipped)}
         return self._copy(document)
 
@@ -393,31 +398,6 @@ class ResultWriter:
         self.close()
 
 
-def _part(values: np.ndarray, field: str, out: np.ndarray | None = None) -> np.ndarray:
-    """The "re", "im" or "mag_sq" array of complex values, written into `out` when it is given."""
-    if field == "mag_sq":
-        return np.square(np.abs(values, out=out), out=out)  # what np.abs(values) ** 2 computes
-    part = values.real if field == "re" else values.imag
-    if out is None:
-        return part
-    np.copyto(out, part)
-    return out
-
-
-class _SpilledPart:
-    """One array of a measure, which ``float_text`` reads a block at a time from the measure's spill."""
-
-    def __init__(self, spill, shape: tuple, field: str):
-        self.shape, self._spill, self._field = shape, spill, field
-        self._offset = 0  # bytes read: the spill's other arrays read it too
-
-    def readinto(self, out: np.ndarray) -> None:
-        self._spill.seek(self._offset)
-        values = self._spill.read(16 * out.size)
-        self._offset += len(values)
-        _part(np.frombuffer(values, np.complex128), self._field, out)
-
-
 def save_result(chunks: Iterable[bytes], path) -> Path:
     """Write the chunks of a result document's bytes; returns the resolved path."""
     with OutputFile(path) as out:
@@ -427,6 +407,14 @@ def save_result(chunks: Iterable[bytes], path) -> Path:
 
 def _name(kind) -> str:
     return str(getattr(kind, "value", kind))
+
+
+def _first_non_finite(values: np.ndarray) -> float | None:
+    """The first non-finite value of a real array in C order, or None."""
+    # a nan propagates through min and max, which allocate nothing of the array's size
+    if np.isfinite(values.min()) and np.isfinite(values.max()):
+        return None
+    return float(values[~np.isfinite(values)][0])
 
 
 def _non_finite(value: float) -> NumericalError:

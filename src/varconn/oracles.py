@@ -152,13 +152,15 @@ def _process_columns(model: VarModel, spectra: SpectralSet, cross: np.ndarray, s
     """
     numerator = np.einsum("fil,flc->fic", spectra.a_bar, cross)
     schur = cross[:, sources, range(len(sources))].real[:, None, :]
-    return numerator / np.sqrt(np.diagonal(model.sigma)[:, None] * schur), np.abs(spectra.a_bar[:, :, sources] - numerator / schur)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a partial spectrum cancelled to <= 0 gives NaN or inf
+        return numerator / np.sqrt(np.diagonal(model.sigma)[:, None] * schur), np.abs(spectra.a_bar[:, :, sources] - numerator / schur)
 
 
 def _innovation_columns(spectra: SpectralSet, covariances: np.ndarray, sources: list) -> np.ndarray:
     """The signal/partialized-innovation coherences."""
     auto = np.diagonal(spectra.s, axis1=1, axis2=2).real[:, :, None]
-    return np.einsum("fil,lc->fic", spectra.h_bar, covariances) / np.sqrt(auto * covariances[sources, range(len(sources))])
+    with np.errstate(divide="ignore", invalid="ignore"):  # so does a partialized innovation variance
+        return np.einsum("fil,lc->fic", spectra.h_bar, covariances) / np.sqrt(auto * covariances[sources, range(len(sources))])
 
 
 def _orthogonality(cross: np.ndarray, sources: list) -> float:
@@ -172,7 +174,10 @@ def partialized_process_coherence(model: VarModel, grid: FrequencyGrid, i: int, 
     Assembled by pushing the model equation for w_i through the
     partialized cross-spectra. The sum over all channels is kept in full;
     nothing is cancelled analytically, so agreement with iPDC is an
-    end-to-end check rather than a reimplementation.
+    end-to-end check rather than a reimplementation. Where the Schur
+    partial spectrum of j cancels to <= 0 in rounding (near a unit root,
+    with a nearly singular sigma), the coherence is NaN or inf there and
+    no warning is raised; ``run_verification`` records that as inf.
     """
     _channels(model.K, i, j)
     if spectra is None:
@@ -194,6 +199,8 @@ def partialized_innovation_coherence(model: VarModel, grid: FrequencyGrid, i: in
     The covariance between each innovation and the partialized innovation
     is formed explicitly from sigma, pushed through the transfer matrix for
     the cross-spectrum, and normalized by the autospectrum read off S.
+    Where the partialized innovation variance of j cancels to <= 0 in
+    rounding, the coherence is NaN or inf, as above, without a warning.
     """
     _channels(model.K, i, j)
     if spectra is None:

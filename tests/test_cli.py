@@ -297,30 +297,36 @@ class TestMeasureBlocks:
         assert calls == []
 
     def test_one_spill_of_values_per_measure(self, monkeypatch, tmp_path, model_path):
-        # with --mag-sq too, each measure spills its complex values once, 16 B per (omega, i, j) entry,
-        # whatever the block size; the three arrays of a measure are rendered from that one spill
-        spills, temporary_file = [], tempfile.TemporaryFile
+        # with --mag-sq, each array a measure prints has a spill of its own, holding exactly the
+        # float64 values printed, 8 B per (omega, i, j) entry, whatever the block size
+        temporary_file = tempfile.TemporaryFile
 
         class CountedSpill:
             def __init__(self, *args, **kwargs):
-                self.file, self.written = temporary_file(*args, **kwargs), 0
+                self.file, self.written = temporary_file(*args, **kwargs), bytearray()
                 spills.append(self)
 
             def write(self, data):
-                self.written += memoryview(data).nbytes
+                self.written += memoryview(data).cast("B")
                 return self.file.write(data)
 
             def __getattr__(self, name):
                 return getattr(self.file, name)
 
         monkeypatch.setattr(tempfile, "TemporaryFile", CountedSpill)
-        monkeypatch.setattr(varconn.cli, "_block_size", lambda k: 2)
         out = tmp_path / "result.json"
-        assert main(["measure", "--model", str(model_path), "--mag-sq", "--nfreq", str(self.N_POINTS), "--out", str(out)]) == 0
-        measures = json.loads(out.read_text())["measures"]
-        assert len(spills) == len(measures) == len(MeasureKind)
-        assert [spill.written for spill in spills] == [16 * self.N_POINTS * 3 * 3] * len(MeasureKind)
-        assert all(sorted(arrays) == ["im", "mag_sq", "re"] for arrays in measures.values())
+        for size in (1, 2, None):
+            spills = []
+            with monkeypatch.context() as patch:
+                if size is not None:
+                    patch.setattr(varconn.cli, "_block_size", lambda k, size=size: size)
+                assert main(["measure", "--model", str(model_path), "--mag-sq", "--nfreq", str(self.N_POINTS), "--out", str(out)]) == 0
+            measures = json.loads(out.read_text())["measures"]
+            assert all(sorted(arrays) == ["im", "mag_sq", "re"] for arrays in measures.values())
+            printed = [np.array(array).tobytes() for arrays in measures.values() for array in arrays.values()]
+            assert len(spills) == len(printed) == 3 * len(MeasureKind)
+            assert [len(spill.written) for spill in spills] == [8 * self.N_POINTS * 3 * 3] * len(spills)
+            assert sorted(bytes(spill.written) for spill in spills) == sorted(printed), size
 
     def test_peak_does_not_grow_with_the_grid(self, tmp_path):
         # the whole-grid route peaked here at 9.6 MiB (1,024 points) and 34.9 MiB (4,096 points);
@@ -1064,3 +1070,25 @@ class TestVerifyCommand:
             *(f"FAIL {name}: max deviation inf (bound 1e-10)" for name in failing),
         ]
         assert len(lines) == 7
+
+
+class TestModuleEntryPoint:
+    """``python -m varconn.cli`` exits with the status that ``main`` returns."""
+
+    @staticmethod
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        src = str(Path(varconn.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "varconn.cli", *argv], env=env, capture_output=True, text=True, timeout=120)
+
+    def test_passing_verification_exits_0(self):
+        done = self.run("verify", "--models", "1", "--nfreq", "2")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.endswith("verification passed\n")
+
+    def test_missing_model_file_exits_2(self, tmp_path):
+        path = tmp_path / "absent.json"
+        done = self.run("measure", "--model", str(path))
+        assert done.returncode == 2
+        assert done.stderr == f"E_IO: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(path)!r}\n"
+        assert done.stdout == ""

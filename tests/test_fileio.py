@@ -495,6 +495,14 @@ class TestResultWriter:
         assert (json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n").encode() == text
         assert b'"measures": {}' in text and b'"mir": {}' in text
 
+    def test_blocks_short_of_the_grid_are_refused_when_rendered(self):
+        # a spill holding fewer values than the grid has is never rendered from a stale workspace
+        writer = ResultWriter(FrequencyGrid(3), ["coh", "pdc"])
+        writer.add("coh", np.ones((3, 1, 1), complex))
+        writer.add("pdc", np.ones((2, 1, 1), complex))
+        with pytest.raises(ValueError):
+            b"".join(writer.chunks())
+
     def test_dense_document_renders_in_bounded_memory(self, tmp_path):
         # the dense_measure benchmark's document: all seven measures with mag_sq, K = 8, 512 points
         grid = FrequencyGrid(512)

@@ -582,6 +582,19 @@ class TestRateTable:
             _MEASURES[kind](evaluate_spectra(model, GRID))
 
 
+class TestSaturatedRate:
+    @pytest.mark.parametrize("n_points", [512, 4097, 40000])
+    @pytest.mark.parametrize("kind", ["ipdc", "idtf"])
+    def test_single_channel_rate_is_half_the_clipped_log(self, kind, n_points):
+        # at K = 1 a channel's own |iPDC|^2 and |iDTF|^2 are 1 at every frequency, each clipped
+        # to 1 - EPS_CLIP, so the rate is y / 2 with y = -log(EPS_CLIP); the sum's rounding grows
+        # with n (9.4e-15 at 512 points, 7.1e-13 at 40,000), inside the bound below
+        model = random_stable_model(np.random.default_rng(1), 1, p=2)
+        (rate,) = information_rates(model, FrequencyGrid(n_points), [kind]).values()
+        assert rate.n_clipped == n_points
+        assert_allclose(rate.values, [[-math.log1p(EPS_CLIP - 1.0) / 2.0]], rtol=1e-12, atol=0.0)
+
+
 class TestPeakMemory:
     @pytest.mark.parametrize("k, p, n_points", [(16, 4, 2048), (64, 2, 512)])
     def test_rates_hold_one_block(self, k, p, n_points):

@@ -11,7 +11,9 @@ from varconn import (
     FrequencyGrid,
     MeasureKind,
     MeasureResult,
+    NumericalError,
     SpectralSet,
+    VarModel,
     evaluate_spectra,
     fixture,
     information_rates,
@@ -108,6 +110,11 @@ class TestRandomStableModel:
     def test_order_argument(self):
         model = random_stable_model(np.random.default_rng(51), 2, p=3)
         assert model.p == 3
+
+    def test_gives_up_when_no_draw_is_stable(self):
+        # a radius below 0.0 is never reached: every one of the 1,000 draws is rejected
+        with pytest.raises(NumericalError, match="^failed to sample a stable model$"):
+            random_stable_model(np.random.default_rng(53), 2, max_radius=0.0)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_white_noise_order(self, k):
@@ -287,6 +294,34 @@ class TestPerPairOracleContract:
                 for j in range(4):
                     expected = route(model, GRID, i, j, spectra=spectra)
                     assert np.array_equal(route(model, namespace.grid, i, j, spectra=namespace), expected)
+
+
+class TestCancelledPartialSpectrum:
+    """A model every command accepts, on which the Schur route's partial spectrum cancels to zero or below.
+
+    Near a unit root, with a nearly singular sigma, channel 0 is all but
+    predictable from the others at some frequencies.
+    """
+
+    @staticmethod
+    def edge_model() -> VarModel:
+        rng = np.random.default_rng(3)
+        coeffs = rng.normal(size=(1, 3, 3))
+        coeffs *= 0.9999 / validate(VarModel(coeffs, np.eye(3))).spectral_radius
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        return VarModel(coeffs, q @ np.diag([1.0, 1e-5, 1e-10]) @ q.T)
+
+    def test_non_finite_profile_without_a_warning(self):
+        # this suite turns a warning into an error, so each call returning is half the check
+        model, grid = self.edge_model(), FrequencyGrid(128)
+        report = validate(model)
+        assert report.stable and report.sigma_ok
+        spectra = evaluate_spectra(model, grid)  # the conditioning guard accepts it
+        ipdc(spectra)
+        process = [partialized_process_coherence(model, grid, 0, j, spectra=spectra) for j in range(3)]
+        innovation = [partialized_innovation_coherence(model, grid, 0, j, spectra=spectra) for j in range(3)]
+        assert not np.all(np.isfinite(process[0]))
+        assert all(np.all(np.isfinite(profile)) for profile in innovation)
 
 
 class TestRunVerification:
