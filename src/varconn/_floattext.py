@@ -16,6 +16,14 @@ Each ``float_text`` call renders its blocks in one workspace, allocated
 when the call starts: every intermediate is written with ``out=`` into its
 rows, and the text is laid out on a canvas that a ``bytearray`` backs, so
 that its zero bytes are dropped without first copying the canvas out.
+
+The other way, ``read_digits`` turns words of ASCII digits into numbers and
+``nearest_doubles`` takes a decimal significand w < 2**64 and exponent q to
+the double nearest w * 10**q (D. Lemire, "Number Parsing at a Gigabyte per
+Second", Software: Practice and Experience 51(8), 2021): one 64 x 64-bit
+product of w with the top 64 bits of 5**q decides it, unless the product
+lands too near a rounding boundary; Clinger's one IEEE operation settles
+the exact values among those, and ``float`` the rest.
 """
 
 import functools
@@ -370,6 +378,134 @@ def _separated(text: bytearray, separators: list[bytes], closes: list[int]) -> b
     for t in closes:  # above 127, no marker is a byte of the ASCII text or the separators
         text = text.replace(bytes([128 + t]), separators[t])
     return text
+
+
+def read_digits(x) -> None:
+    """Replace each word of ASCII digits or zero bytes, its first digit in its lowest byte, by the number they spell.
+
+    The inverse of `_digits8`, in place (Lemire 2021, §6): 1 + 1 digits,
+    then 2 + 2, then 4 + 4, each step one multiply by base * 2**width + 1
+    and a shift. A zero byte reads as the digit 0.
+    """
+    for mask, base, width in ((0x0F0F_0F0F_0F0F_0F0F, 10, 8), (0x00FF_00FF_00FF_00FF, 100, 16), (0x0000_FFFF_0000_FFFF, 10000, 32)):
+        x &= _U(mask)
+        x *= _U((base << width) + 1)
+        x >>= _U(width)
+
+
+#: Decimal exponents of w * 10**q with a power in the table; beyond them a w below 2**64 makes 0 or an infinity.
+_Q_MIN, _Q_MAX = -342, 308
+_EXACT_POW10 = 10.0 ** np.arange(23)
+
+
+@functools.cache
+def _fives() -> np.ndarray:
+    """By q - _Q_MIN: the top 64 bits of 5**q, rounded down, filled as values first need them; 0 until filled."""
+    return np.zeros(_Q_MAX - _Q_MIN + 1, np.uint64)
+
+
+def _five(q: int) -> int:
+    if q >= 0:
+        power = 5**q
+        return power << 64 - power.bit_length() if power.bit_length() <= 64 else power >> power.bit_length() - 64
+    power = 5**-q
+    return (1 << 63 + power.bit_length()) // power
+
+
+def nearest_doubles(w, q, negative) -> np.ndarray:
+    """Overwrite each w by the bits of the double nearest w * 10**q, negated where `negative`; return where it was not decided.
+
+    w is uint64, q int64 and negative bool. With x = w << lz normal and
+    f the top 64 bits of 5**q, the 128-bit x * f is below x times the
+    exact power by less than one unit of its high word, so the top 54 bits
+    of that word, rounded half up to 53, are the double's unless the bits
+    below them are all ones (the shortfall could carry into them) or all
+    zeros with a zero low word (a tie, or an exact value). Those, a q
+    beyond the table, subnormals, infinities and zeros are left undecided,
+    except what Clinger's fast path rounds exactly: w <= 2**53 and
+    |q| <= 22.
+    """
+    f, x, e, a, b, c = np.empty((6, w.size), np.uint64)
+    fives = _fives()
+    index = e.view(np.int64)
+    np.subtract(q, _Q_MIN, out=index)
+    undecided = e > _U(_Q_MAX - _Q_MIN)
+    np.take(fives, index, out=f, mode="clip")
+    if not f.all():
+        needed = np.zeros(fives.size, np.bool_)
+        needed[index[(f == 0) & ~undecided]] = True
+        for i in np.flatnonzero(needed).tolist():
+            fives[i] = _five(i + _Q_MIN)
+        np.take(fives, index, out=f, mode="clip")
+    np.multiply(q, 217706, out=index)
+    index >>= 16  # floor(q log2 10) (Lemire 2021, §5)
+    e += _U(1086 + 64)  # the biased exponent before the shifts below, plus 64 to stay unsigned
+    zero = w == 0
+    np.bitwise_or(w, zero, out=x)
+    # lz = 63 - floor(log2 x) from x's float64 exponent, which is one too high where x rounds up to a power of 2
+    np.copyto(a.view(np.float64), x, casting="unsafe")
+    a >>= _U(52)
+    np.minimum(a, _U(1086), out=a)  # 2**64 - 1 rounds up to 2**64
+    np.subtract(_U(1086), a, out=a)
+    x <<= a
+    np.right_shift(x, _U(63), out=b)
+    b ^= _U(1)
+    x <<= b
+    a += b
+    e -= a
+    # the top 64 bits of x * f, from four 32 x 32-bit products; the low 64 bits are x * f mod 2**64
+    np.multiply(x, f, out=b)
+    low_zero = b == 0
+    np.right_shift(x, _U(32), out=a)
+    x &= _M32
+    np.right_shift(f, _U(32), out=b)
+    f &= _M32
+    np.multiply(x, f, out=c)
+    c >>= _U(32)
+    f *= a
+    x *= b
+    a *= b
+    np.bitwise_and(f, _M32, out=b)
+    c += b
+    np.bitwise_and(x, _M32, out=b)
+    c += b  # the middle column, below 3 * 2**32
+    f >>= _U(32)
+    a += f
+    x >>= _U(32)
+    a += x
+    c >>= _U(32)
+    high = a
+    high += c
+    np.right_shift(high, _U(63), out=b)
+    e += b
+    b += _U(9)
+    np.left_shift(_U(1), b, out=c)
+    c -= _U(1)  # the bits below the top 54
+    np.bitwise_and(high, c, out=f)
+    undecided |= f == c
+    undecided |= (f == 0) & low_zero
+    high >>= b
+    high += _U(1)
+    high >>= _U(1)
+    np.right_shift(high, _U(53), out=b)  # rounding carried into bit 53
+    high >>= b
+    e += b
+    e -= _U(65)
+    undecided |= e >= _U(2046)  # a biased exponent below 1 or above 2046
+    e += _U(1)
+    high &= _U(2**52 - 1)
+    e <<= _U(52)
+    high |= e
+    undecided |= zero
+    exact = np.flatnonzero(undecided)
+    exact = exact[(w[exact] <= _U(2**53)) & (np.abs(q[exact]) <= 22)]
+    value, power = w[exact].astype(np.float64), _EXACT_POW10[np.abs(q[exact])]
+    high[exact] = np.where(q[exact] < 0, value / power, value * power).view(np.uint64)
+    undecided[exact] = False
+    np.copyto(b, negative)
+    b <<= _U(63)
+    np.bitwise_or(high, b, out=w)
+    return undecided
 
 
 def _reader(values):

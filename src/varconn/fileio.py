@@ -23,7 +23,6 @@ when it is a regular file, so no partial file remains.
 """
 
 import csv
-import functools
 import json
 import math
 import os
@@ -35,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._floattext import float_text
+from ._floattext import _POW10, _U, float_text, nearest_doubles, read_digits
 from .errors import DataError, DomainError, NumericalError, ParseError
 from .spectral import FrequencyGrid
 from .var_model import TimeSeriesData, VarModel
@@ -135,9 +134,13 @@ def load_timeseries(path, layout: str = "rows_are_samples") -> TimeSeriesData:
     """Read a CSV of numbers into TimeSeriesData.
 
     A header row is detected automatically (any non-numeric cell in the
-    first row); a UTF-8 byte-order mark is skipped. A cell longer than
-    ``csv.field_size_limit()`` is refused in any row. Errors cite the
-    position as line:column, one-based, counting physical file lines.
+    first row); a UTF-8 byte-order mark is skipped. Each value has the bits
+    ``float`` gives its cell. A plain file is read a chunk of text at a
+    time (``_parse_vectorised``), so memory beyond the values does not grow
+    with it; any other is read cell by cell (``_parse_cells``). A cell
+    longer than ``csv.field_size_limit()`` is refused in any row. Errors
+    cite the position as line:column, one-based, counting physical file
+    lines.
     """
     path = Path(path)
     try:
@@ -155,22 +158,66 @@ def load_timeseries(path, layout: str = "rows_are_samples") -> TimeSeriesData:
     return TimeSeriesData._adopt(values)
 
 
+#: Bytes of text a chunk of ``_parse_vectorised`` reads, before it is cut back to its last line end.
+_READ_BYTES = 2**17
+#: Bytes before a chunk in its buffer: the last is a line feed, which opens the chunk's first line, and
+#: the rest are room for the 24-byte window of its first cell.
+_PAD = 32
+
+# the classes of the bytes of CSV data that are not digits, those that close a cell last and those that end a row last of all
+_SIGN, _DOT, _EXP, _EXP_SIGN, _OTHER, _COMMA, _RETURN, _LINE = range(8)
+_CLASS = np.full(256, _OTHER, np.uint8)
+_CLASS[np.frombuffer(b",+-.eE\r\n", np.uint8)] = [_COMMA, _SIGN, _SIGN, _DOT, _EXP, _EXP, _RETURN, _LINE]
+
+
+def _pair_rules() -> np.ndarray:
+    """Whether a token may follow another: by 32 * its class + 4 * theirs + 2 * (no digit between) + (no digit before it).
+
+    A cell is [sign] digits [. digits] [e [sign] digits], with a digit on
+    one side of its dot at least, and a carriage return is followed at once
+    by its line feed. Two row ends with nothing between them are a blank
+    line, or a carriage return and its line feed.
+    """
+    rules = {(_SIGN, _DOT): "any", (_SIGN, _EXP): "digits", (_DOT, _EXP): "mantissa", (_EXP, _EXP_SIGN): "none", (_RETURN, _LINE): "none"}
+    for close in (_COMMA, _RETURN, _LINE):
+        rules.update({(before, close): "digits" for before in (_SIGN, _EXP, _EXP_SIGN, _COMMA, _LINE)})
+        rules[_DOT, close] = "mantissa"
+    for opener in (_COMMA, _LINE):
+        rules.update({(opener, _SIGN): "none", (opener, _DOT): "any", (opener, _EXP): "digits"})
+    rules[_LINE, _RETURN] = rules[_LINE, _LINE] = "any"
+    table = np.zeros(8 * 32, np.bool_)
+    for (before, after), rule in rules.items():
+        for none_between in (0, 1):
+            for none_before in (0, 1):
+                allowed = {"any": True, "none": none_between, "digits": not none_between, "mantissa": not (none_between and none_before)}
+                table[before * 32 + after * 4 + none_between * 2 + none_before] = allowed[rule]
+    return table
+
+
+_PAIRS = _pair_rules()
+
+#: By 25 * a mantissa's bytes (0 to 24) + its dot slot (0: no dot; s: the dot in byte s - 1): the three words of
+#: the 24-byte window that ends the mantissa that keep its bytes but the dot.
+_KEEP = np.array([[(2**192 - 2 ** (8 * (24 - m)) & ~(0xFF << 8 * s >> 8)) >> 64 * j & 2**64 - 1 for j in range(3)] for m in range(25) for s in range(25)], np.uint64)
+#: By dot slot: the words that keep the bytes below the dot.
+_BELOW = np.array([[0, 0, 0]] + [[(2 ** (8 * o) - 1) >> 64 * j & 2**64 - 1 for j in range(3)] for o in range(24)], np.uint64)
+
+
 def _parse_vectorised(path: Path) -> np.ndarray | None:
-    """The CSV's values in one ``np.loadtxt`` call, or None when it refuses them.
+    """The CSV's values, read a chunk of text at a time, or None when they are left to ``_parse_cells``.
 
     Only the rows up to the first data row are read with ``csv``, to detect
-    the header. loadtxt parses unquoted numbers as ``float`` does; whatever
-    it cannot parse (quotes, underscores, whitespace-only lines, ragged
-    rows) or parses to a non-finite value is left to ``_parse_cells``,
-    which reports the error or reads what it accepts. ``comments=None``
-    keeps a "#" a parse error. So is a file that may hold a cell longer than
-    ``csv.field_size_limit()``, which loadtxt would read: one whose line
-    runs past the limit.
+    the header. The rest is read in chunks of ``_READ_BYTES``, each cut back
+    to its last line end, into an array sized by a first pass that counts
+    line feeds; memory beyond the values does not grow with the file. A
+    cell is [sign] digits [. digits] [e [sign] digits], which ``float``
+    reads alike, with spaces around it if any; blank lines and "\\n" or
+    "\\r\\n" line ends are accepted too. Whatever else a file holds (quotes,
+    underscores, tabs, "inf", a ragged row, a lone carriage return, a value
+    that overflows) is left to ``_parse_cells``, which reports the error or
+    reads what it accepts. So is a file with a line longer than
+    ``csv.field_size_limit()``, which may hold a cell beyond the limit.
     """
-    step = csv.field_size_limit() // 2
-    with open(path, "rb") as handle:  # a line longer than the limit holds a whole aligned run of `step` bytes
-        if any(len(run) == step and b"\n" not in run for run in iter(functools.partial(handle.read, step), b"")):
-            return None
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
@@ -183,12 +230,181 @@ def _parse_vectorised(path: Path) -> np.ndarray | None:
         return None
     if row is None:  # no data rows: _parse_cells says which error
         return None
-    try:
-        values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip, encoding="utf-8-sig")
-    except ValueError:
+    width = len(row)
+    with open(path, "rb") as handle:
+        head = b"".join(handle.readline() for _ in range(skip))
+        if head.count(b"\r") != head.count(b"\r\n"):  # csv counted a lone carriage return as a line end
+            return None
+        if skip or handle.read(3) != b"\xef\xbb\xbf":
+            handle.seek(len(head))
+        start = handle.tell()
+        buffer = bytearray(_PAD + _READ_BYTES + 1)
+        lines = 1
+        while read := handle.readinto(buffer):
+            lines += buffer.count(b"\n", 0, read)
+        values = np.empty((lines, width))
+        handle.seek(start)
+        buffer[_PAD - 1] = ord("\n")
+        # every 24 and every 8 bytes from each offset, gathered without a copy of the whole buffer, as np.take would make
+        windows = np.ndarray((len(buffer) - 23,), "V24", buffer, strides=(1,))
+        words = np.ndarray((len(buffer) - 7,), np.uint64, buffer, strides=(1,))
+        rows = kept = 0
+        while True:
+            read = handle.readinto(memoryview(buffer)[_PAD + kept : _PAD + _READ_BYTES])
+            size = kept + read
+            if not read and size:  # the last line, which has no line feed
+                buffer[_PAD + size] = ord("\n")
+                size += 1
+            cut = buffer.rfind(b"\n", _PAD, _PAD + size) + 1 - _PAD
+            if cut <= 0:
+                if size == _READ_BYTES:  # a line longer than a chunk
+                    return None
+                if not read:
+                    break
+                kept = size
+                continue
+            chunk = _chunk_values(buffer, cut, width, windows, words)
+            if chunk is None:
+                return None
+            values[rows : rows + len(chunk) // width] = chunk.reshape(-1, width)
+            rows += len(chunk) // width
+            del chunk  # before the next chunk's arrays are made
+            buffer[_PAD : _PAD + size - cut] = buffer[_PAD + cut : _PAD + size]
+            kept = size - cut
+    return values[:rows] if rows else None
+
+
+def _tokens(text: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The positions, bytes and classes of the bytes of `text` that are not digits, and the digits before each."""
+    scratch = np.subtract(text, np.uint8(48))
+    at = np.flatnonzero(np.greater(scratch, 9, out=scratch.view(np.bool_)))
+    del scratch
+    byte = np.take(text, at)
+    at = at.astype(np.int32)  # positions within a chunk, at half the memory
+    digits = np.empty_like(at)
+    digits[0] = 0
+    np.subtract(at[1:], at[:-1], out=digits[1:])
+    digits[1:] -= 1
+    return at, byte, np.take(_CLASS, byte), digits
+
+
+def _without_spaces(text: np.ndarray) -> np.ndarray | None:
+    """`text` less the spaces before or after its cells, written over its start, or None if a space stands inside a cell."""
+    space = text == ord(" ")
+    first, last = np.flatnonzero(space[1:] > space[:-1]) + 1, np.flatnonzero(space[:-1] > space[1:])
+    delimiter = (text == ord(",")) | (text == ord("\n")) | (text == ord("\r"))
+    if not np.all(delimiter[first - 1] | delimiter[last + 1]):
         return None
-    if values.shape[1] != len(row) or not np.all(np.isfinite(values)):
+    kept = text[~space]
+    text[: kept.size] = kept
+    return text[: kept.size]
+
+
+def _chunk_values(buffer: bytearray, size: int, width: int, windows: np.ndarray, words: np.ndarray) -> np.ndarray | None:
+    """The values of the whole lines buffer[_PAD : _PAD + size], in C order, or None if ``_parse_vectorised`` refuses them.
+
+    The bytes that are not digits are tokens. Checked pair by pair
+    (``_PAIRS``), they put each cell in the form [sign] digits [. digits]
+    [e [sign] digits], so a cell's tokens are read back from the comma or
+    line end that closes it. Its mantissa is read from the 24 bytes that
+    end it, the digits before its dot moved up over the dot, and its
+    exponent from the 8 bytes that end the cell (``_floattext.read_digits``).
+    A mantissa of more than 24 bytes or 19 significant digits, an
+    exponent of more than 8 digits and what ``nearest_doubles`` leaves
+    undecided are read by ``float``.
+    """
+    text = np.frombuffer(buffer, np.uint8, size + 1, _PAD - 1)  # from the line feed before the chunk
+    at, byte, kind, digits = _tokens(text)
+    if size > csv.field_size_limit() + 1 and np.max(np.diff(at[kind == _LINE])) > csv.field_size_limit() + 1:
         return None
+    if _OTHER in kind:
+        text = _without_spaces(text) if (byte == ord(" ")).any() else None
+        if text is None:
+            return None
+        at, byte, kind, digits = _tokens(text)
+        if _OTHER in kind:
+            return None
+    np.copyto(kind[1:], np.uint8(_EXP_SIGN), where=(kind[1:] == _SIGN) & (kind[:-1] == _EXP))
+    none = (digits == 0).view(np.uint8)
+    pairs = np.multiply(kind[:-1], np.uint8(32))
+    pairs += kind[1:] << np.uint8(2)
+    pairs += none[1:] << np.uint8(1)
+    pairs += none[:-1]
+    if not np.take(_PAIRS, pairs).all():
+        return None
+    del none, pairs
+    close = np.flatnonzero(kind[1:] >= _COMMA)
+    close += 1
+    line = kind[close] >= _RETURN
+    blank = line & (kind[close - 1] >= _RETURN) & (digits[close] == 0)
+    if blank.any():
+        close, line = close[~blank], line[~blank]
+    n = close.size
+    if n % width or np.count_nonzero(line) != n // width or not line[width - 1 :: width].all():
+        return None
+    ends = np.take(at, close)
+    del line, blank
+    # from the token before the close back: exponent sign, "e", dot, sign, each there or not
+    before = close - 1
+    exp_sign = np.take(kind, before) == _EXP_SIGN
+    exp_negative = exp_sign & (np.take(byte, before) == ord("-"))
+    before -= exp_sign
+    exp = np.take(kind, before) == _EXP
+    before -= exp
+    dot = np.take(kind, before) == _DOT
+    length = np.take(digits, before)  # digits before the dot
+    before -= dot
+    negative = np.take(byte, before) == ord("-")
+    exp_digits = np.take(digits, close)
+    exp_digits *= exp
+    close -= exp
+    close -= exp_sign  # the token that ends the mantissa
+    mantissa_end = np.take(at, close)
+    fraction = np.take(digits, close)  # the digits before it: the fraction's, or the whole mantissa's
+    del at, byte, kind, digits, close, before, exp, exp_sign
+    length += 1
+    length *= dot
+    length += fraction  # the mantissa's bytes, its dot among them
+    fraction *= dot
+    long = (length > 24) | (exp_digits > 8)
+    mantissa_end += _PAD - 25
+    x = windows[mantissa_end].view(np.uint64).reshape(n, 3)
+    del mantissa_end
+    slot = np.subtract(24, fraction, dtype=np.intp)
+    slot *= dot
+    np.maximum(slot, 0, out=slot)
+    np.minimum(length, 24, out=length)
+    scratch = np.take(_KEEP, slot + 25 * length, axis=0)
+    x &= scratch
+    # the dot out: the digits below it move up one byte
+    np.take(_BELOW, slot, axis=0, out=scratch, mode="clip")
+    scratch &= x
+    x ^= scratch
+    x.view(np.uint8).reshape(-1)[1:] |= scratch.view(np.uint8).reshape(-1)[:-1]  # no dot is in a window's last byte
+    del scratch, slot, length
+    read_digits(x)
+    long |= x[:, 0] >= _U(1000)  # 20 digits or more
+    w = x[:, 0] * _POW10[16]
+    w += x[:, 1] * _POW10[8]
+    w += x[:, 2]
+    del x
+    q = np.negative(fraction, dtype=np.int64)
+    cells = np.flatnonzero(exp_digits)
+    if cells.size:
+        exponent = words[np.take(ends, cells) + (_PAD - 9)]
+        exponent &= _KEEP[25 * np.minimum(exp_digits[cells], 8), 2]  # the last word of a window keeps up to 8 bytes
+        read_digits(exponent)
+        exponent = exponent.view(np.int64)
+        np.negative(exponent, out=exponent, where=exp_negative[cells])
+        q[cells] += exponent
+    undecided = nearest_doubles(w, q, negative)
+    undecided |= long
+    values = w.view(np.float64)
+    for cell in np.flatnonzero(undecided).tolist():
+        value = float(buffer[_PAD + (ends[cell - 1] if cell else 0) : _PAD - 1 + ends[cell]])
+        if not math.isfinite(value):
+            return None
+        values[cell] = value
     return values
 
 
@@ -321,7 +537,8 @@ class ResultWriter:
     an unlinked file in ``tempfile``'s directory, which a spill's OSError
     names. A ``sample_rate_hz`` the grid cannot be written in is refused
     when the writer is made. ``chunks`` raises a bad ``units`` or a value
-    refusal, in the order the README's refusal paragraph states; else it
+    refusal, in the order the README's refusal paragraph states, and a
+    ValueError for a measure whose blocks do not cover the grid; else it
     returns the document's bytes, each array rendered in key order from its
     spill, read once from its start, so nothing is rendered before every
     check has passed. The spills close with the writer or when its chunks
@@ -370,6 +587,8 @@ class ResultWriter:
             grid_block["frequency_hz"] = self.grid.points * self.sample_rate_hz / (2.0 * np.pi)
         document = {"schema_version": RESULT_SCHEMA_VERSION, "grid": grid_block, "measures": {}, "mir": {}}
         for (name, field), spill in self._spills.items():
+            if self._shape is None or spill.tell() != 8 * math.prod(self._shape):  # blocks short of the grid, or past it
+                raise ValueError(f"the blocks of {name} hold {spill.tell() // 8} values of {field}, not n_points * K * K of a grid of {self.grid.n_points}")
             spill.seek(0)
             document["measures"].setdefault(name, {})[field] = types.SimpleNamespace(shape=self._shape, readinto=spill.readinto)
         for kind, mir in (mirs or {}).items():

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .measures import idtf, ipdc
 from .spectral import FrequencyGrid, SpectralSet, evaluate_spectra
-from .var_model import VarModel, validate
+from .var_model import VarModel, _spectral_radius
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def random_stable_model(rng, k: int, p: int | None = None, max_radius: float = 0
     coeffs = None
     for _ in range(1000):
         candidate = rng.normal(0.0, scale, size=(p, k, k))
-        if validate(VarModel(candidate, np.eye(k))).spectral_radius < max_radius:
+        if _spectral_radius(candidate) < max_radius:
             coeffs = candidate
             break
         scale *= 0.95

@@ -1,9 +1,9 @@
 """Finite-order vector autoregressive models.
 
-Covers model containers, stability validation, simulation, channel
-rescaling, and least-squares estimation with information-criterion order
-selection. Entry (i, j) of a coefficient matrix always scales the influence
-of channel j on channel i.
+Covers model containers, stability validation, simulation, and
+least-squares estimation with information-criterion order selection.
+Entry (i, j) of a coefficient matrix always scales the influence of
+channel j on channel i.
 """
 
 from collections.abc import Iterator
@@ -110,7 +110,7 @@ def _checked_samples(values) -> np.ndarray:
         raise DimensionError(f"values must be 2-d (samples x channels), got shape {values.shape}")
     if values.shape[0] < 1 or values.shape[1] < 1:
         raise DimensionError("need at least one sample and one channel")
-    if not np.all(np.isfinite(values)):
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):  # a nan propagates through both, which allocate nothing of n
         raise DomainError("samples must be finite")
     return values
 
@@ -130,10 +130,19 @@ def companion_matrix(model: VarModel) -> np.ndarray:
     The model is stable exactly when every eigenvalue of this matrix lies
     strictly inside the unit circle. Needs p >= 1.
     """
-    k, p = model.K, model.p
-    top = model.coeffs.transpose(1, 0, 2).reshape(k, k * p)
+    return _companion(model.coeffs)
+
+
+def _companion(coeffs: np.ndarray) -> np.ndarray:
+    p, k = coeffs.shape[:2]
+    top = coeffs.transpose(1, 0, 2).reshape(k, k * p)
     below = np.hstack([np.eye(k * (p - 1)), np.zeros((k * (p - 1), k))])
     return np.vstack([top, below])
+
+
+def _spectral_radius(coeffs: np.ndarray) -> float:
+    """The largest |eigenvalue| of the companion matrix of lag matrices (p, K, K), and 0.0 for p = 0."""
+    return float(np.max(np.abs(np.linalg.eigvals(_companion(coeffs))))) if len(coeffs) else 0.0
 
 
 def validate(model: VarModel) -> ValidationReport:
@@ -143,10 +152,7 @@ def validate(model: VarModel) -> ValidationReport:
     ``sigma_ok`` is the Cholesky factorization ``simulate`` draws with, so
     every command that accepts a sigma can also simulate it.
     """
-    if model.p == 0:
-        radius = 0.0
-    else:
-        radius = float(np.max(np.abs(np.linalg.eigvals(companion_matrix(model)))))
+    radius = _spectral_radius(model.coeffs)
     try:
         _cholesky(model.sigma)
         sigma_ok = True
@@ -355,22 +361,6 @@ def _block_operators(model: VarModel, m: int) -> tuple[np.ndarray, np.ndarray]:
     return t.reshape(m * k, m * k), g.reshape(m * k, k * p)
 
 
-def rescale(model: VarModel, gains) -> VarModel:
-    """Apply per-channel gains g, mapping x to diag(g) x.
-
-    Coefficients become g_i a_ij / g_j and sigma becomes
-    diag(g) sigma diag(g). Stability is unaffected (the companion matrix is
-    similarity-transformed).
-    """
-    gains = np.asarray(gains, dtype=float)
-    if gains.shape != (model.K,):
-        raise DimensionError(f"expected {model.K} gains, got shape {gains.shape}")
-    if not np.all(np.isfinite(gains)) or np.any(gains <= 0):
-        raise DomainError("gains must be finite and positive")
-    ratio = gains[:, None] / gains[None, :]
-    return VarModel(model.coeffs * ratio[None, :, :], model.sigma * np.outer(gains, gains))
-
-
 def estimate(data: TimeSeriesData, order: int) -> VarModel:
     """Least-squares VAR fit of the demeaned samples.
 
@@ -429,8 +419,9 @@ def _require_rows(n: int, k: int, order: int, symbol: str, task: str) -> None:
 
 
 #: Bytes of one row chunk of the lagged design, which has at least as many
-#: rows as columns. OpenBLAS keeps the level-2 steps of a QR on one thread
-#: up to about 9,000 entries; chunks above that measured slower per row.
+#: rows as columns, or of samples for ``_lag_gram``. OpenBLAS keeps the
+#: level-2 steps of a QR on one thread up to about 9,000 entries; chunks
+#: above that measured slower per row.
 _CHUNK_BYTES = 2**16
 
 
@@ -466,11 +457,13 @@ def select_order(data: TimeSeriesData, p_max: int, criterion: str = "bic") -> in
     Each candidate is fitted exactly as ``estimate`` fits the samples from
     row p_max - order on, demeaned by their own mean, but all of them are
     read off one Gram matrix of the p_max-lag design (Lütkepohl 2005,
-    §4.3), summed over row chunks of the design so that no array of n rows
-    is built. A candidate whose regressor block the Gram route does not find
-    clearly full rank is fitted by ``estimate`` itself, which raises its own
-    errors. Every candidate regresses on the same n - p_max rows, so samples
-    too few for order p_max (``_require_rows``) are refused up front.
+    §4.3), assembled from its p_max + 1 lag products and its edge rows
+    (``_lag_gram``): no array of n rows is built, and each row costs
+    K**2 (p_max + 1) products, not (K (p_max + 1))**2. A candidate whose
+    regressor block the Gram route does not find clearly full rank is
+    fitted by ``estimate`` itself, which raises its own errors. Every
+    candidate regresses on the same n - p_max rows, so samples too few for
+    order p_max (``_require_rows``) are refused up front.
     """
     crit = str(criterion).lower()
     if crit not in ("aic", "bic"):
@@ -488,26 +481,24 @@ def _criterion_values(x: np.ndarray, p_max: int, crit: str) -> np.ndarray:
     """The criterion of orders 1 .. p_max, inf for an order whose residual
     covariance is not positive definite.
 
-    The Gram of the p_max-lag design is summed over its row chunks
-    (``_design_chunks``), each block of columns centred by its own mean, so
-    memory beyond the samples grows with neither n nor p_max. A block's sum
-    and a window's sum are the column total less the few rows outside them.
+    ``_lag_gram`` gives the Gram of the p_max-lag design and its column
+    sums, on the samples less their column mean, so that an offset common
+    to every sample cancels before anything is summed; one rank-one term
+    moves each block of columns to its own mean over the design's rows. A
+    window's sum is the response's sum plus the rows before the design's.
     ``select_order`` has checked the samples (``_require_rows``).
     """
     n, k = x.shape
     n_eff = n - p_max
-    total = x.sum(axis=0)
-    # [lag 1 .. lag p_max | response] over the rows every candidate regresses on
-    lags = [*range(1, p_max + 1), 0]
-    means = np.array([total - x[: p_max - lag].sum(axis=0) - x[n - lag :].sum(axis=0) for lag in lags]) / n_eff
-    gram = np.zeros((k * (p_max + 1), k * (p_max + 1)))
-    for chunk in _design_chunks(x, p_max, means):
-        gram += chunk.T @ chunk
-    means = means.ravel()
+    centre = x.mean(axis=0)
+    gram, sums = _lag_gram(x, p_max, centre)
+    means = sums / n_eff
+    gram -= n_eff * np.outer(means, means)
+    head = x[:p_max] - centre
     values = np.full(p_max, np.inf)
     for order in range(1, p_max + 1):
         window = x[p_max - order :]
-        fit = _gram_slogdet(gram, means, (total - x[: p_max - order].sum(axis=0)) / len(window), order, n_eff)
+        fit = _gram_slogdet(gram, means, (sums[-k:] + head[p_max - order :].sum(axis=0)) / len(window), order, n_eff)
         if fit is None:
             fit = np.linalg.slogdet(estimate(TimeSeriesData._adopt(window), order).sigma)
         sign, logdet = fit
@@ -515,6 +506,43 @@ def _criterion_values(x: np.ndarray, p_max: int, crit: str) -> np.ndarray:
             penalty = 2.0 if crit == "aic" else float(np.log(n_eff))
             values[order - 1] = logdet + penalty * (k * k * order) / n_eff
     return values
+
+
+def _lag_gram(x: np.ndarray, p_max: int, centre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram and the column sums of the design [y(t - 1) .. y(t - p_max) | y(t)], t = p_max .. n - 1, with y = x - centre.
+
+    The Gram is block Toeplitz but for its edges (Lütkepohl 2005, §4.3):
+    for lags a >= b, block (a, b) is the lag product L(a - b), the sum of
+    y(t - a + b) y(t)^T over the design's rows, plus the first b rows of
+    the design and less the b rows that would follow its last. The p_max + 1
+    lag products of y and [y | 1], whose last column is the sum of y(t - d),
+    are summed over row chunks of ``_CHUNK_BYTES`` of samples, centred as
+    each chunk is copied into one reused buffer, so memory beyond the
+    samples grows with neither n nor p_max.
+    """
+    n, k = x.shape
+    rows = max(1, _CHUNK_BYTES // (8 * k))
+    products = np.zeros((p_max + 1, k, k + 1))
+    buffer = np.ones((rows + p_max, k + 1))
+    for start in range(p_max, n, rows):
+        stop = min(start + rows, n)
+        chunk = buffer[: stop - start + p_max]
+        np.subtract(x[start - p_max : stop], centre, out=chunk[:, :k])
+        # window w holds y(t - p_max + w) for the chunk's t: newest first, it is y(t - d) for d = 0 .. p_max
+        windows = np.lib.stride_tricks.sliding_window_view(chunk[:, :k], stop - start, axis=0)[::-1]
+        products += np.matmul(windows, chunk[p_max:])
+    lags = np.r_[1 : p_max + 1, 0]
+    sums = products[lags, :, k].ravel()
+    products = products[:, :, :k]
+    d = lags[:, None] - lags[None, :]
+    blocks = np.where((d >= 0)[:, :, None, None], products[np.abs(d)], products[np.abs(d)].transpose(0, 1, 3, 2))
+    gram = blocks.transpose(0, 2, 1, 3).reshape(k * (p_max + 1), k * (p_max + 1))
+    # the p_max design rows at each edge, an entry of lag l kept in row r < l: t = p_max + r at the head, n + r past the end
+    r = np.arange(p_max)[:, None]
+    head, tail = (np.where((r < lags)[:, :, None], x[np.clip(first + r - lags, 0, n - 1)] - centre, 0.0).reshape(p_max, -1) for first in (p_max, n))
+    gram += head.T @ head
+    gram -= tail.T @ tail
+    return gram, sums
 
 
 #: Smallest accepted ratio of extreme singular values of the regressor

@@ -33,7 +33,8 @@ from varconn.oracles import (
     partialized_process_coherence,
     random_stable_model,
 )
-from varconn.var_model import rescale
+
+from rescaling import rescale
 
 N_MODELS = 50
 CHANNEL_COUNTS = (2, 3, 4, 5)

@@ -32,6 +32,8 @@ from varconn import (
     save_model,
     save_timeseries,
 )
+from varconn import fileio
+from varconn._floattext import float_text
 from varconn.fileio import (
     ResultWriter,
     _parse_cells,
@@ -42,6 +44,8 @@ from varconn.fileio import (
     save_result,
 )
 from varconn.oracles import random_stable_model
+
+from test_floattext import SWEEP, from_bits
 
 GRID = FrequencyGrid(16)
 DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -398,6 +402,98 @@ class TestVectorisedCsvParse:
             assert np.array_equal(np.signbit(vectorised), np.signbit(expected))
 
 
+def assert_reads_as_float(path: Path) -> np.ndarray:
+    """The vectorised reader accepts the file, and each value has the bits ``float`` gives its cell."""
+    values = _parse_vectorised(path)
+    assert values is not None
+    expected = _parse_cells(path)
+    assert values.shape == expected.shape
+    wrong = np.flatnonzero(values.view(np.uint64) != expected.view(np.uint64))
+    assert not wrong.size, [(float(values.flat[i]), float(expected.flat[i])) for i in wrong[:5]]
+    return values
+
+
+#: Texts at the ends of the exponent range: the smallest subnormal and what rounds to it or to 0,
+#: the largest normal and its neighbours, and the normal-subnormal boundary.
+EDGE_TEXTS = ["1e-324", "2.4703282292062327e-324", "2.4703282292062328e-324", "-4.9406564584124654e-324", "3e-324",
+              "2.2250738585072011e-308", "2.2250738585072012e-308", "2.2250738585072014e-308", "-2.225073858507201e-308",
+              "1e-308", "1e308", "-1e+308", "1.7976931348623157e308", "1.7976931348623158e308", "0e999", "-0e-999"]
+
+
+class TestDecimalReader:
+    """The chunked reader against ``float``, bit for bit, on the text forms a CSV of doubles takes."""
+
+    def test_float_text_sweep(self, tmp_path):
+        # every value of the formatter's sweep, one a line, as float_text writes it: repr, which float reads back exactly
+        values = np.concatenate([build() for build in SWEEP])
+        path = tmp_path / "sweep.csv"
+        path.write_bytes(b"".join(float_text(values, ("\n", "\n"))))
+        assert np.array_equal(_parse_vectorised(path)[:, 0].view(np.uint64), values.view(np.uint64))
+
+    @pytest.mark.parametrize("digits", [17, 19, 20])
+    def test_random_doubles_over_all_binades(self, tmp_path, digits):
+        # 10**5 bit patterns, subnormals and both zeros among them, written with `digits` significant digits
+        values = from_bits(np.random.default_rng(digits).integers(0, 2**64, 100_000, dtype=np.uint64))
+        values = np.concatenate([values[np.isfinite(values)], [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]])
+        cells = [f"{value:.{digits - 1}e}" for value in values.tolist()] + EDGE_TEXTS
+        cells += ["0"] * (-len(cells) % 4)
+        path = tmp_path / "binades.csv"
+        path.write_text("".join(",".join(cells[i : i + 4]) + "\n" for i in range(0, len(cells), 4)))
+        assert_reads_as_float(path)
+
+    def test_savetxt_text(self, tmp_path):
+        values = draw(np.random.default_rng(11), (5000, 3))
+        path = tmp_path / "savetxt.csv"
+        np.savetxt(path, values, fmt="%.18e", delimiter=",")
+        assert np.array_equal(assert_reads_as_float(path).view(np.uint64), values.view(np.uint64))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", ""], ids=["lf", "crlf", "no final line end"])
+    def test_point_forms_and_line_ends(self, tmp_path, end):
+        lines = [".5,5.,-.5", "+5.e-1,-0.,.0e0", "00012.50,1E5,-0", "9007199254740993,18446744073709551615,123456789012345678901234"]
+        path = tmp_path / "forms.csv"
+        path.write_bytes(("\r\n" if end == "\r\n" else "\n").join(lines).encode("ascii") + end.encode("ascii"))
+        assert assert_reads_as_float(path).shape == (4, 3)
+
+    @pytest.mark.parametrize("lone", [False, True])
+    def test_carriage_return_across_a_read(self, tmp_path, lone):
+        # a carriage return in the last byte of a read of the buffer's size, its line feed the next read's first, is a
+        # line end; one with no line feed is left to the cell-by-cell reader
+        size = fileio._PAD + fileio._READ_BYTES + 1
+        head = "1.5,2\r\n" * ((size - 8) // 7)
+        text = head + "1" * (size - 4 - len(head)) + ",22\r" + ("" if lone else "\n") + "3,4\r\n"
+        assert text[size - 1] == "\r"
+        path = tmp_path / "returns.csv"
+        path.write_bytes(text.encode("ascii"))
+        if lone:
+            assert _parse_vectorised(path) is None
+        else:
+            assert assert_reads_as_float(path).shape == (text.count("\n"), 2)
+
+    def test_chunk_edges(self, monkeypatch, tmp_path):
+        # chunks of 64 bytes: lines cut back at every offset, and a carried line after each cut
+        monkeypatch.setattr(fileio, "_READ_BYTES", 64)
+        path = tmp_path / "chunks.csv"
+        path.write_text("a,b\n" + repr_rows(12, (300, 2)))
+        assert_reads_as_float(path)
+        path.write_text("9" * 70 + "\n")  # one line longer than a chunk
+        assert _parse_vectorised(path) is None
+
+    def test_load_in_bounded_memory(self, tmp_path):
+        # chunks of text into one array of the values: 1.05 MiB beyond a 0.76 MiB array when np.loadtxt read them
+        rng = np.random.default_rng(6)
+        beyond = {}
+        for n_samples in (20_000, 200_000):
+            path = save_timeseries(TimeSeriesData(rng.standard_normal((n_samples, 5))), tmp_path / f"series{n_samples}.csv")
+            tracemalloc.start()
+            try:
+                data = load_timeseries(path)
+                beyond[n_samples] = tracemalloc.get_traced_memory()[1] - data.values.nbytes
+            finally:
+                tracemalloc.stop()
+        assert beyond[200_000] < 2**20, beyond
+        assert abs(beyond[200_000] - beyond[20_000]) < 2**14, beyond
+
+
 def every_measure(model) -> dict:
     return {result.kind: result for result in measures_from_spectra(evaluate_spectra(model, GRID), MeasureKind)}
 
@@ -501,6 +597,13 @@ class TestResultWriter:
         writer.add("coh", np.ones((3, 1, 1), complex))
         writer.add("pdc", np.ones((2, 1, 1), complex))
         with pytest.raises(ValueError):
+            b"".join(writer.chunks())
+
+    def test_blocks_past_the_grid_are_refused_when_rendered(self):
+        # a fourth frequency on a grid of three was once dropped without a word
+        writer = ResultWriter(FrequencyGrid(3), ["coh"])
+        writer.add("coh", np.ones((4, 2, 2), complex))
+        with pytest.raises(ValueError, match="hold 16 values of re, not n_points"):
             b"".join(writer.chunks())
 
     def test_dense_document_renders_in_bounded_memory(self, tmp_path):

@@ -15,7 +15,8 @@ from varconn import (
 )
 from varconn.measures import coherence, dc, dtf, gpdc, idtf, ipdc, pdc
 from varconn.oracles import random_stable_model
-from varconn.var_model import rescale
+
+from rescaling import rescale
 
 GRID = FrequencyGrid(64)
 

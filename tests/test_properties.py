@@ -14,7 +14,8 @@ from varconn import FrequencyGrid, MeasureKind, evaluate_spectra, information_ra
 from varconn.cli import main
 from varconn.infotheory import RATE_KINDS
 from varconn.oracles import random_stable_model
-from varconn.var_model import rescale
+
+from rescaling import rescale
 
 GRID = FrequencyGrid(33)
 

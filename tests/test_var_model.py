@@ -20,7 +20,9 @@ from varconn import (
 )
 from varconn import var_model
 from varconn.oracles import random_stable_model
-from varconn.var_model import companion_matrix, rescale
+from varconn.var_model import companion_matrix
+
+from rescaling import rescale
 
 
 def two_channel_model(alpha=0.5):
@@ -494,6 +496,19 @@ class TestSelectOrder:
         values = var_model._criterion_values(data.values, p_max, criterion)
         assert_allclose(values, reference, rtol=0.0, atol=1e-12)
         assert select_order(data, p_max, criterion) == int(np.argmin(reference)) + 1
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_criterion_values_ignore_an_offset_of_every_sample(self, seed, k):
+        # the lag products and every mean are taken on the samples less their mean, so 1e6 added to each sample
+        # cancels before anything is summed; summed raw, the means lost 2.6e-12 of the criteria
+        data, _ = simulate(random_stable_model(np.random.default_rng(seed), k), 3000, seed=seed)
+        shifted = data.values + 1e6
+        samples = shifted - 1e6  # the samples shifted holds, exactly: estimate's own mean is not exact near 1e6
+        p_max, n_eff = 6, data.n_samples - 6
+        reference = [np.linalg.slogdet(estimate(TimeSeriesData(samples[p_max - order :]), order).sigma)[1] + np.log(n_eff) * k * k * order / n_eff
+                     for order in range(1, p_max + 1)]
+        assert_allclose(var_model._criterion_values(shifted, p_max, "bic"), reference, rtol=0.0, atol=1e-12)
 
     def test_well_conditioned_candidates_are_not_refitted(self, monkeypatch):
         data, _ = simulate(two_channel_model(0.5), 2000, seed=3)
