@@ -245,9 +245,6 @@ def _parse_vectorised(path: Path) -> np.ndarray | None:
         values = np.empty((lines, width))
         handle.seek(start)
         buffer[_PAD - 1] = ord("\n")
-        # every 24 and every 8 bytes from each offset, gathered without a copy of the whole buffer, as np.take would make
-        windows = np.ndarray((len(buffer) - 23,), "V24", buffer, strides=(1,))
-        words = np.ndarray((len(buffer) - 7,), np.uint64, buffer, strides=(1,))
         rows = kept = 0
         while True:
             read = handle.readinto(memoryview(buffer)[_PAD + kept : _PAD + _READ_BYTES])
@@ -263,7 +260,7 @@ def _parse_vectorised(path: Path) -> np.ndarray | None:
                     break
                 kept = size
                 continue
-            chunk = _chunk_values(buffer, cut, width, windows, words)
+            chunk = _chunk_values(buffer, cut, width)
             if chunk is None:
                 return None
             values[rows : rows + len(chunk) // width] = chunk.reshape(-1, width)
@@ -300,7 +297,7 @@ def _without_spaces(text: np.ndarray) -> np.ndarray | None:
     return text[: kept.size]
 
 
-def _chunk_values(buffer: bytearray, size: int, width: int, windows: np.ndarray, words: np.ndarray) -> np.ndarray | None:
+def _chunk_values(buffer: bytearray, size: int, width: int) -> np.ndarray | None:
     """The values of the whole lines buffer[_PAD : _PAD + size], in C order, or None if ``_parse_vectorised`` refuses them.
 
     The bytes that are not digits are tokens. Checked pair by pair
@@ -368,7 +365,8 @@ def _chunk_values(buffer: bytearray, size: int, width: int, windows: np.ndarray,
     fraction *= dot
     long = (length > 24) | (exp_digits > 8)
     mantissa_end += _PAD - 25
-    x = windows[mantissa_end].view(np.uint64).reshape(n, 3)
+    # the 24 bytes from each offset, gathered by indexing (np.take would copy the whole unaligned view first)
+    x = np.ndarray((len(buffer) - 23,), "V24", buffer, strides=(1,))[mantissa_end].view(np.uint64).reshape(n, 3)
     del mantissa_end
     slot = np.subtract(24, fraction, dtype=np.intp)
     slot *= dot
@@ -391,7 +389,7 @@ def _chunk_values(buffer: bytearray, size: int, width: int, windows: np.ndarray,
     q = np.negative(fraction, dtype=np.int64)
     cells = np.flatnonzero(exp_digits)
     if cells.size:
-        exponent = words[np.take(ends, cells) + (_PAD - 9)]
+        exponent = np.ndarray((len(buffer) - 7,), np.uint64, buffer, strides=(1,))[np.take(ends, cells) + (_PAD - 9)]
         exponent &= _KEEP[25 * np.minimum(exp_digits[cells], 8), 2]  # the last word of a window keeps up to 8 bytes
         read_digits(exponent)
         exponent = exponent.view(np.int64)
