@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import sys
 
+from . import _stages
 from .errors import (
     DataError,
     DimensionError,
@@ -25,6 +26,7 @@ from .fileio import (
     load_timeseries,
     save_model,
     save_result,
+    write_chunks,
 )
 from .infotheory import information_rates
 from .measures import _MEASURES, MeasureKind
@@ -42,7 +44,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        with _stages.tracing(args.trace), _stages.stage("command"):
+            return args.handler(args)
     except ParseError as exc:
         return _fail("E_PARSE", exc, EXIT_CONFIG)
     except DataError as exc:
@@ -63,8 +66,11 @@ def _fail(code: str, exc: Exception, status: int) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="varconn", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command takes --trace: the wall time of each stage as JSON lines on stderr
+    trace = argparse.ArgumentParser(add_help=False)
+    trace.add_argument("--trace", action="store_true", help="write each stage's wall time to stderr as JSON lines")
 
-    p_sim = sub.add_parser("simulate", help="draw a realization of a model")
+    p_sim = sub.add_parser("simulate", parents=[trace], help="draw a realization of a model")
     p_sim.add_argument("--model", required=True, help="model document (JSON)")
     p_sim.add_argument("--n", type=int, required=True, help="samples to keep")
     p_sim.add_argument("--burn-in", type=int, default=1000)
@@ -73,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--innovations-out", help="also write the innovation draws")
     p_sim.set_defaults(handler=_cmd_simulate)
 
-    p_fit = sub.add_parser("fit", help="estimate a model from CSV data")
+    p_fit = sub.add_parser("fit", parents=[trace], help="estimate a model from CSV data")
     p_fit.add_argument("--data", required=True, help="input CSV")
     p_fit.add_argument("--layout", default="rows_are_samples", help="rows_are_samples or rows_are_channels")
     group = p_fit.add_mutually_exclusive_group(required=True)
@@ -84,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", required=True, help="output model document")
     p_fit.set_defaults(handler=_cmd_fit)
 
-    p_measure = sub.add_parser("measure", help="evaluate connectivity measures")
+    p_measure = sub.add_parser("measure", parents=[trace], help="evaluate connectivity measures")
     p_measure.add_argument("--model", required=True)
     p_measure.add_argument("--measures", default="coh,pdc,gpdc,ipdc,dtf,dc,idtf", help="comma-separated list")
     p_measure.add_argument("--nfreq", type=int, default=DEFAULT_N_POINTS)
@@ -93,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("--out", help="output JSON (stdout if omitted)")
     p_measure.set_defaults(handler=_cmd_measure)
 
-    p_mir = sub.add_parser("mir", help="integrate measures into information rates")
+    p_mir = sub.add_parser("mir", parents=[trace], help="integrate measures into information rates")
     p_mir.add_argument("--model", required=True)
     p_mir.add_argument("--kinds", default="ipdc,idtf", help="comma-separated: ipdc, idtf, coh")
     p_mir.add_argument("--nfreq", type=int, default=DEFAULT_N_POINTS)
@@ -101,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mir.add_argument("--out", help="output JSON (stdout if omitted)")
     p_mir.set_defaults(handler=_cmd_mir)
 
-    p_verify = sub.add_parser("verify", help="run the self-verification suite")
+    p_verify = sub.add_parser("verify", parents=[trace], help="run the self-verification suite")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--models", type=int, default=50)
     p_verify.add_argument("--nfreq", type=int, default=128)
@@ -113,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     """Walk the draw once, writing each chunk to the CSVs; a refusal met once a file is open removes the files."""
     model = load_model(args.model)
-    chunks = _simulation_chunks(model, args.n, args.burn_in, args.seed)
+    chunks = _stages.timed("simulate", _simulation_chunks(model, args.n, args.burn_in, args.seed))
     paths = [args.out] + ([args.innovations_out] if args.innovations_out else [])
     with contextlib.ExitStack() as stack:
         writers = [stack.enter_context(TimeseriesWriter(path, model.K)) for path in paths]
@@ -129,13 +135,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    data = load_timeseries(args.data, layout=args.layout)
+    with _stages.stage("read"):
+        data = load_timeseries(args.data, layout=args.layout)
     if args.order is not None:
         order = args.order
     else:
-        order = select_order(data, args.max_order, criterion=args.criterion)
+        with _stages.stage("select_order"):
+            order = select_order(data, args.max_order, criterion=args.criterion)
         print(f"selected order {order} by {args.criterion}")
-    model = estimate(data, order)
+    with _stages.stage("estimate"):
+        model = estimate(data, order)
     report = validate(model)
     out = save_model(model, args.out, name=args.name)
     print(f"wrote {out} (K={model.K}, p={model.p}, spectral radius {report.spectral_radius:.4f})")
@@ -156,10 +165,15 @@ def _cmd_measure(args) -> int:
     model = load_model(args.model)
     kinds = list(dict.fromkeys(MeasureKind(name) for name in _parse_kinds(args.measures, "measure")))
     grid = FrequencyGrid(args.nfreq)
-    with ResultWriter(grid, kinds, args.mag_sq, args.fs) as writer:
+    with ResultWriter(grid, kinds, args.mag_sq, args.fs, k=model.K) as writer:
         blocks = _spectral_blocks(model, grid, _block_size(model.K))
-        _draw_kinds(blocks, kinds, lambda spectra, kind: writer.add(kind, _MEASURES[kind](spectra).values))
+        _draw_kinds(blocks, kinds, lambda spectra, kind: writer.add(kind, _measure(kind, spectra)))
         return _emit(writer.chunks(), args.out)
+
+
+def _measure(kind, spectra):
+    with _stages.stage("measures"):
+        return _MEASURES[kind](spectra).values
 
 
 def _cmd_mir(args) -> int:
@@ -170,7 +184,8 @@ def _cmd_mir(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_verification(seed=args.seed, n_models=args.models, n_freq=args.nfreq)
+    with _stages.stage("verify"):
+        report = run_verification(seed=args.seed, n_models=args.models, n_freq=args.nfreq)
     for line in report.lines():
         print(line)
     if report.passed:
@@ -187,10 +202,10 @@ def _emit(chunks, out: str | None) -> int:
         return EXIT_OK
     stream = getattr(sys.stdout, "buffer", None)
     if stream is None:
-        sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
+        write_chunks(sys.stdout.write, (str(chunk, "ascii") for chunk in chunks))
     else:
         sys.stdout.flush()
-        stream.writelines(chunks)
+        write_chunks(stream.write, chunks)
     return EXIT_OK
 
 

@@ -10,7 +10,9 @@ documents are written straight from arrays, byte for byte as
 ``json.dumps`` writes them as nested lists ("re"/"im" for complex
 arrays), and nothing is written when one is refused; a measure's arrays
 may arrive a block of frequencies at a time (``ResultWriter``, which spills
-each array it prints as float64), as a CSV's rows may arrive a block of samples
+each array it prints as float64, and renders a large document in two
+processes: a forked worker formats the later arrays into a text spill while
+this one writes the rest), as a CSV's rows may arrive a block of samples
 at a time (``TimeseriesWriter``); both check finiteness by one rule. The float
 text of result documents and of time-series CSV comes from one vectorised
 shortest-round-trip formatter (``_floattext``), byte-identical to ``repr``,
@@ -22,19 +24,26 @@ untouched; one met after it is opened, an I/O error included, removes it
 when it is a regular file, so no partial file remains.
 """
 
+import contextlib
 import csv
+import errno
+import gc
 import json
 import math
 import os
+import shutil
 import stat
 import tempfile
+import time
 import types
+import warnings
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 
 from ._floattext import _POW10, _U, float_text, nearest_doubles, read_digits
+from ._stages import add, stage, timed
 from .errors import DataError, DomainError, NumericalError, ParseError
 from .spectral import FrequencyGrid
 from .var_model import TimeSeriesData, VarModel
@@ -483,8 +492,9 @@ class OutputFile:
         return stat.S_ISREG(self._stat.st_mode) and os.path.samestat(self._stat, other._stat)
 
     def writelines(self, chunks: Iterable[bytes]) -> None:
-        self._handle.writelines(chunks)
-        self._handle.flush()
+        write_chunks(self._handle.write, chunks)
+        with stage("write"):
+            self._handle.flush()
 
     def __enter__(self) -> "OutputFile":
         return self
@@ -495,6 +505,14 @@ class OutputFile:
         finally:
             if exc_type is not None and stat.S_ISREG(self._stat.st_mode):
                 self._target.unlink(missing_ok=True)
+
+
+def write_chunks(write, chunks: Iterable[bytes]) -> None:
+    """Write each chunk before the next is drawn, as a chunk may reuse the last one's buffer."""
+    for chunk in chunks:
+        with stage("write"):
+            write(chunk)
+        del chunk  # held while the next is made, it would raise the peak by a chunk's size
 
 
 class TimeseriesWriter(OutputFile):
@@ -513,7 +531,7 @@ class TimeseriesWriter(OutputFile):
     def add(self, rows: np.ndarray) -> None:
         if _first_non_finite(rows) is not None:
             raise DomainError("samples must be finite")
-        self.writelines(float_text(rows, (",", "\r\n", "\r\n")))
+        self.writelines(timed("render", float_text(rows, (",", "\r\n", "\r\n"))))
 
 
 def _is_not_number(cell: str) -> bool:
@@ -530,51 +548,69 @@ class ResultWriter:
     ``add`` takes the next block of one of `kinds` (enums or strings), a
     complex (n, K, K) array; a measure's blocks come in grid order and end
     on whole frequencies. Each array it will print ("re", "im" and, with
-    include_mag_sq, "mag_sq") is computed once a block, checked for finite
-    values, and appended as float64, 8 B per entry, to a spill of its own:
-    an unlinked file in ``tempfile``'s directory, which a spill's OSError
-    names. A ``sample_rate_hz`` the grid cannot be written in is refused
-    when the writer is made. ``chunks`` raises a bad ``units`` or a value
-    refusal, in the order the README's refusal paragraph states, and a
+    include_mag_sq, "mag_sq") is computed once a block into one buffer the
+    block's arrays share, checked for finite values, and appended as float64, 8 B
+    per entry, to a spill of its own: an unlinked file in ``tempfile``'s
+    directory, which a spill's OSError names. A ``sample_rate_hz`` the grid
+    cannot be written in is refused when the writer is made; given the
+    measures' channel count `k`, so is a temporary directory without room
+    for the spills (``_check_disk``). ``chunks`` raises a bad ``units`` or a
+    value refusal, in the order the README's refusal paragraph states, and a
     ValueError for a measure whose blocks do not cover the grid; else it
-    returns the document's bytes, each array rendered in key order from its
-    spill, read once from its start, so nothing is rendered before every
-    check has passed. The spills close with the writer or when its chunks
-    have been read to the end.
+    flushes the spills and returns the document's bytes, each array
+    rendered in key order from its spill, read once from its start, so
+    nothing is rendered before every check has passed.
+
+    A document of FORK_MIN_VALUES spilled values or more is rendered by two
+    processes where ``os.fork`` exists and this process may use two CPUs:
+    before the first byte, a forked worker (``_Worker``) takes the later
+    half of the spilled arrays, rounded down, and renders them into a text
+    spill, while this process renders the rest straight into the chunks and
+    then splices the worker's text in, in document order. The bytes are the
+    same either way; a worker that fails is an OSError. The spills, the text
+    spill and the worker (reaped, and killed first when the chunks are not
+    read to the end) go with the writer, or when its chunks have been read
+    to the end.
     """
 
-    def __init__(self, grid: FrequencyGrid, kinds=(), include_mag_sq: bool = False, sample_rate_hz: float | None = None):
-        self._spills = {}  # first: close, which __del__ runs on a writer whose __init__ raised, reads it
+    def __init__(self, grid: FrequencyGrid, kinds=(), include_mag_sq: bool = False, sample_rate_hz: float | None = None, k: int | None = None):
+        self._spills, self._worker = {}, None  # first: close, which __del__ runs on a writer whose __init__ raised, reads them
         if not (sample_rate_hz is None or (sample_rate_hz > 0 and math.isfinite(math.pi * sample_rate_hz))):
             raise DomainError(f"sample_rate_hz must be positive with pi * sample_rate_hz finite, got {sample_rate_hz}")
         self.grid, self.sample_rate_hz = grid, sample_rate_hz
         self._fields = ("re", "im", "mag_sq") if include_mag_sq else ("re", "im")
         self._first_bad = {}  # (name, field) -> the first non-finite value met
         self._shape = None  # every measure's (n_points, K, K), known from the first block
-        self._spills.update(((_name(kind), field), tempfile.TemporaryFile()) for kind in kinds for field in self._fields)
+        keys = [(_name(kind), field) for kind in kinds for field in self._fields]
+        if k is not None:
+            _check_disk(len(keys), (grid.n_points, k, k))
+        self._spills.update((key, tempfile.TemporaryFile()) for key in keys)
 
     def add(self, kind, values: np.ndarray) -> None:
         """Check a measure's next block and append each of its arrays to that array's spill."""
         name = _name(kind)
         values = np.asarray(values, np.complex128)
         self._shape = (self.grid.n_points, *values.shape[1:])
+        part = np.empty(values.shape)  # each array of the block in turn; freed before the walk's next block, whose peak it would raise
         for field in self._fields:
-            if field == "mag_sq":
-                with np.errstate(over="ignore"):  # a squared magnitude that overflows is refused as the inf it leaves
-                    part = np.square(np.abs(values))  # what np.abs(values) ** 2 computes
-            else:
-                part = np.ascontiguousarray(values.real if field == "re" else values.imag)
-            bad = _first_non_finite(part)
-            if bad is not None:
-                self._first_bad.setdefault((name, field), bad)
-            try:  # flushed, so that a full disk is met here and not after the document's first byte
-                self._spills[name, field].write(part)
-                self._spills[name, field].flush()
-            except OSError as exc:  # a spill is an unlinked file: name its directory
-                raise OSError(exc.errno, exc.strerror, tempfile.gettempdir()) from None
+            with stage("spill"):
+                if field == "mag_sq":
+                    with np.errstate(over="ignore"):  # a squared magnitude that overflows is refused as the inf it leaves
+                        np.square(np.abs(values, out=part), out=part)  # what np.abs(values) ** 2 computes
+                else:
+                    np.copyto(part, values.real if field == "re" else values.imag)
+                bad = _first_non_finite(part)
+                if bad is not None:
+                    self._first_bad.setdefault((name, field), bad)
+                with _in_tempdir():
+                    self._spills[name, field].write(part)
 
     def chunks(self, mirs: dict | None = None, units: str = "nats_per_sample") -> Iterator[bytes]:
-        """Raise a refusal, else return the document's text in chunks of bytes."""
+        """Raise a refusal, else return the document's text in chunks of bytes.
+
+        A chunk may be a view of a buffer the next chunk reuses: write each
+        before drawing the next, as ``writelines`` does.
+        """
         if units not in UNITS:
             raise DomainError(f"unknown units {units!r}, expected one of {UNITS}")
         for key in self._spills:
@@ -587,7 +623,9 @@ class ResultWriter:
         for (name, field), spill in self._spills.items():
             if self._shape is None or spill.tell() != 8 * math.prod(self._shape):  # blocks short of the grid, or past it
                 raise ValueError(f"the blocks of {name} hold {spill.tell() // 8} values of {field}, not n_points * K * K of a grid of {self.grid.n_points}")
-            spill.seek(0)
+            with _in_tempdir():  # once, so that a full disk is met here and not after the document's first byte
+                spill.flush()
+                spill.seek(0)
             document["measures"].setdefault(name, {})[field] = types.SimpleNamespace(shape=self._shape, readinto=spill.readinto)
         for kind, mir in (mirs or {}).items():
             values = mir.values if units == "nats_per_sample" else mir.values / _LN2
@@ -599,20 +637,183 @@ class ResultWriter:
 
     def _copy(self, document: dict) -> Iterator[bytes]:
         with self:
+            later = sorted(self._spills)[len(self._spills) - _worker_arrays(len(self._spills), self._shape) :]
+            if later:  # document order is key order: the worker's arrays are the last spilled ones
+                arrays = document["measures"]
+                self._worker = _Worker([arrays[name][field] for name, field in later], _layout(_LEVEL, len(self._shape))[1])
+                for name, field in later:
+                    arrays[name][field] = types.SimpleNamespace(shape=self._shape, spliced=self._worker.splice)
             yield from _chunks(document, 0)
             yield b"\n"
 
     def close(self) -> None:
-        for spill in self._spills.values():
-            spill.close()
+        try:
+            if self._worker is not None:
+                self._worker.close()
+        finally:
+            for spill in self._spills.values():
+                spill.close()
 
-    __del__ = close  # a writer whose chunks are never read still closes its spills
+    __del__ = close  # a writer whose chunks are never read still closes its spills and reaps its worker
 
     def __enter__(self) -> "ResultWriter":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+#: Spilled values from which a document is rendered in two processes. Forking takes about 2.5 ms
+#: and a value renders in about 300 ns: `measure` at K = 2 (medians of 20, in-process) lost 3.4 ms
+#: to the fork at 7,168 values and gained 1.0, 1.7, 9.5 and 18 ms at 14,336, 28,672, 57,344 and 114,688.
+FORK_MIN_VALUES = 2**15
+#: The indent level of a measure's array: the document, "measures", the measure, the array.
+_LEVEL = 3
+#: The most bytes a finite value's text takes: "-2.2250738585072014e-308".
+_VALUE_BYTES = 24
+#: Bytes of each read of the text spill into the buffer the worker's text is spliced from.
+_SPLICE_BYTES = 2**18
+
+
+def _worker_arrays(arrays: int, shape) -> int:
+    """How many of the last of `arrays` spilled arrays of `shape` a worker renders: half, or none.
+
+    None where this process may use only one CPU, where the calls a worker
+    needs are missing, or where the arrays hold fewer than FORK_MIN_VALUES
+    values.
+    """
+    if not all(hasattr(os, call) for call in ("fork", "posix_fallocate", "preadv", "sched_getaffinity")):
+        return 0
+    if len(os.sched_getaffinity(0)) < 2 or arrays * math.prod(shape or ()) < FORK_MIN_VALUES:
+        return 0
+    return arrays // 2  # the worker's arrays cost it copy-on-write faults, so this process takes the odd one
+
+
+def _text_bytes(shape) -> int:
+    """The most bytes the text of a measure's array of `shape` takes in its spill, its head left out."""
+    separators = _layout(_LEVEL, len(shape))[1]
+    closing = [math.prod(shape[: len(shape) - t]) for t in range(len(shape) + 1)] + [0]  # values that close t axes or more
+    return _VALUE_BYTES * math.prod(shape) + sum((closing[t] - closing[t + 1]) * len(separator) for t, separator in enumerate(separators))
+
+
+def _check_disk(arrays: int, shape) -> None:
+    """Refuse, as a full spill would be refused, when the temporary directory cannot hold `arrays` spills of `shape` and their text spill."""
+    need = 8 * arrays * math.prod(shape) + _worker_arrays(arrays, shape) * _text_bytes(shape)
+    with _in_tempdir():
+        if shutil.disk_usage(tempfile.gettempdir()).free < need:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@contextlib.contextmanager
+def _in_tempdir():
+    """Re-raise an OSError met on a spill, an unlinked file, naming its directory."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, tempfile.gettempdir()) from None
+
+
+class _Worker:
+    """A forked process that renders spilled arrays into a text spill, while this one writes the rest.
+
+    The text spill is reserved at its most bytes (``_text_bytes``) before the
+    fork, so that a disk without room for it is refused before the first
+    byte. The worker renders its arrays in order, with ``float_text`` only,
+    and reports each one's byte length over a pipe, then the nanoseconds it
+    took (for ``--trace``); an OSError is reported as -errno. It always leaves
+    by ``os._exit``. ``splice`` yields the next array's text, read from the
+    text spill into one reused buffer, and after the last one reaps the
+    worker; ``close`` kills it first if it has not been reaped.
+    """
+
+    def __init__(self, arrays: list, separators: list[str]):
+        self.pid, self.report, self.offset, self.left = None, None, 0, len(arrays)
+        self.text = tempfile.TemporaryFile()
+        try:
+            with stage("fork"):
+                with _in_tempdir():
+                    os.posix_fallocate(self.text.fileno(), 0, sum(_text_bytes(array.shape) for array in arrays))
+                self.report, report = os.pipe()
+                try:
+                    with warnings.catch_warnings():  # from Python 3.12, fork warns in a process with threads: BLAS's are idle, and the worker calls no BLAS
+                        warnings.filterwarnings("ignore", r".*multi-threaded, use of fork\(\)", DeprecationWarning)
+                        self.pid = os.fork()
+                    if self.pid == 0:
+                        _render(arrays, separators, self.text.fileno(), report)  # never returns
+                finally:
+                    os.close(report)
+        except BaseException:
+            self.close()
+            raise
+        self.buffer = None  # made at the first splice, once this process's own text is written and its workspaces freed
+
+    def _record(self) -> int:
+        with stage("wait"):
+            record = os.read(self.report, 8)  # a write of 8 bytes to a pipe arrives whole
+        if len(record) < 8:  # the worker ended without a word
+            self._reap()
+            raise OSError(errno.EIO, "the rendering worker ended early")
+        value = int.from_bytes(record, "little", signed=True)
+        if value < 0:
+            raise OSError(-value, os.strerror(-value), tempfile.gettempdir())
+        return value
+
+    def splice(self) -> Iterator[memoryview]:
+        """The text of the worker's next array; each chunk is valid until the next is drawn."""
+        end = self.offset + self._record()
+        if self.buffer is None:
+            self.buffer = memoryview(bytearray(_SPLICE_BYTES))
+        while self.offset < end:
+            with stage("splice"):
+                read = os.preadv(self.text.fileno(), [self.buffer[: end - self.offset]], self.offset)
+            if read == 0:
+                raise OSError(errno.EIO, "the text spill ends early", tempfile.gettempdir())
+            self.offset += read
+            yield self.buffer[:read]
+        self.left -= 1
+        if not self.left:
+            add("worker.render", self._record())
+            self._reap()
+
+    def _reap(self) -> None:
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status:
+            raise OSError(errno.EIO, f"the rendering worker ended with status {os.waitstatus_to_exitcode(status)}")
+
+    def close(self) -> None:
+        try:
+            if self.pid is not None:
+                import signal  # only here: its enums cost every command about 0.1 MiB at import
+
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+                self.pid = None
+        finally:
+            if self.report is not None:
+                os.close(self.report)
+                self.report = None
+            self.text.close()
+
+
+def _render(arrays: list, separators: list[str], text: int, report: int) -> None:
+    """In the worker: write each array's text to file descriptor `text`, its length and then the time taken to `report`, and exit."""
+    status = 1
+    try:
+        gc.disable()  # the process ends by os._exit: nothing needs collecting, and no page of the parent's is touched for it
+        start = time.perf_counter_ns()
+        with open(text, "wb", closefd=False) as spill:
+            for array in arrays:
+                length = sum(spill.write(chunk) for chunk in float_text(array, separators))
+                spill.flush()
+                os.write(report, length.to_bytes(8, "little", signed=True))
+        os.write(report, (time.perf_counter_ns() - start).to_bytes(8, "little", signed=True))
+        status = 0
+    except OSError as exc:
+        os.write(report, (-(exc.errno or errno.EIO)).to_bytes(8, "little", signed=True))
+    finally:
+        os._exit(status)
 
 
 def save_result(chunks: Iterable[bytes], path) -> Path:
@@ -650,10 +851,10 @@ def _layout(level: int, ndim: int) -> tuple[bytes, list[str]]:
 
 def _chunks(node, level: int) -> Iterator[bytes]:
     """The text of a node at indent `level`, as ``json.dumps(sort_keys=True, indent=2)`` writes it."""
-    if hasattr(node, "shape"):  # an array, or a measure's array read back from its spill
+    if hasattr(node, "shape"):  # an array, a measure's array read back from its spill, or one a worker rendered
         head, separators = _layout(level, len(node.shape))
         yield head
-        yield from float_text(node, separators)
+        yield from node.spliced() if hasattr(node, "spliced") else timed("render", float_text(node, separators))
     elif isinstance(node, dict) and node:
         pad = "\n" + "  " * (level + 1)
         for index, key in enumerate(sorted(node)):

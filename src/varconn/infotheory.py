@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._stages import stage
 from ._util import lock
 from .errors import DomainError
 from .measures import MeasureKind
@@ -163,15 +164,16 @@ def information_rates(model: VarModel, grid: FrequencyGrid, kinds) -> dict[Measu
     n_clipped, drawn = dict.fromkeys(kinds, 0), dict.fromkeys(kinds, 0)  # drawn: grid rows of each kind
 
     def draw(spectra, kind):
-        stack = sums[kind][: len(spectra.a_bar) + 1]
-        _RATES[kind](spectra, stack[1:])
-        n_clipped[kind] += _bridge_in_place(stack[1:])
-        if drawn[kind] == 0:
-            stack[1] /= 2.0
-        drawn[kind] += len(spectra.a_bar)
-        if drawn[kind] == n_points:
-            stack[-1] /= 2.0
-        stack[0] = np.add.reduce(stack) if k > 1 else np.cumsum(stack, axis=0, out=stack)[-1]
+        with stage("rates"):
+            stack = sums[kind][: len(spectra.a_bar) + 1]
+            _RATES[kind](spectra, stack[1:])
+            n_clipped[kind] += _bridge_in_place(stack[1:])
+            if drawn[kind] == 0:
+                stack[1] /= 2.0
+            drawn[kind] += len(spectra.a_bar)
+            if drawn[kind] == n_points:
+                stack[-1] /= 2.0
+            stack[0] = np.add.reduce(stack) if k > 1 else np.cumsum(stack, axis=0, out=stack)[-1]
 
     _draw_kinds(_spectral_blocks(model, grid, size), kinds, draw)
     # 0 - sum negates the summed log1p(-s) and reads a zero sum of either sign as +0.0

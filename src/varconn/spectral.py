@@ -39,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._stages import timed
 from ._util import lock
 from .errors import DomainError, NumericalError
 from .var_model import VarModel, require_valid
@@ -206,7 +207,7 @@ def _draw_kinds(blocks: Iterable, kinds: list, draw: Callable) -> None:
     paragraph states.
     """
     refusal = None
-    for block in blocks:
+    for block in timed("walk", blocks):
         for index, kind in enumerate(kinds):
             try:
                 draw(block, kind)

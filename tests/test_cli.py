@@ -7,10 +7,15 @@ import json
 import math
 import os
 import platform
+import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
+import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +24,10 @@ import pytest
 import varconn
 from varconn import EPS_CLIP, MeasureKind, MeasureResult, NumericalError, VarModel, fixture, load_model, save_model, validate
 from varconn import save_timeseries, simulate
-from varconn import infotheory, measures, oracles
+from varconn import _stages, fileio, infotheory, measures, oracles
 from varconn.cli import main
+from varconn.fileio import ResultWriter
+from varconn.spectral import FrequencyGrid
 from varconn.oracles import random_stable_model
 from varconn.spectral import _block_size
 
@@ -45,6 +52,30 @@ def spy_walks(patch) -> list:
 
         patch.setattr(module, "_spectral_blocks", spy)
     return walks
+
+
+def render_in(patch, processes: int) -> list:
+    """Make measure render in `processes` (1 or 2) whatever the document's size and this host's CPUs.
+
+    Returns a list that gets the number of arrays handed to each worker started.
+    """
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
+    if processes == 2:
+        patch.setattr(fileio, "FORK_MIN_VALUES", 0)
+    workers, worker = [], fileio._Worker
+
+    class Counted(worker):
+        def __init__(self, arrays, separators):
+            workers.append(len(arrays))
+            super().__init__(arrays, separators)
+
+    patch.setattr(fileio, "_Worker", Counted)
+    return workers
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestMeasureCommand:
@@ -298,7 +329,9 @@ class TestMeasureBlocks:
 
     def test_one_spill_of_values_per_measure(self, monkeypatch, tmp_path, model_path):
         # with --mag-sq, each array a measure prints has a spill of its own, holding exactly the
-        # float64 values printed, 8 B per (omega, i, j) entry, whatever the block size
+        # float64 values printed, 8 B per (omega, i, j) entry, whatever the block size; rendered
+        # in two processes, one file more, made after them, takes the worker's text, which the
+        # worker writes through its own descriptor and this process never writes
         temporary_file = tempfile.TemporaryFile
 
         class CountedSpill:
@@ -315,18 +348,21 @@ class TestMeasureBlocks:
 
         monkeypatch.setattr(tempfile, "TemporaryFile", CountedSpill)
         out = tmp_path / "result.json"
-        for size in (1, 2, None):
+        for size, processes in itertools.product((1, 2, None), (1, 2)):
             spills = []
             with monkeypatch.context() as patch:
+                render_in(patch, processes)
                 if size is not None:
                     patch.setattr(varconn.cli, "_block_size", lambda k, size=size: size)
                 assert main(["measure", "--model", str(model_path), "--mag-sq", "--nfreq", str(self.N_POINTS), "--out", str(out)]) == 0
             measures = json.loads(out.read_text())["measures"]
             assert all(sorted(arrays) == ["im", "mag_sq", "re"] for arrays in measures.values())
             printed = [np.array(array).tobytes() for arrays in measures.values() for array in arrays.values()]
-            assert len(spills) == len(printed) == 3 * len(MeasureKind)
-            assert [len(spill.written) for spill in spills] == [8 * self.N_POINTS * 3 * 3] * len(spills)
-            assert sorted(bytes(spill.written) for spill in spills) == sorted(printed), size
+            values, texts = spills[: len(printed)], spills[len(printed) :]
+            assert len(values) == len(printed) == 3 * len(MeasureKind)
+            assert [len(spill.written) for spill in values] == [8 * self.N_POINTS * 3 * 3] * len(values)
+            assert sorted(bytes(spill.written) for spill in values) == sorted(printed), size
+            assert [bytes(spill.written) for spill in texts] == [b""] * (processes - 1), (size, processes)
 
     def test_peak_does_not_grow_with_the_grid(self, tmp_path):
         # the whole-grid route peaked here at 9.6 MiB (1,024 points) and 34.9 MiB (4,096 points);
@@ -387,6 +423,231 @@ class TestMeasureBlocks:
         assert captured.err == f"E_IO: [Errno 28] No space left on device: {tempfile.gettempdir()!r}\n"
         assert captured.out == ""
         assert not out.exists()
+
+
+class TestMeasureWorker:
+    """Where two CPUs are free, a forked worker renders the later half of measure's arrays: same bytes, no process left behind."""
+
+    N_POINTS = 17
+    SEVEN = "coh,pdc,gpdc,ipdc,dtf,dc,idtf"
+
+    @pytest.fixture()
+    def model_path(self, tmp_path):
+        path = tmp_path / "k3.json"
+        save_model(random_stable_model(np.random.default_rng(3), 3, p=2), path)
+        return path
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    @pytest.mark.parametrize("kinds", ["ipdc", SEVEN])
+    @pytest.mark.parametrize("options", [[], ["--mag-sq", "--fs", "250"]])
+    def test_both_paths_write_the_bytes_of_json_dumps(self, monkeypatch, tmp_path, capsysbinary, k, kinds, options):
+        model = tmp_path / "model.json"
+        save_model(random_stable_model(np.random.default_rng(k), k, p=2), model)
+        argv = ["measure", "--model", str(model), "--measures", kinds, "--nfreq", str(self.N_POINTS), *options]
+        arrays = len(kinds.split(",")) * (3 if options else 2)
+        texts = {}
+        for processes, to_file in itertools.product((1, 2), (True, False)):
+            out = tmp_path / f"{processes}-{to_file}.json"
+            with monkeypatch.context() as patch:
+                workers = render_in(patch, processes)
+                assert main([*argv, "--out", str(out)] if to_file else argv) == 0
+            captured = capsysbinary.readouterr()
+            texts[processes, to_file] = out.read_bytes() if to_file else captured.out
+            assert workers == [arrays // 2] * (processes - 1)
+            assert_no_child_process()
+        canonical = (json.dumps(json.loads(texts[1, True]), sort_keys=True, indent=2) + "\n").encode("ascii")
+        assert all(text == canonical for text in texts.values()), [key for key, text in texts.items() if text != canonical]
+
+    def test_the_dense_document_is_rendered_in_two_processes_by_default(self, monkeypatch, tmp_path):
+        # all seven measures with --mag-sq at K = 8 and 512 points, as the dense_measure benchmark runs them
+        model = tmp_path / "k8.json"
+        save_model(random_stable_model(np.random.default_rng(8), 8, p=3), model)
+        argv = ["measure", "--model", str(model), "--mag-sq", "--nfreq", "512", "--out"]
+        texts = {}
+        for processes in (1, 2):
+            workers, worker = [], fileio._Worker
+            with monkeypatch.context() as patch:  # the CPUs and the size alone decide: FORK_MIN_VALUES is left as it is
+                patch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
+                patch.setattr(fileio, "_Worker", lambda arrays, separators: workers.append(len(arrays)) or worker(arrays, separators))
+                out = tmp_path / f"{processes}.json"
+                assert main([*argv, str(out)]) == 0
+            texts[processes] = out.read_bytes()
+            assert workers == [10] * (processes - 1)
+        assert texts[1] == texts[2]
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("death", ["raises", "killed"])
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_a_worker_that_dies_is_an_io_refusal(self, monkeypatch, tmp_path, capsys, model_path, death, to_file):
+        render_in(monkeypatch, 2)
+        parent, float_text = os.getpid(), fileio.float_text
+
+        def in_the_worker(*args):
+            if os.getpid() != parent:
+                if death == "raises":
+                    raise RuntimeError("the worker fails")
+                time.sleep(60)  # until this process kills it, at its first splice
+            return float_text(*args)
+
+        monkeypatch.setattr(fileio, "float_text", in_the_worker)
+        if death == "killed":
+            splice = fileio._Worker.splice
+
+            def kill_then_splice(self):
+                os.kill(self.pid, signal.SIGKILL)
+                return splice(self)
+
+            monkeypatch.setattr(fileio._Worker, "splice", kill_then_splice)
+        out = tmp_path / "result.json"
+        argv = ["measure", "--model", str(model_path), "--nfreq", str(self.N_POINTS)]
+        assert main([*argv, "--out", str(out)] if to_file else argv) == 2
+        status = 1 if death == "raises" else -signal.SIGKILL
+        assert capsys.readouterr().err == f"E_IO: [Errno {errno.EIO}] the rendering worker ended with status {status}\n"
+        assert not out.exists()
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_no_room_for_the_text_spill_writes_nothing(self, monkeypatch, tmp_path, capsys, model_path, to_file):
+        # the worker's text spill is reserved before the fork, so a disk without room for it is met before the first byte
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        workers = render_in(monkeypatch, 2)
+        monkeypatch.setattr(os, "posix_fallocate", full)
+        out = tmp_path / "result.json"
+        argv = ["measure", "--model", str(model_path), "--nfreq", str(self.N_POINTS)]
+        assert main([*argv, "--out", str(out)] if to_file else argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"E_IO: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: {tempfile.gettempdir()!r}\n"
+        assert captured.out == ""
+        assert not out.exists()
+        assert workers == [7]
+        assert_no_child_process()
+
+    def test_the_fork_warning_of_python_3_12_does_not_escape(self, monkeypatch, tmp_path, model_path):
+        # from Python 3.12 os.fork warns, in the parent, when the process has threads, as one that has loaded OpenBLAS can
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child.", DeprecationWarning)
+            return pid
+
+        workers = render_in(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", warning_fork)
+        out = tmp_path / "result.json"
+        assert main(["measure", "--model", str(model_path), "--nfreq", str(self.N_POINTS), "--out", str(out)]) == 0
+        assert workers == [7] and out.exists()
+        assert_no_child_process()
+
+    def test_chunks_closed_early_reap_the_worker(self, monkeypatch):
+        workers = render_in(monkeypatch, 2)
+        writer = ResultWriter(FrequencyGrid(8), ["coh", "pdc"], k=2)
+        for kind in ("coh", "pdc"):
+            writer.add(kind, np.full((8, 2, 2), 0.5 + 0.25j))
+        chunks = writer.chunks()
+        next(chunks)
+        assert workers == [2] and writer._worker.pid is not None
+        chunks.close()
+        assert writer._worker.pid is None
+        assert_no_child_process()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_an_output_that_fails_reaps_the_worker(self, monkeypatch, capsys, model_path):
+        workers = render_in(monkeypatch, 2)
+        assert main(["measure", "--model", str(model_path), "--nfreq", str(self.N_POINTS), "--out", "/dev/full"]) == 2
+        assert capsys.readouterr().err == f"E_IO: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert workers == [7]
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_no_room_for_the_spills_is_refused_before_the_walk(self, monkeypatch, tmp_path, capsys, model_path, processes):
+        # 14 arrays (re and im of seven measures) of 17 x 3 x 3 float64 values; rendered in two
+        # processes, the worker's text spill needs room too
+        value_spills = 14 * 8 * self.N_POINTS * 3 * 3
+        asked = []
+
+        def disk_usage(path):
+            asked.append(path)
+            return types.SimpleNamespace(total=2**40, used=0, free=free)
+
+        render_in(monkeypatch, processes)
+        monkeypatch.setattr(shutil, "disk_usage", disk_usage)
+        out = tmp_path / "result.json"
+        argv = ["measure", "--model", str(model_path), "--nfreq", str(self.N_POINTS), "--out", str(out)]
+        for free in (value_spills - 1, value_spills, 2**30):
+            walks = spy_walks(monkeypatch)
+            status = main(argv)
+            captured = capsys.readouterr()
+            if free == 2**30 or (processes == 1 and free == value_spills):
+                assert status == 0 and out.exists(), (free, captured.err)
+                out.unlink()
+                continue
+            assert status == 2
+            assert captured.err == f"E_IO: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: {tempfile.gettempdir()!r}\n"
+            assert walks == [] and not out.exists()
+        assert asked == [tempfile.gettempdir()] * 3
+
+
+class TestTrace:
+    """--trace writes each stage's wall time to stderr as JSON lines, and changes no other byte."""
+
+    @staticmethod
+    def stages(err: str) -> dict:
+        lines = [json.loads(line) for line in err.splitlines()]
+        assert all(sorted(line) == ["calls", "ms", "stage"] for line in lines), lines
+        assert all(line["calls"] >= 1 and line["ms"] >= 0 for line in lines), lines
+        return {line["stage"]: line for line in lines}
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_measure_stages_and_bytes(self, monkeypatch, tmp_path, capsysbinary, processes):
+        model = tmp_path / "k3.json"
+        save_model(random_stable_model(np.random.default_rng(3), 3, p=2), model)
+        render_in(monkeypatch, processes)
+        argv = ["measure", "--model", str(model), "--mag-sq", "--nfreq", "33"]
+        outputs = {}
+        for trace, to_file in itertools.product((False, True), (True, False)):
+            out = tmp_path / f"{trace}.json"
+            assert main([*argv, *(["--trace"] if trace else []), *(["--out", str(out)] if to_file else [])]) == 0
+            captured = capsysbinary.readouterr()
+            outputs[trace, to_file] = (captured.out, out.read_bytes() if to_file else None)
+            assert _stages._table is None
+            if not trace:
+                assert captured.err == b""
+                continue
+            stages = self.stages(captured.err.decode("ascii"))
+            expected = {"command", "walk", "measures", "spill", "render", "write"}
+            expected |= {"fork", "wait", "splice", "worker.render"} if processes == 2 else set()
+            assert set(stages) == expected
+            assert stages["command"]["calls"] == 1 and stages["spill"]["calls"] == 7 * 3
+        for to_file in (True, False):
+            assert outputs[False, to_file][1] == outputs[True, to_file][1]
+        assert outputs[False, False][0] == outputs[True, False][0]
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "mir", "verify"])
+    def test_every_command_takes_trace(self, tmp_path, capsys, two_channel_model_path, command):
+        data = tmp_path / "data.csv"
+        if command == "fit":
+            assert main(["simulate", "--model", str(two_channel_model_path), "--n", "300", "--out", str(data)]) == 0
+        argv = {
+            "simulate": ["simulate", "--model", str(two_channel_model_path), "--n", "300", "--out", str(data)],
+            "fit": ["fit", "--data", str(data), "--max-order", "3", "--out", str(tmp_path / "fitted.json")],
+            "mir": ["mir", "--model", str(two_channel_model_path), "--nfreq", "33"],
+            "verify": ["verify", "--models", "2", "--nfreq", "16"],
+        }[command]
+        written = {}
+        for trace in (False, True):
+            capsys.readouterr()
+            assert main([*argv, "--trace"] if trace else argv) == 0
+            captured = capsys.readouterr()
+            written[trace] = captured.out, data.read_bytes() if command == "simulate" else None
+            assert _stages._table is None
+            assert (captured.err != "") == trace
+        assert written[False] == written[True]
+        stages = self.stages(captured.err)
+        assert stages["command"]["calls"] == 1
+        assert {"simulate": {"simulate", "render", "write"}, "fit": {"read", "select_order", "estimate"}, "mir": {"walk", "rates", "render", "write"}, "verify": {"verify"}}[command] <= set(stages)
 
 
 class TestRefusedInputs:

@@ -620,6 +620,17 @@ class TestResultWriter:
         # 5.32 MiB when each array's text was built whole from one repr per value; 2.54 MiB a block at a time
         assert peak < 5.0 * 2**20
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 2), (129, 6, 6)])
+    def test_text_spill_reservation_holds_the_longest_text(self, shape):
+        # a finite float64's repr takes at most 17 digits, a sign, a point and "e-308": 24 bytes,
+        # so an array of such values fills the worker's reservation exactly, and others take less
+        separators = fileio._layout(fileio._LEVEL, len(shape))[1]
+        longest = np.full(shape, -2.2250738585072014e-308)
+        assert len(repr(float(longest.flat[0]))) == fileio._VALUE_BYTES
+        assert sum(len(chunk) for chunk in float_text(longest, separators)) == fileio._text_bytes(shape)
+        values = draw(np.random.default_rng(len(shape)), shape)
+        assert sum(len(chunk) for chunk in float_text(values, separators)) < fileio._text_bytes(shape)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["re", "im", "mir"])
     def test_non_finite_refused_before_any_byte(self, tmp_path, bad, where):
