@@ -120,11 +120,14 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
     layout += [_LAST[np.maximum(before - 8, 0)], _LAST[np.minimum(before, 8)], fixed * _U(0x100), np.where(fixed, _U(0), suffix)]
     # in a mapping of its own, whose pages are resident only once a column in them is
     # filled: as a heap array (np.zeros, or np.empty with its last row zeroed) its
-    # 416 KiB raised model_fit's peak RSS by 0.17 to 0.45 MiB. Imported here, as
-    # loading mmap adds 40 KiB to every command, also those that write no float text.
+    # 416 KiB raised model_fit's peak RSS by 0.17 to 0.45 MiB. Private, as a heap array
+    # is: a forked process fills columns of its own copy, and this one never sees a
+    # column filled only in part. Imported here, as loading mmap adds 40 KiB to every
+    # command, also those that write no float text.
     import mmap
 
-    exponents = np.frombuffer(mmap.mmap(-1, 13 * 4096 * 8), np.uint64).reshape(13, 4096)
+    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}  # Windows has neither the flag nor fork
+    exponents = np.frombuffer(mmap.mmap(-1, 13 * 4096 * 8, **private), np.uint64).reshape(13, 4096)
     return exponents, np.array(layout)
 
 

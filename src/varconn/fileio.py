@@ -27,7 +27,6 @@ when it is a regular file, so no partial file remains.
 import contextlib
 import csv
 import errno
-import gc
 import json
 import math
 import os
@@ -36,13 +35,13 @@ import stat
 import tempfile
 import time
 import types
-import warnings
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 
-from ._floattext import _POW10, _U, float_text, nearest_doubles, read_digits
+from . import _fork
+from ._floattext import _POW10, _U, _tables, float_text, nearest_doubles, read_digits
 from ._stages import add, stage, timed
 from .errors import DataError, DomainError, NumericalError, ParseError
 from .spectral import FrequencyGrid
@@ -682,9 +681,7 @@ def _worker_arrays(arrays: int, shape) -> int:
     needs are missing, or where the arrays hold fewer than FORK_MIN_VALUES
     values.
     """
-    if not all(hasattr(os, call) for call in ("fork", "posix_fallocate", "preadv", "sched_getaffinity")):
-        return 0
-    if len(os.sched_getaffinity(0)) < 2 or arrays * math.prod(shape or ()) < FORK_MIN_VALUES:
+    if not (hasattr(os, "posix_fallocate") and hasattr(os, "preadv") and _fork.ready()) or arrays * math.prod(shape or ()) < FORK_MIN_VALUES:
         return 0
     return arrays // 2  # the worker's arrays cost it copy-on-write faults, so this process takes the odd one
 
@@ -713,17 +710,18 @@ def _in_tempdir():
         raise OSError(exc.errno, exc.strerror, tempfile.gettempdir()) from None
 
 
-class _Worker:
+class _Worker(_fork.Worker):
     """A forked process that renders spilled arrays into a text spill, while this one writes the rest.
 
     The text spill is reserved at its most bytes (``_text_bytes``) before the
     fork, so that a disk without room for it is refused before the first
-    byte. The worker renders its arrays in order, with ``float_text`` only,
-    and reports each one's byte length over a pipe, then the nanoseconds it
-    took (for ``--trace``); an OSError is reported as -errno. It always leaves
-    by ``os._exit``. ``splice`` yields the next array's text, read from the
-    text spill into one reused buffer, and after the last one reaps the
-    worker; ``close`` kills it first if it has not been reaped.
+    byte, and so are ``float_text``'s tables, so that the worker does not
+    build them again. The worker renders its arrays in order, with
+    ``float_text`` only, and reports each one's byte length over a pipe,
+    then the nanoseconds it took (for ``--trace``); an OSError is reported
+    as -errno. ``splice`` yields the next array's text, read from the text
+    spill into one reused buffer, and after the last one reaps the worker;
+    ``close`` kills it first if it has not been reaped.
     """
 
     def __init__(self, arrays: list, separators: list[str]):
@@ -733,15 +731,8 @@ class _Worker:
             with stage("fork"):
                 with _in_tempdir():
                     os.posix_fallocate(self.text.fileno(), 0, sum(_text_bytes(array.shape) for array in arrays))
-                self.report, report = os.pipe()
-                try:
-                    with warnings.catch_warnings():  # from Python 3.12, fork warns in a process with threads: BLAS's are idle, and the worker calls no BLAS
-                        warnings.filterwarnings("ignore", r".*multi-threaded, use of fork\(\)", DeprecationWarning)
-                        self.pid = os.fork()
-                    if self.pid == 0:
-                        _render(arrays, separators, self.text.fileno(), report)  # never returns
-                finally:
-                    os.close(report)
+                _tables()
+                super().__init__(_render, arrays, separators, self.text.fileno())
         except BaseException:
             self.close()
             raise
@@ -776,32 +767,20 @@ class _Worker:
             self._reap()
 
     def _reap(self) -> None:
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
+        status = self.wait()
         if status:
             raise OSError(errno.EIO, f"the rendering worker ended with status {os.waitstatus_to_exitcode(status)}")
 
     def close(self) -> None:
         try:
-            if self.pid is not None:
-                import signal  # only here: its enums cost every command about 0.1 MiB at import
-
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(self.pid, signal.SIGKILL)
-                os.waitpid(self.pid, 0)
-                self.pid = None
+            super().close()
         finally:
-            if self.report is not None:
-                os.close(self.report)
-                self.report = None
             self.text.close()
 
 
 def _render(arrays: list, separators: list[str], text: int, report: int) -> None:
-    """In the worker: write each array's text to file descriptor `text`, its length and then the time taken to `report`, and exit."""
-    status = 1
+    """In the worker: write each array's text to file descriptor `text`, and its length and then the time taken to `report`."""
     try:
-        gc.disable()  # the process ends by os._exit: nothing needs collecting, and no page of the parent's is touched for it
         start = time.perf_counter_ns()
         with open(text, "wb", closefd=False) as spill:
             for array in arrays:
@@ -809,11 +788,9 @@ def _render(arrays: list, separators: list[str], text: int, report: int) -> None
                 spill.flush()
                 os.write(report, length.to_bytes(8, "little", signed=True))
         os.write(report, (time.perf_counter_ns() - start).to_bytes(8, "little", signed=True))
-        status = 0
     except OSError as exc:
         os.write(report, (-(exc.errno or errno.EIO)).to_bytes(8, "little", signed=True))
-    finally:
-        os._exit(status)
+        raise
 
 
 def save_result(chunks: Iterable[bytes], path) -> Path:

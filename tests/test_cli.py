@@ -73,6 +73,25 @@ def render_in(patch, processes: int) -> list:
     return workers
 
 
+def verify_in(patch, processes: int) -> list:
+    """Make verify check in `processes` (1 or 2) whatever the population and this host's CPUs.
+
+    Returns a list that gets the (half, n_models) of each worker started.
+    """
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
+    if processes == 2:
+        patch.setattr(oracles, "FORK_MIN_MODELS", 0)
+    workers, worker = [], oracles._Worker
+
+    class Counted(worker):
+        def __init__(self, seed, grid, half, n_models):
+            workers.append((half, n_models))
+            super().__init__(seed, grid, half, n_models)
+
+    patch.setattr(oracles, "_Worker", Counted)
+    return workers
+
+
 def assert_no_child_process():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -624,6 +643,20 @@ class TestTrace:
         for to_file in (True, False):
             assert outputs[False, to_file][1] == outputs[True, to_file][1]
         assert outputs[False, False][0] == outputs[True, False][0]
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_verify_stages_and_bytes(self, monkeypatch, capsys, processes):
+        verify_in(monkeypatch, processes)
+        argv = ["verify", "--models", "12", "--nfreq", "16"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main([*argv, "--trace"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain.out and plain.err == ""
+        stages = self.stages(captured.err)
+        assert set(stages) == {"command", "verify"} | ({"fork", "wait", "worker.verify"} if processes == 2 else set())
+        assert all(line["calls"] == 1 for line in stages.values())
+        assert_no_child_process()
 
     @pytest.mark.parametrize("command", ["simulate", "fit", "mir", "verify"])
     def test_every_command_takes_trace(self, tmp_path, capsys, two_channel_model_path, command):
@@ -1331,6 +1364,136 @@ class TestVerifyCommand:
             *(f"FAIL {name}: max deviation inf (bound 1e-10)" for name in failing),
         ]
         assert len(lines) == 7
+
+
+class TestVerifyWorker:
+    """Where two CPUs are free, a forked worker checks the later half of verify's models: the same report, bit for bit, and no process left behind."""
+
+    @staticmethod
+    def exact(report) -> list:
+        return [(check.name, check.max_deviation.hex(), check.passed) for check in report.checks]
+
+    def report_in(self, monkeypatch, processes: int, *args) -> tuple[list, list]:
+        """The exact report of run_verification(*args) in `processes`, and the workers started."""
+        with monkeypatch.context() as patch:
+            workers = verify_in(patch, processes)
+            report = self.exact(oracles.run_verification(*args))
+        assert_no_child_process()
+        return report, workers
+
+    @pytest.mark.parametrize("n_freq", [2, 48, 128])
+    @pytest.mark.parametrize("n_models", [1, 2, 3, 4, 7, 50])
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_both_paths_give_the_same_report(self, monkeypatch, seed, n_models, n_freq):
+        one, none = self.report_in(monkeypatch, 1, seed, n_models, n_freq)
+        two, workers = self.report_in(monkeypatch, 2, seed, n_models, n_freq)
+        assert none == [] and workers == [(n_models // 2, n_models)]
+        assert two == one
+
+    @pytest.mark.parametrize("refused", [None, "ipdc", "idtf", "evaluate_spectra"])
+    def test_both_paths_print_the_same_bytes(self, monkeypatch, capsys, refused):
+        # the refusal patches of TestVerifyCommand, which the forked worker inherits
+        def refuse(*args):
+            raise NumericalError("non-positive column quadratic form")
+
+        if refused is not None:
+            monkeypatch.setattr(oracles, refused, refuse)
+        printed = {}
+        for processes in (1, 2):
+            with monkeypatch.context() as patch:
+                workers = verify_in(patch, processes)
+                status = main(["verify", "--seed", "7", "--models", "12", "--nfreq", "48"])
+            printed[processes] = status, capsys.readouterr()
+            assert workers == [(6, 12)] * (processes - 1)
+            assert_no_child_process()
+        assert printed[1] == printed[2]
+        assert printed[1][0] == (0 if refused is None else 4)
+
+    def test_the_default_population_is_checked_in_two_processes(self, monkeypatch):
+        # the CPUs and the population alone decide: FORK_MIN_MODELS is left as it is
+        reports = {}
+        for processes in (1, 2):
+            workers, worker = [], oracles._Worker
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
+                patch.setattr(oracles, "_Worker", lambda *args: workers.append(args[2:]) or worker(*args))
+                reports[processes] = self.exact(oracles.run_verification())
+            assert workers == [(25, 50)] * (processes - 1)
+        assert reports[1] == reports[2]
+        assert_no_child_process()
+
+    def test_the_fork_warning_of_python_3_12_does_not_escape(self, monkeypatch):
+        # the worker calls LAPACK, and OpenBLAS's pool is one of the threads the warning is about
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child.", DeprecationWarning)
+            return pid
+
+        expected, _ = self.report_in(monkeypatch, 1, 7, 12, 48)
+        monkeypatch.setattr(os, "fork", warning_fork)
+        assert self.report_in(monkeypatch, 2, 7, 12, 48) == (expected, [(6, 12)])
+
+    @pytest.mark.parametrize("death", ["raises", "killed", "short"])
+    def test_a_worker_that_fails_gives_the_same_report(self, monkeypatch, death):
+        # this process then checks the worker's models itself
+        expected, _ = self.report_in(monkeypatch, 1, 7, 12, 48)
+        parent, check, write = os.getpid(), oracles._check_model, os.write
+
+        def in_the_worker(*args):
+            if os.getpid() != parent:
+                if death == "raises":
+                    raise RuntimeError("the worker fails")
+                if death == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return check(*args)
+
+        def short_in_the_worker(fd, data):
+            return write(fd, data[:-8] if os.getpid() != parent else data)
+
+        monkeypatch.setattr(oracles, "_check_model", in_the_worker)
+        if death == "short":  # a report that does not arrive whole, from a worker that exits 0
+            monkeypatch.setattr(os, "write", short_in_the_worker)
+        report, workers = self.report_in(monkeypatch, 2, 7, 12, 48)
+        assert workers == [(6, 12)]
+        assert report == expected
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_an_error_in_the_workers_models_is_raised_here(self, monkeypatch, processes):
+        # each process counts its own draws: the worker fails at model 9, and this process, checking its models, fails there too
+        draws, draw = itertools.count(), oracles.random_stable_model
+
+        def tenth_draw_fails(rng, k):
+            if next(draws) == 9:
+                raise ValueError("no tenth model")
+            return draw(rng, k)
+
+        monkeypatch.setattr(oracles, "random_stable_model", tenth_draw_fails)
+        workers = verify_in(monkeypatch, processes)
+        with pytest.raises(ValueError, match="no tenth model"):
+            oracles.run_verification(7, 12, 48)
+        assert workers == [(6, 12)] * (processes - 1)
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_an_exception_here_kills_and_reaps_the_worker(self, monkeypatch, error):
+        parent, check = os.getpid(), oracles._check_model
+
+        def stop(*args):
+            if os.getpid() != parent:
+                time.sleep(60)  # until this process kills it
+            raise error("stop")
+
+        monkeypatch.setattr(oracles, "_check_model", stop)
+        workers = verify_in(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(error, match="stop"):
+            oracles.run_verification(7, 12, 48)
+        assert time.monotonic() - start < 30
+        assert workers == [(6, 12)]
+        assert_no_child_process()
 
 
 class TestModuleEntryPoint:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varconn
-from varconn import _floattext
+from varconn import _floattext, _fork
 from varconn._floattext import BLOCK, float_text
 
 
@@ -232,3 +232,21 @@ def test_one_call_peaks_within_a_bound_of_one_block(blocks):
     finally:
         tracemalloc.stop()
     assert peak < 320 * BLOCK, peak
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_forked_process_fills_its_own_copy_of_the_exponent_table():
+    # measure's forked worker fills the columns it meets while this process fills its own: the table
+    # is private to each, as a column's last row is its only "filled" flag
+    exponents = _floattext._tables()[0]
+    column = int(np.flatnonzero(exponents[-1] == 0)[0])
+
+    def fill(report):
+        _floattext._fill(exponents, np.array([column]))
+        os.write(report, exponents[:, column].tobytes())
+
+    with _fork.Worker(fill) as worker:
+        filled = os.read(worker.report, exponents.shape[0] * 8)
+        assert worker.wait() == 0
+    assert np.frombuffer(filled, np.uint64)[-1] != 0  # the worker filled it
+    assert not exponents[:, column].any()  # and this process's copy is still unfilled

@@ -1,3 +1,4 @@
+import os
 import sys
 import types
 from functools import cached_property
@@ -382,6 +383,8 @@ class TestRunVerification:
         assert 0.5e-8 <= failed[check] <= 2e-8
 
     def test_one_schur_solve_per_source_and_no_per_pair_call(self, monkeypatch):
+        # on one CPU, so that every model is checked in this process, where the calls are counted
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         calls = dict.fromkeys((*PER_PAIR, "partialized_cross_spectra", "partialized_innovation_covariances"), 0)
         modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "varconn"]
         for name in calls:
